@@ -43,12 +43,10 @@ func TestBenchDirGolden(t *testing.T) {
 
 	var tables []string
 	for _, par := range []int{1, 4} {
-		// The flow engine is pinned: the golden table records one exact
-		// trajectory, and the default auto policy now calibrates by
-		// timing candidate engines per problem — equally optimal, but
-		// free to land on a different (bitwise different) optimum
-		// between runs.
-		sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: "dial", Parallelism: par})
+		// The flow engine is left at the default: the golden table
+		// records one exact trajectory, so it also pins that the
+		// default selection is deterministic.
+		sz, err := minflo.NewSizer(&minflo.Config{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}

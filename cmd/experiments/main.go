@@ -12,10 +12,9 @@
 // of real ISCAS85 .bench files (parsed by internal/bench): every
 // *.bench file in the directory becomes one table row at -spec·Dmin.
 //
-// -engine selects the D-phase flow backend (ssp, dial, parallel,
-// costscaling, cspar — or auto, which times the candidate engines on
-// each problem's first solve and keeps the winner) and -j the
-// intra-run worker budget for every mode.
+// -engine selects the D-phase flow backend (ssp, dial, costscaling —
+// or auto, the default, which selects dial) and -j the intra-run
+// worker budget for every mode.
 //
 // Table 1 runs the full 12-circuit suite and takes a few minutes.
 package main
@@ -42,7 +41,7 @@ func main() {
 		lagr     = flag.Bool("lagrangian", false, "compare against the reference-[8] Lagrangian sizer")
 		all      = flag.Bool("all", false, "run everything")
 		quick    = flag.Bool("quick", false, "restrict Table 1 to the small circuits")
-		engine   = flag.String("engine", "auto", "D-phase flow engine: auto (calibrated per problem), ssp, dial, parallel, costscaling or cspar")
+		engine   = flag.String("engine", "auto", "D-phase flow engine: auto (= dial), ssp, dial or costscaling")
 		jobs     = flag.Int("j", 0, "intra-run parallelism: worker budget per sizing run (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 		benchdir = flag.String("benchdir", "", "directory of .bench netlists: run a table sweep over every *.bench file in it")
 		spec     = flag.Float64("spec", 0.5, "delay spec (fraction of Dmin) for -benchdir rows")

@@ -8,7 +8,7 @@
 //	minflo -circuit adder32 -spec 0.5 -algo tilos
 //	minflo -circuit c17 -spec 0.6 -mode transistor
 //	minflo -circuit c17 -spec 0.6 -sizes             # dump per-gate sizes
-//	minflo -circuit c6288 -spec 0.5 -engine cspar    # pin the D-phase flow backend
+//	minflo -circuit c6288 -spec 0.5 -engine ssp      # pin the D-phase flow backend
 //	minflo -circuit c6288 -spec 0.5 -budget 30s      # bounded run, best-so-far on expiry
 //
 // Ctrl-C cancels a running optimization gracefully: the best sizing
@@ -42,7 +42,7 @@ func main() {
 		benchFile   = flag.String("bench", "", "ISCAS85 .bench netlist file")
 		spec        = flag.Float64("spec", 0.5, "delay target as a fraction of Dmin")
 		algo        = flag.String("algo", "minflo", "sizing algorithm: minflo, tilos or lagrange")
-		engine      = flag.String("engine", "auto", "D-phase flow engine: auto (calibrated per problem), ssp, dial, parallel, costscaling or cspar")
+		engine      = flag.String("engine", "auto", "D-phase flow engine: auto (= dial), ssp, dial or costscaling")
 		jobs        = flag.Int("j", 0, "intra-run parallelism: worker budget for one sizing run (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 		budget      = flag.Duration("budget", 0, "wall-clock budget for the optimization (0 = unlimited); on expiry the best sizing so far is printed and the exit code is 4")
 		mode        = flag.String("mode", "gate", "sizing mode: gate or transistor")

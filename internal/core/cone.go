@@ -119,18 +119,9 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64,
 	subOpt := s.opt
 	subOpt.EditConeResize = false
 	subOpt.Parallelism = s.sc.par
-	// Pin the sub-session to the parent's resolved flow engine: a
-	// calibration probe inside the cone would decide on wall time and
-	// break replay determinism.  A seeded session has solved at least
-	// once, so the resolved name exists; bail out rather than risk an
-	// unpinned probe if it somehow doesn't.
+	// Run the sub-session on the engine the parent's D-phase runs on
+	// ("ssp" once the fallback chain has replaced a failed backend).
 	subOpt.FlowEngine = s.sc.sys.FlowEngineName()
-	if subOpt.FlowEngine == "" {
-		subOpt.FlowEngine = s.sc.engine
-	}
-	if subOpt.FlowEngine == "" {
-		return nil, errSeedRejected
-	}
 	sub, err := NewSession(cone.Sub, subOpt)
 	if err != nil {
 		return nil, errSeedRejected

@@ -34,36 +34,20 @@ import (
 	"minflo/internal/tilos"
 )
 
-// calibrationEngines are the candidates the "auto" policy probes on a
-// problem's first D-phase solve (dcs hands them to
-// mcmf.CalibrateEngines; ties break toward earlier entries, so the
-// previously measured serial winner "dial" leads).  The speculative
-// "parallel" backend stays opt-in — its measured ~8% warm speculation
-// survival (EXPERIMENTS.md "Intra-run parallelism") makes it a poor
-// default probe — while "cspar", whose bulk-synchronous phases are
-// order-insensitive, competes in the probe at whatever worker budget
-// the run configured.
-var calibrationEngines = []string{"dial", "ssp", "cspar"}
-
-// CalibrationEngines returns the engines the auto policy probes
-// (a copy; the order encodes the tie-break prior).
-func CalibrationEngines() []string {
-	return append([]string(nil), calibrationEngines...)
-}
+// defaultFlowEngine is the backend "" and "auto" resolve to: dial was
+// the fastest registered engine on every measured D-phase instance
+// (EXPERIMENTS.md "Engine zoo pruned").
+const defaultFlowEngine = "dial"
 
 // ResolveFlowEngine maps an Options.FlowEngine value to a concrete
-// mcmf backend name.  "" and "auto" return "" — the caller runs the
-// startup calibration probe (CalibrationEngines timed on the first
-// D-phase solve, winner kept per problem) instead of the PR-3 era
-// hardwired 128-vertex dial floor; anything else must be a registered
-// engine and is pinned for the whole run.  n and par are accepted so
-// the policy can consult problem size and worker budget again if
-// measurements ever justify a static shortcut.
-func ResolveFlowEngine(name string, n, par int) (string, error) {
-	_, _ = n, par
+// mcmf backend name — the one rule for which engine names are
+// accepted.  "" and "auto" return the default ("dial"); anything else
+// must be a registered engine.  The resolved engine is pinned for the
+// whole run, so every run is deterministic.
+func ResolveFlowEngine(name string) (string, error) {
 	switch name {
 	case "", "auto":
-		return "", nil
+		return defaultFlowEngine, nil
 	default:
 		if !mcmf.ValidEngine(name) {
 			return "", fmt.Errorf("core: unknown flow engine %q (have auto, %v)", name, mcmf.EngineNames())
@@ -123,19 +107,13 @@ type Options struct {
 	// power-of-10 scaling). Defaults 1e6 / 1e4.
 	CostScale, SupplyScale float64
 	// FlowEngine selects the D-phase min-cost-flow backend by mcmf
-	// registry name ("ssp", "dial", "costscaling", "cspar",
-	// "parallel").  Empty or "auto" runs the startup calibration
-	// probe instead: the first D-phase solve times one cold solve per
-	// candidate (CalibrationEngines) and keeps the per-problem winner
-	// — IterStats.FlowEngine reports it.  The probe decides on wall
-	// time, so auto runs on a noisy host may keep different (equally
-	// optimal) backends across repetitions; pin an engine when the
-	// exact solution trajectory must be reproducible (the speculative
-	// "parallel" backend is opt-in, see ResolveFlowEngine).
+	// registry name ("ssp", "dial", "costscaling").  Empty or "auto"
+	// selects "dial" (see ResolveFlowEngine); IterStats.FlowEngine
+	// reports the backend that ran.
 	FlowEngine string
 	// Parallelism is the intra-run worker budget: the W-phase level
-	// sweeps, the sensitivity solves and the "parallel" flow backend
-	// all draw from it.  0 defaults to GOMAXPROCS; 1 forces a fully
+	// sweeps and the sensitivity solves draw from it (the D-phase flow
+	// solve is serial).  0 defaults to GOMAXPROCS; 1 forces a fully
 	// serial run.  Results are bit-identical at every setting — the
 	// parallel paths are pinned to their serial twins by the
 	// determinism suite — and small problems fall back to serial
@@ -220,10 +198,6 @@ type IterStats struct {
 	NetBuilds int
 	// FlowEngine is the mcmf backend the D-phase ran on this problem.
 	FlowEngine string
-	// FlowCalibrated reports whether that backend was chosen by the
-	// startup calibration probe (Options.FlowEngine empty or "auto")
-	// rather than pinned by the caller.
-	FlowCalibrated bool
 	// FlowResolves is the cumulative number of D-phase solves served by
 	// the incremental re-flow (mcmf ResolveChanged repairing the
 	// previous optimum) rather than a from-scratch solve — every
@@ -331,8 +305,7 @@ type iterScratch struct {
 	lin      *lin.Solver       // sensitivity engine over p.CSR()
 
 	sys    *dcs.System
-	engine string    // resolved mcmf backend name ("" = calibrate)
-	calib  []string  // calibration candidates when engine == ""
+	engine string    // resolved mcmf backend name
 	par    int       // intra-run worker budget (≥1, resolved)
 	pool   *par.Pool // W-phase/sensitivity worker pool (nil when par == 1)
 	loID   []int     // constraint r_i − r_dm ≤ …, per sizable vertex
@@ -388,11 +361,6 @@ func newIterScratch(p *dag.Problem, aug *dag.Augmented, x0 []float64, engine str
 	}
 	for v := range sc.allV {
 		sc.allV[v] = v
-	}
-	if engine == "" {
-		// Auto policy: the first D-phase solve runs the calibration
-		// probe and keeps the per-problem winner.
-		sc.calib = calibrationEngines
 	}
 	var err error
 	if sc.analyzer, err = sta.NewAnalyzer(aug.G); err != nil {
@@ -544,7 +512,7 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 	}
 	sol, err := sys.SolveCtx(sc.ctx, dcs.Options{
 		CostScale: opt.CostScale, SupplyScale: opt.SupplyScale,
-		Engine: sc.engine, Calibrate: sc.calib, Parallelism: sc.par,
+		Engine:   sc.engine,
 		Deadline: sc.deadline, WorkBudget: sc.flowBudget,
 		// A flow-engine failure (panic, price-range refusal) degrades
 		// to the ssp reference engine instead of killing the run;
@@ -580,13 +548,12 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 	// Re-time incrementally; repair with TILOS if MaxSize clamping broke
 	// the target.
 	st := IterStats{
-		Objective:      sol.Objective,
-		Clamped:        len(w.Clamped),
-		NetBuilds:      sys.Builds(),
-		FlowEngine:     sys.FlowEngineName(),
-		FlowCalibrated: len(sc.calib) > 0,
-		FlowResolves:   sys.FlowEngineStats().Resolves,
-		FlowFallbacks:  sys.FlowEngineStats().FullFallbacks,
+		Objective:     sol.Objective,
+		Clamped:       len(w.Clamped),
+		NetBuilds:     sys.Builds(),
+		FlowEngine:    sys.FlowEngineName(),
+		FlowResolves:  sys.FlowEngineStats().Resolves,
+		FlowFallbacks: sys.FlowEngineStats().FullFallbacks,
 	}
 	st.FlowEngineFailures = sys.FlowEngineFailures()
 	cp := sc.retime(p, newX)

@@ -156,9 +156,7 @@ func (s *Session) ApplyEdits(edits []dag.Edit) (*EditReport, error) {
 		// The constraint system has no API to move constraint endpoints
 		// (structural), and an over-budget cone invalidates most of the
 		// warm flow state anyway: rebuild the D-phase scratch on the
-		// current problem.  Auto-engine sessions recalibrate here (the
-		// same non-reproducibility "auto" is documented to have);
-		// pinned engines stay pinned.
+		// current problem on the session's resolved flow engine.
 		s.aug = s.p.Augment()
 		sc2, serr := newIterScratch(s.p, s.aug, x, s.sc.engine, s.sc.par)
 		if serr != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"minflo/internal/dag"
@@ -30,9 +31,8 @@ func sizeOnce(t *testing.T, p *dag.Problem, spec float64, engine string, paralle
 
 // diffResults demands bit-identical outcomes: sizes, area, CP,
 // iteration count, and the per-iteration trajectory (objective, area,
-// CP, clamp counts, window schedule, flow-resolve counts).  The
-// engine name is the one intentional difference between a serial
-// "ssp" run and a "parallel" run, so it is excluded.
+// CP, clamp counts, window schedule, flow engine and flow-resolve
+// counts).
 func diffResults(t *testing.T, tag string, want, got *Result) {
 	t.Helper()
 	if got.Area != want.Area || got.CP != want.CP || got.Iterations != want.Iterations {
@@ -51,7 +51,7 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 		w, g := want.Stats[i], got.Stats[i]
 		if g.Area != w.Area || g.CP != w.CP || g.Objective != w.Objective ||
 			g.Window != w.Window || g.Clamped != w.Clamped || g.Repaired != w.Repaired ||
-			g.FlowResolves != w.FlowResolves {
+			g.FlowEngine != w.FlowEngine || g.FlowResolves != w.FlowResolves {
 			t.Fatalf("%s: iteration %d diverged: %+v, serial %+v", tag, i+1, g, w)
 		}
 	}
@@ -60,9 +60,11 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 // TestParallelMatchesSerialRandom is the end-to-end determinism gate
 // of the intra-run parallelism work: across 100+ random logic
 // instances and GOMAXPROCS ∈ {1, 2, 4, 8}, a fully parallel core.Size
-// (parallel flow backend, level-parallel W-phase and sensitivity
-// solves) must be bit-identical to the serial "ssp" run — same areas,
-// same iteration counts, same sizes, same per-iteration trajectory.
+// (level-parallel W-phase and sensitivity solves) must be
+// bit-identical to the serial run — same areas, same iteration
+// counts, same sizes, same per-iteration trajectory.  The default
+// engine selections ("" and "auto") must reproduce a pinned "dial"
+// run bit for bit.
 func TestParallelMatchesSerialRandom(t *testing.T) {
 	m := delay.NewModel(tech.Default013())
 	count := 0
@@ -74,12 +76,15 @@ func TestParallelMatchesSerialRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := 0.55 + 0.3*rng.Float64()
-		want := sizeOnce(t, p, spec, "ssp", 1)
+		want := sizeOnce(t, p, spec, "dial", 1)
 		for _, procs := range []int{1, 2, 4, 8} {
 			old := runtime.GOMAXPROCS(procs)
-			got := sizeOnce(t, p, spec, "parallel", procs)
+			got := sizeOnce(t, p, spec, "dial", procs)
 			runtime.GOMAXPROCS(old)
 			diffResults(t, ckt.Name, want, got)
+		}
+		for _, name := range []string{"", "auto"} {
+			diffResults(t, ckt.Name+" engine "+strconv.Quote(name), want, sizeOnce(t, p, spec, name, 2))
 		}
 		count++
 	}
@@ -90,8 +95,8 @@ func TestParallelMatchesSerialRandom(t *testing.T) {
 
 // TestParallelMatchesSerialLarge covers the regime the random suite
 // cannot: problems big enough that every parallel path really engages
-// (the flow engine's speculation rounds, and — on the wide tree — the
-// level-parallel W-phase above its 128-block floor).  The transistor
+// (on the wide tree, the level-parallel W-phase above its 128-block
+// floor).  The transistor
 // problem adds SCC blocks (dense-block sensitivity path).
 func TestParallelMatchesSerialLarge(t *testing.T) {
 	m := delay.NewModel(tech.Default013())
@@ -113,60 +118,31 @@ func TestParallelMatchesSerialLarge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := sizeOnce(t, p, tc.spec, "ssp", 1)
+			want := sizeOnce(t, p, tc.spec, "dial", 1)
 			for _, procs := range []int{2, 4, 8} {
-				got := sizeOnce(t, p, tc.spec, "parallel", procs)
-				diffResults(t, tc.name, want, got)
-				if got.Stats[0].FlowEngine != "parallel" {
-					t.Fatalf("flow engine %q, want parallel", got.Stats[0].FlowEngine)
-				}
+				diffResults(t, tc.name, want, sizeOnce(t, p, tc.spec, "dial", procs))
 			}
 		})
 	}
 }
 
-// TestResolveFlowEngineAuto pins the auto policy: ""/"auto" defer to
-// the startup calibration probe (empty name, CalibrationEngines as
-// candidates — which never include the opt-in "parallel" backend),
-// explicit names pass through, and unknown names are rejected.
+// TestResolveFlowEngineAuto pins the engine-name policy: ""/"auto"
+// select "dial", every registered engine passes through by name, and
+// unknown names are rejected.
 func TestResolveFlowEngineAuto(t *testing.T) {
 	for _, name := range []string{"", "auto"} {
-		for _, tc := range []struct{ n, par int }{{64, 1}, {1024, 8}, {200_000, 8}} {
-			got, err := ResolveFlowEngine(name, tc.n, tc.par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != "" {
-				t.Errorf("ResolveFlowEngine(%q, n=%d, par=%d) = %q, want \"\" (calibrate)", name, tc.n, tc.par, got)
-			}
+		if got, err := ResolveFlowEngine(name); err != nil || got != "dial" {
+			t.Fatalf("ResolveFlowEngine(%q) = %q, %v; want dial", name, got, err)
 		}
 	}
-	cands := CalibrationEngines()
-	if len(cands) < 2 {
-		t.Fatalf("calibration candidates %v, want at least dial and cspar", cands)
-	}
-	hasCspar := false
-	for _, c := range cands {
-		if c == "parallel" {
-			t.Fatalf("calibration candidates %v include the opt-in parallel backend", cands)
-		}
-		if !mcmf.ValidEngine(c) {
-			t.Fatalf("calibration candidate %q is not a registered engine", c)
-		}
-		if c == "cspar" {
-			hasCspar = true
-		}
-	}
-	if !hasCspar {
-		t.Fatalf("calibration candidates %v do not include cspar", cands)
-	}
-	for _, name := range []string{"ssp", "dial", "cspar", "costscaling", "parallel"} {
-		got, err := ResolveFlowEngine(name, 10, 1)
-		if err != nil || got != name {
+	for _, name := range mcmf.EngineNames() {
+		if got, err := ResolveFlowEngine(name); err != nil || got != name {
 			t.Fatalf("explicit %q: got %q, err %v", name, got, err)
 		}
 	}
-	if _, err := ResolveFlowEngine("nope", 10, 1); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, name := range []string{"nope", "parallel", "Dial"} {
+		if _, err := ResolveFlowEngine(name); err == nil {
+			t.Fatalf("unknown engine %q accepted", name)
+		}
 	}
 }

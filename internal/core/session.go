@@ -143,7 +143,7 @@ func NewSession(p *dag.Problem, opt Options) (*Session, error) {
 	if parallelism == 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	engine, err := ResolveFlowEngine(opt.FlowEngine, p.G.N(), parallelism)
+	engine, err := ResolveFlowEngine(opt.FlowEngine)
 	if err != nil {
 		return nil, err
 	}
@@ -266,8 +266,7 @@ func (s *Session) TrustRegionSeeded() int { return s.seeded }
 func (s *Session) TrustRegionFallbacks() int { return s.seedFallbacks }
 
 // FlowEngineName reports the mcmf backend the session's D-phase runs
-// on ("" before the first solve; stable afterwards — the calibration
-// probe, when configured, runs once per session, not once per query).
+// on ("" before the first solve).
 func (s *Session) FlowEngineName() string { return s.sc.sys.FlowEngineName() }
 
 // FlowResolves reports how many D-phase solves the session served

@@ -30,10 +30,8 @@
 // rerouting every supply.  Supply deltas are diffed inside mcmf, and
 // arc capacities use a stable doubling bound (capBound) so they only
 // count as changed when the bound actually grows.  Options.Engine
-// selects the flow backend ("ssp", "dial", "costscaling", "cspar",
-// "parallel"), or Options.Calibrate probes a candidate list on the
-// first solve and keeps the fastest; engines can change between Solve
-// calls without losing the cached network.
+// selects the flow backend ("ssp", "dial", "costscaling"); engines can
+// change between Solve calls without losing the cached network.
 //
 // Costs and supplies are integerized by scaling (the paper's
 // "multiply by a power of 10 and round" step); Options selects the
@@ -109,9 +107,6 @@ type System struct {
 	// re-solve (an externally-seeded warm start whose costs barely
 	// moved shows up as a small changed set here).
 	lastChanged int
-	// calibrated records that the cached network's engine was chosen
-	// by the Options.Calibrate startup probe (reset on rebuild).
-	calibrated bool
 	// degraded latches once the flow solver's fallback chain replaced
 	// a failed engine with ssp (see mcmf abort.go): while set, Solve
 	// stops re-pinning Options.Engine, so the failed backend is not
@@ -216,23 +211,12 @@ type Options struct {
 	// Default 1e4.
 	SupplyScale float64
 	// Engine selects the min-cost-flow backend by mcmf registry name
-	// ("ssp", "dial", "costscaling", "cspar", "parallel").  Empty
-	// keeps the solver's current engine (the mcmf default on a fresh
-	// network).  Switching engines between Solve calls keeps the
-	// cached network and its warm state.
+	// ("ssp", "dial", "costscaling").  Empty keeps the solver's current
+	// engine (the mcmf default on a fresh network).  Switching engines
+	// between Solve calls keeps the cached network and its warm state.
 	Engine string
-	// Calibrate, when non-empty, replaces the fixed Engine choice with
-	// a startup probe: the first Solve on a freshly built network times
-	// one cold solve per listed candidate (mcmf.CalibrateEngines) and
-	// keeps the fastest; subsequent Solves reuse the winner (Engine is
-	// ignored while Calibrate is set).  FlowEngineName reports the
-	// winner.  The probe picks on wall time, so repeated runs may keep
-	// different — equally optimal — backends; pin Engine instead when
-	// the exact solution trajectory must be reproducible.
-	Calibrate []string
-	// Parallelism is the worker budget handed to parallelism-aware
-	// flow engines (0 = GOMAXPROCS at solve time).  It never changes
-	// results — the parallel backend is bit-identical to serial.
+	// Parallelism is ignored: every registered flow engine is serial.
+	// The field remains only so existing callers keep compiling.
 	Parallelism int
 	// Deadline, when non-zero, aborts flow solves running past it with
 	// mcmf.ErrBudgetExhausted (sampled at the engines' poll points).
@@ -293,10 +277,8 @@ func (s *System) ensureFlow() *mcmf.Solver {
 	s.builtVersion = s.topoVersion
 	s.builds++
 	// Fresh network: nothing is priced yet, everything below starts
-	// from the full-solve path (and a calibrated engine choice must be
-	// re-probed on the new topology).
+	// from the full-solve path.
 	s.priced = false
-	s.calibrated = false
 	s.degraded = false
 	s.capBound = 0
 	if cap(s.lastCost) < len(s.cons) {
@@ -398,12 +380,11 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 	}
 
 	f := s.ensureFlow()
-	if len(opt.Calibrate) == 0 && opt.Engine != "" && !s.degraded {
+	if opt.Engine != "" && !s.degraded {
 		if err := f.SetEngine(opt.Engine); err != nil {
 			return nil, err
 		}
 	}
-	f.SetParallelism(opt.Parallelism)
 	f.SetContext(ctx)
 	f.SetDeadline(opt.Deadline)
 	f.SetWorkBudget(opt.WorkBudget)
@@ -483,16 +464,8 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 
 	// Incremental re-flow with the exact changed-arc set; the first
 	// solve on a fresh network (or after a failed one) falls back to a
-	// full solve inside the engine.  When calibrated engine selection
-	// is requested, that first solve is the calibration probe instead:
-	// every candidate gets a timed cold solve on the just-priced
-	// instance and the winner stays installed for the re-solves.
-	if len(opt.Calibrate) > 0 && !s.calibrated {
-		if _, err := f.CalibrateEngines(opt.Calibrate); err != nil {
-			return nil, mapFlowErr(err)
-		}
-		s.calibrated = true
-	} else if _, err := f.ResolveChanged(s.pending); err != nil {
+	// full solve inside the engine.
+	if _, err := f.ResolveChanged(s.pending); err != nil {
 		return nil, mapFlowErr(err)
 	}
 	clearPending()

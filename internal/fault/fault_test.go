@@ -94,7 +94,7 @@ func sspReference(t *testing.T) state {
 func TestInjectedFailureFallsBackToSSP(t *testing.T) {
 	defer Reset()
 	want := sspReference(t)
-	for _, inner := range []string{"ssp", "dial", "costscaling", "cspar", "parallel"} {
+	for _, inner := range []string{"ssp", "dial", "costscaling"} {
 		ops := probeOps(t, inner)
 		for _, mode := range []Mode{Error, Panic} {
 			for _, op := range samplePoints(ops) {

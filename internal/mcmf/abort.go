@@ -2,10 +2,8 @@
 //
 // Every engine inner loop polls Solver.pollAbort at its natural
 // operation granularity — one shortest-path augmentation (ssp, dial),
-// one Bellman–Ford round, one discharge (costscaling), one BSP
-// super-step (cspar), one speculation round (parallel).  The poll
-// generalizes the calibration probe's errProbeBudget mid-solve abort
-// into a single abort funnel with four sources:
+// one Bellman–Ford round, one discharge (costscaling).  The poll is a
+// single abort funnel with four sources:
 //
 //   - a context.Context installed with SetContext (→ ErrCanceled),
 //   - a wall-clock deadline installed with SetDeadline
@@ -141,7 +139,7 @@ func (s *Solver) LastEngineFailure() error { return s.lastFailure }
 // pollAbort's hot path a single branch.
 func (s *Solver) reArm() {
 	s.armed = s.ctx != nil || s.pollHook != nil || s.workBudget > 0 ||
-		!s.deadline.IsZero() || !s.probeDeadline.IsZero()
+		!s.deadline.IsZero()
 }
 
 // pollAbort is the abort funnel every engine inner loop polls.  It
@@ -168,14 +166,9 @@ func (s *Solver) pollAbortArmed() error {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		return ErrCanceled
 	}
-	s.probeTick++
-	if s.probeTick&31 == 0 {
-		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			return ErrBudgetExhausted
-		}
-		if !s.probeDeadline.IsZero() && time.Now().After(s.probeDeadline) {
-			return errProbeBudget
-		}
+	s.pollTick++
+	if s.pollTick&31 == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		return ErrBudgetExhausted
 	}
 	return nil
 }
@@ -184,8 +177,7 @@ func (s *Solver) pollAbortArmed() error {
 // caller: restoring state is required, retrying on another engine is
 // pointless.
 func isAbortErr(err error) bool {
-	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted) ||
-		errors.Is(err, errProbeBudget)
+	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted)
 }
 
 // isSemanticErr classifies the errors that describe the instance, not

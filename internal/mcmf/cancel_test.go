@@ -61,7 +61,7 @@ func TestConformanceCancelAtPollPoints(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
 		for seed := int64(0); seed < 6; seed++ {
 			// Reference: an identical twin solved without interference.
-			ref := newEngineInstance(t, engine, seed, false, 1)
+			ref := newEngineInstance(t, engine, seed, false)
 			polls, cost, err := countedRun(ref, ref.Solve)
 			if err != nil {
 				t.Fatalf("seed %d: reference solve: %v", seed, err)
@@ -73,7 +73,7 @@ func TestConformanceCancelAtPollPoints(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(1000 + seed))
 			for _, n := range cancelPoints(rng, polls, 4) {
-				s := newEngineInstance(t, engine, seed, false, 1)
+				s := newEngineInstance(t, engine, seed, false)
 				cost, err := cancelAtPoll(s, n, s.Solve)
 				if err == nil {
 					// The final poll can precede completion so closely
@@ -103,7 +103,7 @@ func TestConformanceCancelAtPollPoints(t *testing.T) {
 func TestConformanceCancelDuringResolve(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
 		for seed := int64(0); seed < 4; seed++ {
-			ref := newEngineInstance(t, engine, seed, false, 1)
+			ref := newEngineInstance(t, engine, seed, false)
 			if _, err := ref.Solve(); err != nil {
 				t.Fatalf("seed %d: warm solve: %v", seed, err)
 			}
@@ -121,7 +121,7 @@ func TestConformanceCancelDuringResolve(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(2000 + seed))
 			for _, n := range cancelPoints(rng, polls, 3) {
-				s := newEngineInstance(t, engine, seed, false, 1)
+				s := newEngineInstance(t, engine, seed, false)
 				if _, err := s.Solve(); err != nil {
 					t.Fatalf("seed %d: warm solve: %v", seed, err)
 				}

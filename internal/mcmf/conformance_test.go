@@ -3,20 +3,17 @@
 // Every registered engine runs the same table-driven suites — the
 // 110-instance random equivalence suite, the warm-start suite, the
 // incremental-resolve rounds, the degenerate shapes (zero-capacity
-// cut, disconnected supply, zero total supply) and the worker-budget
-// matrix {1,2,4,8} — so a new backend gets full coverage by
-// registering, not by copying tests.  The scaffolding here (random
-// instance builder, state capture/diff, fresh twins, random mutation
-// batches) was previously duplicated across equivalence_test.go,
-// parallel_test.go and resolve_test.go and is now shared.
+// cut, disconnected supply, zero total supply) — so a new backend
+// gets full coverage by registering, not by copying tests.  The
+// scaffolding here (random instance builder, state capture/diff, fresh
+// twins, random mutation batches) is shared with equivalence_test.go
+// and resolve_test.go.
 //
 // Equivalence levels: across *different* engines the guaranteed
 // agreement is the optimal objective (min-cost flows are degenerate —
 // equally optimal flows may differ per arc), each certified by
-// Verify.  Within one engine, runs at different worker budgets must
-// be bit-identical — flows, potentials, cost — which is the
-// determinism contract of the parallelism-aware backends ("parallel",
-// "cspar") and trivially holds for the serial ones.
+// Verify.  Two runs of one engine on twin instances must be
+// bit-identical — flows, potentials, cost.
 package mcmf
 
 import (
@@ -161,16 +158,11 @@ func mutateRandom(rng *rand.Rand, s *Solver, allowNegativeCosts bool) []int32 {
 	return changed
 }
 
-// conformanceBudgets is the worker-budget matrix every engine runs
-// through (serial engines must ignore the setting; parallelism-aware
-// ones must be bit-identical across it).
-var conformanceBudgets = []int{1, 2, 4, 8}
-
 // forEachEngine runs f as a subtest per registered engine.
 func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
 	engines := EngineNames()
-	if len(engines) < 5 {
-		t.Fatalf("expected ≥5 registered engines, have %v", engines)
+	if len(engines) < 3 {
+		t.Fatalf("expected ≥3 registered engines, have %v", engines)
 	}
 	for _, name := range engines {
 		name := name
@@ -179,12 +171,11 @@ func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
 }
 
 // newEngineInstance builds the seed's twin instance under the given
-// engine and worker budget.
-func newEngineInstance(t *testing.T, engine string, seed int64, negative bool, par int) *Solver {
+// engine.
+func newEngineInstance(t *testing.T, engine string, seed int64, negative bool) *Solver {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	inst := buildRandomFeasible(rng, negative)
-	inst.SetParallelism(par)
 	if err := inst.SetEngine(engine); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +190,7 @@ func TestConformanceRandom(t *testing.T) {
 	const instances = 110
 	ref := make([]float64, instances)
 	for seed := int64(0); seed < instances; seed++ {
-		inst := newEngineInstance(t, "ssp", seed, seed%3 == 0, 1)
+		inst := newEngineInstance(t, "ssp", seed, seed%3 == 0)
 		cost, err := inst.Solve()
 		if err != nil {
 			t.Fatalf("seed %d: ssp reference: %v", seed, err)
@@ -208,7 +199,7 @@ func TestConformanceRandom(t *testing.T) {
 	}
 	forEachEngine(t, func(t *testing.T, engine string) {
 		for seed := int64(0); seed < instances; seed++ {
-			inst := newEngineInstance(t, engine, seed, seed%3 == 0, 1)
+			inst := newEngineInstance(t, engine, seed, seed%3 == 0)
 			cost, err := inst.Solve()
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -402,61 +393,14 @@ func TestConformanceDegenerate(t *testing.T) {
 	})
 }
 
-// TestConformanceWorkerBudgets pins the determinism contract on every
-// engine: the same instance solved and incrementally resolved at
-// worker budgets 1, 2, 4 and 8 must produce byte-identical flows,
-// potentials and costs.  Serial engines must ignore the budget;
-// "parallel" and "cspar" must neutralize it by construction.
-func TestConformanceWorkerBudgets(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, engine string) {
-		for seed := int64(1); seed <= 6; seed++ {
-			var ref flowState
-			var refResolve flowState
-			for i, par := range conformanceBudgets {
-				inst := NewGridInstance(12, 24, seed)
-				inst.SetParallelism(par)
-				if err := inst.SetEngine(engine); err != nil {
-					t.Fatal(err)
-				}
-				cost, err := inst.Solve()
-				if err != nil {
-					t.Fatalf("seed %d par %d: %v", seed, par, err)
-				}
-				got := captureState(inst, cost)
-				// One incremental round on top: budget-independence must
-				// survive the resolve path too.
-				mrng := rand.New(rand.NewSource(seed + 500))
-				changed := mutateRandom(mrng, inst, false)
-				rcost, rerr := inst.ResolveChanged(changed)
-				var rgot flowState
-				if rerr == nil {
-					rgot = captureState(inst, rcost)
-					if err := inst.Verify(); err != nil {
-						t.Fatalf("seed %d par %d: resolve certificate: %v", seed, par, err)
-					}
-				}
-				if i == 0 {
-					ref, refResolve = got, rgot
-					continue
-				}
-				diffState(t, fmt.Sprintf("seed %d budget %d solve", seed, par), ref, got)
-				if rerr == nil {
-					diffState(t, fmt.Sprintf("seed %d budget %d resolve", seed, par), refResolve, rgot)
-				}
-			}
-		}
-	})
-}
-
 // TestConformanceStatsReset pins the Reset contract on every engine:
-// per-problem work counters (Visited, SpecCommits, SpecWasted) are
+// the per-problem work counter (Visited) is
 // zeroed by Solver.Reset so back-to-back problems on a reused solver
 // report per-problem work, while lifetime counters (Solves) keep
 // accumulating.
 func TestConformanceStatsReset(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
 		s := NewGridInstance(8, 6, 3)
-		s.SetParallelism(4)
 		if err := s.SetEngine(engine); err != nil {
 			t.Fatal(err)
 		}
@@ -468,7 +412,7 @@ func TestConformanceStatsReset(t *testing.T) {
 			t.Fatalf("first solve reports no visited work: %+v", first)
 		}
 		s.Reset()
-		if st := s.EngineStats(); st.Visited != 0 || st.SpecCommits != 0 || st.SpecWasted != 0 {
+		if st := s.EngineStats(); st.Visited != 0 {
 			t.Fatalf("Reset did not clear per-problem work counters: %+v", st)
 		}
 		if _, err := s.Solve(); err != nil {
@@ -492,40 +436,34 @@ func TestConformanceStatsReset(t *testing.T) {
 // identical interleaved Solve/ResolveChanged call sequence over twin
 // instances (plus an isolated node for disconnected-supply shapes) and
 // asserts agreement at every step: identical objectives and error
-// outcomes for any pair, and bit-identical flows for pairs that share
-// a determinism contract (an engine against itself at different worker
-// budgets, and "parallel" against "ssp").  The seed corpus covers the
+// outcomes for any pair, and bit-identical flows when an engine is
+// paired with itself.  The seed corpus covers the
 // degenerates that broke the PR-3 resolve work: zero-capacity cuts and
 // supply shifted onto a disconnected node.
 func FuzzEngineAgreement(f *testing.F) {
-	f.Add([]byte{0x01, 0x20, 0x13}, int64(1), uint8(4), uint8(1))
-	f.Add([]byte{0x02, 0x02, 0x00, 0x05, 0x02, 0x01}, int64(3), uint8(2), uint8(7))  // zero-capacity rounds
-	f.Add([]byte{0x03, 0x00, 0x07, 0x03, 0x01, 0x02}, int64(5), uint8(8), uint8(12)) // disconnected-supply rounds
-	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17}, int64(42), uint8(3), uint8(19))
-	f.Fuzz(func(t *testing.T, deltas []byte, seed int64, pair uint8, pars uint8) {
+	f.Add([]byte{0x01, 0x20, 0x13}, int64(1), uint8(4))
+	f.Add([]byte{0x02, 0x02, 0x00, 0x05, 0x02, 0x01}, int64(3), uint8(2)) // zero-capacity rounds
+	f.Add([]byte{0x03, 0x00, 0x07, 0x03, 0x01, 0x02}, int64(5), uint8(8)) // disconnected-supply rounds
+	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17}, int64(42), uint8(3))
+	f.Fuzz(func(t *testing.T, deltas []byte, seed int64, pair uint8) {
 		engines := EngineNames()
 		nameA := engines[int(pair)%len(engines)]
 		nameB := engines[(int(pair)/len(engines))%len(engines)]
-		parA := int(pars)%4 + 1
-		parB := int(pars/4)%4 + 1
 
-		build := func(name string, par int) (*Solver, int) {
+		build := func(name string) (*Solver, int) {
 			rng := rand.New(rand.NewSource(seed))
 			s := buildRandomFeasible(rng, false)
 			iso := s.AddNode() // disconnected: no arcs ever touch it
-			s.SetParallelism(par)
 			if err := s.SetEngine(name); err != nil {
 				t.Fatal(err)
 			}
 			return s, iso
 		}
-		a, isoA := build(nameA, parA)
-		b, _ := build(nameB, parB)
-		// Bit-level agreement holds within an engine's determinism
-		// contract; across algorithm families only the objective is
-		// pinned (optimal flows are degenerate).
-		bitwise := nameA == nameB ||
-			(nameA == "ssp" && nameB == "parallel") || (nameA == "parallel" && nameB == "ssp")
+		a, isoA := build(nameA)
+		b, _ := build(nameB)
+		// Bit-level agreement holds within one engine; across engines
+		// only the objective is pinned (optimal flows are degenerate).
+		bitwise := nameA == nameB
 
 		check := func(step string, costA, costB float64, errA, errB error) {
 			if (errA == nil) != (errB == nil) {

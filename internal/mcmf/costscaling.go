@@ -7,8 +7,7 @@
 //
 // The ε-scaling machinery (scaled costs, admissibility, price
 // refinement, the phase schedule, the warm-start resolve) lives in
-// scalingcore.go and is shared with the bulk-synchronous "cspar"
-// driver; this file contributes only the discharge strategy — the
+// scalingcore.go; this file contributes the discharge strategy — the
 // textbook sequential loop: a LIFO stack of active vertices, each
 // discharged fully (push along admissible current arcs, relabel when
 // the arc list is exhausted) before the next is popped.
@@ -25,9 +24,7 @@ func (e *costScalingEngine) Name() string { return "costscaling" }
 
 func (e *costScalingEngine) Solve(s *Solver) (float64, error) {
 	mark := e.st
-	cost, err := solveScalingFull(s, &e.sc, &e.st, func(excess []int64) error {
-		return refineSerial(s, &e.sc, excess, &e.st)
-	})
+	cost, err := solveScalingFull(s, &e.sc, &e.st)
 	if err == nil {
 		e.st.Solves++
 		s.noteFullRun(mark, e.st)
@@ -55,9 +52,7 @@ func (e *costScalingEngine) Resolve(s *Solver, changed []int32) (float64, error)
 func (s *Solver) SolveCostScaling() (float64, error) {
 	var sc scalingState
 	var st Stats
-	return solveScalingFull(s, &sc, &st, func(excess []int64) error {
-		return refineSerial(s, &sc, excess, &st)
-	})
+	return solveScalingFull(s, &sc, &st)
 }
 
 // refineSerial discharges all active vertices at sc.eps with the

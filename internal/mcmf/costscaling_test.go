@@ -135,6 +135,78 @@ func TestQuickEnginesAgree(t *testing.T) {
 	}
 }
 
+// TestScalingResolveIncremental pins that the scaling engine's
+// incremental path actually engages on D-phase-shaped rounds (small
+// cost-delta batches must be served by Resolves, not full fallbacks)
+// and repairs to the exact fresh optimum.
+func TestScalingResolveIncremental(t *testing.T) {
+	t.Run("costscaling", func(t *testing.T) {
+		s := NewGridInstance(12, 10, 5)
+		if err := s.SetEngine("costscaling"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		for round := 0; round < 6; round++ {
+			changed := make([]int32, 0, 4)
+			for k := 0; k < 4; k++ {
+				id := rng.Intn(s.NumArcs())
+				s.SetCost(id, int64(rng.Intn(1000)))
+				changed = append(changed, int32(id))
+			}
+			got, err := s.ResolveChanged(changed)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			want, err := freshTwin(s).Solve()
+			if err != nil {
+				t.Fatalf("round %d: fresh: %v", round, err)
+			}
+			if got != want {
+				t.Fatalf("round %d: resolve cost %v != fresh %v", round, got, want)
+			}
+			if err := s.Verify(); err != nil {
+				t.Fatalf("round %d: certificate: %v", round, err)
+			}
+		}
+		st := s.EngineStats()
+		if st.Resolves == 0 {
+			t.Fatalf("no incremental resolves engaged: %+v", st)
+		}
+	})
+}
+
+// TestScalingPriceRange pins the overflow guard: an instance whose
+// cost magnitude leaves no headroom for the α-scaled costs must be
+// refused with ErrPriceRange by the scaling engine (instead of
+// silently wrapping int64), while the SSP family still solves it.
+func TestScalingPriceRange(t *testing.T) {
+	build := func() *Solver {
+		s := New(3)
+		s.AddArc(0, 1, 10, int64(inf)/2) // α = 4 here, so α·cost overflows the inf budget
+		s.AddArc(1, 2, 10, 1)
+		s.SetSupply(0, 2)
+		s.SetSupply(2, -2)
+		return s
+	}
+	s := build()
+	if err := s.SetEngine("costscaling"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(); err != ErrPriceRange {
+		t.Fatalf("costscaling on megacost instance: err=%v, want ErrPriceRange", err)
+	}
+	ref := build() // default ssp handles it
+	if _, err := ref.Solve(); err != nil {
+		t.Fatalf("ssp on megacost instance: %v", err)
+	}
+	if err := ref.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkFlowEngines (the engine comparison this file's doc comment
 // promises) lives in equivalence_test.go next to the equivalence gate,
 // sharing the NewGridInstance workload with BenchmarkMCMF.

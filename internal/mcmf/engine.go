@@ -11,17 +11,9 @@
 //	              D-phase instances; falls back to the heap per
 //	              augmentation when distances outgrow the bucket ring)
 //	"costscaling" Goldberg–Tarjan cost-scaling push-relabel, serial
-//	              LIFO discharge (costscaling.go over scalingcore.go)
-//	"cspar"       cost scaling with a bulk-synchronous parallel
-//	              discharge: per ε-phase super-steps plan push/relabel
-//	              operations against frozen prices across the worker
-//	              pool and apply them in fixed vertex-index order —
-//	              bit-identical at every Solver.SetParallelism worker
-//	              count (cspar.go)
-//	"parallel"    successive shortest paths with speculative concurrent
-//	              searches committed in serial order — bit-identical to
-//	              "ssp" at every Solver.SetParallelism worker count
-//	              (parallel.go)
+//	              LIFO discharge (costscaling.go over scalingcore.go) —
+//	              the second, independent algorithm the conformance
+//	              suite cross-checks the SSP family against
 //
 // Engines are cheap per-Solver objects: a factory from the registry
 // owns only algorithm-local scratch (the dial bucket ring, the heap)
@@ -63,13 +55,6 @@ type Stats struct {
 	// Visited counts the nodes touched by shortest-path searches
 	// (SSP engines) — the work measure behind the EWMA resolve gate.
 	Visited int64
-	// SpecCommits / SpecWasted count speculative searches the parallel
-	// engine committed as-is versus discarded because an earlier commit
-	// in the same round invalidated their read set.  Unlike the
-	// counters above these depend on the worker budget (more workers =
-	// bigger speculation rounds), never on the result.
-	SpecCommits int64
-	SpecWasted  int64
 }
 
 // engineCore is the Stats bookkeeping every built-in engine embeds:
@@ -83,14 +68,10 @@ type engineCore struct {
 
 func (e *engineCore) Stats() Stats { return e.st }
 
-// ResetWorkCounters zeroes the per-problem work counters
-// (Visited/SpecCommits/SpecWasted).  Solver.Reset calls this on the
-// active engine; lifetime counters are untouched.
-func (e *engineCore) ResetWorkCounters() {
-	e.st.Visited = 0
-	e.st.SpecCommits = 0
-	e.st.SpecWasted = 0
-}
+// ResetWorkCounters zeroes the per-problem work counter (Visited).
+// Solver.Reset calls this on the active engine; lifetime counters are
+// untouched.
+func (e *engineCore) ResetWorkCounters() { e.st.Visited = 0 }
 
 // workCounterResetter is the optional interface Solver.Reset uses to
 // clear per-problem work counters; externally registered engines may
@@ -184,8 +165,6 @@ func init() {
 	Register("ssp", func() Engine { return &sspEngine{} })
 	Register("dial", func() Engine { return &dialEngine{} })
 	Register("costscaling", func() Engine { return &costScalingEngine{} })
-	Register("cspar", func() Engine { return &csparEngine{} })
-	Register("parallel", func() Engine { return &parEngine{} })
 }
 
 // SetEngine switches the solver to the named backend.  Network state

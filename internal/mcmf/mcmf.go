@@ -31,14 +31,12 @@
 //
 // The Solver struct itself is only the residual-network state core.
 // The algorithms that drive it live behind the Engine interface
-// (engine.go) with five registered backends — "ssp" (successive
-// shortest paths, heap Dijkstra; the default), "dial" (SSP with a
-// Dial bucket-queue Dijkstra), "parallel" (speculative concurrent
-// SSP, bit-identical to "ssp"), "costscaling" (Goldberg–Tarjan,
-// serial discharge) and "cspar" (cost scaling with a bulk-synchronous
-// parallel discharge, bit-identical at every worker budget) —
-// selectable per instance with SetEngine, or picked by timing one
-// solve per candidate with CalibrateEngines.  Beyond full solves,
+// (engine.go) with three registered backends — "ssp" (successive
+// shortest paths, heap Dijkstra; the default and the degradation
+// fallback), "dial" (SSP with a Dial bucket-queue Dijkstra) and
+// "costscaling" (Goldberg–Tarjan, serial discharge; the independent
+// algorithm the conformance suite cross-checks against) — selectable
+// per instance with SetEngine.  Beyond full solves,
 // every engine offers ResolveChanged: an incremental re-flow that
 // repairs the previous optimal flow after a set of arcs changed cost
 // or capacity, instead of rerouting every supply (resolve.go for the
@@ -104,17 +102,11 @@ type Solver struct {
 	topoDirty bool
 	flowDirty bool // residuals carry a previous solve's flow
 
-	// ss is the solver's own epoch-stamped Dijkstra scratch (the
-	// serial search path; see search.go).  The parallel engine adds
-	// private scratches of the same shape for speculative searches.
+	// ss is the solver's epoch-stamped Dijkstra scratch (search.go).
 	ss      searchScratch
 	excess  []int64
 	sources []int32
 	net     []int64 // Verify scratch (net outflow per node)
-
-	// par is the worker budget for parallelism-aware engines
-	// (SetParallelism); 0 means GOMAXPROCS at solve time.
-	par int
 
 	// Measured augmentation-cost averages feeding the ResolveChanged
 	// work-estimate gate (resolve.go): exponential moving averages of
@@ -124,18 +116,13 @@ type Solver struct {
 	ewmaFullVisits    float64
 	ewmaResolveVisits float64
 
-	// probeDeadline caps one calibration probe solve (calibrate.go):
-	// engine inner loops poll pollAbort and abandon the solve with
-	// errProbeBudget once a candidate has proven slower than the
-	// incumbent.  Zero outside CalibrateEngines.
-	probeDeadline time.Time
-	probeTick     uint32
-
 	// Abort sources and engine-degradation state (abort.go).  armed
 	// caches whether any abort source is installed so the per-operation
-	// pollAbort stays a single branch on the warm path.
+	// pollAbort stays a single branch on the warm path; pollTick paces
+	// the deadline's clock sampling.
 	ctx        context.Context
 	deadline   time.Time
+	pollTick   uint32
 	workBudget int64
 	workDone   int64
 	pollHook   func() error
@@ -266,8 +253,8 @@ func (s *Solver) Capacity(arcID int) int64 { return s.orig[arcID] }
 // itself.  It exists for callers that want the restored residual state
 // earlier (e.g. to inspect capacities between solves).
 //
-// Reset also zeroes the engine's per-problem work counters
-// (Stats.Visited/SpecCommits/SpecWasted), so back-to-back problems on
+// Reset also zeroes the engine's per-problem work counter
+// (Stats.Visited), so back-to-back problems on
 // a reused solver report per-problem work instead of cumulative
 // numbers; the lifetime counters (Solves, Resolves, fallbacks) are
 // untouched.
@@ -421,21 +408,6 @@ func (s *Solver) bellmanFord() error {
 	}
 	return ErrNegativeCycle
 }
-
-// SetParallelism sets the worker budget for parallelism-aware engines
-// (the "parallel" backend): k workers, or GOMAXPROCS at solve time
-// when k is 0.  Serial engines ignore it.  The setting never changes
-// results — the parallel engine is bit-identical to "ssp" at every
-// worker count — only how much concurrent speculation backs them.
-func (s *Solver) SetParallelism(k int) {
-	if k < 0 {
-		k = 0
-	}
-	s.par = k
-}
-
-// Parallelism returns the configured worker budget (0 = GOMAXPROCS).
-func (s *Solver) Parallelism() int { return s.par }
 
 // Solve computes a minimum-cost feasible flow with the active engine
 // (SetEngine; "ssp" by default). It returns the total cost (as

@@ -73,7 +73,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					return
 				}
 				// And exercise the enumeration + validation readers.
-				if len(EngineNames()) < 5 {
+				if len(EngineNames()) < 3 {
 					errs <- fmt.Errorf("EngineNames() lost the built-ins: %v", EngineNames())
 					return
 				}

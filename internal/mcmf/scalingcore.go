@@ -1,4 +1,4 @@
-// Shared ε-scaling core of the cost-scaling engines.
+// ε-scaling core of the cost-scaling engine.
 //
 // Goldberg–Tarjan cost scaling maintains an ε-optimal pseudoflow:
 // costs are scaled by α = n+1 so that 1-optimality in scaled units
@@ -7,19 +7,13 @@
 // (positive-excess) vertices with push/relabel operations until no
 // excess remains.
 //
-// This file holds everything the two drivers share — the scaled-cost
-// setup with its price-range guard, the admissible-arc saturation
-// sweep, the relabel (price refinement) computation, the ε phase
-// schedule, and the exact-potential recovery — while the discharge
-// strategy itself is the driver's choice:
+// This file holds the ε-scaling machinery — the scaled-cost setup with
+// its price-range guard, the admissible-arc saturation sweep, the
+// relabel (price refinement) computation, the ε phase schedule, and
+// the exact-potential recovery — while the discharge strategy (serial
+// LIFO discharge, the classic sequential loop) lives in costscaling.go.
 //
-//	costscaling.go  serial LIFO discharge (the classic sequential loop)
-//	cspar.go        bulk-synchronous super-steps: all active vertices
-//	                plan pushes/relabels against frozen prices (in
-//	                parallel across the internal/par pool), then the
-//	                plans are applied in fixed vertex-index order
-//
-// Both drivers share the same incremental path: the solver-level
+// Incremental resolves do not refine: the solver-level
 // drain-and-reprice of resolvePrep leaves a residual graph whose
 // exact potentials (the prior solve's duals) still certify
 // non-negative reduced costs, and the local imbalance is rerouted
@@ -39,13 +33,12 @@ package mcmf
 
 import "errors"
 
-// ErrPriceRange is returned by the cost-scaling engines when the
+// ErrPriceRange is returned by the cost-scaling engine when the
 // scaled costs (α·cost with α = n+1) would not fit int64, or when the
 // price development during refinement reaches the runtime floor
 // (priceFloor): rather than silently wrapping int64 arithmetic, the
-// solve refuses.  The SSP-family engines have no such limit; the
-// auto-calibration probe simply skips scaling candidates that report
-// this.
+// solve refuses.  The SSP-family engines have no such limit; with
+// SetEngineFallback the refusal degrades the solve to "ssp".
 var ErrPriceRange = errors.New("mcmf: cost magnitude exceeds the cost-scaling price range")
 
 // priceFloor is the runtime price guard: prices start at zero and
@@ -57,16 +50,9 @@ var ErrPriceRange = errors.New("mcmf: cost magnitude exceeds the cost-scaling pr
 // guard is enforced where prices actually move — at relabels.
 const priceFloor = -(inf / 2)
 
-// relabelNone marks a relabel plan with no residual arc to price
-// against — applied only if the merge phase finds none either, in
-// which case the vertex's excess can never drain (ErrInfeasible).
-// Real relabel candidates are bounded below by priceFloor − |cost| −
-// ε ≥ −2.5·inf, so −3·inf can never collide with one.
-const relabelNone = -3 * inf
-
-// scalingState is the reusable scratch of one cost-scaling driver:
-// scaled costs and prices plus the active-set bookkeeping.  Engines
-// own one each (SolveCostScaling allocates a transient one), so all
+// scalingState is the reusable scratch of the cost-scaling driver:
+// scaled costs and prices plus the active-set bookkeeping.  The engine
+// owns one (SolveCostScaling allocates a transient one), so all
 // buffers survive between solves on a topology.
 type scalingState struct {
 	alpha int64   // cost scale α = n+1
@@ -74,9 +60,8 @@ type scalingState struct {
 	maxC  int64   // max |scaled cost|
 	cost  []int64 // scaled arc costs, index-parallel to Solver.arcs
 	pot   []int64 // scaled node prices
-	cur   []int32 // current-arc cursors (serial discharge driver)
-	// active/inActive implement the serial driver's LIFO stack and the
-	// BSP driver's per-super-step active list.
+	cur   []int32 // current-arc cursors
+	// active/inActive implement the discharge's LIFO stack.
 	active   []int32
 	inActive []bool
 	maxOps   int // per-refine discharge guard
@@ -167,15 +152,13 @@ func (sc *scalingState) saturate(s *Solver, excess []int64) {
 // max over residual arcs of pot(to) − cost − ε.  ok is false when v has
 // no residual arc at all (its excess can never drain).
 func (sc *scalingState) relabelValue(s *Solver, v int32) (val int64, ok bool) {
-	val = relabelNone
 	for _, ai := range s.arcsOf(int(v)) {
 		a := &s.arcs[ai]
 		if a.cap <= 0 {
 			continue
 		}
-		ok = true
-		if nv := sc.pot[a.to] - sc.cost[ai] - sc.eps; nv > val {
-			val = nv
+		if nv := sc.pot[a.to] - sc.cost[ai] - sc.eps; !ok || nv > val {
+			val, ok = nv, true
 		}
 	}
 	return val, ok
@@ -203,18 +186,18 @@ func (sc *scalingState) phaseSchedule(refine func() error) error {
 	}
 }
 
-// solveScalingFull is the full-solve skeleton shared by both drivers:
-// balance check, scratch preparation, residual reset, zeroed prices,
-// the ε phase schedule, and the finish (feasibility check, exact
+// solveScalingFull is the full cost-scaling solve: balance check,
+// scratch preparation, residual reset, zeroed prices, the ε phase
+// schedule over refineSerial, and the finish (feasibility check, exact
 // potentials, solved-state bookkeeping).
 //
-// Counter units: refine drivers bill one Visited per discharge
-// operation, and the skeleton bills one Augmentation per supply
+// Counter units: refineSerial bills one Visited per discharge
+// operation, and this skeleton bills one Augmentation per supply
 // source routed — so the solver's EWMA gate (ewmaFullVisits =
 // visited/augmentations) prices a scaling full solve per source, the
 // same currency the SSP engines use, and the shared resolve gate can
 // weigh a Dijkstra repair against a scaling re-solve honestly.
-func solveScalingFull(s *Solver, sc *scalingState, st *Stats, refine func(excess []int64) error) (float64, error) {
+func solveScalingFull(s *Solver, sc *scalingState, st *Stats) (float64, error) {
 	var sum int64
 	srcs := int64(0)
 	for _, b := range s.supply {
@@ -243,7 +226,7 @@ func solveScalingFull(s *Solver, sc *scalingState, st *Stats, refine func(excess
 	}
 	excess := s.excess[:s.n]
 	copy(excess, s.supply)
-	if err := sc.phaseSchedule(func() error { return refine(excess) }); err != nil {
+	if err := sc.phaseSchedule(func() error { return refineSerial(s, sc, excess, st) }); err != nil {
 		return 0, err
 	}
 	st.Augmentations += srcs

@@ -1,11 +1,8 @@
-// Per-search Dijkstra state, factored out of the Solver so that one
-// network can be searched by several workers at once: the residual
-// arcs, potentials and excess vector are shared read-only during a
-// search, while everything a search writes — tentative distances, the
-// shortest-path tree, the epoch stamps and the heap — lives in a
-// searchScratch.  The Solver owns one (its serial scratch, s.ss); the
-// "parallel" engine keeps a pool of additional scratches for its
-// speculative searches (parallel.go).
+// Per-search Dijkstra state: the residual arcs, potentials and excess
+// vector are read-only during a search, while everything a search
+// writes — tentative distances, the shortest-path tree, the epoch
+// stamps and the heap — lives in the Solver's searchScratch (s.ss),
+// which the heap and Dial searches share.
 package mcmf
 
 // searchScratch is the write-side state of one shortest-path search:
@@ -53,14 +50,14 @@ func (sc *searchScratch) touch(v int32) {
 }
 
 // dijkstraHeap runs one shortest-path search on reduced costs from src
-// into sc — the classic SSP inner loop on the inline 4-ary heap.  It
+// into s.ss — the classic SSP inner loop on the inline 4-ary heap.  It
 // reads (and never writes) the solver's residual arcs, potentials and
-// the excess vector, so concurrent searches with distinct scratches
-// are safe as long as nobody mutates the network.  It fills
-// sc.dist/sc.prevArc/sc.visited for the settled region and returns the
-// first node with negative excess together with its distance, or
-// target −1 when no deficit node is reachable.
-func dijkstraHeap(s *Solver, sc *searchScratch, src int32, excess []int64) (int32, int64) {
+// the excess vector.  It fills ss.dist/ss.prevArc/ss.visited for the
+// settled region and returns the first node with negative excess
+// together with its distance, or target −1 when no deficit node is
+// reachable.
+func (s *Solver) dijkstraHeap(src int32, excess []int64) (int32, int64) {
+	sc := &s.ss
 	sc.begin()
 	sc.touch(src)
 	sc.dist[src] = 0
@@ -102,18 +99,12 @@ func dijkstraHeap(s *Solver, sc *searchScratch, src int32, excess []int64) (int3
 	return -1, 0
 }
 
-// applyAugmentation commits the augmentation described by a completed
-// search (in sc) from src to target at shortest distance dt: the
-// settled-only potential update, the bottleneck computation, the
-// residual push, and the excess transfer.  It returns the bottleneck
-// pushed.  This is the single commit path shared by the serial
-// augmentation loop and the parallel engine, so a committed
-// speculative search is bit-identical to a serially computed one.
-// Note the bottleneck reads live residual capacities at commit time —
-// a search result only pins the tree (prevArc), distances and the
-// target, which is what makes speculative results commutable with
-// capacity changes that never cross zero.
-func (s *Solver) applyAugmentation(sc *searchScratch, src, target int32, dt int64, excess []int64) int64 {
+// applyAugmentation commits the augmentation described by the
+// completed search in s.ss from src to target at shortest distance dt:
+// the settled-only potential update, the bottleneck computation, the
+// residual push, and the excess transfer.
+func (s *Solver) applyAugmentation(src, target int32, dt int64, excess []int64) {
+	sc := &s.ss
 	// Update potentials on settled nodes only: pot += dist − dt
 	// (equivalent to the classic pot += min(dist, dt) up to a
 	// uniform −dt shift, which leaves every reduced cost
@@ -145,5 +136,4 @@ func (s *Solver) applyAugmentation(sc *searchScratch, src, target int32, dt int6
 	}
 	excess[src] -= bott
 	excess[target] += bott
-	return bott
 }

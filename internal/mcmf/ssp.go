@@ -1,8 +1,7 @@
-// Successive-shortest-paths machinery shared by the "ssp", "dial" and
-// "parallel" engines: the source-selection/augmentation loop is
-// common, and the per-augmentation shortest-path search is pluggable
-// (heap Dijkstra in search.go, Dial bucket Dijkstra in dial.go,
-// speculative concurrent heap searches in parallel.go).
+// Successive-shortest-paths machinery shared by the "ssp" and "dial"
+// engines: the source-selection/augmentation loop is common, and the
+// per-augmentation shortest-path search is pluggable (heap Dijkstra in
+// search.go, Dial bucket Dijkstra in dial.go).
 package mcmf
 
 // pathFinder runs one shortest-path search on reduced costs from src,
@@ -19,7 +18,7 @@ type pathFinder interface {
 type heapFinder struct{}
 
 func (heapFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, int64) {
-	return dijkstraHeap(s, &s.ss, src, excess)
+	return s.dijkstraHeap(src, excess)
 }
 
 // augmentAll routes every positive excess to a deficit node along
@@ -57,7 +56,7 @@ func (s *Solver) augmentAll(excess []int64, pf pathFinder, st *Stats) error {
 		}
 		st.Augmentations++
 		st.Visited += int64(len(s.ss.visited))
-		s.applyAugmentation(&s.ss, src, target, dt, excess)
+		s.applyAugmentation(src, target, dt, excess)
 	}
 	return nil
 }

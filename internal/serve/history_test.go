@@ -143,6 +143,79 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 	}
 }
 
+// TestServeAutoEngineReplayDeterministic: a session submitted with
+// "flow_engine": "auto" must answer as a pure function of its history,
+// including across a structural rewire that rebuilds the D-phase
+// scratch.  The oracle is a serial core.NewEcoSession twin pinned to
+// "dial" replaying the same queries and edits: every answer must be
+// bit-identical to it.
+func TestServeAutoEngineReplayDeterministic(t *testing.T) {
+	cfg := Config{TrustRegion: 0.05}
+	srv, _, c := newTestServer(t, cfg)
+	ctx := context.Background()
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "au", Circuit: "adder16", FlowEngine: "auto"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tc, err := srv.buildCircuit(SubmitRequest{Circuit: "adder16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0, ok := tc.Lookup("a0")
+	if !ok {
+		t.Fatal("no PI a0")
+	}
+	teco, err := dag.NewEco(tc, srv.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "dial", Parallelism: 1, TrustRegion: cfg.TrustRegion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	check := func(tag string, T float64) {
+		t.Helper()
+		q, err := c.Query(ctx, "au", &QueryRequest{TargetPS: T, WantSizes: true})
+		if err != nil || q.Error != nil {
+			t.Fatalf("%s: query: %v %+v", tag, err, q)
+		}
+		ref, err := twin.Resize(ctx, T, core.Budgets{})
+		if err != nil {
+			t.Fatalf("%s: twin: %v", tag, err)
+		}
+		if q.Area != ref.Area || q.CPPS != ref.CP || q.Iterations != ref.Iterations || q.Seed != ref.Seed {
+			t.Fatalf("%s: served (%.17g, %.17g, %d, %s) != dial twin (%.17g, %.17g, %d, %s)",
+				tag, q.Area, q.CPPS, q.Iterations, q.Seed, ref.Area, ref.CP, ref.Iterations, ref.Seed)
+		}
+		for i := range ref.X {
+			if q.Sizes[i] != ref.X[i] {
+				t.Fatalf("%s: size[%d] %.17g != dial twin %.17g", tag, i, q.Sizes[i], ref.X[i])
+			}
+		}
+	}
+
+	check("cold", 0.6*sub.MinDelayPS)
+	check("warm", 0.61*sub.MinDelayPS)
+	// adder16 gate 1 (g2) pin 1 moves from g1, which keeps two other
+	// fanouts, to PI a0: a structural batch, so both sides rebuild
+	// their D-phase scratch.
+	er, err := c.Edit(ctx, "au", &EditRequest{Edits: []EditOp{{Op: "rewire", Gate: 1, Pin: 1, Driver: "a0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !er.Structural || !er.Rebuilt {
+		t.Fatalf("rewire misreported: %+v", er)
+	}
+	if _, err := twin.ApplyEdits([]dag.Edit{{Op: dag.EditRewire, Gate: 1, Pin: 1, Driver: a0}}); err != nil {
+		t.Fatal(err)
+	}
+	check("post-rewire", 0.95*er.CPPS)
+	check("post-rewire warm", 0.955*er.CPPS)
+}
+
 // TestServeEditGateSet drives "add" and "remove" through the wire
 // format: in-batch name resolution (an add referenced before it exists
 // in the resident netlist), index shifting after a mid-batch remove,

@@ -76,6 +76,7 @@ import (
 	"time"
 
 	"minflo"
+	"minflo/internal/core"
 	"minflo/internal/delay"
 	"minflo/internal/tech"
 )
@@ -84,8 +85,8 @@ import (
 // defaults (serial solves, ssp engine, 1 GiB memory watermark).
 type Config struct {
 	// Engine is the default D-phase flow backend for sessions that do
-	// not pin one ("ssp" when empty — deterministic and robust; "auto"
-	// would calibrate per problem at the cost of reproducibility).
+	// not pin one ("ssp" when empty, the robust reference engine;
+	// "auto" selects core's default, "dial").
 	Engine string
 	// Parallelism is the per-solve worker budget (default 1: serving
 	// throughput comes from session-level concurrency, not intra-solve
@@ -209,8 +210,8 @@ type Server struct {
 // New builds a Server.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Engine != "auto" && !validEngine(cfg.Engine) {
-		return nil, fmt.Errorf("serve: unknown flow engine %q", cfg.Engine)
+	if _, err := core.ResolveFlowEngine(cfg.Engine); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -223,15 +224,6 @@ func New(cfg Config) (*Server, error) {
 		sessions:   make(map[string]*session),
 		lru:        list.New(),
 	}, nil
-}
-
-func validEngine(name string) bool {
-	for _, n := range minflo.FlowEngines() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // buildCircuit parses a submit request's netlist.  Called on every
@@ -313,8 +305,8 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	if req.FlowEngine != "" && req.FlowEngine != "auto" && !validEngine(req.FlowEngine) {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("unknown flow engine %q", req.FlowEngine))
+	if _, err := core.ResolveFlowEngine(req.FlowEngine); err != nil {
+		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 

@@ -57,7 +57,7 @@ type SubmitRequest struct {
 	// Name labels a Bench netlist (diagnostics only).
 	Name string `json:"name,omitempty"`
 	// FlowEngine pins the D-phase backend for this session ("" uses
-	// the server default; "auto" calibrates per problem).
+	// the server default; "auto" selects "dial").
 	FlowEngine string `json:"flow_engine,omitempty"`
 	// Parallelism requests an intra-solve worker budget for this
 	// session.  0 uses the server default; anything above the daemon's

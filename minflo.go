@@ -186,23 +186,16 @@ type Config struct {
 	// FlowEngine selects the D-phase min-cost-flow backend: "ssp"
 	// (successive shortest paths, heap Dijkstra), "dial" (SSP with a
 	// bucket-queue Dijkstra), "costscaling" (Goldberg–Tarjan, serial
-	// discharge), "cspar" (bulk-synchronous parallel cost scaling,
-	// bit-identical at every worker budget), "parallel" (speculative
-	// concurrent SSP, bit-identical to "ssp"; opt-in, see
-	// EXPERIMENTS.md "Intra-run parallelism"), or ""/"auto" to
-	// calibrate per problem: the first D-phase solve times the
-	// candidate engines and keeps the fastest (see FlowEngines and
-	// EXPERIMENTS.md "Engine calibration").  The calibrated choice is
-	// equally optimal whichever engine wins, but reruns on a noisy
-	// host may follow a different — bitwise different — optimal
-	// trajectory; pin an engine for exact reproducibility.  Applies
-	// to every optimization the Sizer runs: Minflotransit, Sweep,
-	// RunTable and the transistor/wire variants.
+	// discharge), or ""/"auto" for the default, "dial" (the fastest
+	// engine measured; see FlowEngines and EXPERIMENTS.md "Engine zoo
+	// pruned").  Every engine finds an equally optimal D-phase
+	// solution, and every run is deterministic.  Applies to every
+	// optimization the Sizer runs: Minflotransit, Sweep, RunTable and
+	// the transistor/wire variants.
 	FlowEngine string
 	// Parallelism is the intra-run worker budget of a single
-	// optimization: concurrent W-phase level sweeps, parallel
-	// sensitivity solves, and the "parallel" flow backend when the
-	// engine choice allows it.  0 defaults to GOMAXPROCS, 1 forces
+	// optimization: concurrent W-phase level sweeps and parallel
+	// sensitivity solves.  0 defaults to GOMAXPROCS, 1 forces
 	// serial runs.  Results are bit-identical at every setting (the
 	// determinism suite pins parallel runs to their serial twins), so
 	// this is purely a throughput knob.  Sweep and RunTable
@@ -252,7 +245,7 @@ func NewSizer(cfg *Config) (*Sizer, error) {
 	}
 	// Reject unknown engine names here rather than deep inside the
 	// first optimization run.
-	if _, err := core.ResolveFlowEngine(c.FlowEngine, 0, 1); err != nil {
+	if _, err := core.ResolveFlowEngine(c.FlowEngine); err != nil {
 		return nil, err
 	}
 	if c.Parallelism < 0 {

@@ -1,12 +1,11 @@
-// Benchmarks for the intra-run parallelism work (PR 4): the
-// speculative "parallel" flow backend, the level-parallel W-phase,
-// and an end-to-end parallel core.Size.  Recorded in
+// Benchmarks for intra-run parallelism: the level-parallel W-phase and
+// an end-to-end parallel core.Size.  Recorded in
 // BENCH_<date>_parallel.json and gated in CI like the serial suites.
 //
 // Worker budgets are explicit (j1/j2/j4) rather than GOMAXPROCS so
 // the benchmark names — and therefore the regression baselines — mean
 // the same thing on every machine.  On a single-core host the j>1
-// variants measure speculation overhead, not speedup; see
+// variants measure scheduling overhead, not speedup; see
 // EXPERIMENTS.md "Intra-run parallelism".
 package minflo
 
@@ -19,35 +18,12 @@ import (
 	"minflo/internal/delay"
 	"minflo/internal/gen"
 	"minflo/internal/lin"
-	"minflo/internal/mcmf"
 	"minflo/internal/par"
 	"minflo/internal/smp"
 	"minflo/internal/sta"
 	"minflo/internal/tech"
 	"minflo/internal/tilos"
 )
-
-// BenchmarkParallelFlow measures the "parallel" flow engine against
-// its serial twin on the D-phase grid shape: one op = a fresh solve
-// (every supply routed through speculation rounds).
-func BenchmarkParallelFlow(b *testing.B) {
-	for _, j := range []int{1, 2, 4} {
-		j := j
-		b.Run(fmt.Sprintf("grid80x50/j%d", j), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := mcmf.NewGridInstance(80, 50, 7)
-				s.SetParallelism(j)
-				if err := s.SetEngine("parallel"); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Solve(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkParallelWPhase measures the level-parallel W-phase sweep
 // plus sensitivity solve on a wide balanced tree (4096-block levels),
@@ -101,10 +77,8 @@ func BenchmarkParallelWPhase(b *testing.B) {
 // on the 10k-gate mesh, serial versus a 4-worker budget.  The
 // full-scale mesh102k run lives in BenchmarkScalingLarge (excluded
 // from CI); both are recorded in the parallel snapshot.  The flow
-// engine is pinned to "dial" so the rows measure the intra-run
-// parallel machinery, not the auto policy's per-run calibration probe
-// (which times candidate engines and would add probe noise to a gated
-// benchmark).
+// engine is pinned to "dial" (also the default) so the rows keep
+// measuring the same D-phase backend if the default ever changes.
 func BenchmarkParallelSize(b *testing.B) {
 	m := delay.NewModel(tech.Default013())
 	p, err := dag.GateLevel(gen.Mesh(100, 100), m)
@@ -132,9 +106,8 @@ func BenchmarkParallelSize(b *testing.B) {
 
 // BenchmarkScalingParallel is the full-scale end-to-end run of the
 // acceptance criterion: mesh102k through core.Size, serial versus a
-// 4-worker budget (dial D-phase pinned + level-parallel W-phase;
-// see BenchmarkParallelSize on why the calibration probe is not
-// benchmarked).  Excluded from the CI gate like BenchmarkScalingLarge;
+// 4-worker budget (dial D-phase pinned + level-parallel W-phase).
+// Excluded from the CI gate like BenchmarkScalingLarge;
 // recorded in BENCH_<date>_parallel.json.
 func BenchmarkScalingParallel(b *testing.B) {
 	m := delay.NewModel(tech.Default013())
