@@ -10,6 +10,10 @@
 //   - BenchmarkScalingAdder/<bits> — §3 run-time growth claim.
 //   - BenchmarkAblation*           — design-choice sweeps from DESIGN.md §5.
 //   - BenchmarkMCMF / BenchmarkSTA — substrate micro-benchmarks.
+//
+// BenchmarkMCMF, BenchmarkSTA and BenchmarkWPhase are rows of the
+// bench gate (bench_gate.json, run by cmd/mkbench -gate); the
+// paper-reproduction benchmarks are not gated.
 package minflo
 
 import (
@@ -298,8 +302,9 @@ func BenchmarkWireSizing(b *testing.B) {
 // build — the per-problem cost.  "warm" re-solves one network through
 // the Reset warm-start path — the per-iteration cost of the D/W loop,
 // which must be allocation-free (internal/mcmf TestWarmResolveAllocFree
-// asserts 0 allocs).  These rows anchor the BENCH_*.json perf
-// trajectory (cmd/mkbench -snapshot; see EXPERIMENTS.md).
+// asserts 0 allocs).  Both rows are in the bench gate
+// (bench_gate.json, cmd/mkbench -gate; see EXPERIMENTS.md), which
+// holds warm at 0 allocs/op.
 func BenchmarkMCMF(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()

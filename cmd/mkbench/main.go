@@ -1,30 +1,25 @@
 // Command mkbench writes the synthetic benchmark suite to .bench files
-// so the circuits can be inspected or consumed by other EDA tools,
-// records benchmark-regression snapshots, and diffs them:
+// so the circuits can be inspected or consumed by other EDA tools, and
+// runs the benchmark gate:
 //
-//	mkbench -dir ./benchmarks
-//	mkbench -snapshot -note "post flow-engine overhaul"
-//	mkbench -compare old.json new.json            # exit 1 on >15% regressions
-//	mkbench -compare -threshold 50 old.json new.json
+//	mkbench -dir ./benchmarks                   # write .bench netlists
+//	mkbench -gate bench_gate.json               # run the gate; exit 1 on failure
+//	mkbench -gate bench_gate.json -snapshot     # re-record the baseline rows
 //
-// In -snapshot mode it runs `go test -run=^$ -bench=<regex> -benchmem`
-// on the module root package, parses the output, and writes a dated
-// BENCH_<date>.json (see internal/benchsnap and EXPERIMENTS.md).  Committed
-// snapshots give every future perf PR a recorded before/after baseline.
-//
-// In -compare mode it prints per-benchmark ns/op and allocs/op deltas
-// between two snapshots and exits non-zero when any benchmark regressed
-// — more than -threshold percent on ns/op, or more than the fixed
-// benchsnap.AllocThresholdPct on the hardware-independent allocs/op
-// (0 allocs/op guarantees are protected at any threshold).  A baseline
-// benchmark missing from the new snapshot is reported as a
-// per-benchmark error and fails the gate too (pass -allow-missing when
-// diffing intentionally disjoint snapshots).  This is the CI
-// regression gate.
+// The gate manifest (internal/benchsnap.Manifest, bench_gate.json at the
+// repo root) lists `go test -bench` runs at one shared benchtime, the
+// baseline rows they produce, and same-run ratio rules.  -gate runs
+// every run from the module root, prints the row table and the ratios,
+// and fails on allocs/op regressions, work-counter rises, baseline rows
+// missing from the fresh run, and ratios below their floors.  Absolute
+// ns/op is printed but never gated.  With -snapshot it writes the fresh
+// rows back as the new baseline instead, provided every ratio rule
+// holds.  This is the CI benchmark gate.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,36 +35,22 @@ import (
 
 func main() {
 	dir := flag.String("dir", "benchmarks", "output directory for .bench files")
-	snapshot := flag.Bool("snapshot", false, "record a benchmark snapshot instead of writing .bench files")
-	benchRe := flag.String("bench", "BenchmarkMCMF|BenchmarkSTA$|BenchmarkTable1", "benchmark regex for -snapshot")
-	benchtime := flag.String("benchtime", "1x", "go test -benchtime value for -snapshot")
-	pkg := flag.String("pkg", ".", "package to benchmark for -snapshot (run from the module root)")
-	out := flag.String("out", "", "snapshot output path (default BENCH_<date>.json)")
-	note := flag.String("note", "", "free-form note stored in the snapshot")
-	compare := flag.Bool("compare", false, "compare two snapshots: mkbench -compare old.json new.json")
-	threshold := flag.Float64("threshold", 15, "ns/op regression threshold in percent for -compare (allocs/op uses a fixed tight threshold)")
-	allowMissing := flag.Bool("allow-missing", false, "tolerate baseline benchmarks absent from the new snapshot (default: each is a per-benchmark error)")
+	gate := flag.String("gate", "", "run the benchmark gate of this manifest (e.g. bench_gate.json)")
+	snapshot := flag.Bool("snapshot", false, "with -gate: re-record the manifest's baseline rows in place")
 	flag.Parse()
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fail(fmt.Errorf("-compare needs exactly two snapshot paths, got %d", flag.NArg()))
-		}
-		regressions, err := compareSnapshots(flag.Arg(0), flag.Arg(1), *threshold, *allowMissing)
+	if *gate != "" {
+		failures, err := runGate(*gate, *snapshot)
 		if err != nil {
 			fail(err)
 		}
-		if regressions > 0 {
+		if failures > 0 {
 			os.Exit(1)
 		}
 		return
 	}
-
 	if *snapshot {
-		if err := writeSnapshot(*benchRe, *benchtime, *pkg, *out, *note); err != nil {
-			fail(err)
-		}
-		return
+		fail(errors.New("-snapshot needs -gate"))
 	}
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
@@ -98,74 +79,78 @@ func main() {
 	}
 }
 
-// writeSnapshot runs the benchmarks and records the parsed results.
-func writeSnapshot(benchRe, benchtime, pkg, out, note string) error {
-	date := time.Now().Format("2006-01-02")
-	if out == "" {
-		out = "BENCH_" + date + ".json"
+// runGate runs every benchmark of the manifest at path and either
+// gates the fresh rows against it, returning the failure count, or
+// (record) writes them back as the manifest's baseline.
+func runGate(path string, record bool) (int, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
 	}
-	cmd := exec.Command("go", "test", "-run=^$", "-bench="+benchRe,
-		"-benchmem", "-benchtime="+benchtime, pkg)
+	m, err := benchsnap.ReadManifest(bytes.NewReader(raw))
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(m.Runs) == 0 {
+		return 0, fmt.Errorf("%s: no runs", path)
+	}
+	var fresh []benchsnap.BenchResult
+	for _, run := range m.Runs {
+		rows, err := runBench(run, m.Benchtime)
+		if err != nil {
+			return 0, err
+		}
+		fresh = append(fresh, rows...)
+	}
+	if !record {
+		return m.Gate(os.Stdout, fresh), nil
+	}
+	if n := benchsnap.CheckRatios(os.Stdout, m.Ratios, fresh); n > 0 {
+		return 0, fmt.Errorf("not recording: %d ratio rule(s) fail on this run", n)
+	}
+	m.Baseline = fresh
+	m.Date = time.Now().Format("2006-01-02")
+	m.GoVersion = runtime.Version()
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
+		return 0, err
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		return 0, err
+	}
+	fmt.Printf("recorded %d baseline rows in %s\n", len(fresh), path)
+	return 0, nil
+}
+
+// runBench runs one manifest entry with -benchmem and returns its rows
+// keyed by the entry's package.
+//
+// The test binary runs on one P with the collector off (testing still
+// collects between runs, so memory stays bounded by one run).  Both
+// keep allocs/op a property of the code: on several Ps, goroutines
+// hopping between per-P caches and new OS threads add allocations, and
+// a collection inside the timed region empties sync.Pools whose refill
+// counts too — measured at up to +9% on rows the gate holds to 5%.
+func runBench(run benchsnap.Run, benchtime string) ([]benchsnap.BenchResult, error) {
+	cmd := exec.Command("go", "test", "-exec=env GOMAXPROCS=1 GOGC=off", "-run=^$", "-bench="+run.Bench,
+		"-benchmem", "-benchtime="+benchtime, run.Pkg)
 	var stdout bytes.Buffer
 	cmd.Stdout = io.MultiWriter(&stdout, os.Stderr) // live progress + capture
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
-		return fmt.Errorf("benchmark run failed: %w", err)
+		return nil, fmt.Errorf("%s: benchmark run failed: %w", run.Pkg, err)
 	}
-	results, err := benchsnap.ParseBenchOutput(&stdout)
+	rows, err := benchsnap.ParseBenchOutput(&stdout)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("%s: %w", run.Pkg, err)
 	}
-	if len(results) == 0 {
-		return fmt.Errorf("no benchmark lines matched -bench=%s", benchRe)
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines matched -bench=%s", run.Pkg, run.Bench)
 	}
-	snap := &benchsnap.Snapshot{
-		Date:      date,
-		GoVersion: runtime.Version(),
-		Note:      note,
-		Results:   results,
+	for i := range rows {
+		rows[i].Pkg = run.Pkg
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", out, len(results))
-	return nil
-}
-
-// compareSnapshots diffs two snapshot files and prints the delta table;
-// the returned count is the number of failures (>threshold%
-// regressions, plus baseline benchmarks missing from the new snapshot
-// unless -allow-missing).
-func compareSnapshots(oldPath, newPath string, threshold float64, allowMissing bool) (int, error) {
-	readSnap := func(path string) (*benchsnap.Snapshot, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return benchsnap.ReadSnapshot(f)
-	}
-	oldSnap, err := readSnap(oldPath)
-	if err != nil {
-		return 0, fmt.Errorf("old snapshot: %w", err)
-	}
-	newSnap, err := readSnap(newPath)
-	if err != nil {
-		return 0, fmt.Errorf("new snapshot: %w", err)
-	}
-	fmt.Printf("comparing %s (%s) -> %s (%s), threshold %.0f%%\n",
-		oldPath, oldSnap.Date, newPath, newSnap.Date, threshold)
-	regressions := benchsnap.WriteComparison(os.Stdout, oldSnap, newSnap, threshold, allowMissing)
-	fmt.Printf("geomean ns/op ratio: %.3f\n", benchsnap.GeoMeanNsRatio(oldSnap, newSnap))
-	return regressions, nil
+	return rows, nil
 }
 
 func fail(err error) {

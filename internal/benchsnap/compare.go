@@ -4,74 +4,96 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
+	"strings"
 )
 
-// Delta is the comparison of one benchmark across two snapshots.
-type Delta struct {
-	Name                 string
-	OldNs, NewNs         float64
-	NsPct                float64 // 100·(new−old)/old
-	OldAllocs, NewAllocs float64 // −1 when -benchmem was off
-	AllocsPct            float64
-}
+// key identifies a row: the same benchmark name in two packages is two
+// rows.
+func key(r *BenchResult) string { return r.Pkg + " " + r.Name }
 
-// pct returns the relative change in percent, treating a zero or
-// unmeasured (−1) baseline as no change.
-func pct(old, new float64) float64 {
-	if old <= 0 {
-		return 0
+// index maps each row's key to the row.
+func index(rows []BenchResult) map[string]*BenchResult {
+	m := make(map[string]*BenchResult, len(rows))
+	for i := range rows {
+		m[key(&rows[i])] = &rows[i]
 	}
-	return 100 * (new - old) / old
+	return m
 }
 
-// Compare matches benchmarks by name and returns one Delta per
-// benchmark present in both snapshots, in the new snapshot's order.
-// onlyOld/onlyNew list the unmatched names — a renamed or deleted
-// benchmark should be visible, not silently dropped.
-func Compare(old, new *Snapshot) (deltas []Delta, onlyOld, onlyNew []string) {
-	for i := range new.Results {
-		nr := &new.Results[i]
-		or := old.Lookup(nr.Name)
+// Delta is the comparison of one benchmark row between the baseline
+// and a fresh run.
+type Delta struct {
+	Pkg, Name            string
+	OldNs, NewNs         float64 // for reading only; never gated
+	OldAllocs, NewAllocs float64 // −1 when -benchmem was off
+	AllocsPct            float64 // 100·(new−old)/old; 0 for a zero or unmeasured baseline
+	// Counters pairs each work counter of the baseline row with the
+	// fresh value, sorted by unit; New is NaN when the fresh row no
+	// longer reports the counter.
+	Counters []Counter
+}
+
+// Counter is one work counter (a b.ReportMetric unit) in both runs.
+type Counter struct {
+	Unit     string
+	Old, New float64
+}
+
+// Compare matches rows by package and name and returns one Delta per
+// row present on both sides, in the fresh run's order.  onlyOld and
+// onlyNew list the unmatched rows as "pkg name" — a renamed or deleted
+// benchmark must be visible, not silently dropped.
+func Compare(old, new []BenchResult) (deltas []Delta, onlyOld, onlyNew []string) {
+	oldBy, newBy := index(old), index(new)
+	for i := range new {
+		nr := &new[i]
+		or := oldBy[key(nr)]
 		if or == nil {
-			onlyNew = append(onlyNew, nr.Name)
+			onlyNew = append(onlyNew, key(nr))
 			continue
 		}
-		deltas = append(deltas, Delta{
+		d := Delta{
+			Pkg:       nr.Pkg,
 			Name:      nr.Name,
 			OldNs:     or.NsPerOp,
 			NewNs:     nr.NsPerOp,
-			NsPct:     pct(or.NsPerOp, nr.NsPerOp),
 			OldAllocs: or.AllocsPerOp,
 			NewAllocs: nr.AllocsPerOp,
-			AllocsPct: pct(or.AllocsPerOp, nr.AllocsPerOp),
-		})
+		}
+		if or.AllocsPerOp > 0 {
+			d.AllocsPct = 100 * (nr.AllocsPerOp - or.AllocsPerOp) / or.AllocsPerOp
+		}
+		for unit, v := range or.Metrics {
+			fresh, ok := nr.Metrics[unit]
+			if !ok {
+				fresh = math.NaN()
+			}
+			d.Counters = append(d.Counters, Counter{Unit: unit, Old: v, New: fresh})
+		}
+		sort.Slice(d.Counters, func(a, b int) bool { return d.Counters[a].Unit < d.Counters[b].Unit })
+		deltas = append(deltas, d)
 	}
-	for i := range old.Results {
-		if new.Lookup(old.Results[i].Name) == nil {
-			onlyOld = append(onlyOld, old.Results[i].Name)
+	for i := range old {
+		if newBy[key(&old[i])] == nil {
+			onlyOld = append(onlyOld, key(&old[i]))
 		}
 	}
 	return deltas, onlyOld, onlyNew
 }
 
-// AllocThresholdPct is the regression threshold for allocs/op.  Unlike
-// ns/op — which needs a loose, hardware-noise-sized threshold when the
-// baseline was recorded on a different machine — allocation counts are
-// exact and hardware-independent, so the gate holds them tight
-// regardless of the caller's ns/op threshold.
+// AllocThresholdPct is the regression threshold for allocs/op.
+// Allocation counts are exact and hardware-independent, so the gate
+// holds them tight.
 const AllocThresholdPct = 5
 
-// Regressed reports whether the delta exceeds the regression threshold
-// (in percent) on ns/op, or AllocThresholdPct on allocs/op when both
-// sides measured allocations.  Time below the threshold and any
-// improvement never count.  A benchmark that was allocation-free and
-// now allocates is always a regression — hard-won 0 allocs/op
-// guarantees (warm mcmf re-solves, the W-phase round) must not
-// silently erode.
-func (d *Delta) Regressed(nsThresholdPct float64) bool {
-	if d.NsPct > nsThresholdPct {
-		return true
-	}
+// Regressed reports whether the row got worse on a hardware-independent
+// number: allocs/op up more than AllocThresholdPct when both sides
+// measured allocations, an allocation-free row that now allocates
+// (hard-won 0 allocs/op guarantees — warm mcmf re-solves, the W-phase
+// round — must not silently erode), or any work counter that rose or
+// disappeared.  ns/op never counts.
+func (d *Delta) Regressed() bool {
 	if d.OldAllocs >= 0 && d.NewAllocs >= 0 {
 		if d.AllocsPct > AllocThresholdPct {
 			return true
@@ -80,70 +102,88 @@ func (d *Delta) Regressed(nsThresholdPct float64) bool {
 			return true
 		}
 	}
+	for _, c := range d.Counters {
+		if !(c.New <= c.Old) { // a rise, or NaN: the counter is gone
+			return true
+		}
+	}
 	return false
 }
 
-// WriteComparison prints a per-benchmark delta table to w and returns
-// the number of failures: regressions beyond thresholdPct, plus —
-// unless allowMissing — one per baseline benchmark absent from the
-// new snapshot.  A missing benchmark is an error, not an omission: a
-// renamed or deleted benchmark silently skipping the gate is exactly
-// how a regression ships, so each one is reported on its own line.
-// allowMissing exists for intentionally disjoint snapshots (e.g.
-// diffing a micro-benchmark run against a full-suite baseline).
-func WriteComparison(w io.Writer, old, new *Snapshot, thresholdPct float64, allowMissing bool) int {
+// WriteComparison prints a per-row table of the baseline against a
+// fresh run to w and returns the number of failures: regressed rows
+// plus one per baseline row absent from the fresh run.  A missing row
+// is an error, not an omission: a renamed or deleted benchmark
+// silently skipping the gate is exactly how a regression ships, so
+// each one is reported on its own line.  Fresh rows the baseline lacks
+// are listed and pass.
+func WriteComparison(w io.Writer, old, new []BenchResult) int {
 	deltas, onlyOld, onlyNew := Compare(old, new)
-	fmt.Fprintf(w, "%-44s %14s %14s %8s %10s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "Δns", "allocs", "Δallocs")
+	fmt.Fprintf(w, "%-16s %-44s %14s %14s %11s %8s  %s\n",
+		"pkg", "benchmark", "base ns/op", "fresh ns/op", "allocs", "Δallocs", "work counters")
 	failures := 0
 	for i := range deltas {
 		d := &deltas[i]
-		mark := ""
-		if d.Regressed(thresholdPct) {
-			mark = "  << REGRESSION"
-			failures++
-		}
-		allocs := "-"
-		dAllocs := "-"
+		allocs, dAllocs := "-", "-"
 		if d.OldAllocs >= 0 && d.NewAllocs >= 0 {
 			allocs = fmt.Sprintf("%.0f→%.0f", d.OldAllocs, d.NewAllocs)
 			dAllocs = fmt.Sprintf("%+.1f%%", d.AllocsPct)
 		}
-		fmt.Fprintf(w, "%-44s %14.0f %14.0f %+7.1f%% %10s %8s%s\n",
-			d.Name, d.OldNs, d.NewNs, d.NsPct, allocs, dAllocs, mark)
-	}
-	for _, n := range onlyOld {
-		if allowMissing {
-			fmt.Fprintf(w, "%-44s only in old snapshot (ignored: -allow-missing)\n", n)
-			continue
+		var counters []string
+		for _, c := range d.Counters {
+			counters = append(counters, fmt.Sprintf("%s %g→%g", c.Unit, c.Old, c.New))
 		}
-		fmt.Fprintf(w, "%-44s MISSING from new snapshot  << ERROR\n", n)
+		mark := ""
+		if d.Regressed() {
+			mark = "  << REGRESSION"
+			failures++
+		}
+		fmt.Fprintf(w, "%-16s %-44s %14.0f %14.0f %11s %8s  %s%s\n",
+			d.Pkg, d.Name, d.OldNs, d.NewNs, allocs, dAllocs, strings.Join(counters, "  "), mark)
+	}
+	for _, k := range onlyOld {
+		fmt.Fprintf(w, "%-61s MISSING from the fresh run  << ERROR\n", k)
 		failures++
 	}
-	for _, n := range onlyNew {
-		fmt.Fprintf(w, "%-44s only in new snapshot\n", n)
-	}
-	if failures > 0 {
-		fmt.Fprintf(w, "%d benchmark(s) failed the gate (>%.0f%% ns/op, >%d%% allocs/op, or missing from the new snapshot)\n",
-			failures, thresholdPct, AllocThresholdPct)
+	for _, k := range onlyNew {
+		fmt.Fprintf(w, "%-61s only in the fresh run\n", k)
 	}
 	return failures
 }
 
-// GeoMeanNsRatio returns the geometric-mean new/old ns/op ratio over
-// the matched benchmarks (1.0 = no change), a single scalar for the
-// snapshot-over-snapshot trajectory in EXPERIMENTS.md.
-func GeoMeanNsRatio(old, new *Snapshot) float64 {
-	deltas, _, _ := Compare(old, new)
-	sum, n := 0.0, 0
-	for i := range deltas {
-		if deltas[i].OldNs > 0 && deltas[i].NewNs > 0 {
-			sum += math.Log(deltas[i].NewNs / deltas[i].OldNs)
-			n++
+// CheckRatios evaluates each ratio rule on rows, prints one line per
+// rule to w, and returns the number of rules that failed: a ratio
+// below its floor, or a rule whose rows the run did not produce.
+func CheckRatios(w io.Writer, rules []Ratio, rows []BenchResult) int {
+	by := index(rows)
+	failures := 0
+	for _, r := range rules {
+		label := fmt.Sprintf("%s %s / %s", r.Pkg, r.Slow, r.Fast)
+		slow, fast := by[r.Pkg+" "+r.Slow], by[r.Pkg+" "+r.Fast]
+		if slow == nil || fast == nil || fast.NsPerOp <= 0 {
+			fmt.Fprintf(w, "ratio %s: rows missing  << ERROR\n", label)
+			failures++
+			continue
 		}
+		ratio := slow.NsPerOp / fast.NsPerOp
+		mark := ""
+		if ratio < r.Min {
+			mark = "  << BELOW FLOOR"
+			failures++
+		}
+		fmt.Fprintf(w, "ratio %s = %.1fx (floor %gx)%s\n", label, ratio, r.Min, mark)
 	}
-	if n == 0 {
-		return 1
+	return failures
+}
+
+// Gate compares a fresh run against the manifest — baseline rows and
+// ratio rules — prints the report to w, and returns the number of
+// failures.
+func (m *Manifest) Gate(w io.Writer, fresh []BenchResult) int {
+	failures := WriteComparison(w, m.Baseline, fresh) + CheckRatios(w, m.Ratios, fresh)
+	if failures > 0 {
+		fmt.Fprintf(w, "%d gate failure(s): allocs/op >%d%% or 0→>0, a work counter up, a baseline row missing, or a ratio below its floor\n",
+			failures, AllocThresholdPct)
 	}
-	return math.Exp(sum / float64(n))
+	return failures
 }

@@ -1,13 +1,14 @@
-// Benchmark snapshots: a small, dependency-free format for recording
-// the repo's performance trajectory across PRs.
+// Package benchsnap holds the benchmark gate: parsed
+// `go test -bench -benchmem` rows, the gate manifest (the benchmark
+// runs, their baseline rows and the ratio rules), and the rules that
+// decide pass or fail.
 //
-// A Snapshot is the parsed form of `go test -bench -benchmem` output
-// (ns/op, B/op, allocs/op plus any custom ReportMetric columns) stamped
-// with the date and Go version.  cmd/mkbench -snapshot runs the
-// benchmarks and writes one as BENCH_<date>.json at the repo root;
-// EXPERIMENTS.md records how each snapshot was produced and what the
-// numbers mean.  Future PRs compare against the last committed snapshot
-// instead of folklore.
+// The gate checks only numbers that do not depend on the hardware:
+// allocs/op, the deterministic work counters the gated benchmarks
+// report with b.ReportMetric, and ns/op ratios between two rows of
+// the same run.  Absolute ns/op is recorded for reading but never
+// gated.  cmd/mkbench -gate runs a manifest (bench_gate.json at the
+// repo root); EXPERIMENTS.md "Benchmark gate" describes the rows.
 package benchsnap
 
 import (
@@ -22,6 +23,10 @@ import (
 
 // BenchResult is one benchmark line of `go test -bench -benchmem`.
 type BenchResult struct {
+	// Pkg is the package the benchmark ran in, as given to go test
+	// (set by the caller; the output line does not carry it).  Rows are
+	// keyed by Pkg and Name, so equal names in two packages never meet.
+	Pkg string `json:"pkg"`
 	// Name is the benchmark name with the GOMAXPROCS suffix stripped
 	// (BenchmarkMCMF/warm-8 -> BenchmarkMCMF/warm).
 	Name string `json:"name"`
@@ -32,16 +37,9 @@ type BenchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Metrics holds any custom b.ReportMetric columns (saved%, iters, …).
+	// Metrics holds any custom b.ReportMetric columns.  In a gate
+	// baseline row every metric is a deterministic work counter.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Snapshot is a dated set of benchmark results.
-type Snapshot struct {
-	Date      string        `json:"date"`       // YYYY-MM-DD
-	GoVersion string        `json:"go_version"` // runtime.Version() of the run
-	Note      string        `json:"note,omitempty"`
-	Results   []BenchResult `json:"results"`
 }
 
 // ParseBenchOutput extracts benchmark lines from `go test -bench`
@@ -115,33 +113,58 @@ func stripProcSuffix(name string) string {
 	return name[:i]
 }
 
-// WriteJSON emits the snapshot as stable, human-diffable JSON (results
-// sorted by name, two-space indent, trailing newline).
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	sorted := append([]BenchResult(nil), s.Results...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	cp := *s
-	cp.Results = sorted
+// Manifest is the benchmark gate: the `go test -bench` runs, the
+// benchtime they share, the same-run ratio rules, and the baseline
+// rows a fresh run is compared against.
+type Manifest struct {
+	// Benchtime is the go test -benchtime of every run.  It must be an
+	// iteration count ("3x"): the gated per-op counters are only
+	// comparable at a fixed b.N.
+	Benchtime string  `json:"benchtime"`
+	Runs      []Run   `json:"runs"`
+	Ratios    []Ratio `json:"ratios"`
+	// Date and GoVersion describe the recording of Baseline.
+	Date      string        `json:"date"`
+	GoVersion string        `json:"go_version"`
+	Baseline  []BenchResult `json:"baseline"`
+}
+
+// Run is one `go test -bench` invocation.  Bench is anchored so the
+// run produces exactly the package's baseline rows.
+type Run struct {
+	Pkg   string `json:"pkg"`
+	Bench string `json:"bench"`
+}
+
+// Ratio is a same-run speed rule: ns/op of row Slow over ns/op of row
+// Fast, both in package Pkg, must be at least Min.  Both rows come
+// from one process on one machine, so the ratio survives a change of
+// hardware that absolute ns/op does not.
+type Ratio struct {
+	Pkg  string  `json:"pkg"`
+	Slow string  `json:"slow"`
+	Fast string  `json:"fast"`
+	Min  float64 `json:"min"`
+}
+
+// WriteJSON emits the manifest as stable, human-diffable JSON
+// (baseline rows sorted by package and name, two-space indent,
+// trailing newline).
+func (m *Manifest) WriteJSON(w io.Writer) error {
+	sorted := append([]BenchResult(nil), m.Baseline...)
+	sort.Slice(sorted, func(i, j int) bool { return key(&sorted[i]) < key(&sorted[j]) })
+	cp := *m
+	cp.Baseline = sorted
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&cp)
 }
 
-// ReadSnapshot parses a snapshot previously written by WriteJSON.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+// ReadManifest parses a manifest previously written by WriteJSON.
+func ReadManifest(r io.Reader) (*Manifest, error) {
+	var m Manifest
+	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, err
 	}
-	return &s, nil
-}
-
-// Lookup returns the result with the given name, or nil.
-func (s *Snapshot) Lookup(name string) *BenchResult {
-	for i := range s.Results {
-		if s.Results[i].Name == name {
-			return &s.Results[i]
-		}
-	}
-	return nil
+	return &m, nil
 }

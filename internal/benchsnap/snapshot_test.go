@@ -2,6 +2,7 @@ package benchsnap
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,34 +63,54 @@ func TestParseBenchOutputMalformed(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip writes a manifest with recorded baseline rows,
+// reads it back, and requires equal rows, sorted by package and name.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rs, err := ParseBenchOutput(strings.NewReader(sampleBenchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{Date: "2026-07-29", GoVersion: "go1.24.0", Note: "test", Results: rs}
+	for i := range rs {
+		rs[i].Pkg = "."
+	}
+	rs = append(rs, BenchResult{Pkg: "./internal/x", Name: "BenchmarkMCMF/warm", Iters: 3, NsPerOp: 9,
+		BytesPerOp: 0, AllocsPerOp: 0, Metrics: map[string]float64{"visited/op": 1234}})
+	m := &Manifest{
+		Benchtime: "3x",
+		Runs:      []Run{{Pkg: ".", Bench: "^(BenchmarkMCMF|BenchmarkSTA|BenchmarkTable1)$"}},
+		Ratios:    []Ratio{{Pkg: ".", Slow: "BenchmarkMCMF/fresh", Fast: "BenchmarkMCMF/warm", Min: 1.2}},
+		Date:      "2026-07-29",
+		GoVersion: "go1.24.0",
+		Baseline:  rs,
+	}
 	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
+	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshot(&buf)
+	back, err := ReadManifest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Date != snap.Date || back.GoVersion != snap.GoVersion || len(back.Results) != len(snap.Results) {
+	if back.Benchtime != m.Benchtime || back.Date != m.Date || back.GoVersion != m.GoVersion ||
+		!reflect.DeepEqual(back.Runs, m.Runs) || !reflect.DeepEqual(back.Ratios, m.Ratios) {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
-	r := back.Lookup("BenchmarkMCMF/warm")
-	if r == nil || r.NsPerOp != 7039022 {
-		t.Fatalf("Lookup after round trip: %+v", r)
+	if len(back.Baseline) != len(rs) {
+		t.Fatalf("got %d rows back, want %d", len(back.Baseline), len(rs))
 	}
-	if back.Lookup("BenchmarkNope") != nil {
-		t.Fatal("Lookup of missing name should be nil")
-	}
-	// Results must come back sorted by name (stable diffs).
-	for i := 1; i < len(back.Results); i++ {
-		if back.Results[i-1].Name > back.Results[i].Name {
-			t.Fatalf("results not sorted: %q > %q", back.Results[i-1].Name, back.Results[i].Name)
+	// Rows come back sorted by package and name (stable diffs) and
+	// otherwise equal.
+	want := index(rs)
+	for i := range back.Baseline {
+		r := &back.Baseline[i]
+		if i > 0 && key(&back.Baseline[i-1]) > key(r) {
+			t.Fatalf("rows not sorted: %q > %q", key(&back.Baseline[i-1]), key(r))
 		}
+		if !reflect.DeepEqual(*r, *want[key(r)]) {
+			t.Fatalf("row %q: got %+v, want %+v", key(r), *r, *want[key(r)])
+		}
+	}
+	if m.Gate(new(bytes.Buffer), back.Baseline) != 0 {
+		t.Fatal("a manifest's own baseline must pass its gate")
 	}
 }

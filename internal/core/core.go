@@ -98,7 +98,7 @@ type Options struct {
 	// ≤100 on the steepest curve segments). Default 100.
 	MaxIters int
 	// Patience stops after this many consecutive non-improving
-	// iterations. Default 3.
+	// iterations. Default 5.
 	Patience int
 	// AreaTol is the relative area improvement considered negligible
 	// (the paper's stopping rule). Default 1e-4.

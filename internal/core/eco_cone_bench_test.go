@@ -25,8 +25,9 @@ import (
 // decrease frees enough slack along mesh10k's 199-level paths to
 // recruit past the cone budget.  The acceptance bar is cone ≥5× faster
 // than full
-// on mesh10k; a fallback in a cone row is a behavioral regression and
-// fails the benchmark outright.
+// on mesh10k, held by the bench gate as a same-run ratio next to each
+// row's iters/op; a fallback in a cone row is a behavioral regression
+// and fails the benchmark outright.
 //
 // mesh10k runs at a loose 0.9·tmin spec so the seed solve stays
 // sub-second; the cone/full gap is about path depth, not how tight the
@@ -71,6 +72,7 @@ func BenchmarkEcoConeResize(b *testing.B) {
 					b.Fatal(err)
 				}
 				step := 2.0 / float64(b.N)
+				iters := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -78,11 +80,14 @@ func BenchmarkEcoConeResize(b *testing.B) {
 					if _, err := sess.ApplyEdits([]dag.Edit{{Op: dag.EditLoad, Gate: gate, LoadFF: load}}); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := sess.Resize(ctx, T, Budgets{}); err != nil {
+					r, err := sess.Resize(ctx, T, Budgets{})
+					if err != nil {
 						b.Fatal(err)
 					}
+					iters += r.Iterations
 				}
 				b.StopTimer()
+				b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 				if mode == "cone" && sess.ConeFallbacks() > 0 {
 					b.Fatalf("cone mode fell back %d/%d iterations", sess.ConeFallbacks(), b.N)
 				}

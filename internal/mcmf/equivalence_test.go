@@ -61,15 +61,17 @@ func TestOneSolverBothEngines(t *testing.T) {
 // BenchmarkFlowEngines compares every registered backend on identical
 // D-phase-shaped instances of growing size — "fresh" builds and solves
 // (the per-problem cost), "warm" re-solves one network through the
-// Reset warm-start path (the per-iteration cost).  Recorded in
-// BENCH_*.json via cmd/mkbench -snapshot; the measured crossover
-// points are documented in EXPERIMENTS.md.
+// Reset warm-start path (the per-iteration cost).  Every row reports
+// its flow work per op (flowWork); the bench gate (bench_gate.json,
+// cmd/mkbench -gate) holds those and allocs/op, and the measured
+// crossover points are documented in EXPERIMENTS.md.
 func BenchmarkFlowEngines(b *testing.B) {
 	for _, size := range []struct{ layers, width int }{{10, 10}, {40, 25}, {80, 50}} {
 		name := fmt.Sprintf("%dx%d", size.layers, size.width)
 		for _, engine := range EngineNames() {
 			engine := engine
 			b.Run(engine+"/"+name+"/fresh", func(b *testing.B) {
+				var work flowWork
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s := NewGridInstance(size.layers, size.width, 7)
@@ -79,7 +81,9 @@ func BenchmarkFlowEngines(b *testing.B) {
 					if _, err := s.Solve(); err != nil {
 						b.Fatal(err)
 					}
+					work.add(Stats{}, s.EngineStats())
 				}
+				work.report(b)
 			})
 			b.Run(engine+"/"+name+"/warm", func(b *testing.B) {
 				s := NewGridInstance(size.layers, size.width, 7)
@@ -89,15 +93,35 @@ func BenchmarkFlowEngines(b *testing.B) {
 				if _, err := s.Solve(); err != nil {
 					b.Fatal(err)
 				}
+				var work flowWork
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					s.Reset()
+					before := s.EngineStats()
 					if _, err := s.Solve(); err != nil {
 						b.Fatal(err)
 					}
+					work.add(before, s.EngineStats())
 				}
+				work.report(b)
 			})
 		}
 	}
+}
+
+// flowWork sums an engine's Visited and Augmentations over a
+// benchmark's ops and reports them per op: deterministic work counters
+// the bench gate holds where ns/op would only measure the host.  Each
+// op is read around its own solve because Solver.Reset zeroes Visited.
+type flowWork struct{ visited, augs int64 }
+
+func (w *flowWork) add(before, after Stats) {
+	w.visited += after.Visited - before.Visited
+	w.augs += after.Augmentations - before.Augmentations
+}
+
+func (w *flowWork) report(b *testing.B) {
+	b.ReportMetric(float64(w.visited)/float64(b.N), "visited/op")
+	b.ReportMetric(float64(w.augs)/float64(b.N), "augs/op")
 }

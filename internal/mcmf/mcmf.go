@@ -39,9 +39,10 @@
 // per instance with SetEngine.  Beyond full solves,
 // every engine offers ResolveChanged: an incremental re-flow that
 // repairs the previous optimal flow after a set of arcs changed cost
-// or capacity, instead of rerouting every supply (resolve.go for the
-// SSP family, resolveScaling in scalingcore.go for the scaling
-// family).
+// or capacity, instead of rerouting every supply.  All three engines
+// repair through the same drain-and-reroute, resolveSSP in resolve.go
+// (the cost-scaling engine on the exact potentials its full solve
+// recovers; see costscaling.go).
 //
 // The solver is self-certifying: Verify re-checks conservation, bounds
 // and reduced-cost optimality after every Solve.

@@ -134,7 +134,8 @@ func FuzzResolveDeltas(f *testing.F) {
 // a small batch of arc costs per iteration, re-solved three ways —
 // "warmfull" (Reset + full Solve from warm potentials, the previous
 // best path), and "resolve" via the incremental drain-and-reroute on
-// both SSP engines.
+// both SSP engines.  The bench gate holds every row's flow work per op
+// and the warmfull / resolve/dial ns/op ratio.
 func BenchmarkDPhaseResolve(b *testing.B) {
 	const batch = 24
 	mkSchedule := func(s *Solver) ([]int32, []int64) {
@@ -153,6 +154,7 @@ func BenchmarkDPhaseResolve(b *testing.B) {
 		if _, err := s.Solve(); err != nil {
 			b.Fatal(err)
 		}
+		var work flowWork
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -161,10 +163,13 @@ func BenchmarkDPhaseResolve(b *testing.B) {
 				s.SetCost(int(ids[off+k]), costs[off+k])
 			}
 			s.Reset()
+			before := s.EngineStats()
 			if _, err := s.Solve(); err != nil {
 				b.Fatal(err)
 			}
+			work.add(before, s.EngineStats())
 		}
+		work.report(b)
 	})
 	for _, engine := range []string{"ssp", "dial"} {
 		engine := engine
@@ -177,6 +182,7 @@ func BenchmarkDPhaseResolve(b *testing.B) {
 			if _, err := s.Solve(); err != nil {
 				b.Fatal(err)
 			}
+			var work flowWork
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -184,10 +190,13 @@ func BenchmarkDPhaseResolve(b *testing.B) {
 				for k := 0; k < batch; k++ {
 					s.SetCost(int(ids[off+k]), costs[off+k])
 				}
+				before := s.EngineStats()
 				if _, err := s.ResolveChanged(ids[off : off+batch]); err != nil {
 					b.Fatal(err)
 				}
+				work.add(before, s.EngineStats())
 			}
+			work.report(b)
 		})
 	}
 }

@@ -177,7 +177,7 @@ type Config struct {
 	POLoad float64
 	// TilosBump is TILOS's upsizing factor (default 1.1, paper §3).
 	TilosBump float64
-	// Window is the D-phase budget window η (default 0.3).
+	// Window is the D-phase budget window η (default 0.1).
 	Window float64
 	// MaxIters bounds MINFLOTRANSIT iterations (default 100).
 	MaxIters int

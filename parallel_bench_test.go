@@ -1,6 +1,6 @@
 // Benchmarks for intra-run parallelism: the level-parallel W-phase and
-// an end-to-end parallel core.Size.  Recorded in
-// BENCH_<date>_parallel.json and gated in CI like the serial suites.
+// an end-to-end parallel core.Size.  BenchmarkParallelWPhase and
+// BenchmarkParallelSize are rows of the bench gate (bench_gate.json).
 //
 // Worker budgets are explicit (j1/j2/j4) rather than GOMAXPROCS so
 // the benchmark names — and therefore the regression baselines — mean
@@ -76,9 +76,10 @@ func BenchmarkParallelWPhase(b *testing.B) {
 // CI-friendly size: one op = a full core.Size (TILOS + D/W iteration)
 // on the 10k-gate mesh, serial versus a 4-worker budget.  The
 // full-scale mesh102k run lives in BenchmarkScalingLarge (excluded
-// from CI); both are recorded in the parallel snapshot.  The flow
-// engine is pinned to "dial" (also the default) so the rows keep
-// measuring the same D-phase backend if the default ever changes.
+// from the bench gate).  The flow engine is pinned to "dial" (also the
+// default) so the rows keep measuring the same D-phase backend if the
+// default ever changes.  iters/op is the D/W iteration count, a
+// deterministic work counter the gate holds.
 func BenchmarkParallelSize(b *testing.B) {
 	m := delay.NewModel(tech.Default013())
 	p, err := dag.GateLevel(gen.Mesh(100, 100), m)
@@ -93,13 +94,17 @@ func BenchmarkParallelSize(b *testing.B) {
 	for _, j := range []int{1, 4} {
 		j := j
 		b.Run(fmt.Sprintf("mesh10k/j%d", j), func(b *testing.B) {
+			iters := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Size(p, T, core.Options{FlowEngine: "dial", Parallelism: j}); err != nil {
+				r, err := core.Size(p, T, core.Options{FlowEngine: "dial", Parallelism: j})
+				if err != nil {
 					b.Fatal(err)
 				}
+				iters += r.Iterations
 			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 		})
 	}
 }
@@ -107,8 +112,8 @@ func BenchmarkParallelSize(b *testing.B) {
 // BenchmarkScalingParallel is the full-scale end-to-end run of the
 // acceptance criterion: mesh102k through core.Size, serial versus a
 // 4-worker budget (dial D-phase pinned + level-parallel W-phase).
-// Excluded from the CI gate like BenchmarkScalingLarge;
-// recorded in BENCH_<date>_parallel.json.
+// Excluded from the bench gate like BenchmarkScalingLarge; see
+// EXPERIMENTS.md "Intra-run parallelism".
 func BenchmarkScalingParallel(b *testing.B) {
 	m := delay.NewModel(tech.Default013())
 	p, err := dag.GateLevel(gen.Mesh(320, 320), m)
