@@ -2,18 +2,20 @@
 // evaluation (run with `go test -bench=. -benchmem`; see EXPERIMENTS.md
 // for the recorded results and the paper-vs-measured comparison).
 //
-//   - BenchmarkTable1/<circuit>   — one op = TILOS + MINFLOTRANSIT at the
-//     row's delay spec; reported metrics: area saving %, both areas,
-//     iteration count, and the TILOS-relative runtime.
+//   - BenchmarkTable1/<circuit>   — one op = one RunTableRow at the
+//     row's delay spec (MINFLOTRANSIT, whose TILOS seed is the TILOS
+//     column); reported metrics: area saving %, both areas, iteration
+//     count, and the TILOS-relative runtime.
 //   - BenchmarkFigure7C432 / C6288 — one op = both optimizers across the
 //     full delay sweep of one Figure 7 panel.
 //   - BenchmarkScalingAdder/<bits> — §3 run-time growth claim.
 //   - BenchmarkAblation*           — design-choice sweeps from DESIGN.md §5.
-//   - BenchmarkMCMF / BenchmarkSTA — substrate micro-benchmarks.
+//   - BenchmarkMCMF / BenchmarkSTA / BenchmarkTilos — substrate
+//     micro-benchmarks.
 //
-// BenchmarkMCMF, BenchmarkSTA and BenchmarkWPhase are rows of the
-// bench gate (bench_gate.json, run by cmd/mkbench -gate); the
-// paper-reproduction benchmarks are not gated.
+// BenchmarkMCMF, BenchmarkSTA, BenchmarkTilos and BenchmarkWPhase are
+// rows of the bench gate (bench_gate.json, run by cmd/mkbench -gate);
+// the paper-reproduction benchmarks are not gated.
 package minflo
 
 import (
@@ -346,6 +348,44 @@ func BenchmarkSTA(b *testing.B) {
 		if _, err := sta.Analyze(p.G, d); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTilos times one TILOS run from minimum sizes — the seed of
+// every cold MINFLOTRANSIT run and the Table-1 baseline — on c7552 at
+// its paper spec and on tree8192 at the scaling workload's 0.9·Dmin.
+// moves/op (tilos.Result.Moves) pins the greedy trajectory: a changed
+// move sequence moves it, and an allocation in the move loop scales
+// allocs/op with it.
+func BenchmarkTilos(b *testing.B) {
+	cases := []struct {
+		name string
+		mk   func() *Circuit
+		spec float64
+	}{
+		{"c7552", gen.C7552, PaperSpec("c7552")},
+		{"tree8192", func() *Circuit { return gen.BalancedTree(1 << 13) }, 0.9},
+	}
+	m := delay.NewModel(tech.Default013())
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			p, err := dag.GateLevel(tc.mk(), m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tm, err := sta.Analyze(p.G, p.Delays(p.InitialSizes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var last *tilos.Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if last, err = tilos.Size(p, tc.spec*tm.CP, nil, tilos.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(last.Moves), "moves/op")
+		})
 	}
 }
 

@@ -229,6 +229,9 @@ type Result struct {
 	TilosX    []float64
 	TilosArea float64
 	TilosCP   float64
+	// TilosTime is the wall time of the cold path's TILOS seed from
+	// minimum sizes (0 for warm and cone answers).
+	TilosTime time.Duration
 	Stats     []IterStats
 	// Partial marks a run cut short by cancellation or an exhausted
 	// budget: X/Area/CP describe the best sizing from the last

@@ -461,7 +461,9 @@ func (s *Session) resizeSeeded(T float64) (*Result, error) {
 // loop — byte-for-byte the trajectory a fresh session would produce.
 func (s *Session) resizeCold(T float64) (*Result, error) {
 	p, sc, opt := s.p, s.sc, s.opt
+	t0 := time.Now()
 	tr, err := tilos.SizeWith(p, T, nil, opt.Tilos, sc.arr, sc.dBase)
+	tilosTime := time.Since(t0)
 	if err != nil {
 		if errors.Is(err, tilos.ErrInfeasible) {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
@@ -469,7 +471,7 @@ func (s *Session) resizeCold(T float64) (*Result, error) {
 		return nil, err
 	}
 	x := tr.X
-	res := &Result{Seed: SeedTilos, TilosX: append([]float64(nil), x...), TilosArea: tr.Area, TilosCP: tr.CP}
+	res := &Result{Seed: SeedTilos, TilosX: append([]float64(nil), x...), TilosArea: tr.Area, TilosCP: tr.CP, TilosTime: tilosTime}
 
 	// An abort between the seed and the first iteration still has a
 	// usable answer: the TILOS sizing itself.

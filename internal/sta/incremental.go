@@ -5,10 +5,17 @@
 // vertices in topological order, which is all the greedy needs: the
 // target check uses CP, path extraction uses AT, and sensitivities are
 // local.
+//
+// The worklist is a bitset over topological positions swept upward, so
+// a move costs no heap operations.  While no delay is negative, finish
+// never drops along an edge: CP scans only the fanout-free vertices,
+// and the critical path's end is found by a backward search from them.
+// Cone subproblems carry negative pad delays and take full scans.
 package sta
 
 import (
 	"fmt"
+	"math/bits"
 
 	"minflo/internal/graph"
 )
@@ -20,7 +27,9 @@ type Arrivals struct {
 	at     []float64
 	finish []float64 // at + d
 	pos    []int     // topological position per vertex
-	order  []int     // topological order (Reseed's full forward pass)
+	order  []int     // vertex per topological position
+	sinks  []int     // vertices without fanouts, ascending
+	neg    int       // number of entries of d that are negative or NaN
 
 	// Flattened CSR adjacency (avoids edge-struct copies on the hot
 	// path and per-vertex slice growth at construction): the fanins of
@@ -28,9 +37,8 @@ type Arrivals struct {
 	predPtr, predIdx []int32
 	succPtr, succIdx []int32
 
-	// worklist state
-	pq     workHeap
-	inWork []bool
+	pending []uint64 // SetDelays worklist: bit i marks order[i]
+	seen    []int    // criticalEnd's visit list
 }
 
 // NewArrivals runs the initial forward pass.
@@ -42,18 +50,20 @@ func NewArrivals(g *graph.Digraph, d []float64) (*Arrivals, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := g.N()
 	a := &Arrivals{
-		g:      g,
-		d:      append([]float64(nil), d...),
-		at:     make([]float64, g.N()),
-		finish: make([]float64, g.N()),
-		pos:    make([]int, g.N()),
-		inWork: make([]bool, g.N()),
+		g:       g,
+		d:       make([]float64, n),
+		at:      make([]float64, n),
+		finish:  make([]float64, n),
+		pos:     make([]int, n),
+		order:   order,
+		sinks:   g.Sinks(),
+		pending: make([]uint64, (n+63)/64),
 	}
 	// CSR adjacency by counting sort over the edge list; iterating
 	// edges in insertion order lands each vertex's neighbours in the
-	// same per-vertex order the slice-of-slices construction produced.
-	n := g.N()
+	// same per-vertex order as g.In/g.Out.
 	edges := g.Edges()
 	a.predPtr = make([]int32, n+1)
 	a.succPtr = make([]int32, n+1)
@@ -79,11 +89,7 @@ func NewArrivals(g *graph.Digraph, d []float64) (*Arrivals, error) {
 	for i, v := range order {
 		a.pos[v] = i
 	}
-	a.order = order
-	for _, v := range order {
-		a.recomputeAT(v)
-	}
-	return a, nil
+	return a, a.Reseed(d)
 }
 
 // Reseed replaces every vertex delay with d and recomputes the full
@@ -95,180 +101,118 @@ func (a *Arrivals) Reseed(d []float64) error {
 	if len(d) != a.g.N() {
 		return fmt.Errorf("sta: Reseed delay vector length %d != %d vertices", len(d), a.g.N())
 	}
-	copy(a.d, d)
+	for v, dv := range d {
+		a.setDelay(v, dv)
+	}
 	for _, v := range a.order {
-		a.recomputeAT(v)
+		a.recompute(v)
 	}
 	return nil
 }
 
-// AT returns the arrival time at v's input.
-func (a *Arrivals) AT(v int) float64 { return a.at[v] }
-
-// ATSlice exposes the arrival array (read-only for callers).
-func (a *Arrivals) ATSlice() []float64 { return a.at }
-
-// Delay returns the current delay of v.
-func (a *Arrivals) Delay(v int) float64 { return a.d[v] }
-
-// Finish returns the finish time AT(v)+delay(v) — the arrival a fanout
-// of v sees.  Cone extraction freezes these as boundary arrivals.
-func (a *Arrivals) Finish(v int) float64 { return a.finish[v] }
-
-// FinishSlice exposes the finish array (read-only for callers).
+// FinishSlice exposes the finish array AT+delay (read-only for
+// callers) — the arrival a fanout of v sees.  Cone extraction freezes
+// these as boundary arrivals.
 func (a *Arrivals) FinishSlice() []float64 { return a.finish }
 
-// DelaySlice exposes the delay array (read-only for callers).
-func (a *Arrivals) DelaySlice() []float64 { return a.d }
-
-// CP returns the critical-path delay max(AT+delay).
+// CP returns the critical-path delay max(AT+delay), or 0 when every
+// finish time is negative.
 func (a *Arrivals) CP() float64 {
 	best := 0.0
-	for _, f := range a.finish {
-		if f > best {
+	if a.neg > 0 {
+		for _, f := range a.finish {
+			if f > best {
+				best = f
+			}
+		}
+		return best
+	}
+	for _, v := range a.sinks {
+		if f := a.finish[v]; f > best {
 			best = f
 		}
 	}
 	return best
 }
 
-// recomputeAT refreshes at/finish for v from its fanins.
-func (a *Arrivals) recomputeAT(v int) {
+// setDelay stores v's delay and keeps the negative-delay count.
+func (a *Arrivals) setDelay(v int, dv float64) {
+	if !(a.d[v] >= 0) {
+		a.neg--
+	}
+	if !(dv >= 0) {
+		a.neg++
+	}
+	a.d[v] = dv
+}
+
+// recompute refreshes at/finish for v from its fanins and reports
+// whether v's finish time changed.
+func (a *Arrivals) recompute(v int) bool {
 	at := 0.0
 	for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
 		if f := a.finish[u]; f > at {
 			at = f
 		}
 	}
+	old := a.finish[v]
 	a.at[v] = at
 	a.finish[v] = at + a.d[v]
-}
-
-// workHeap is a hand-rolled binary min-heap of vertices keyed by
-// topological position (no interface boxing — this sits on TILOS's
-// innermost loop).
-type workHeap struct {
-	items []int
-	pos   []int
-}
-
-func (h *workHeap) push(v int) {
-	h.items = append(h.items, v)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.pos[h.items[p]] <= h.pos[h.items[i]] {
-			break
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
-	}
-}
-
-func (h *workHeap) pop() int {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && h.pos[h.items[l]] < h.pos[h.items[m]] {
-			m = l
-		}
-		if r < last && h.pos[h.items[r]] < h.pos[h.items[m]] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h.items[i], h.items[m] = h.items[m], h.items[i]
-		i = m
-	}
-	return top
+	return a.finish[v] != old
 }
 
 // SetDelays updates the delays of the listed vertices and repropagates
-// arrival times downstream.  Processing strictly in topological order
-// guarantees each affected vertex is recomputed exactly once.
+// arrival times downstream.  The worklist is swept in increasing
+// topological position, so each affected vertex is recomputed exactly
+// once, after all of its changed fanins.
 func (a *Arrivals) SetDelays(vs []int, newD []float64) {
-	if a.pq.pos == nil {
-		a.pq.pos = a.pos
+	lo, hi := len(a.pending), -1
+	mark := func(v int) {
+		p := a.pos[v]
+		w := p >> 6
+		a.pending[w] |= 1 << (p & 63)
+		lo, hi = min(lo, w), max(hi, w)
 	}
 	for i, v := range vs {
 		if a.d[v] == newD[i] {
 			continue
 		}
-		a.d[v] = newD[i]
-		a.enqueue(v)
+		a.setDelay(v, newD[i])
+		mark(v)
 	}
-	for len(a.pq.items) > 0 {
-		v := a.pq.pop()
-		a.inWork[v] = false
-		oldFinish := a.finish[v]
-		at := 0.0
-		for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
-			if f := a.finish[u]; f > at {
-				at = f
-			}
-		}
-		a.at[v] = at
-		a.finish[v] = at + a.d[v]
-		if a.finish[v] != oldFinish {
-			for _, w := range a.succIdx[a.succPtr[v]:a.succPtr[v+1]] {
-				a.enqueue(int(w))
+	for w := lo; w <= hi; w++ {
+		for a.pending[w] != 0 {
+			b := bits.TrailingZeros64(a.pending[w])
+			a.pending[w] &^= 1 << b
+			v := a.order[w<<6|b]
+			if a.recompute(v) {
+				for _, s := range a.succIdx[a.succPtr[v]:a.succPtr[v+1]] {
+					mark(int(s))
+				}
 			}
 		}
 	}
 }
 
-func (a *Arrivals) enqueue(v int) {
-	if !a.inWork[v] {
-		a.inWork[v] = true
-		a.pq.push(v)
-	}
-}
-
-// CriticalPathInc extracts one critical path using the maintained
-// arrival times (source to the vertex attaining CP).
-func (a *Arrivals) CriticalPathInc() []int {
-	return a.AppendCriticalPath(nil)
-}
-
-// AppendCriticalPath appends one critical path (source to the vertex
-// attaining CP) to dst and returns it — the allocation-free variant for
-// callers that extract a path per move (TILOS) and can reuse a buffer.
+// AppendCriticalPath appends one critical path (source to the
+// lowest-numbered vertex attaining CP) to dst and returns it — the
+// allocation-free form for callers that extract a path per move
+// (TILOS) and can reuse a buffer.
 func (a *Arrivals) AppendCriticalPath(dst []int) []int {
-	cp := a.CP()
-	end := -1
-	for v := 0; v < a.g.N(); v++ {
-		if a.finish[v] >= cp-1e-12 {
-			end = v
-			break
-		}
-	}
+	end := a.criticalEnd(a.CP() - 1e-12)
 	if end == -1 {
 		return dst
 	}
 	base := len(dst)
 	rev := dst
-	v := end
-	for {
+	for v := end; v >= 0; {
 		rev = append(rev, v)
-		if a.g.InDegree(v) == 0 {
-			break
-		}
 		next := -1
-		for _, e := range a.g.In(v) {
-			u := a.g.Edge(e).From
+		for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
 			if a.finish[u] >= a.at[v]-1e-12 {
-				next = u
+				next = int(u)
 				break
 			}
-		}
-		if next == -1 {
-			break
 		}
 		v = next
 	}
@@ -276,4 +220,46 @@ func (a *Arrivals) AppendCriticalPath(dst []int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
+}
+
+// criticalEnd returns the lowest-numbered vertex whose finish time is
+// at least thr, or -1.  With no negative delay such a vertex reaches a
+// sink through such vertices (finish never drops along an edge), so
+// the search runs backward from the sinks, marking visits in the idle
+// worklist bitset, instead of over every vertex.
+func (a *Arrivals) criticalEnd(thr float64) int {
+	if a.neg > 0 {
+		for v, f := range a.finish {
+			if f >= thr {
+				return v
+			}
+		}
+		return -1
+	}
+	seen := a.seen[:0]
+	visit := func(v int) {
+		p := a.pos[v]
+		if a.finish[v] >= thr && a.pending[p>>6]&(1<<(p&63)) == 0 {
+			a.pending[p>>6] |= 1 << (p & 63)
+			seen = append(seen, v)
+		}
+	}
+	for _, v := range a.sinks {
+		visit(v)
+	}
+	end := -1
+	for i := 0; i < len(seen); i++ {
+		v := seen[i]
+		if end == -1 || v < end {
+			end = v
+		}
+		for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
+			visit(int(u))
+		}
+	}
+	for _, v := range seen {
+		a.pending[a.pos[v]>>6] = 0
+	}
+	a.seen = seen
+	return end
 }

@@ -2,8 +2,13 @@ package minflo
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"minflo/internal/sta"
+	"minflo/internal/tilos"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -110,6 +115,59 @@ func TestRunTableRow(t *testing.T) {
 	}
 	if row.AreaRatio < 1 {
 		t.Fatalf("area ratio %g below 1", row.AreaRatio)
+	}
+}
+
+// A table row's TILOS columns come from MINFLOTRANSIT's own seed; they
+// must equal a standalone TILOS run bit for bit.
+func TestRunTableRowTilosMatchesStandalone(t *testing.T) {
+	sz, _ := NewSizer(nil)
+	for _, name := range []string{"adder32", "c432", "c499", "c880"} {
+		ckt, err := CircuitByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := PaperSpec(name)
+		row, err := sz.RunTableRow(ckt, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p, err := sz.problem(ckt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := sta.Analyze(p.G, p.Delays(p.InitialSizes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := tilos.Size(p, spec*tm.CP, nil, tilos.Options{Bump: sz.cfg.TilosBump})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if math.Float64bits(row.TilosArea) != math.Float64bits(tr.Area) {
+			t.Errorf("%s: row TILOS area %v, standalone tilos.Size %v", name, row.TilosArea, tr.Area)
+		}
+		if row.TilosTime <= 0 || row.MinfloExtra < 0 {
+			t.Errorf("%s: TilosTime %v, MinfloExtra %v", name, row.TilosTime, row.MinfloExtra)
+		}
+	}
+}
+
+// An unreachable spec is reported as the public ErrInfeasible, naming
+// TILOS (the seed is what fails), on both table paths.
+func TestRunTableInfeasibleSpec(t *testing.T) {
+	sz, _ := NewSizer(nil)
+	ckt := C17()
+	_, err := sz.RunTableRow(ckt, 0.05)
+	if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "TILOS on c17") {
+		t.Fatalf("RunTableRow: %v, want ErrInfeasible from TILOS on c17", err)
+	}
+	rows, errs := sz.RunTable([]TableJob{{Circuit: ckt, Spec: 0.05}, {Circuit: C17(), Spec: 0.6}})
+	if rows[0] != nil || !errors.Is(errs[0], ErrInfeasible) {
+		t.Fatalf("RunTable infeasible job: row %v, err %v", rows[0], errs[0])
+	}
+	if rows[1] == nil || errs[1] != nil {
+		t.Fatalf("RunTable feasible job: row %v, err %v", rows[1], errs[1])
 	}
 }
 

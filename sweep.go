@@ -12,7 +12,6 @@ import (
 	"minflo/internal/dag"
 	"minflo/internal/lagrange"
 	"minflo/internal/sta"
-	"minflo/internal/tilos"
 )
 
 // TradeoffPoint is one point of an area–delay curve (Figure 7): the
@@ -78,8 +77,8 @@ type TableRow struct {
 	TilosArea   float64
 	MinfloArea  float64
 	SavingsPct  float64
-	TilosTime   time.Duration
-	MinfloExtra time.Duration // time beyond TILOS (the paper's 2nd CPU column reports total; see EXPERIMENTS.md)
+	TilosTime   time.Duration // the TILOS sizing, which is also MINFLOTRANSIT's seed
+	MinfloExtra time.Duration // the rest of the MINFLOTRANSIT run (the paper's 2nd CPU column reports total; see EXPERIMENTS.md)
 	Iterations  int
 	AreaRatio   float64 // MINFLOTRANSIT area / minimum-size area
 }
@@ -100,10 +99,11 @@ func (s *Sizer) jobCoreOptions() core.Options {
 	return opt
 }
 
-// RunTableRow sizes one benchmark at spec·Dmin with both optimizers and
-// reports the Table 1 quantities.  A standalone call uses the full
-// intra-run Parallelism default; RunTable's concurrent jobs use
-// jobCoreOptions.
+// RunTableRow sizes one benchmark at spec·Dmin with MINFLOTRANSIT and
+// reports the Table 1 quantities; the TILOS columns come from the
+// run's own TILOS seed.  An unreachable spec returns an error wrapping
+// ErrInfeasible.  A standalone call uses the full intra-run
+// Parallelism default; RunTable's concurrent jobs use jobCoreOptions.
 func (s *Sizer) RunTableRow(c *Circuit, spec float64) (*TableRow, error) {
 	return s.runTableRow(c, spec, s.coreOptions())
 }
@@ -119,34 +119,29 @@ func (s *Sizer) runTableRow(c *Circuit, spec float64, opt core.Options) (*TableR
 	}
 	target := spec * tm.CP
 
+	// MINFLOTRANSIT's seed is the TILOS sizing from minimum sizes, so
+	// one run yields both columns: TilosArea is bit-identical to a
+	// standalone tilos.Size with the same bump.
 	t0 := time.Now()
-	tr, err := tilos.Size(p, target, nil, tilos.Options{Bump: s.cfg.TilosBump})
-	if err != nil {
-		return nil, fmt.Errorf("minflo: TILOS on %s at %.2f·Dmin: %w", c.Name, spec, err)
-	}
-	tilosTime := time.Since(t0)
-
-	t1 := time.Now()
 	res, err := core.Size(p, target, opt)
 	if err != nil {
+		if errors.Is(err, core.ErrInfeasible) { // only the TILOS seed reports it
+			return nil, fmt.Errorf("minflo: TILOS on %s at %.2f·Dmin: %w: %v", c.Name, spec, ErrInfeasible, err)
+		}
 		return nil, fmt.Errorf("minflo: MINFLOTRANSIT on %s at %.2f·Dmin: %w", c.Name, spec, err)
 	}
-	minfloTime := time.Since(t1)
-	extra := minfloTime - tilosTime
-	if extra < 0 {
-		extra = 0
-	}
+	total := time.Since(t0)
 
 	return &TableRow{
 		Circuit:     c.Name,
 		Gates:       c.NumGates(),
 		DelaySpec:   spec,
 		DminPS:      tm.CP,
-		TilosArea:   tr.Area,
+		TilosArea:   res.TilosArea,
 		MinfloArea:  res.Area,
-		SavingsPct:  100 * (1 - res.Area/tr.Area),
-		TilosTime:   tilosTime,
-		MinfloExtra: extra,
+		SavingsPct:  100 * (1 - res.Area/res.TilosArea),
+		TilosTime:   res.TilosTime,
+		MinfloExtra: total - res.TilosTime,
 		Iterations:  res.Iterations,
 		AreaRatio:   res.Area / p.MinAreaValue(),
 	}, nil
