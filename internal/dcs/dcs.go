@@ -297,6 +297,12 @@ func (s *System) ensureFlow() *mcmf.Solver {
 	return f
 }
 
+// Network returns the cached flow network of the last Solve (nil
+// before the first).  It is for benchmarks and diagnostics that
+// re-solve the D-phase network directly; mutating it behind the
+// System's back leaves the next Solve's incremental bookkeeping stale.
+func (s *System) Network() *mcmf.Solver { return s.flow }
+
 // FlowEngineName reports the mcmf backend the cached network uses
 // ("" before the first Solve).
 func (s *System) FlowEngineName() string {

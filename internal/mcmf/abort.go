@@ -1,9 +1,12 @@
 // Cancellation, budgets and graceful engine degradation.
 //
 // Every engine inner loop polls Solver.pollAbort at its natural
-// operation granularity — one shortest-path augmentation (ssp, dial),
-// one Bellman–Ford round, one discharge (costscaling).  The poll is a
-// single abort funnel with four sources:
+// operation granularity — one shortest-path augmentation of the
+// per-source loop (ssp, dial), one primal–dual phase search and one
+// path routed by its blocking flow (ssp, dial full solves; a phase
+// search on a tree can cover the whole network), one Bellman–Ford
+// round, one discharge (costscaling).  The poll is a single abort
+// funnel with four sources:
 //
 //   - a context.Context installed with SetContext (→ ErrCanceled),
 //   - a wall-clock deadline installed with SetDeadline
@@ -93,7 +96,7 @@ func (s *Solver) SetDeadline(t time.Time) {
 }
 
 // SetWorkBudget caps the cumulative abort-poll operations (roughly:
-// augmentations, discharges and Bellman–Ford rounds) this Solver may
+// augmentations, phases, discharges and Bellman–Ford rounds) this Solver may
 // spend over its remaining lifetime; solves that exceed it abort with
 // ErrBudgetExhausted.  The budget is cumulative across solves — it
 // bounds the total flow work of a D/W iteration sequence, not one

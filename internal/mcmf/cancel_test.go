@@ -10,6 +10,7 @@ package mcmf
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -142,4 +143,95 @@ func TestConformanceCancelDuringResolve(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestConformanceCancelInsidePhase aims the cancellation at the
+// primal–dual phases of SSP full solves: on many-source instances (a
+// grid and a tree) it cancels at poll points inside a phase's blocking
+// flow — one poll per routed path — and at the last poll, cold and
+// after a warm cost perturbation.  The canceled solve must return
+// ErrCanceled, and re-solving must match a never-canceled twin bit for
+// bit.
+func TestConformanceCancelInsidePhase(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(seed int64) *Solver
+	}{
+		{"grid", func(seed int64) *Solver { return NewGridInstance(12, 10, seed) }},
+		{"tree", func(seed int64) *Solver { return buildTreeFeasible(rand.New(rand.NewSource(seed))) }},
+	}
+	for _, engine := range []string{"ssp", "dial"} {
+		for _, b := range builds {
+			for seed := int64(0); seed < 3; seed++ {
+				for _, warm := range []bool{false, true} {
+					tag := fmt.Sprintf("%s/%s/%d warm=%v", engine, b.name, seed, warm)
+					// prime builds the instance and, for the warm case,
+					// solves it once and perturbs its costs.
+					prime := func() *Solver {
+						s := b.build(seed)
+						if err := s.SetEngine(engine); err != nil {
+							t.Fatal(err)
+						}
+						if warm {
+							if _, err := s.Solve(); err != nil {
+								t.Fatalf("%s: priming solve: %v", tag, err)
+							}
+							rng := rand.New(rand.NewSource(seed))
+							for id := 0; id < s.NumArcs(); id++ {
+								if rng.Intn(3) == 0 {
+									s.SetCost(id, s.Cost(id)+int64(rng.Intn(30)))
+								}
+							}
+						}
+						return s
+					}
+
+					// Reference run: record the polls inside the blocking
+					// flows of the first two phases (races of the
+					// per-source loop start after the third), which follow
+					// a routed path and so see the augmentation count rise.
+					ref := prime()
+					st0 := ref.EngineStats()
+					var inside []int
+					polls, augs := 0, st0.Augmentations
+					ref.SetPollHook(func() error {
+						polls++
+						st := ref.EngineStats()
+						if st.Phases-st0.Phases <= 2 && st.Augmentations > augs {
+							inside = append(inside, polls)
+						}
+						augs = st.Augmentations
+						return nil
+					})
+					cost, err := ref.Solve()
+					ref.SetPollHook(nil)
+					if err != nil {
+						t.Fatalf("%s: reference solve: %v", tag, err)
+					}
+					if len(inside) < 2 {
+						t.Fatalf("%s: the first two phases routed %d paths, want several", tag, len(inside))
+					}
+					want := captureState(ref, cost)
+
+					points := []int{inside[0], inside[len(inside)/2], inside[len(inside)-1], polls}
+					for _, n := range points {
+						s := prime()
+						cost, err := cancelAtPoll(s, n, s.Solve)
+						if err == nil {
+							diffState(t, tag+" uncanceled completion", want, captureState(s, cost))
+							continue
+						}
+						if !errors.Is(err, ErrCanceled) {
+							t.Fatalf("%s cancel@%d/%d: got %v, want ErrCanceled", tag, n, polls, err)
+						}
+						cost, err = s.Solve()
+						if err != nil {
+							t.Fatalf("%s re-solve after cancel@%d: %v", tag, n, err)
+						}
+						diffState(t, fmt.Sprintf("%s re-solve after cancel@%d", tag, n), want, captureState(s, cost))
+					}
+				}
+			}
+		}
+	}
 }

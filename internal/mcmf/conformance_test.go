@@ -74,6 +74,36 @@ func buildRandomFeasible(rng *rand.Rand, negativeCosts bool) *Solver {
 	return s
 }
 
+// buildTreeFeasible constructs a many-source tree instance shaped like
+// a wide tree's D-phase network: a complete binary tree whose
+// parent/child pairs are joined by high-capacity arcs both ways (all
+// costs non-negative, so no negative cycles), supply on every leaf and
+// the balancing demand spread over a few internal nodes.  Its full
+// solves run several primal–dual phases and races of the per-source
+// loop.
+func buildTreeFeasible(rng *rand.Rand) *Solver {
+	n := 1<<(5+rng.Intn(3)) - 1 // 31, 63 or 127 nodes
+	s := New(n)
+	for c := 1; c < n; c++ {
+		p := (c - 1) / 2
+		s.AddArc(c, p, 1_000_000, int64(rng.Intn(4)))
+		s.AddArc(p, c, 1_000_000, int64(rng.Intn(4)))
+	}
+	var total int64
+	for leaf := n / 2; leaf < n; leaf++ {
+		amt := int64(1 + rng.Intn(20))
+		s.SetSupply(leaf, amt)
+		total += amt
+	}
+	sinks := 1 + rng.Intn(4)
+	for k := 0; k < sinks; k++ {
+		share := total / int64(sinks-k)
+		s.AddSupply(rng.Intn(n/2), -share)
+		total -= share
+	}
+	return s
+}
+
 // flowState captures everything a solve writes: per-arc flows, the
 // node potentials and the optimal cost.
 type flowState struct {
@@ -439,12 +469,15 @@ func TestConformanceStatsReset(t *testing.T) {
 // outcomes for any pair, and bit-identical flows when an engine is
 // paired with itself.  The seed corpus covers the
 // degenerates that broke the PR-3 resolve work: zero-capacity cuts and
-// supply shifted onto a disconnected node.
+// supply shifted onto a disconnected node.  A pair byte with its high
+// bit set builds a many-source tree (buildTreeFeasible) instead, whose
+// full solves switch from primal–dual phases to the per-source loop.
 func FuzzEngineAgreement(f *testing.F) {
 	f.Add([]byte{0x01, 0x20, 0x13}, int64(1), uint8(4))
 	f.Add([]byte{0x02, 0x02, 0x00, 0x05, 0x02, 0x01}, int64(3), uint8(2)) // zero-capacity rounds
 	f.Add([]byte{0x03, 0x00, 0x07, 0x03, 0x01, 0x02}, int64(5), uint8(8)) // disconnected-supply rounds
 	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17}, int64(42), uint8(3))
+	f.Add([]byte{0x05, 0x04, 0x00, 0x21, 0x00, 0x30, 0x09, 0x04, 0x00}, int64(11), uint8(0x8e)) // many-source tree, dial vs ssp
 	f.Fuzz(func(t *testing.T, deltas []byte, seed int64, pair uint8) {
 		engines := EngineNames()
 		nameA := engines[int(pair)%len(engines)]
@@ -452,7 +485,12 @@ func FuzzEngineAgreement(f *testing.F) {
 
 		build := func(name string) (*Solver, int) {
 			rng := rand.New(rand.NewSource(seed))
-			s := buildRandomFeasible(rng, false)
+			var s *Solver
+			if pair&0x80 != 0 {
+				s = buildTreeFeasible(rng)
+			} else {
+				s = buildRandomFeasible(rng, false)
+			}
 			iso := s.AddNode() // disconnected: no arcs ever touch it
 			if err := s.SetEngine(name); err != nil {
 				t.Fatal(err)

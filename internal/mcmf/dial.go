@@ -107,10 +107,10 @@ type dialFinder struct {
 // (measured as the dominant allocator of a sizing run).
 const dialSeedCap = 8
 
-func (f *dialFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, int64) {
+func (f *dialFinder) shortestPath(s *Solver, srcs []int32, excess []int64) (int32, int64) {
 	if f.skip > 0 {
 		f.skip--
-		return heapFinder{}.shortestPath(s, src, excess)
+		return heapFinder{}.shortestPath(s, srcs, excess)
 	}
 	if f.buckets[0] == nil {
 		backing := make([]int32, dialRing*dialSeedCap)
@@ -119,7 +119,7 @@ func (f *dialFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, 
 			f.buckets[i] = backing[lo : lo : lo+dialSeedCap]
 		}
 	}
-	target, dt, ok := f.dialSearch(s, src, excess)
+	target, dt, ok := f.dialSearch(s, srcs, excess)
 	if !ok {
 		// The rebase budget ran out (a cold search spreading over a
 		// huge distance range): redo this augmentation on the heap and
@@ -127,14 +127,15 @@ func (f *dialFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, 
 		f.st.DialFallbacks++
 		f.skipLen = min(2*f.skipLen+1, dialMaxSkip)
 		f.skip = f.skipLen
-		return heapFinder{}.shortestPath(s, src, excess)
+		return heapFinder{}.shortestPath(s, srcs, excess)
 	}
 	f.skipLen = 0
 	return target, dt
 }
 
-// dialSearch is the bucket-queue Dijkstra.  ok is false when the
-// search exceeded its merge budget (the caller retries on the heap).
+// dialSearch is the bucket-queue Dijkstra from every node in srcs.  ok
+// is false when the search exceeded its merge budget (the caller
+// retries on the heap).
 //
 // Queue discipline: the ring holds tentative distances in
 // [d, d+dialRing); farther relaxations go to the overflow list with
@@ -146,11 +147,13 @@ func (f *dialFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, 
 // with a recomputed ovMin.  This keeps strict Dijkstra order: no node
 // is ever settled at a distance above an unsettled tentative one, so
 // overflow entries can never be orphaned behind the scan position.
-func (f *dialFinder) dialSearch(s *Solver, src int32, excess []int64) (target int32, dt int64, ok bool) {
+func (f *dialFinder) dialSearch(s *Solver, srcs []int32, excess []int64) (target int32, dt int64, ok bool) {
 	s.ss.begin()
-	s.ss.touch(src)
-	s.ss.dist[src] = 0
-	f.push(0, src)
+	for _, src := range srcs {
+		s.ss.touch(src)
+		s.ss.dist[src] = 0
+		f.push(0, src)
+	}
 	f.ovMin = inf
 	d := int64(0)
 	// Every merge rescans the overflow list, so a search whose

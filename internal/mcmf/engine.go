@@ -41,8 +41,13 @@ type Stats struct {
 	// Solves and Resolves count successful full and incremental runs.
 	Solves   int
 	Resolves int
-	// Augmentations counts shortest-path augmentations (SSP engines).
+	// Augmentations counts augmenting paths (SSP engines): one per
+	// search in the per-source loop, one per path a phase's blocking
+	// flow routes.
 	Augmentations int64
+	// Phases counts the primal–dual phases of SSP full solves: one
+	// multi-source search plus one blocking flow each (ssp.go).
+	Phases int64
 	// BellmanFords counts potential (re)builds — zero on a pure
 	// warm-start trajectory.
 	BellmanFords int
@@ -54,6 +59,8 @@ type Stats struct {
 	FullFallbacks int
 	// Visited counts the nodes touched by shortest-path searches
 	// (SSP engines) — the work measure behind the EWMA resolve gate.
+	// A phase adds the nodes its multi-source search touched plus the
+	// nodes its level BFS labelled.
 	Visited int64
 }
 

@@ -110,18 +110,20 @@ func BenchmarkFlowEngines(b *testing.B) {
 	}
 }
 
-// flowWork sums an engine's Visited and Augmentations over a
+// flowWork sums an engine's Visited, Augmentations and Phases over a
 // benchmark's ops and reports them per op: deterministic work counters
 // the bench gate holds where ns/op would only measure the host.  Each
 // op is read around its own solve because Solver.Reset zeroes Visited.
-type flowWork struct{ visited, augs int64 }
+type flowWork struct{ visited, augs, phases int64 }
 
 func (w *flowWork) add(before, after Stats) {
 	w.visited += after.Visited - before.Visited
 	w.augs += after.Augmentations - before.Augmentations
+	w.phases += after.Phases - before.Phases
 }
 
 func (w *flowWork) report(b *testing.B) {
 	b.ReportMetric(float64(w.visited)/float64(b.N), "visited/op")
 	b.ReportMetric(float64(w.augs)/float64(b.N), "augs/op")
+	b.ReportMetric(float64(w.phases)/float64(b.N), "phases/op")
 }

@@ -12,6 +12,17 @@
 // the flow LP, which is exactly what the D-phase needs (the FSDU
 // displacement r is read off the potentials; see internal/dcs).
 //
+// Full solves route in primal–dual phases (ssp.go): one Dijkstra from
+// every source at once, truncated at the nearest deficit's distance,
+// updates the potentials, and a blocking flow routes every source that
+// reaches a deficit over zero-reduced-cost arcs.  Where phases stop
+// paying, races of the classic one-source-per-search loop, priced in
+// visited nodes, take over the tail; incremental repairs
+// (ResolveChanged) use the classic loop alone.  On every instance the
+// classic-loop oracle covers (TestPhasesMatchClassicLoop) both end on
+// the same potentials, so the duals, and with them the sizing answers
+// pinned in the root package's TestAnswerPin, do not move.
+//
 // The solver is built for repeated solves on a fixed topology — the
 // D/W iteration of internal/core solves the same constraint network
 // dozens of times with updated costs and supplies:
@@ -107,6 +118,7 @@ type Solver struct {
 	ss      searchScratch
 	excess  []int64
 	sources []int32
+	path    []int32 // a phase's DFS arc stack (ssp.go)
 	net     []int64 // Verify scratch (net outflow per node)
 
 	// Measured augmentation-cost averages feeding the ResolveChanged

@@ -198,6 +198,7 @@ func resolveSSP(s *Solver, changed []int32, pf pathFinder, st *Stats, full func(
 		st.FullFallbacks++
 		return full(s)
 	}
+	s.ensureSSP()
 	mark := *st
 	if err := s.augmentAll(excess, pf, st); err != nil {
 		return 0, err

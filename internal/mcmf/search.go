@@ -29,6 +29,23 @@ func (sc *searchScratch) ensure(n int) {
 	}
 }
 
+// ensureSSP sizes the scratch the SSP routing loops fill up to the
+// node count: the visited list and heap of a search (a phase's
+// multi-source search can touch every node), the source list, and a
+// phase's DFS path.  Sizing them once per network keeps warm solves
+// allocation-free; engines that never search (costscaling) skip it.
+func (s *Solver) ensureSSP() {
+	n := s.n
+	if cap(s.ss.visited) >= n {
+		return
+	}
+	s.ss.visited = make([]int32, 0, n)
+	s.ss.h.key = make([]int64, 0, n)
+	s.ss.h.node = make([]int32, 0, n)
+	s.sources = make([]int32, 0, n)
+	s.path = make([]int32, 0, n)
+}
+
 // begin starts a fresh epoch for the stamped scratch.
 func (sc *searchScratch) begin() {
 	sc.epoch++
@@ -49,20 +66,23 @@ func (sc *searchScratch) touch(v int32) {
 	sc.visited = append(sc.visited, v)
 }
 
-// dijkstraHeap runs one shortest-path search on reduced costs from src
-// into s.ss — the classic SSP inner loop on the inline 4-ary heap.  It
-// reads (and never writes) the solver's residual arcs, potentials and
-// the excess vector.  It fills ss.dist/ss.prevArc/ss.visited for the
-// settled region and returns the first node with negative excess
-// together with its distance, or target −1 when no deficit node is
-// reachable.
-func (s *Solver) dijkstraHeap(src int32, excess []int64) (int32, int64) {
+// dijkstraHeap runs one shortest-path search on reduced costs from
+// every node in srcs (each at distance 0) into s.ss — the classic SSP
+// inner loop on the inline 4-ary heap, multi-source for a primal–dual
+// phase.  It reads (and never writes) the solver's residual arcs,
+// potentials and the excess vector.  It fills
+// ss.dist/ss.prevArc/ss.visited for the settled region and returns the
+// first node with negative excess together with its distance, or
+// target −1 when no deficit node is reachable.
+func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
 	sc := &s.ss
 	sc.begin()
-	sc.touch(src)
-	sc.dist[src] = 0
 	sc.h.reset()
-	sc.h.push(0, src)
+	for _, src := range srcs {
+		sc.touch(src)
+		sc.dist[src] = 0
+		sc.h.push(0, src)
+	}
 	for !sc.h.empty() {
 		d, u := sc.h.pop()
 		if d > sc.dist[u] {
@@ -99,22 +119,30 @@ func (s *Solver) dijkstraHeap(src int32, excess []int64) (int32, int64) {
 	return -1, 0
 }
 
-// applyAugmentation commits the augmentation described by the
-// completed search in s.ss from src to target at shortest distance dt:
-// the settled-only potential update, the bottleneck computation, the
-// residual push, and the excess transfer.
-func (s *Solver) applyAugmentation(src, target int32, dt int64, excess []int64) {
+// updatePotentials applies the completed search in s.ss, truncated at
+// the first deficit's distance dt: pot += dist − dt on settled nodes
+// only (equivalent to the classic pot += min(dist, dt) up to a uniform
+// −dt shift, which leaves every reduced cost unchanged).  Unvisited
+// and unsettled nodes keep their potentials, so the update is
+// O(visited), not O(n).  Every arc of the search's shortest-path tree
+// into a settled node, and the tree arc into the deficit, then has
+// reduced cost zero.
+func (s *Solver) updatePotentials(dt int64) {
 	sc := &s.ss
-	// Update potentials on settled nodes only: pot += dist − dt
-	// (equivalent to the classic pot += min(dist, dt) up to a
-	// uniform −dt shift, which leaves every reduced cost
-	// unchanged).  Unvisited and unsettled nodes keep their
-	// potentials, so the update is O(visited), not O(n).
 	for _, v := range sc.visited {
 		if d := sc.dist[v]; d < dt {
 			s.pot[v] += d - dt
 		}
 	}
+}
+
+// applyAugmentation commits the augmentation described by the
+// completed single-source search in s.ss from src to target at
+// shortest distance dt: the settled-only potential update, then the
+// bottleneck push along the search tree's path.
+func (s *Solver) applyAugmentation(src, target int32, dt int64, excess []int64) {
+	s.updatePotentials(dt)
+	sc := &s.ss
 	// Bottleneck along the path.
 	bott := excess[src]
 	if -excess[target] < bott {

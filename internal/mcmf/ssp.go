@@ -1,15 +1,36 @@
 // Successive-shortest-paths machinery shared by the "ssp" and "dial"
-// engines: the source-selection/augmentation loop is common, and the
-// per-augmentation shortest-path search is pluggable (heap Dijkstra in
-// search.go, Dial bucket Dijkstra in dial.go).
+// engines: the routing loops are common, and the shortest-path search
+// is pluggable (heap Dijkstra in search.go, Dial bucket Dijkstra in
+// dial.go).
+//
+// Two loops route supply.  The per-source loop (augmentAll) runs one
+// search per augmentation, from one source to its nearest deficit;
+// incremental repairs (resolve.go) use it alone.  Full solves route in
+// primal–dual phases first (Ahuja, Magnanti & Orlin, Network Flows,
+// §9.8): one search from every source at once, truncated at the
+// nearest deficit's distance D, updates the potentials by the same
+// settled-only rule one augmentation uses, and a Dinic-style blocking
+// flow then routes every source that reaches a deficit over residual
+// arcs of zero reduced cost.  On the wide, shallow D-phase networks of
+// trees one phase routes thousands of sources that the per-source loop
+// would each search for.  Where phases stop paying — meshes and
+// ISCAS-like netlists, where after the first phase each one routes a
+// path or two — the per-source loop takes over: routePhases races the
+// two by measured visited nodes per routed path.  The final potentials, which
+// internal/dcs reads as the D-phase duals, match the per-source loop's
+// on every instance TestPhasesMatchClassicLoop covers.
 package mcmf
 
-// pathFinder runs one shortest-path search on reduced costs from src,
-// filling the solver's own scratch (s.ss) for the settled region, and
-// returns the first node with negative excess together with its
-// distance, or target −1 when no deficit node is reachable.
+import "math"
+
+// pathFinder runs one shortest-path search on reduced costs from every
+// node in srcs (one source per augmentation in the per-source loop,
+// all current sources in a phase), filling the solver's own scratch
+// (s.ss) for the settled region, and returns the first node with
+// negative excess together with its distance, or target −1 when no
+// deficit node is reachable.
 type pathFinder interface {
-	shortestPath(s *Solver, src int32, excess []int64) (target int32, dt int64)
+	shortestPath(s *Solver, srcs []int32, excess []int64) (target int32, dt int64)
 }
 
 // heapFinder is Dijkstra on the inline 4-ary heap — the classic SSP
@@ -17,8 +38,8 @@ type pathFinder interface {
 // reduced cost outgrows its bucket ring.
 type heapFinder struct{}
 
-func (heapFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, int64) {
-	return s.dijkstraHeap(src, excess)
+func (heapFinder) shortestPath(s *Solver, srcs []int32, excess []int64) (int32, int64) {
+	return s.dijkstraHeap(srcs, excess)
 }
 
 // augmentAll routes every positive excess to a deficit node along
@@ -26,43 +47,62 @@ func (heapFinder) shortestPath(s *Solver, src int32, excess []int64) (int32, int
 // augmentation.  excess must be balanced (sums to zero); residuals are
 // mutated in place.
 func (s *Solver) augmentAll(excess []int64, pf pathFinder, st *Stats) error {
+	_, _, err := s.augmentSome(s.sourcesOf(excess), excess, pf, st, math.MaxInt64)
+	return err
+}
+
+// sourcesOf lists the nodes with positive excess in the solver's
+// source scratch.
+func (s *Solver) sourcesOf(excess []int64) []int32 {
 	srcs := s.sources[:0]
 	for v := 0; v < s.n; v++ {
 		if excess[v] > 0 {
 			srcs = append(srcs, int32(v))
 		}
 	}
-	s.sources = srcs // retain grown capacity for the next solve
-	for {
-		if err := s.pollAbort(); err != nil {
-			return err
-		}
-		// Pick any node with positive excess.
-		src := int32(-1)
-		for len(srcs) > 0 {
-			v := srcs[len(srcs)-1]
-			if excess[v] > 0 {
-				src = v
-				break
-			}
+	return srcs
+}
+
+// augmentSome runs the per-source loop over srcs, last source first,
+// until it has visited budget nodes (after at least one augmentation)
+// or no source has excess left, and returns the nodes it visited and
+// the paths it routed.
+func (s *Solver) augmentSome(srcs []int32, excess []int64, pf pathFinder, st *Stats, budget int64) (visited, augs int64, err error) {
+	v0 := st.Visited
+	for augs == 0 || st.Visited-v0 < budget {
+		for len(srcs) > 0 && excess[srcs[len(srcs)-1]] <= 0 {
 			srcs = srcs[:len(srcs)-1]
 		}
-		if src == -1 {
+		if len(srcs) == 0 {
 			break // all supplies routed
 		}
-		target, dt := pf.shortestPath(s, src, excess)
-		if target == -1 {
-			return ErrInfeasible
+		if err := s.pollAbort(); err != nil {
+			return 0, 0, err
 		}
-		st.Augmentations++
-		st.Visited += int64(len(s.ss.visited))
-		s.applyAugmentation(src, target, dt, excess)
+		if err := s.augmentFrom(srcs[len(srcs)-1:], excess, pf, st); err != nil {
+			return 0, 0, err
+		}
+		augs++
 	}
+	return st.Visited - v0, augs, nil
+}
+
+// augmentFrom is one step of the per-source loop: a search from the
+// single source in src to the nearest deficit, then the augmentation
+// along its path.
+func (s *Solver) augmentFrom(src []int32, excess []int64, pf pathFinder, st *Stats) error {
+	target, dt := pf.shortestPath(s, src, excess)
+	if target == -1 {
+		return ErrInfeasible
+	}
+	st.Augmentations++
+	st.Visited += int64(len(s.ss.visited))
+	s.applyAugmentation(src[0], target, dt, excess)
 	return nil
 }
 
 // sspEngine is successive shortest paths with the heap Dijkstra — the
-// default backend, bit-identical to the pre-engine Solver.Solve.
+// Solver's default backend.
 type sspEngine struct {
 	engineCore
 }
@@ -75,11 +115,12 @@ func (e *sspEngine) Solve(s *Solver) (float64, error) {
 
 // solveSSPFull is the full solve shared by the SSP-family engines
 // ("ssp" and "dial" differ only in their path finder): preamble,
-// supply routing, and the solved-state bookkeeping.
+// phased supply routing, and the solved-state bookkeeping.
 func solveSSPFull(s *Solver, pf pathFinder, st *Stats) (float64, error) {
 	if err := s.beginSolve(st); err != nil {
 		return 0, err
 	}
+	s.ensureSSP()
 	excess := s.excess[:s.n]
 	copy(excess, s.supply)
 	// Augmentations mutate the residuals from here on; mark them dirty
@@ -88,7 +129,7 @@ func solveSSPFull(s *Solver, pf pathFinder, st *Stats) (float64, error) {
 	s.flowDirty = true
 	s.repairable = false
 	mark := *st
-	if err := s.augmentAll(excess, pf, st); err != nil {
+	if err := s.routePhases(excess, pf, st); err != nil {
 		return 0, err
 	}
 	s.markSolved()
@@ -99,4 +140,190 @@ func solveSSPFull(s *Solver, pf pathFinder, st *Stats) (float64, error) {
 
 func (e *sspEngine) Resolve(s *Solver, changed []int32) (float64, error) {
 	return resolveSSP(s, changed, heapFinder{}, &e.st, e.Solve)
+}
+
+// phaseWindow is how many recent phases the switch to the per-source
+// loop weighs together.  On a tree's D-phase network, phases that
+// search most of the network to route a handful of paths come in runs
+// of two or three before a phase that finishes half the sources, so a
+// single phase is too short a sample.
+const phaseWindow = 3
+
+// routePhases routes every supply of a full solve, in primal–dual
+// phases while they pay and in races of the per-source loop while they
+// do not.
+//
+// A phase runs one search from every node with positive excess,
+// truncated at the first deficit's distance D, and applies the same
+// settled-only potential update as a single augmentation
+// (updatePotentials); a blocking flow then routes every source that can
+// reach a deficit over residual arcs of zero reduced cost.
+//
+// The switch compares measured work, in the nodes Stats.Visited bills.
+// Once phaseWindow phases have run, and again whenever the last
+// phaseWindow phases visited more nodes per routed path than the last
+// race, the per-source loop races them: it routes from the remaining
+// sources until it has visited as many nodes as the last phase did.
+// While a race beats the phase window, the next race gets twice the
+// budget, so where phases have stopped paying the per-source loop
+// finishes the tail after a few doublings; once a race does worse than
+// the window, phases resume.  A race routes real supply, so one that
+// loses to the phases still makes progress.
+func (s *Solver) routePhases(excess []int64, pf pathFinder, st *Stats) error {
+	srcs := s.sourcesOf(excess)
+	var visited, augs [phaseWindow]int64 // per phase, ring-indexed
+	var winVisited, winAugs int64        // sums over the ring
+	var raceVisited, raceAugs int64      // the last race; raceAugs 0 before the first
+	for i := 0; len(srcs) > 0; i++ {
+		if err := s.pollAbort(); err != nil {
+			return err
+		}
+		v0, a0 := st.Visited, st.Augmentations
+		target, dt := pf.shortestPath(s, srcs, excess)
+		if target == -1 {
+			return ErrInfeasible
+		}
+		st.Phases++
+		st.Visited += int64(len(s.ss.visited))
+		s.updatePotentials(dt)
+		if err := s.blockingFlow(srcs, excess, st); err != nil {
+			return err
+		}
+		srcs = activeSources(srcs, excess)
+		k := i % phaseWindow
+		v, a := st.Visited-v0, st.Augmentations-a0
+		winVisited += v - visited[k]
+		winAugs += a - augs[k]
+		visited[k], augs[k] = v, a
+		if i+1 < phaseWindow {
+			continue
+		}
+		// Race while the phase window costs more per path than the
+		// last race (or before the first race).
+		for budget := v; len(srcs) > 0 && (raceAugs == 0 || winVisited*raceAugs > raceVisited*winAugs); budget *= 2 {
+			var err error
+			if raceVisited, raceAugs, err = s.augmentSome(srcs, excess, pf, st, budget); err != nil {
+				return err
+			}
+			srcs = activeSources(srcs, excess)
+		}
+	}
+	return nil
+}
+
+// activeSources compacts srcs in place to the nodes that still have
+// positive excess.
+func activeSources(srcs []int32, excess []int64) []int32 {
+	k := 0
+	for _, v := range srcs {
+		if excess[v] > 0 {
+			srcs[k] = v
+			k++
+		}
+	}
+	return srcs[:k]
+}
+
+// blockingFlow routes excess from srcs to deficit nodes over the
+// admissible graph — residual arcs of zero reduced cost — Dinic style.
+// A BFS from every source labels hop levels (in ss.dist, stopping at
+// the level of the nearest deficits); a DFS then pushes along
+// level-increasing admissible arcs, keeping a current-arc pointer per
+// node (a CSR position, in ss.prevArc) and retiring dead ends, until
+// no source can reach a deficit in the level graph.  Potentials are
+// untouched, so every reduced cost stays non-negative.
+func (s *Solver) blockingFlow(srcs []int32, excess []int64, st *Stats) error {
+	sc := &s.ss
+	sc.begin()
+	for _, src := range srcs {
+		sc.touch(src)
+		sc.dist[src] = 0
+	}
+	sink := int64(inf) // level of the nearest deficits
+	for i := 0; i < len(sc.visited); i++ {
+		u := sc.visited[i]
+		sc.prevArc[u] = s.csrStart[u]
+		lu := sc.dist[u]
+		if lu >= sink {
+			continue // deficits and dead ends: nothing beyond them is needed
+		}
+		pu := s.pot[u]
+		for _, ai := range s.arcsOf(int(u)) {
+			a := &s.arcs[ai]
+			v := a.to
+			if a.cap <= 0 || sc.stamp[v] == sc.epoch || a.cost+pu-s.pot[v] > 0 {
+				continue
+			}
+			sc.touch(v)
+			sc.dist[v] = lu + 1
+			if excess[v] < 0 && sink == inf {
+				sink = lu + 1
+			}
+		}
+	}
+	st.Visited += int64(len(sc.visited))
+
+	// Serve sources last first, the per-source loop's order.  In
+	// ascending order a mesh's cold solve visited 50% more nodes: the
+	// sources the first phase left were farther from their deficits.
+	for i := len(srcs) - 1; i >= 0; i-- {
+		src := srcs[i]
+		path := s.path[:0]
+		u := src
+		for excess[src] > 0 {
+			if excess[u] < 0 {
+				bott := min(excess[src], -excess[u])
+				for _, ai := range path {
+					bott = min(bott, s.arcs[ai].cap)
+				}
+				for _, ai := range path {
+					s.arcs[ai].cap -= bott
+					s.arcs[ai^1].cap += bott
+				}
+				excess[src] -= bott
+				excess[u] += bott
+				st.Augmentations++
+				if err := s.pollAbort(); err != nil {
+					return err
+				}
+				path, u = path[:0], src
+				continue
+			}
+			if ai, ok := s.admissibleArc(u); ok {
+				path = append(path, ai)
+				u = s.arcs[ai].to
+				continue
+			}
+			// Dead end: retire u (no level matches −1) and retreat.
+			sc.dist[u] = -1
+			if len(path) == 0 {
+				break
+			}
+			ai := path[len(path)-1]
+			path = path[:len(path)-1]
+			u = s.arcs[ai^1].to
+			sc.prevArc[u]++
+		}
+	}
+	return nil
+}
+
+// admissibleArc advances u's current-arc pointer to the next residual
+// arc of zero reduced cost into the next BFS level and returns it.
+func (s *Solver) admissibleArc(u int32) (int32, bool) {
+	sc := &s.ss
+	next := sc.dist[u] + 1
+	pu := s.pot[u]
+	end := s.csrStart[u+1]
+	for p := sc.prevArc[u]; p < end; p++ {
+		ai := s.csrArc[p]
+		a := &s.arcs[ai]
+		v := a.to
+		if a.cap > 0 && sc.stamp[v] == sc.epoch && sc.dist[v] == next && a.cost+pu-s.pot[v] <= 0 {
+			sc.prevArc[u] = p
+			return ai, true
+		}
+	}
+	sc.prevArc[u] = end
+	return 0, false
 }
