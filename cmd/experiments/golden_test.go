@@ -33,42 +33,33 @@ func goldenColumns(rows []*minflo.TableRow) string {
 // the checked-in examples/iscas85 fixture set: parse every .bench
 // file, size each netlist at 0.5·Dmin, and compare the resulting
 // table against testdata/benchdir_golden.txt (refresh with
-// `go test ./cmd/experiments -run TestBenchDirGolden -update`).  The
-// sweep runs twice — serial and at parallelism 4 — and both must
-// produce the identical golden table, tying the fixture suite into
-// the intra-run determinism contract.
+// `go test ./cmd/experiments -run TestBenchDirGolden -update`).
 func TestBenchDirGolden(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "iscas85")
 	goldenPath := filepath.Join("testdata", "benchdir_golden.txt")
 
-	var tables []string
-	for _, par := range []int{1, 4} {
-		// The flow engine is left at the default: the golden table
-		// records one exact trajectory, so it also pins that the
-		// default selection is deterministic.
-		sz, err := minflo.NewSizer(&minflo.Config{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		rows, err := benchDirTable(sz, dir, 0.5, &out)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if len(rows) != 4 {
-			t.Fatalf("parallelism %d: %d rows (output:\n%s)", par, len(rows), out.String())
-		}
-		tables = append(tables, goldenColumns(rows))
+	// The flow engine is left at the default: the golden table records
+	// one exact trajectory, so it also pins that the default selection
+	// is deterministic.
+	sz, err := minflo.NewSizer(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tables[0] != tables[1] {
-		t.Fatalf("serial and parallel -benchdir tables differ:\nserial:\n%sparallel:\n%s", tables[0], tables[1])
+	var out bytes.Buffer
+	rows, err := benchDirTable(sz, dir, 0.5, &out)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows (output:\n%s)", len(rows), out.String())
+	}
+	table := goldenColumns(rows)
 
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, []byte(tables[0]), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, []byte(table), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +67,7 @@ func TestBenchDirGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to record the golden table)", err)
 	}
-	if string(want) != tables[0] {
-		t.Fatalf("-benchdir table drifted from golden:\ngot:\n%swant:\n%s", tables[0], string(want))
+	if string(want) != table {
+		t.Fatalf("-benchdir table drifted from golden:\ngot:\n%swant:\n%s", table, string(want))
 	}
 }

@@ -13,8 +13,7 @@
 // *.bench file in the directory becomes one table row at -spec·Dmin.
 //
 // -engine selects the D-phase flow backend (ssp, dial, costscaling —
-// or auto, the default, which selects dial) and -j the intra-run
-// worker budget for every mode.
+// or auto, the default, which selects dial) for every mode.
 //
 // Table 1 runs the full 12-circuit suite and takes a few minutes.
 package main
@@ -42,7 +41,6 @@ func main() {
 		all      = flag.Bool("all", false, "run everything")
 		quick    = flag.Bool("quick", false, "restrict Table 1 to the small circuits")
 		engine   = flag.String("engine", "auto", "D-phase flow engine: auto (= dial), ssp, dial or costscaling")
-		jobs     = flag.Int("j", 0, "intra-run parallelism: worker budget per sizing run (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 		benchdir = flag.String("benchdir", "", "directory of .bench netlists: run a table sweep over every *.bench file in it")
 		spec     = flag.Float64("spec", 0.5, "delay spec (fraction of Dmin) for -benchdir rows")
 	)
@@ -54,7 +52,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: *engine, Parallelism: *jobs})
+	sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: *engine})
 	if err != nil {
 		fail(err)
 	}

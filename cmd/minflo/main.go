@@ -43,7 +43,6 @@ func main() {
 		spec        = flag.Float64("spec", 0.5, "delay target as a fraction of Dmin")
 		algo        = flag.String("algo", "minflo", "sizing algorithm: minflo, tilos or lagrange")
 		engine      = flag.String("engine", "auto", "D-phase flow engine: auto (= dial), ssp, dial or costscaling")
-		jobs        = flag.Int("j", 0, "intra-run parallelism: worker budget for one sizing run (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 		budget      = flag.Duration("budget", 0, "wall-clock budget for the optimization (0 = unlimited); on expiry the best sizing so far is printed and the exit code is 4")
 		mode        = flag.String("mode", "gate", "sizing mode: gate or transistor")
 		dumpSizes   = flag.Bool("sizes", false, "print the per-element sizes")
@@ -61,7 +60,7 @@ func main() {
 	// kills the process the default way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	err := run(ctx, *circuitName, *benchFile, *spec, *algo, *engine, *jobs, *budget, *mode, *dumpSizes, *report, *sweep)
+	err := run(ctx, *circuitName, *benchFile, *spec, *algo, *engine, *budget, *mode, *dumpSizes, *report, *sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "minflo:", err)
 	}
@@ -99,7 +98,7 @@ func exitCode(err error) int {
 	}
 }
 
-func run(ctx context.Context, circuitName, benchFile string, spec float64, algo, engine string, jobs int, budget time.Duration, mode string, dumpSizes, report, sweep bool) error {
+func run(ctx context.Context, circuitName, benchFile string, spec float64, algo, engine string, budget time.Duration, mode string, dumpSizes, report, sweep bool) error {
 	var ckt *minflo.Circuit
 	var err error
 	switch {
@@ -125,7 +124,7 @@ func run(ctx context.Context, circuitName, benchFile string, spec float64, algo,
 		return fmt.Errorf("-spec %g must be in (0, 1]", spec)
 	}
 
-	sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: engine, Parallelism: jobs, Budget: budget})
+	sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: engine, Budget: budget})
 	if err != nil {
 		return err
 	}

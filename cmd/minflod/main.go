@@ -72,7 +72,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7317", "listen address")
 		engine      = flag.String("engine", "ssp", "default D-phase flow engine for sessions that do not pin one: "+strings.Join(minflo.FlowEngines(), ", ")+", or auto")
-		jobs        = flag.Int("j", 1, "per-solve worker budget (throughput comes from session concurrency; keep 1 unless solves are huge)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing solves (0 = GOMAXPROCS)")
 		maxPending  = flag.Int("max-pending", 64, "globally admitted-but-unfinished requests before 429")
 		queueDepth  = flag.Int("queue-depth", 8, "per-session request queue before 429")
@@ -84,13 +83,13 @@ func main() {
 		coneResize  = flag.Bool("edit-cone-resize", false, "answer the first in-trust-region query after a value-only edit batch from a cone-scoped subproblem against frozen boundary arrivals (requires -trust-region > 0)")
 	)
 	flag.Parse()
-	if err := run(*addr, *engine, *jobs, *maxInflight, *maxPending, *queueDepth, *memHigh, *memLow, *drain, *trustRegion, *editCone, *coneResize); err != nil {
+	if err := run(*addr, *engine, *maxInflight, *maxPending, *queueDepth, *memHigh, *memLow, *drain, *trustRegion, *editCone, *coneResize); err != nil {
 		fmt.Fprintln(os.Stderr, "minflod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, engine string, jobs, maxInflight, maxPending, queueDepth int, memHigh, memLow string, drain time.Duration, trustRegion, editCone float64, coneResize bool) error {
+func run(addr, engine string, maxInflight, maxPending, queueDepth int, memHigh, memLow string, drain time.Duration, trustRegion, editCone float64, coneResize bool) error {
 	high, err := parseBytes(memHigh)
 	if err != nil {
 		return fmt.Errorf("-mem-high: %w", err)
@@ -103,7 +102,6 @@ func run(addr, engine string, jobs, maxInflight, maxPending, queueDepth int, mem
 	}
 	srv, err := serve.New(serve.Config{
 		Engine:         engine,
-		Parallelism:    jobs,
 		MaxInFlight:    maxInflight,
 		MaxPending:     maxPending,
 		QueueDepth:     queueDepth,

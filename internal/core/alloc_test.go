@@ -37,7 +37,7 @@ func TestIterateSteadyStateZeroAlloc(t *testing.T) {
 			}
 			x := tr.X
 			aug := p.Augment()
-			sc, err := newIterScratch(p, aug, x, engine, 1)
+			sc, err := newIterScratch(p, aug, x, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestIterateZeroAllocTransistorLevel(t *testing.T) {
 	}
 	x := tr.X
 	aug := p.Augment()
-	sc, err := newIterScratch(p, aug, x, "ssp", 1)
+	sc, err := newIterScratch(p, aug, x, "ssp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,6 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	}
 	subOpt := s.opt
 	subOpt.EditConeResize = false
-	subOpt.Parallelism = s.sc.par
 	// Run the sub-session on the engine the parent's D-phase runs on
 	// ("ssp" once the fallback chain has replaced a failed backend).
 	subOpt.FlowEngine = s.sc.sys.FlowEngineName()
@@ -122,7 +121,6 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	if err != nil {
 		return nil, errSeedRejected
 	}
-	defer sub.Close()
 	// Inject the warm seed — the cone's slice of the resident sizing at
 	// the same target — and the parent's EWMA so the blowout gate
 	// judges the cone against the session's usual iteration counts.

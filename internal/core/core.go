@@ -28,7 +28,6 @@ import (
 	"minflo/internal/dcs"
 	"minflo/internal/lin"
 	"minflo/internal/mcmf"
-	"minflo/internal/par"
 	"minflo/internal/smp"
 	"minflo/internal/sta"
 	"minflo/internal/tilos"
@@ -100,13 +99,10 @@ type Options struct {
 	// selects "dial" (see ResolveFlowEngine); IterStats.FlowEngine
 	// reports the backend that ran.
 	FlowEngine string
-	// Parallelism is the intra-run worker budget: the W-phase level
-	// sweeps and the sensitivity solves draw from it (the D-phase flow
-	// solve is serial).  0 defaults to GOMAXPROCS; 1 forces a fully
-	// serial run.  Results are bit-identical at every setting — the
-	// parallel paths are pinned to their serial twins by the
-	// determinism suite — and small problems fall back to serial
-	// below measured size floors regardless.
+	// Parallelism is ignored: every run is serial.
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	Parallelism int
 	// Budget, when positive, bounds the wall-clock time of the whole
 	// run: the deadline is sampled between iterations and inside the
@@ -299,13 +295,11 @@ type iterScratch struct {
 	lin      *lin.Solver       // sensitivity engine over p.CSR()
 
 	sys    *dcs.System
-	engine string    // resolved mcmf backend name
-	par    int       // intra-run worker budget (≥1, resolved)
-	pool   *par.Pool // W-phase/sensitivity worker pool (nil when par == 1)
-	loID   []int     // constraint r_i − r_dm ≤ …, per sizable vertex
-	hiID   []int     // constraint r_dm − r_i ≤ …, per sizable vertex
-	objID  []int     // objective term per sizable vertex
-	edgeID []int     // constraint per augmented edge (-1 for self edges)
+	engine string // resolved mcmf backend name
+	loID   []int  // constraint r_i − r_dm ≤ …, per sizable vertex
+	hiID   []int  // constraint r_dm − r_i ≤ …, per sizable vertex
+	objID  []int  // objective term per sizable vertex
+	edgeID []int  // constraint per augmented edge (-1 for self edges)
 
 	selfEdge []bool // per augmented edge: is it i→Dmy(i)?
 
@@ -328,14 +322,10 @@ type iterScratch struct {
 // newIterScratch builds the constraint-network topology once and
 // preallocates the iteration buffers.  x0 seeds the incremental
 // arrival engine.
-func newIterScratch(p *dag.Problem, aug *dag.Augmented, x0 []float64, engine string, parallelism int) (*iterScratch, error) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
+func newIterScratch(p *dag.Problem, aug *dag.Augmented, x0 []float64, engine string) (*iterScratch, error) {
 	n := p.NumSizable
 	sc := &iterScratch{
 		engine:    engine,
-		par:       parallelism,
 		balancer:  balance.NewBalancer(aug.G),
 		smp:       smp.NewSolver(p.CSR()),
 		lin:       lin.NewSolver(p.CSR()),
@@ -385,20 +375,8 @@ func newIterScratch(p *dag.Problem, aug *dag.Augmented, x0 []float64, engine str
 		sc.edgeID[e.ID] = sys.AddConstraint(e.From, e.To, 0)
 	}
 	sc.sys = sys
-	if sc.par > 1 {
-		// One pool serves both level-parallel solvers.  Created last —
-		// after every fallible step — so error returns above never
-		// leak its parked worker goroutines; Size closes it (sc.close)
-		// when the run finishes.
-		sc.pool = par.New(sc.par)
-		sc.smp.SetParallel(sc.pool)
-		sc.lin.SetParallel(sc.pool)
-	}
 	return sc, nil
 }
-
-// close releases the scratch's worker pool (no-op for serial runs).
-func (sc *iterScratch) close() { sc.pool.Close() }
 
 // retime updates the incremental arrival engine to sizes x and returns
 // the critical path.
@@ -435,15 +413,14 @@ func Size(p *dag.Problem, T float64, opt Options) (*Result, error) {
 // exists returns a nil Result.
 //
 // SizeCtx is the one-shot form of a warm Session (session.go): it
-// builds the session state, runs a single Resize and tears the state
-// down.  Long-lived callers answering many queries on one problem
-// keep the Session instead.
+// builds the session state and runs a single Resize.  Long-lived
+// callers answering many queries on one problem keep the Session
+// instead.
 func SizeCtx(ctx context.Context, p *dag.Problem, T float64, opt Options) (*Result, error) {
 	sess, err := NewSession(p, opt)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
 	return sess.Resize(ctx, T, Budgets{Budget: opt.Budget, FlowWorkBudget: opt.FlowWorkBudget})
 }
 

@@ -37,7 +37,7 @@ func BenchmarkDPhaseFlowTree(b *testing.B) {
 		engine := engine
 		b.Run(engine+"/warm", func(b *testing.B) {
 			aug := p.Augment()
-			sc, err := newIterScratch(p, aug, tr.X, engine, 1)
+			sc, err := newIterScratch(p, aug, tr.X, engine)
 			if err != nil {
 				b.Fatal(err)
 			}

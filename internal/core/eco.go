@@ -151,11 +151,10 @@ func (s *Session) ApplyEdits(edits []dag.Edit) (*EditReport, error) {
 		// warm flow state anyway: rebuild the D-phase scratch on the
 		// current problem on the session's resolved flow engine.
 		s.aug = s.p.Augment()
-		sc2, serr := newIterScratch(s.p, s.aug, x, s.sc.engine, s.sc.par)
+		sc2, serr := newIterScratch(s.p, s.aug, x, s.sc.engine)
 		if serr != nil {
 			return nil, serr
 		}
-		s.sc.close()
 		s.sc = sc2
 		rep.Rebuilt = true
 	} else {

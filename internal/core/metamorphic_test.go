@@ -37,7 +37,7 @@ import (
 // probe is free to land on a different (equally optimal) backend per
 // run.
 func metamorphicOptions(costScale, supplyScale float64) Options {
-	return Options{FlowEngine: "dial", Parallelism: 1, CostScale: costScale, SupplyScale: supplyScale}
+	return Options{FlowEngine: "dial", CostScale: costScale, SupplyScale: supplyScale}
 }
 
 // sizeProblem runs the optimizer at spec·Dmin and returns the result.

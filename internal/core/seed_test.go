@@ -13,7 +13,7 @@ import (
 // pinned serial engine (bit-reproducible trajectories) and the 5%
 // region the server defaults to.
 func trOpt(engine string) Options {
-	return Options{FlowEngine: engine, Parallelism: 1, TrustRegion: 0.05}
+	return Options{FlowEngine: engine, TrustRegion: 0.05}
 }
 
 // TestSessionTrustRegionReplay is the renegotiated determinism
@@ -36,7 +36,7 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 			}
 			defer twin.Close()
 			off, err := NewSession(mustProblem(t, "adder16"),
-				Options{FlowEngine: engine, Parallelism: 1})
+				Options{FlowEngine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestSessionTrustRegionBlowoutFallback(t *testing.T) {
 // reusable — a twin replaying the same sequence (including the same
 // injected cancel) answers every query bit-identically.
 func TestSessionTrustRegionAbortedSeedReusable(t *testing.T) {
-	opt := Options{FlowEngine: "fault", Parallelism: 1, TrustRegion: 0.05}
+	opt := Options{FlowEngine: "fault", TrustRegion: 0.05}
 	run := func(t *testing.T, label string) (r0, r1, r2 *Result) {
 		sess, err := NewSession(mustProblem(t, "adder16"), opt)
 		if err != nil {

@@ -63,7 +63,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"minflo/internal/dag"
@@ -129,30 +128,21 @@ func NewSession(p *dag.Problem, opt Options) (*Session, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	parallelism := opt.Parallelism
-	if parallelism == 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	engine, err := ResolveFlowEngine(opt.FlowEngine)
 	if err != nil {
 		return nil, err
 	}
 	aug := p.Augment()
-	sc, err := newIterScratch(p, aug, p.InitialSizes(), engine, parallelism)
+	sc, err := newIterScratch(p, aug, p.InitialSizes(), engine)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{p: p, aug: aug, opt: opt, sc: sc, seedX: make([]float64, p.NumSizable)}, nil
 }
 
-// Close releases the session's worker pool.  Idempotent.
-func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.sc.close()
-}
+// Close marks the session closed: later Resize and ApplyEdits calls
+// fail.  Idempotent.
+func (s *Session) Close() { s.closed = true }
 
 // NumSizable returns the number of sizable vertices of the problem.
 func (s *Session) NumSizable() int { return s.p.NumSizable }

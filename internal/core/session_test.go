@@ -65,7 +65,7 @@ func bitEqual(a, b []float64) bool {
 func TestSessionReplayDeterminism(t *testing.T) {
 	for _, engine := range []string{"ssp", "dial", "costscaling"} {
 		t.Run(engine, func(t *testing.T) {
-			opt := Options{FlowEngine: engine, Parallelism: 1}
+			opt := Options{FlowEngine: engine}
 			pWarm := mustProblem(t, "adder16")
 			warm, err := NewSession(pWarm, opt)
 			if err != nil {
@@ -133,7 +133,7 @@ func TestSessionReplayDeterminism(t *testing.T) {
 // minCP returns the minimum-size critical path of p.
 func minCP(t testing.TB, p *dag.Problem) float64 {
 	t.Helper()
-	s, err := NewSession(p, Options{FlowEngine: "ssp", Parallelism: 1})
+	s, err := NewSession(p, Options{FlowEngine: "ssp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func minCP(t testing.TB, p *dag.Problem) float64 {
 // constraint system (no rebuild) and matches a cold session built
 // with the same weights.
 func TestSessionWhatIfCost(t *testing.T) {
-	opt := Options{FlowEngine: "dial", Parallelism: 1}
+	opt := Options{FlowEngine: "dial"}
 	p := mustProblem(t, "adder16")
 	sess, err := NewSession(p, opt)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestSessionWhatIfCost(t *testing.T) {
 // composes with the solver's cumulative work counter).
 func TestSessionPerCallBudgets(t *testing.T) {
 	p := mustProblem(t, "adder32")
-	sess, err := NewSession(p, Options{FlowEngine: "ssp", Parallelism: 1})
+	sess, err := NewSession(p, Options{FlowEngine: "ssp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSessionPerCallBudgets(t *testing.T) {
 // to a never-canceled twin (the mcmf abort rollback, surfaced at the
 // session level).
 func TestSessionCanceledThenClean(t *testing.T) {
-	opt := Options{FlowEngine: "dial", Parallelism: 1}
+	opt := Options{FlowEngine: "dial"}
 	p := mustProblem(t, "adder16")
 	sess, err := NewSession(p, opt)
 	if err != nil {
@@ -296,12 +296,12 @@ func TestSessionCanceledThenClean(t *testing.T) {
 func TestSessionMemoryBytes(t *testing.T) {
 	small := mustProblem(t, "c17")
 	big := mustProblem(t, "mult8")
-	ss, err := NewSession(small, Options{Parallelism: 1, FlowEngine: "ssp"})
+	ss, err := NewSession(small, Options{FlowEngine: "ssp"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	sb, err := NewSession(big, Options{Parallelism: 1, FlowEngine: "ssp"})
+	sb, err := NewSession(big, Options{FlowEngine: "ssp"})
 	if err != nil {
 		t.Fatal(err)
 	}

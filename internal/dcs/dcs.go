@@ -216,7 +216,9 @@ type Options struct {
 	// between Solve calls keeps the cached network and its warm state.
 	Engine string
 	// Parallelism is ignored: every registered flow engine is serial.
-	// The field remains only so existing callers keep compiling.
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	Parallelism int
 	// Deadline, when non-zero, aborts flow solves running past it with
 	// mcmf.ErrBudgetExhausted (sampled at the engines' poll points).

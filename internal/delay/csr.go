@@ -56,28 +56,6 @@ type CSR struct {
 	blockOf    []int32
 	posInBlock []int32
 	maxBlock   int
-
-	// Level partition of the blocks: level l groups the blocks at
-	// condensation depth l (longest path over cross-block couplings),
-	// so blocks inside one level have no couplings between them — the
-	// independence structure the parallel W-phase and sensitivity
-	// sweeps schedule on.  Level l holds the block indices
-	// levelBlock[levelPtr[l]:levelPtr[l+1]], ascending; levels are
-	// ordered dependency-first (for every coupling i→j,
-	// level(block(i)) < level(block(j))).
-	levelPtr   []int32
-	levelBlock []int32
-	maxWidth   int
-	// levelSafe reports that *every* stored cross-block term — the
-	// zero-coefficient ones included — goes from a strictly lower to a
-	// strictly higher level.  The level partition itself only orders
-	// the real (non-zero) couplings, but LoadAt walks all stored
-	// terms, so a zero-valued term whose endpoints share a level would
-	// make one parallel sweep worker read x[j] while another writes
-	// it: value-irrelevant (0·x adds nothing for finite x) yet still a
-	// data race.  When false, the level-parallel solvers fall back to
-	// their serial sweeps.
-	levelSafe bool
 }
 
 // NewCSR flattens coeffs. The input is not retained.
@@ -181,72 +159,12 @@ func NewCSR(coeffs []Coeffs) *CSR {
 	}
 	c.blockPtr[len(groups)] = int32(len(c.blockVert))
 
-	// Level partition: depth of a block is the longest coupling path
-	// reaching it.  Cross-block couplings always point from a lower to
-	// a higher block index (condensation order), so one ascending pass
-	// finalizes each block's depth before propagating it.
-	nb := len(groups)
-	depth := make([]int32, nb)
-	maxDepth := int32(0)
-	for b := 0; b < nb; b++ {
-		for _, vi := range c.blockVert[c.blockPtr[b]:c.blockPtr[b+1]] {
-			i := int(vi)
-			lo, hi := c.rowPtr[i], c.rowPtr[i+1]
-			for k := lo; k < hi; k++ {
-				if c.val[k] == 0 {
-					continue // not a dependency (mirrors the dep graph)
-				}
-				bj := c.blockOf[c.col[k]]
-				if int(bj) != b && depth[b]+1 > depth[bj] {
-					depth[bj] = depth[b] + 1
-					if depth[bj] > maxDepth {
-						maxDepth = depth[bj]
-					}
-				}
-			}
-		}
-	}
-	levels := int(maxDepth) + 1
-	width := make([]int32, levels)
-	for _, d := range depth {
-		width[d]++
-	}
-	c.levelPtr = make([]int32, levels+1)
-	for l := 0; l < levels; l++ {
-		c.levelPtr[l+1] = c.levelPtr[l] + width[l]
-		if int(width[l]) > c.maxWidth {
-			c.maxWidth = int(width[l])
-		}
-	}
-	c.levelBlock = make([]int32, nb)
-	lcur := append([]int32(nil), c.levelPtr[:levels]...)
-	for b := 0; b < nb; b++ { // ascending b keeps blocks sorted per level
-		l := depth[b]
-		c.levelBlock[lcur[l]] = int32(b)
-		lcur[l]++
-	}
-	// Safety scan for the parallel sweeps: zero-coefficient terms were
-	// (correctly) excluded from the dependency graph and the depth
-	// propagation above, but LoadAt still reads their x entries, so
-	// they must respect the level order too (see levelSafe).
-	c.levelSafe = true
-	for i := range coeffs {
-		for _, t := range coeffs[i].Terms {
-			if t.J == i || t.A != 0 {
-				continue
-			}
-			bi, bj := c.blockOf[i], c.blockOf[t.J]
-			if bi != bj && depth[bi] >= depth[bj] {
-				c.levelSafe = false
-			}
-		}
-	}
 	return c
 }
 
 // PatchRow overwrites the stored values of row i — Self, Const and the
 // coupling coefficients — from k, keeping the sparsity pattern.  The
-// transpose and the block/level partitions index the nonzero structure,
+// transpose and the block partition index the nonzero structure,
 // so the patch is only legal when k has the same term count, the same
 // column order, and the same zero/nonzero pattern as the stored row;
 // PatchRow reports false with the CSR untouched otherwise, and the
@@ -330,39 +248,6 @@ func (c *CSR) PosInBlock(v int) int { return int(c.posInBlock[v]) }
 
 // MaxBlock returns the largest block size (1 for acyclic couplings).
 func (c *CSR) MaxBlock() int { return c.maxBlock }
-
-// NumLevels returns the number of dependency levels: groups of blocks
-// at equal condensation depth, with no couplings inside a group.
-func (c *CSR) NumLevels() int { return len(c.levelPtr) - 1 }
-
-// LevelBlocks returns the block indices of level l in ascending
-// order.  For every coupling i→j across blocks, block(i)'s level is
-// strictly below block(j)'s, so the blocks of one level can be solved
-// concurrently once all later (smp sweep) or earlier (transpose
-// solve) levels are done.  Callers must not mutate.
-func (c *CSR) LevelBlocks(l int) []int32 {
-	return c.levelBlock[c.levelPtr[l]:c.levelPtr[l+1]]
-}
-
-// MaxLevelWidth returns the largest level size in blocks — the
-// available W-phase parallelism of this coupling structure.
-func (c *CSR) MaxLevelWidth() int { return c.maxWidth }
-
-// LevelParallelSafe reports whether the level partition covers every
-// stored term's read footprint — including zero-coefficient terms,
-// which carry no dependency but are still read by LoadAt.  The
-// level-parallel sweeps require it (they fall back to serial when
-// false); the circuit constructors never emit hazardous zero terms,
-// so this is a defensive guard for hand-built coefficient sets.
-func (c *CSR) LevelParallelSafe() bool { return c.levelSafe }
-
-// LevelParallelFloor is the shared per-level parallel floor of the
-// level-scheduled solvers (smp sweeps, lin transpose solves): levels
-// with fewer independent blocks run inline, because a worker-pool
-// barrier costs more than solving a narrow level serially.  One
-// constant so the two solvers always engage at the same width; tune
-// from multi-core measurements (ROADMAP).
-const LevelParallelFloor = 128
 
 // LoadAt returns Σ a_ij·x_j + b_i — the x-dependent numerator of
 // delay(i) (bit-identical to Coeffs.LoadAt).

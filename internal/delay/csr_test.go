@@ -158,55 +158,3 @@ func TestCSREmptyAndSingle(t *testing.T) {
 		t.Fatalf("delay = %g, want 3.5", d)
 	}
 }
-
-// TestCSRLevels pins the level-partition invariants the parallel
-// sweeps schedule on: the levels partition the blocks, blocks are
-// ascending within a level, and every real coupling i→j across blocks
-// goes from a strictly lower to a strictly higher level (so one
-// level's blocks are mutually independent).
-func TestCSRLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(60)
-		ks := randomCoeffs(rng, n)
-		c := NewCSR(ks)
-
-		levelOf := make([]int, c.NumBlocks())
-		seen := 0
-		maxWidth := 0
-		for l := 0; l < c.NumLevels(); l++ {
-			blocks := c.LevelBlocks(l)
-			if len(blocks) > maxWidth {
-				maxWidth = len(blocks)
-			}
-			for k, b := range blocks {
-				if k > 0 && blocks[k-1] >= b {
-					t.Fatalf("trial %d: level %d blocks not ascending: %v", trial, l, blocks)
-				}
-				levelOf[b] = l
-				seen++
-			}
-		}
-		if seen != c.NumBlocks() {
-			t.Fatalf("trial %d: levels cover %d blocks, want %d", trial, seen, c.NumBlocks())
-		}
-		if maxWidth != c.MaxLevelWidth() {
-			t.Fatalf("trial %d: MaxLevelWidth %d, recomputed %d", trial, c.MaxLevelWidth(), maxWidth)
-		}
-		for i := range ks {
-			for _, tm := range ks[i].Terms {
-				if tm.J == i || tm.A == 0 {
-					continue
-				}
-				bi, bj := c.BlockOf(i), c.BlockOf(tm.J)
-				if bi == bj {
-					continue
-				}
-				if levelOf[bi] >= levelOf[bj] {
-					t.Fatalf("trial %d: coupling %d→%d crosses levels %d→%d (want strictly increasing)",
-						trial, i, tm.J, levelOf[bi], levelOf[bj])
-				}
-			}
-		}
-	}
-}

@@ -28,24 +28,7 @@ import (
 	"math"
 
 	"minflo/internal/delay"
-	"minflo/internal/par"
 )
-
-// blockScratch is one worker's dense-block workspace: M is maxBlock²
-// flat row-major, rhs/sol are maxBlock long.
-type blockScratch struct {
-	m   []float64
-	rhs []float64
-	sol []float64
-}
-
-func newBlockScratch(mb int) blockScratch {
-	return blockScratch{
-		m:   make([]float64, mb*mb),
-		rhs: make([]float64, mb),
-		sol: make([]float64, mb),
-	}
-}
 
 // Solver is the persistent (block-)triangular engine for one
 // coefficient set.
@@ -54,47 +37,32 @@ type Solver struct {
 	diag   []float64 // d_i − a_ii, rewritten per solve
 	solved []bool    // defensive dependency-order check, cleared per solve
 
-	scr blockScratch // serial dense-block scratch
+	// Dense-block scratch: m is maxBlock² flat row-major, rhs/sol are
+	// maxBlock long.
+	m, rhs, sol []float64
 
 	y []float64 // dual scratch for SensitivitiesInto
-
-	// Optional worker pool (nil = serial): the transpose solve runs
-	// level-parallel with one blockScratch per part, plus a per-part
-	// error slot so order violations surface deterministically.
-	pool    *par.Pool
-	partScr []blockScratch
-	partErr []error
 }
 
 // NewSolver builds a persistent solver over the coupling structure.
 func NewSolver(csr *delay.CSR) *Solver {
-	n := csr.N()
+	n, mb := csr.N(), csr.MaxBlock()
 	return &Solver{
 		csr:    csr,
 		diag:   make([]float64, n),
 		solved: make([]bool, n),
-		scr:    newBlockScratch(csr.MaxBlock()),
+		m:      make([]float64, mb*mb),
+		rhs:    make([]float64, mb),
+		sol:    make([]float64, mb),
 		y:      make([]float64, n),
 	}
 }
 
-// SetParallel attaches a worker pool: SolveTransposeInto processes
-// each dependency level's blocks concurrently, one dense scratch per
-// worker.  Bit-identical to the serial solve — a block reads only y
-// values of strictly earlier levels (complete before the level
-// barrier) and writes only its own vertices, and the dense LU runs
-// the same arithmetic on a private scratch.  A nil pool restores the
-// serial path.
-func (s *Solver) SetParallel(pool *par.Pool) {
-	s.pool = pool
-	if w := pool.Workers(); w > 1 && len(s.partScr) < w {
-		mb := s.csr.MaxBlock()
-		for len(s.partScr) < w {
-			s.partScr = append(s.partScr, newBlockScratch(mb))
-		}
-		s.partErr = make([]error, w)
-	}
-}
+// SetParallel does nothing: the transpose solve is serial.
+//
+// Deprecated: kept only so cmd/minflobench, its one remaining user,
+// still compiles; it goes with that benchmark's replica.
+func (s *Solver) SetParallel(any) {}
 
 // SensitivitiesInto computes C_i = x_i·y_i where (D−A)ᵀ y = w, writing
 // into c (length N). d must be the delay budgets (d_i > a_ii required),
@@ -141,56 +109,16 @@ func (s *Solver) SolveTransposeInto(y, d, w []float64) error {
 		}
 		s.solved[j] = false
 	}
-	workers := s.pool.Workers()
-	// Unlike the smp sweep, this path needs no LevelParallelSafe guard:
-	// it reads cross-block values only through csr.Incoming, which the
-	// CSR builds from non-zero couplings exclusively.
-	if workers > 1 && csr.MaxLevelWidth() >= delay.LevelParallelFloor {
-		// Level-parallel: every block of a level depends only on
-		// earlier levels, so a level's blocks solve concurrently and
-		// the barrier between levels preserves dependency order.
-		for l := 0; l < csr.NumLevels(); l++ {
-			blocks := csr.LevelBlocks(l)
-			if len(blocks) < delay.LevelParallelFloor {
-				for _, b := range blocks {
-					if err := s.transposeBlock(int(b), y, w, &s.scr); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			s.pool.ForEach(func(part int) {
-				plo, phi := len(blocks)*part/workers, len(blocks)*(part+1)/workers
-				scr := &s.partScr[part]
-				var err error
-				for _, b := range blocks[plo:phi] {
-					if err = s.transposeBlock(int(b), y, w, scr); err != nil {
-						break
-					}
-				}
-				s.partErr[part] = err
-			})
-			for _, err := range s.partErr[:workers] {
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
 	for b := 0; b < csr.NumBlocks(); b++ {
-		if err := s.transposeBlock(b, y, w, &s.scr); err != nil {
+		if err := s.transposeBlock(b, y, w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// transposeBlock solves block b of the transpose system into y — the
-// shared per-block body of the serial and level-parallel drivers.
-// Dense blocks run on the caller-supplied scratch so concurrent parts
-// never share workspace.
-func (s *Solver) transposeBlock(b int, y, w []float64, scr *blockScratch) error {
+// transposeBlock solves block b of the transpose system into y.
+func (s *Solver) transposeBlock(b int, y, w []float64) error {
 	csr := s.csr
 	diag := s.diag
 	grp := csr.Block(b)
@@ -212,7 +140,7 @@ func (s *Solver) transposeBlock(b int, y, w []float64, scr *blockScratch) error 
 	// Dense block solve for the SCC {grp}: off-block terms use
 	// already-solved y values; in-block terms form the matrix.
 	m := len(grp)
-	M, rhs := scr.m[:m*m], scr.rhs[:m]
+	M, rhs := s.m[:m*m], s.rhs[:m]
 	for i := range M {
 		M[i] = 0
 	}
@@ -233,11 +161,11 @@ func (s *Solver) transposeBlock(b int, y, w []float64, scr *blockScratch) error 
 			}
 		}
 	}
-	if err := gaussFlat(M, rhs, scr.sol[:m], m); err != nil {
+	if err := gaussFlat(M, rhs, s.sol[:m], m); err != nil {
 		return err
 	}
 	for k, ji := range grp {
-		y[ji] = scr.sol[k]
+		y[ji] = s.sol[k]
 		s.solved[ji] = true
 	}
 	return nil
@@ -284,7 +212,7 @@ func (s *Solver) SolveForwardInto(x, d, b []float64) error {
 			continue
 		}
 		m := len(grp)
-		M, rhs := s.scr.m[:m*m], s.scr.rhs[:m]
+		M, rhs := s.m[:m*m], s.rhs[:m]
 		for k := range M {
 			M[k] = 0
 		}
@@ -308,11 +236,11 @@ func (s *Solver) SolveForwardInto(x, d, b []float64) error {
 				}
 			}
 		}
-		if err := gaussFlat(M, rhs, s.scr.sol[:m], m); err != nil {
+		if err := gaussFlat(M, rhs, s.sol[:m], m); err != nil {
 			return err
 		}
 		for k, ii := range grp {
-			x[ii] = s.scr.sol[k]
+			x[ii] = s.sol[k]
 			s.solved[ii] = true
 		}
 	}

@@ -1,91 +1,22 @@
-// Package par provides the small fixed-size worker pool behind the
-// optimizer's intra-run parallelism (the W-phase level sweeps and the
-// D-phase sensitivity solves).
+// Package par is an empty stand-in for the worker pool that once drove
+// intra-run parallelism; every sizing run is now serial.
 //
-// The design constraint is barrier cost, not throughput: a sizing run
-// crosses a dependency-level barrier hundreds of times per solve, so
-// workers must be persistent goroutines parked on a channel (one spawn
-// per pool, microsecond wake-ups) rather than spawned per region.  The
-// pool deliberately has no work queue — ForEach hands every worker one
-// statically numbered part and the caller decides how to map parts to
-// work, which keeps partitioning deterministic and allocation-free at
-// the call site.
-//
-// A nil *Pool is valid everywhere and means "serial": Workers reports
-// 1 and ForEach runs inline, so solvers can hold an optional pool
-// without branching.
+// Deprecated: kept only so cmd/minflobench, its one remaining user,
+// still compiles; it goes with that benchmark's replica.
 package par
 
-import "sync"
+// Pool is an inert pool handle.
+//
+// Deprecated: see the package comment.
+type Pool struct{}
 
-// Pool is a fixed-size worker pool with a ForEach barrier.
-type Pool struct {
-	workers int
-	task    chan call
-	wg      sync.WaitGroup
-	closed  bool
-}
+// New returns an inert pool; workers is ignored and no goroutines
+// start.
+//
+// Deprecated: see the package comment.
+func New(workers int) *Pool { return &Pool{} }
 
-type call struct {
-	fn   func(part int)
-	part int
-}
-
-// New returns a pool of the given worker count.  Counts below 2 need
-// no goroutines at all (ForEach runs inline); otherwise workers−1
-// helper goroutines are spawned and parked until Close.
-func New(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers}
-	if workers > 1 {
-		p.task = make(chan call)
-		for i := 0; i < workers-1; i++ {
-			go func() {
-				for c := range p.task {
-					c.fn(c.part)
-					p.wg.Done()
-				}
-			}()
-		}
-	}
-	return p
-}
-
-// Workers returns the part count ForEach will invoke (1 for a nil or
-// serial pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// ForEach runs fn(part) for every part in [0, Workers()), part 0 on
-// the calling goroutine, and returns when all parts have completed —
-// a full barrier, so writes made by any part happen-before ForEach
-// returns.
-func (p *Pool) ForEach(fn func(part int)) {
-	if p == nil || p.workers == 1 {
-		fn(0)
-		return
-	}
-	p.wg.Add(p.workers - 1)
-	for w := 1; w < p.workers; w++ {
-		p.task <- call{fn, w}
-	}
-	fn(0)
-	p.wg.Wait()
-}
-
-// Close releases the worker goroutines.  The pool must be idle; a
-// closed pool must not be used again.  Closing a nil or serial pool
-// is a no-op.
-func (p *Pool) Close() {
-	if p == nil || p.task == nil || p.closed {
-		return
-	}
-	p.closed = true
-	close(p.task)
-}
+// Close does nothing.
+//
+// Deprecated: see the package comment.
+func (p *Pool) Close() {}

@@ -94,7 +94,7 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "fault", Parallelism: 1, NoEngineFallback: true})
+		twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "fault", NoEngineFallback: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestServeAutoEngineReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "dial", Parallelism: 1, TrustRegion: cfg.TrustRegion})
+	twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "dial", TrustRegion: cfg.TrustRegion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestServeEvictionHistoryGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := core.NewEcoSession(eco, core.Options{FlowEngine: "ssp", Parallelism: 1})
+	cs, err := core.NewEcoSession(eco, core.Options{FlowEngine: "ssp"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 //
 //	MINFLOD_LATENCY=1 go test -run TestServeLatencyReport -v ./internal/serve
 //
-// Single client, serial requests (Parallelism 1, MaxInFlight 1): the
+// Single client, serial requests (MaxInFlight 1): the
 // honest single-core numbers, no pipelining flattery.  The warm and
 // cold columns answer the identical query mix (alternating 0.6/0.55
 // ·Dmin targets) so the comparison isolates what warm state buys.

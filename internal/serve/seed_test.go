@@ -240,25 +240,49 @@ func TestServeCoalescing(t *testing.T) {
 	}
 }
 
-// TestServeParallelismClamp: the submit body's parallelism request is
-// granted up to the daemon cap and reported back.
-func TestServeParallelismClamp(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Parallelism: 2})
-	for _, tc := range []struct {
-		req, want int
-	}{
-		{0, 2}, // default: the server's budget
-		{1, 1}, // below cap: honored
-		{8, 2}, // above cap: clamped
-	} {
-		sub, err := c.Submit(context.Background(), &SubmitRequest{
-			ID: "p", Circuit: "c17", Parallelism: tc.req,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sub.Parallelism != tc.want {
-			t.Fatalf("requested parallelism %d: granted %d, want %d", tc.req, sub.Parallelism, tc.want)
+// TestServeParallelismIgnored pins the wire contract of the retired
+// per-session worker budget: a submit body that still carries
+// "parallelism" is accepted, the response no longer reports the field,
+// and the session answers bit-identically to one submitted without it.
+func TestServeParallelismIgnored(t *testing.T) {
+	_, hs, c := newTestServer(t, Config{})
+	resp, err := http.Post(hs.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"id":"p","circuit":"adder16","parallelism":8}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&raw)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit with parallelism: status %d, body %v", resp.StatusCode, raw)
+	}
+	if _, ok := raw["parallelism"]; ok {
+		t.Fatalf("submit response still reports parallelism: %v", raw)
+	}
+	plain := submitCircuit(t, c, "q", "adder16")
+	if raw["min_delay_ps"] != plain.MinDelayPS {
+		t.Fatalf("Dmin %v with parallelism, %v without", raw["min_delay_ps"], plain.MinDelayPS)
+	}
+	req := &QueryRequest{TargetPS: 0.6 * plain.MinDelayPS, WantSizes: true}
+	withPar, err := c.Query(context.Background(), "p", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := c.Query(context.Background(), "q", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withPar.Area != without.Area || withPar.CPPS != without.CPPS ||
+		withPar.Iterations != without.Iterations || len(withPar.Sizes) != len(without.Sizes) {
+		t.Fatalf("answers differ: %+v vs %+v", withPar, without)
+	}
+	for i := range without.Sizes {
+		if withPar.Sizes[i] != without.Sizes[i] {
+			t.Fatalf("size[%d] = %v with parallelism, %v without", i, withPar.Sizes[i], without.Sizes[i])
 		}
 	}
 }

@@ -44,9 +44,11 @@
 //     canonicalized body) against one session are solved once; the
 //     followers receive the same answer marked "coalesced": true and
 //     bypass the pending cap.
-//   - Per-session parallelism: a submit may request an intra-solve
-//     worker budget; the grant is clamped to the daemon-wide cap and
-//     echoed in the submit response.
+//
+// Every solve is serial: throughput comes from distinct sessions
+// running concurrently.  A submit body that still carries the retired
+// "parallelism" field is accepted and the field ignored (JSON decoding
+// skips unknown fields); the submit response no longer reports it.
 //
 // Determinism contract: within one session generation (between cold
 // builds), answers are a deterministic function of the query sequence
@@ -83,16 +85,12 @@ import (
 )
 
 // Config parameterizes a Server.  The zero value serves with safe
-// defaults (serial solves, ssp engine, 1 GiB memory watermark).
+// defaults (ssp engine, 1 GiB memory watermark).
 type Config struct {
 	// Engine is the default D-phase flow backend for sessions that do
 	// not pin one ("ssp" when empty, the robust reference engine;
 	// "auto" selects core's default, "dial").
 	Engine string
-	// Parallelism is the per-solve worker budget (default 1: serving
-	// throughput comes from session-level concurrency, not intra-solve
-	// parallelism).
-	Parallelism int
 	// MaxInFlight caps concurrently executing solves (default
 	// GOMAXPROCS).
 	MaxInFlight int
@@ -145,9 +143,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Engine == "" {
 		c.Engine = "ssp"
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = 1
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = runtime.GOMAXPROCS(0)

@@ -72,7 +72,6 @@ type session struct {
 	core *core.Session
 	dmin float64
 	seq  int
-	par  int // granted intra-solve worker budget
 	// eco is the session's editable netlist wrapper (owned by the
 	// core.Session); history records every accepted state-mutating
 	// batch — netlist edits AND sticky what-if weight batches, in
@@ -157,16 +156,8 @@ func (s *session) buildCore() error {
 	if err != nil {
 		return err
 	}
-	// Per-session worker budget: the requested parallelism clamped to
-	// the daemon cap (-j), so one heavy session cannot monopolize the
-	// machine's workers.
-	s.par = s.src.Parallelism
-	if s.par <= 0 || s.par > s.srv.cfg.Parallelism {
-		s.par = s.srv.cfg.Parallelism
-	}
 	cs, err := core.NewEcoSession(eco, core.Options{
 		FlowEngine:       s.engine,
-		Parallelism:      s.par,
 		NoEngineFallback: s.srv.cfg.NoEngineFallback,
 		TrustRegion:      s.srv.cfg.TrustRegion,
 		EditConeBudget:   s.srv.cfg.EditConeBudget,
@@ -377,12 +368,11 @@ func (s *session) handleBuild() jobReply {
 	}
 	s.srv.accountMem(s)
 	return jobReply{http.StatusOK, &SubmitResponse{
-		ID:          s.id,
-		Generation:  s.gen,
-		NumGates:    s.numGates,
-		MemBytes:    s.core.MemoryBytes(),
-		MinDelayPS:  s.dmin,
-		Parallelism: s.par,
+		ID:         s.id,
+		Generation: s.gen,
+		NumGates:   s.numGates,
+		MemBytes:   s.core.MemoryBytes(),
+		MinDelayPS: s.dmin,
 	}}
 }
 

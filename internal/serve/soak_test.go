@@ -71,7 +71,7 @@ func TestServeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := core.NewEcoSession(eco, core.Options{FlowEngine: "ssp", Parallelism: 1})
+	cs, err := core.NewEcoSession(eco, core.Options{FlowEngine: "ssp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestServeSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "ssp", Parallelism: 1, NoEngineFallback: true})
+		twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "ssp", NoEngineFallback: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,12 +59,9 @@ type SubmitRequest struct {
 	// FlowEngine pins the D-phase backend for this session ("" uses
 	// the server default; "auto" selects "dial").
 	FlowEngine string `json:"flow_engine,omitempty"`
-	// Parallelism requests an intra-solve worker budget for this
-	// session.  0 uses the server default; anything above the daemon's
-	// cap (-j) is clamped to it, so one heavy session cannot
-	// monopolize the shared worker pool.  The response reports the
-	// granted value.
-	Parallelism int `json:"parallelism,omitempty"`
+	// A "parallelism" key, the retired per-session worker budget, is
+	// accepted and ignored: decoding skips unknown fields, and every
+	// solve is serial.
 }
 
 // SubmitResponse describes the created session.
@@ -80,9 +77,6 @@ type SubmitResponse struct {
 	// MinDelayPS is Dmin, the critical path with every gate at minimum
 	// size — targets below this are infeasible.
 	MinDelayPS float64 `json:"min_delay_ps"`
-	// Parallelism is the granted intra-solve worker budget (the
-	// requested value clamped to the daemon cap).
-	Parallelism int `json:"parallelism"`
 }
 
 // AreaWeight is a what-if cost override applied before the query runs

@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"minflo/internal/delay"
-	"minflo/internal/par"
 )
 
 // ErrNoConvergence is returned when the relaxation does not reach a
@@ -67,11 +66,6 @@ type Solver struct {
 
 	clamped []int // reused Result.Clamped storage
 	res     Result
-
-	// Optional worker pool (nil = serial): wide dependency levels are
-	// swept level-parallel, merging per-part deltas deterministically.
-	pool      *par.Pool
-	partDelta []float64
 }
 
 // NewSolver builds a persistent solver over the coupling structure.
@@ -84,23 +78,14 @@ func NewSolver(csr *delay.CSR) *Solver {
 	}
 }
 
-// SetParallel attaches a worker pool: sweeps run level-parallel over
-// the CSR's independence structure (each dependency level's blocks
-// split across the pool), which is bit-identical to the serial sweep —
-// every vertex reads only values from strictly deeper levels (written
-// before the level barrier) and from its own block (same worker), so
-// the computed fixed point does not depend on scheduling.  A nil pool
-// restores the serial sweep.
-func (s *Solver) SetParallel(pool *par.Pool) {
-	s.pool = pool
-	if w := pool.Workers(); w > 1 && len(s.partDelta) < w {
-		s.partDelta = make([]float64, w)
-	}
-}
+// SetParallel does nothing: the sweep is serial.
+//
+// Deprecated: kept only so cmd/minflobench, its one remaining user,
+// still compiles; it goes with that benchmark's replica.
+func (s *Solver) SetParallel(any) {}
 
 // sweepBlock relaxes every vertex of block b once (in block order) and
-// returns the updated maximum size delta — the shared inner body of
-// the serial and parallel sweeps.
+// returns the updated maximum size delta.
 func (s *Solver) sweepBlock(b int, x []float64, lo, hi, maxDelta float64) float64 {
 	csr := s.csr
 	denom := s.denom
@@ -161,43 +146,13 @@ func (s *Solver) SolveInto(x, d []float64, lo, hi float64, opt Options) (*Result
 	*res = Result{X: x}
 	// Sweep order: dependencies first.  x_i needs x_j for couplings
 	// i→j, so blocks run in reverse condensation order (sinks of the
-	// dependency graph first).  With a pool attached, wide levels of
-	// independent blocks are swept concurrently instead — same values,
-	// see SetParallel.
+	// dependency graph first).
 	nb := csr.NumBlocks()
-	workers := s.pool.Workers()
-	parallel := workers > 1 && csr.MaxLevelWidth() >= delay.LevelParallelFloor &&
-		csr.LevelParallelSafe()
 	for sweep := 0; sweep < opt.MaxSweeps; sweep++ {
 		res.Sweeps = sweep + 1
 		maxDelta := 0.0
-		if parallel {
-			for l := csr.NumLevels() - 1; l >= 0; l-- {
-				blocks := csr.LevelBlocks(l)
-				if len(blocks) < delay.LevelParallelFloor {
-					for _, b := range blocks {
-						maxDelta = s.sweepBlock(int(b), x, lo, hi, maxDelta)
-					}
-					continue
-				}
-				s.pool.ForEach(func(part int) {
-					md := 0.0
-					plo, phi := len(blocks)*part/workers, len(blocks)*(part+1)/workers
-					for _, b := range blocks[plo:phi] {
-						md = s.sweepBlock(int(b), x, lo, hi, md)
-					}
-					s.partDelta[part] = md
-				})
-				for _, md := range s.partDelta[:workers] {
-					if md > maxDelta {
-						maxDelta = md
-					}
-				}
-			}
-		} else {
-			for b := nb - 1; b >= 0; b-- {
-				maxDelta = s.sweepBlock(b, x, lo, hi, maxDelta)
-			}
+		for b := nb - 1; b >= 0; b-- {
+			maxDelta = s.sweepBlock(b, x, lo, hi, maxDelta)
 		}
 		if maxDelta <= opt.Tol {
 			// Converged; collect clamped vertices.

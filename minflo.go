@@ -168,7 +168,9 @@ var (
 )
 
 // Config parameterizes a Sizer. The zero value (or nil pointer) uses
-// the defaults from the paper's experimental setup.
+// the defaults from the paper's experimental setup; a zero field
+// selects its default, and NewSizer rejects negative (or NaN) numbers
+// and a TilosBump at or below 1.
 type Config struct {
 	// Tech selects process parameters (default Default013).
 	Tech TechParams
@@ -193,17 +195,6 @@ type Config struct {
 	// optimization the Sizer runs: Minflotransit, Sweep, RunTable and
 	// the transistor/wire variants.
 	FlowEngine string
-	// Parallelism is the intra-run worker budget of a single
-	// optimization: concurrent W-phase level sweeps and parallel
-	// sensitivity solves.  0 defaults to GOMAXPROCS, 1 forces
-	// serial runs.  Results are bit-identical at every setting (the
-	// determinism suite pins parallel runs to their serial twins), so
-	// this is purely a throughput knob.  Sweep and RunTable
-	// parallelize across runs instead: their concurrent jobs run
-	// serially inside when Parallelism is left at the default (the
-	// job fan-out already saturates the machine), and honor an
-	// explicit setting per job.
-	Parallelism int
 	// Budget, when positive, bounds the wall clock of each
 	// optimization run: exceeding it returns the best sizing reached
 	// so far as a partial result with ErrBudgetExhausted.
@@ -236,20 +227,29 @@ func NewSizer(cfg *Config) (*Sizer, error) {
 	if err := c.Tech.Validate(); err != nil {
 		return nil, err
 	}
-	m := delay.NewModel(c.Tech)
-	if c.POLoad > 0 {
-		m.POLoad = c.POLoad
-	}
 	if c.TilosBump == 0 {
 		c.TilosBump = 1.1
 	}
-	// Reject unknown engine names here rather than deep inside the
-	// first optimization run.
+	// Reject bad settings here rather than deep inside (or, for the
+	// D/W knobs, silently around) the first optimization run.
+	switch {
+	case !(c.POLoad >= 0): // NaN fails every comparison
+		return nil, fmt.Errorf("minflo: POLoad %g must be ≥ 0", c.POLoad)
+	case !(c.TilosBump > 1):
+		return nil, fmt.Errorf("minflo: TilosBump %g must exceed 1", c.TilosBump)
+	case !(c.Window >= 0):
+		return nil, fmt.Errorf("minflo: Window %g must be ≥ 0", c.Window)
+	case c.MaxIters < 0:
+		return nil, fmt.Errorf("minflo: MaxIters %d must be ≥ 0", c.MaxIters)
+	case !(c.CostScale >= 0):
+		return nil, fmt.Errorf("minflo: CostScale %g must be ≥ 0", c.CostScale)
+	}
 	if _, err := core.ResolveFlowEngine(c.FlowEngine); err != nil {
 		return nil, err
 	}
-	if c.Parallelism < 0 {
-		return nil, fmt.Errorf("minflo: negative Parallelism %d", c.Parallelism)
+	m := delay.NewModel(c.Tech)
+	if c.POLoad > 0 {
+		m.POLoad = c.POLoad
 	}
 	return &Sizer{cfg: c, model: m}, nil
 }
@@ -399,7 +399,6 @@ func (s *Sizer) coreOptions() core.Options {
 		MaxIters:       s.cfg.MaxIters,
 		CostScale:      s.cfg.CostScale,
 		FlowEngine:     s.cfg.FlowEngine,
-		Parallelism:    s.cfg.Parallelism,
 		Budget:         s.cfg.Budget,
 		FlowWorkBudget: s.cfg.FlowWorkBudget,
 		Tilos:          tilos.Options{Bump: s.cfg.TilosBump},

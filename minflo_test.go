@@ -258,3 +258,31 @@ func TestNewSizerRejectsBadTech(t *testing.T) {
 		t.Fatal("invalid tech accepted")
 	}
 }
+
+// TestNewSizerRejectsBadNumbers: a negative (or NaN) number, or a
+// TilosBump at or below 1, fails in NewSizer instead of being replaced
+// by a default or quietly cutting the D/W loop short.  Zero selects
+// the default and is accepted.
+func TestNewSizerRejectsBadNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Window<0", Config{Window: -0.1}},
+		{"Window NaN", Config{Window: math.NaN()}},
+		{"MaxIters<0", Config{MaxIters: -1}},
+		{"CostScale<0", Config{CostScale: -1e6}},
+		{"POLoad<0", Config{POLoad: -8}},
+		{"POLoad NaN", Config{POLoad: math.NaN()}},
+		{"TilosBump=1", Config{TilosBump: 1}},
+		{"TilosBump<1", Config{TilosBump: 0.9}},
+		{"TilosBump<0", Config{TilosBump: -1.1}},
+	} {
+		if _, err := NewSizer(&tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := NewSizer(&Config{}); err != nil {
+		t.Fatalf("zero Config rejected: %v", err)
+	}
+}

@@ -55,7 +55,7 @@ func (s *Sizer) Sweep(c *Circuit, fracs []float64) ([]TradeoffPoint, error) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			pt := TradeoffPoint{Frac: f, TargetPS: f * dmin}
-			res, err := core.Size(p, pt.TargetPS, s.jobCoreOptions())
+			res, err := core.Size(p, pt.TargetPS, s.coreOptions())
 			if err == nil {
 				pt.Feasible = true
 				pt.TilosRatio = res.TilosArea / minArea
@@ -83,32 +83,11 @@ type TableRow struct {
 	AreaRatio   float64 // MINFLOTRANSIT area / minimum-size area
 }
 
-// jobCoreOptions returns the per-job optimizer options for the
-// across-runs harnesses (Sweep, RunTable): when the Config leaves
-// Parallelism at its GOMAXPROCS default, each concurrent job runs
-// serially — the job fan-out already saturates the machine, and
-// nesting a per-run worker pool under GOMAXPROCS in-flight jobs would
-// oversubscribe cores quadratically.  An explicit Config.Parallelism
-// is honored per job (that is how the benchdir golden test drives the
-// parallel paths deterministically).
-func (s *Sizer) jobCoreOptions() core.Options {
-	opt := s.coreOptions()
-	if opt.Parallelism == 0 {
-		opt.Parallelism = 1
-	}
-	return opt
-}
-
 // RunTableRow sizes one benchmark at spec·Dmin with MINFLOTRANSIT and
 // reports the Table 1 quantities; the TILOS columns come from the
 // run's own TILOS seed.  An unreachable spec returns an error wrapping
-// ErrInfeasible.  A standalone call uses the full intra-run
-// Parallelism default; RunTable's concurrent jobs use jobCoreOptions.
+// ErrInfeasible.
 func (s *Sizer) RunTableRow(c *Circuit, spec float64) (*TableRow, error) {
-	return s.runTableRow(c, spec, s.coreOptions())
-}
-
-func (s *Sizer) runTableRow(c *Circuit, spec float64, opt core.Options) (*TableRow, error) {
 	p, err := s.problem(c)
 	if err != nil {
 		return nil, err
@@ -123,7 +102,7 @@ func (s *Sizer) runTableRow(c *Circuit, spec float64, opt core.Options) (*TableR
 	// one run yields both columns: TilosArea is bit-identical to a
 	// standalone tilos.Size with the same bump.
 	t0 := time.Now()
-	res, err := core.Size(p, target, opt)
+	res, err := core.Size(p, target, s.coreOptions())
 	if err != nil {
 		if errors.Is(err, core.ErrInfeasible) { // only the TILOS seed reports it
 			return nil, fmt.Errorf("minflo: TILOS on %s at %.2f·Dmin: %w: %v", c.Name, spec, ErrInfeasible, err)
@@ -173,7 +152,7 @@ func (s *Sizer) RunTable(jobs []TableJob) (rows []*TableRow, errs []error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rows[i], errs[i] = s.runTableRow(job.Circuit, job.Spec, s.jobCoreOptions())
+			rows[i], errs[i] = s.RunTableRow(job.Circuit, job.Spec)
 		}()
 	}
 	wg.Wait()
