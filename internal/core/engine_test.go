@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -100,6 +101,50 @@ func TestResolveFlowEngineAuto(t *testing.T) {
 	for _, name := range []string{"nope", "parallel", "Dial"} {
 		if _, err := ResolveFlowEngine(name); err == nil {
 			t.Fatalf("unknown engine %q accepted", name)
+		}
+	}
+}
+
+// TestTreeSizingBoundsPerSourceWork sizes the wide tree TestAnswerPin
+// pins (gen.BalancedTree(1024) at 0.9·Dmin) on both SSP engines and
+// demands that both limits on the per-source loop fire: a race that
+// quits because it fell behind the phases, and a ResolveChanged that
+// hands its excess over to phases.  The answer pin then covers both
+// code paths.
+func TestTreeSizingBoundsPerSourceWork(t *testing.T) {
+	m := delay.NewModel(tech.Default013())
+	p, err := dag.GateLevel(gen.BalancedTree(1024), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := sta.Analyze(p.G, p.Delays(p.InitialSizes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"ssp", "dial"} {
+		var sess *Session
+		var prev mcmf.Stats
+		handovers := 0
+		opt := Options{FlowEngine: engine, OnIteration: func(IterStats) {
+			st := sess.sc.sys.FlowEngineStats()
+			if st.Resolves > prev.Resolves && st.Phases > prev.Phases {
+				handovers++
+			}
+			prev = st
+		}}
+		if sess, err = NewSession(p, opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Resize(context.Background(), 0.9*tm.CP, Budgets{}); err != nil {
+			t.Fatal(err)
+		}
+		st := sess.sc.sys.FlowEngineStats()
+		t.Logf("%s: %d solves, %d resolves, %d races, %d quits, %d handovers", engine, st.Solves, st.Resolves, st.Races, st.RaceQuits, handovers)
+		if st.RaceQuits == 0 {
+			t.Errorf("%s: no race quit in %d races", engine, st.Races)
+		}
+		if handovers == 0 {
+			t.Errorf("%s: no resolve handed over to phases in %d resolves", engine, st.Resolves)
 		}
 	}
 }

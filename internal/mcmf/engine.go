@@ -45,9 +45,15 @@ type Stats struct {
 	// search in the per-source loop, one per path a phase's blocking
 	// flow routes.
 	Augmentations int64
-	// Phases counts the primal–dual phases of SSP full solves: one
-	// multi-source search plus one blocking flow each (ssp.go).
+	// Phases counts the primal–dual phases of SSP runs — full solves,
+	// and resolves that hand over to phases: one multi-source search
+	// plus one blocking flow each (ssp.go).
 	Phases int64
+	// Races counts the runs of the per-source loop that race the
+	// phases, and RaceQuits the races that quit early because they fell
+	// behind the phase window's rate per path (ssp.go).
+	Races     int64
+	RaceQuits int64
 	// BellmanFords counts potential (re)builds — zero on a pure
 	// warm-start trajectory.
 	BellmanFords int

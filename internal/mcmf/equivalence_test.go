@@ -110,20 +110,26 @@ func BenchmarkFlowEngines(b *testing.B) {
 	}
 }
 
-// flowWork sums an engine's Visited, Augmentations and Phases over a
-// benchmark's ops and reports them per op: deterministic work counters
-// the bench gate holds where ns/op would only measure the host.  Each
-// op is read around its own solve because Solver.Reset zeroes Visited.
-type flowWork struct{ visited, augs, phases int64 }
+// flowWork sums an engine's Visited, Augmentations, Phases, Races and
+// RaceQuits over a benchmark's ops and reports them per op:
+// deterministic work counters the bench gate holds where ns/op would
+// only measure the host.  Each op is read around its own solve because
+// Solver.Reset zeroes Visited.
+type flowWork struct{ visited, augs, phases, races, quits int64 }
 
 func (w *flowWork) add(before, after Stats) {
 	w.visited += after.Visited - before.Visited
 	w.augs += after.Augmentations - before.Augmentations
 	w.phases += after.Phases - before.Phases
+	w.races += after.Races - before.Races
+	w.quits += after.RaceQuits - before.RaceQuits
 }
 
 func (w *flowWork) report(b *testing.B) {
-	b.ReportMetric(float64(w.visited)/float64(b.N), "visited/op")
-	b.ReportMetric(float64(w.augs)/float64(b.N), "augs/op")
-	b.ReportMetric(float64(w.phases)/float64(b.N), "phases/op")
+	n := float64(b.N)
+	b.ReportMetric(float64(w.visited)/n, "visited/op")
+	b.ReportMetric(float64(w.augs)/n, "augs/op")
+	b.ReportMetric(float64(w.phases)/n, "phases/op")
+	b.ReportMetric(float64(w.races)/n, "races/op")
+	b.ReportMetric(float64(w.quits)/n, "racequits/op")
 }

@@ -17,9 +17,13 @@
 // updates the potentials, and a blocking flow routes every source that
 // reaches a deficit over zero-reduced-cost arcs.  Where phases stop
 // paying, races of the classic one-source-per-search loop, priced in
-// visited nodes, take over the tail; incremental repairs
-// (ResolveChanged) use the classic loop alone.  On every instance the
-// classic-loop oracle covers (TestPhasesMatchClassicLoop) both end on
+// visited nodes, take over the tail; a race that falls behind the
+// phases' rate per path quits.  Incremental repairs (ResolveChanged)
+// start in the classic loop and hand the rest of their excess to
+// phases once it has visited n nodes at more than n/8 nodes per path
+// with at least 8 sources left.
+// On every instance the classic-loop oracle covers
+// (TestPhasesMatchClassicLoop, full solves and resolves) both end on
 // the same potentials, so the duals, and with them the sizing answers
 // pinned in the root package's TestAnswerPin, do not move.
 //

@@ -3,6 +3,7 @@ package mcmf
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -19,11 +20,76 @@ func solveClassic(s *Solver, pf pathFinder) (float64, error) {
 	copy(excess, s.supply)
 	s.flowDirty = true
 	s.repairable = false
-	if err := s.augmentAll(excess, pf, &st); err != nil {
+	if _, _, _, err := s.augmentSome(s.sourcesOf(excess), excess, pf, &st, unlimited); err != nil {
 		return 0, err
 	}
 	s.markSolved()
 	return s.TotalCost(), nil
+}
+
+// resolveClassic is ResolveChanged with the per-source loop routing
+// the whole repair and no handover to phases: the reference resolves
+// are held to.  fallback reports that the repair was refused (the
+// caller then compares full solves).
+func resolveClassic(s *Solver, changed []int32, pf pathFinder) (cost float64, fallback bool, err error) {
+	excess, fallback, err := s.resolvePrep(changed)
+	if err != nil || fallback {
+		return 0, fallback, err
+	}
+	s.ensureSSP()
+	var st Stats
+	if _, _, _, err := s.augmentSome(s.sourcesOf(excess), excess, pf, &st, unlimited); err != nil {
+		return 0, false, err
+	}
+	s.markSolved()
+	return s.TotalCost(), false, nil
+}
+
+// forceResolve primes the work-estimate gate of s so that a repair
+// with no supply deltas is always run incrementally: arc repairs are
+// priced at almost nothing against one unit per source.
+func forceResolve(s *Solver) {
+	s.ewmaFullVisits, s.ewmaResolveVisits = 1, 1e-9
+}
+
+// buildDPhaseTree constructs the D-phase flow network of a complete
+// binary in-tree of 2^depth − 1 gates (internal/dcs builds the real
+// one): node 0 is ground (the pinned primary inputs and the output),
+// gate g ∈ [1, m] has children 2g and 2g+1, and node m+g is g's dummy.
+// Every difference constraint is an uncapacitated arc — g → dummy at a
+// small lower-window cost, dummy → g at a large upper-window cost, a
+// child's dummy → its parent at a slack cost that is mostly zero, as
+// on a balanced tree's critical paths, ground → leaf and root's dummy
+// → ground — and each gate's area sensitivity C puts supply +C on its
+// dummy and −C on the gate.  Searches from one source wander the
+// zero-cost plateaus of such networks, which is where races quit and
+// resolves hand over to phases.
+func buildDPhaseTree(depth int, seed int64) *Solver {
+	rng := rand.New(rand.NewSource(seed))
+	m := 1<<depth - 1
+	s := New(2*m + 1)
+	const free = 1 << 40
+	for g := 1; g <= m; g++ {
+		d := m + g
+		s.AddArc(g, d, free, int64(rng.Intn(8)))
+		s.AddArc(d, g, free, int64(500+rng.Intn(1000)))
+		slack := int64(0)
+		if rng.Intn(4) == 0 {
+			slack = int64(rng.Intn(40))
+		}
+		if g == 1 {
+			s.AddArc(d, 0, free, slack)
+		} else {
+			s.AddArc(d, g/2, free, slack)
+		}
+		if 2*g > m {
+			s.AddArc(0, g, free, 0)
+		}
+		c := int64(1 + rng.Intn(50))
+		s.SetSupply(d, c)
+		s.SetSupply(g, -c)
+	}
+	return s
 }
 
 // classicFinder returns the path finder the named SSP engine uses.
@@ -58,6 +124,14 @@ func oracleCases() []oracleCase {
 			}})
 		}
 	}
+	for seed := int64(0); seed < 20; seed++ {
+		for _, depth := range []int{5, 6, 8} {
+			seed, depth := seed, depth
+			cases = append(cases, oracleCase{fmt.Sprintf("tree/%d/%d", depth, seed), func() *Solver {
+				return buildDPhaseTree(depth, seed)
+			}})
+		}
+	}
 	cases = append(cases,
 		oracleCase{"zerocap", func() *Solver {
 			s := New(3)
@@ -87,63 +161,150 @@ func oracleCases() []oracleCase {
 	return cases
 }
 
-// TestPhasesMatchClassicLoop is the oracle for primal–dual phases: on
-// the conformance suite's random, grid and degenerate instances, a
-// phased full solve and the per-source loop must reach the same
+// TestPhasesMatchClassicLoop is the oracle for the SSP routing: on the
+// conformance suite's random, grid, D-phase tree and degenerate
+// instances, a phased solve and the per-source loop must reach the same
 // optimal cost, both certified by Verify, with the same potentials
-// relative to node 0 — cold, and again after three rounds of warm cost
-// perturbations.  The potentials are the D-phase duals internal/dcs
-// turns into answers, so equal potentials are what keeps sizing
-// answers bit-identical.
+// relative to node 0 — cold, after three rounds of warm cost
+// perturbations solved in full, and after three more repaired by
+// ResolveChanged (whose twin re-routes with the per-source loop
+// alone).  The potentials are the D-phase duals internal/dcs turns into
+// answers, so equal potentials are what keeps sizing answers
+// bit-identical.  On the tree family some races must quit and some
+// resolves must hand over to phases, so both rules are covered.
 func TestPhasesMatchClassicLoop(t *testing.T) {
 	for _, engine := range []string{"ssp", "dial"} {
+		var quits, handovers int64
 		for _, c := range oracleCases() {
 			phased, classic := c.build(), c.build()
 			if err := phased.SetEngine(engine); err != nil {
 				t.Fatal(err)
 			}
-			pf := classicFinder(engine)
 			rng := rand.New(rand.NewSource(int64(len(c.name))))
-			for round := 0; round < 4; round++ {
-				tag := fmt.Sprintf("%s %s round %d", engine, c.name, round)
-				if round > 0 {
-					// Warm cost perturbation, applied to both twins.
-					for id := 0; id < phased.NumArcs(); id++ {
-						if rng.Intn(4) == 0 {
-							cost := phased.Cost(id) + int64(rng.Intn(41)-20)
-							if cost < 0 {
-								cost = 0
-							}
-							phased.SetCost(id, cost)
-							classic.SetCost(id, cost)
-						}
+			perturb := func() []int32 {
+				var changed []int32
+				for id := 0; id < phased.NumArcs(); id++ {
+					if rng.Intn(4) == 0 {
+						cost := max(phased.Cost(id)+int64(rng.Intn(41)-20), 0)
+						phased.SetCost(id, cost)
+						classic.SetCost(id, cost)
+						changed = append(changed, int32(id))
 					}
 				}
-				gotCost, gotErr := phased.Solve()
-				wantCost, wantErr := solveClassic(classic, pf)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: phased err %v, classic err %v", tag, gotErr, wantErr)
-				}
-				if gotErr != nil {
-					break
-				}
-				if gotCost != wantCost {
-					t.Fatalf("%s: phased cost %v != classic %v", tag, gotCost, wantCost)
-				}
-				if err := phased.Verify(); err != nil {
-					t.Fatalf("%s: phased certificate: %v", tag, err)
-				}
-				if err := classic.Verify(); err != nil {
-					t.Fatalf("%s: classic certificate: %v", tag, err)
-				}
-				for v := 1; v < phased.N(); v++ {
-					got := phased.Potential(v) - phased.Potential(0)
-					want := classic.Potential(v) - classic.Potential(0)
-					if got != want {
-						t.Fatalf("%s: node %d potential %d relative to node 0, classic %d", tag, v, got, want)
-					}
-				}
+				return changed
+			}
+			h, q := matchClassicRounds(t, engine+" "+c.name, phased, classic, classicFinder(engine), 3, 6, perturb)
+			handovers += h
+			if strings.HasPrefix(c.name, "tree/") {
+				quits += q
+			}
+		}
+		if quits == 0 || handovers == 0 {
+			t.Errorf("%s: %d race quits on the tree family and %d resolve handovers: both rules must be covered", engine, quits, handovers)
+		}
+	}
+}
+
+// matchClassicRounds solves the twins cold and then rounds times after
+// perturb (applied to both): through round fullRounds as full solves,
+// the rest as forced ResolveChanged calls against resolveClassic.
+// After every round both must be certified with the same cost and the
+// same potentials relative to node 0.  It returns the resolves that
+// handed over to phases and the races that quit.
+func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, pf pathFinder, fullRounds, rounds int, perturb func() []int32) (handovers, quits int64) {
+	t.Helper()
+	for round := 0; round <= rounds; round++ {
+		tag := fmt.Sprintf("%s round %d", name, round)
+		var changed []int32
+		if round > 0 {
+			changed = perturb()
+		}
+		before := phased.EngineStats()
+		var gotCost, wantCost float64
+		var gotErr, wantErr error
+		if round <= fullRounds {
+			gotCost, gotErr = phased.Solve()
+			wantCost, wantErr = solveClassic(classic, pf)
+		} else {
+			forceResolve(phased)
+			forceResolve(classic)
+			gotCost, gotErr = phased.ResolveChanged(changed)
+			var fallback bool
+			if wantCost, fallback, wantErr = resolveClassic(classic, changed, pf); fallback {
+				wantCost, wantErr = solveClassic(classic, pf)
+			}
+			after := phased.EngineStats()
+			if fell := after.FullFallbacks > before.FullFallbacks; gotErr == nil && fell != fallback {
+				t.Fatalf("%s: phased fell back %v, classic %v", tag, fell, fallback)
+			}
+			if after.Resolves > before.Resolves && after.Phases > before.Phases {
+				handovers++
+			}
+		}
+		quits += phased.EngineStats().RaceQuits - before.RaceQuits
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s: phased err %v, classic err %v", tag, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return handovers, quits
+		}
+		if gotCost != wantCost {
+			t.Fatalf("%s: phased cost %v != classic %v", tag, gotCost, wantCost)
+		}
+		if err := phased.Verify(); err != nil {
+			t.Fatalf("%s: phased certificate: %v", tag, err)
+		}
+		if err := classic.Verify(); err != nil {
+			t.Fatalf("%s: classic certificate: %v", tag, err)
+		}
+		for v := 1; v < phased.N(); v++ {
+			got := phased.Potential(v) - phased.Potential(0)
+			want := classic.Potential(v) - classic.Potential(0)
+			if got != want {
+				t.Fatalf("%s: node %d potential %d relative to node 0, classic %d", tag, v, got, want)
 			}
 		}
 	}
+	return handovers, quits
+}
+
+// FuzzRoutingMatchesClassic drives the classic-loop oracle with
+// fuzzer-chosen instances and re-pricings: a D-phase tree or a grid
+// (shape), solved cold on a fuzzer-chosen SSP engine and then
+// re-priced three times by the bytes of deltas — each triple names an
+// arc and a new cost — and re-solved, the first re-pricing in full and
+// the next two by ResolveChanged.  Every round must match the
+// per-source loop bit for bit in cost and in potentials.
+func FuzzRoutingMatchesClassic(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{0x01, 0x20, 0x13, 0x40, 0x07, 0x00})
+	f.Add(int64(7), uint8(1), []byte{0xff, 0x00, 0x7a, 0x31, 0x02, 0x9c})
+	f.Add(int64(42), uint8(2), []byte{0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18})
+	f.Add(int64(3), uint8(3), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, deltas []byte) {
+		engine := []string{"ssp", "dial"}[shape&1]
+		build := func() *Solver { return buildDPhaseTree(5+int(shape>>2)%4, seed) }
+		if shape&2 != 0 {
+			build = func() *Solver { return NewGridInstance(4+int(shape>>2)%12, 4+int(shape>>4)%12, seed) }
+		}
+		phased, classic := build(), build()
+		if err := phased.SetEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		const rounds = 3
+		round := 0
+		perturb := func() []int32 {
+			var changed []int32
+			// Re-pricing k (from 0) takes triples k, k+rounds, ….
+			for i := 3 * round; i+2 < len(deltas); i += 3 * rounds {
+				id := int(deltas[i]) % phased.NumArcs()
+				cost := int64(deltas[i+1])<<4 | int64(deltas[i+2]&0xf)
+				phased.SetCost(id, cost)
+				classic.SetCost(id, cost)
+				changed = append(changed, int32(id))
+			}
+			round++
+			return changed
+		}
+		matchClassicRounds(t, fmt.Sprintf("%s seed %d shape %d", engine, seed, shape), phased, classic, classicFinder(engine), 1, rounds, perturb)
+	})
 }

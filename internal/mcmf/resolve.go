@@ -18,12 +18,20 @@
 //     previous certificate, so after this step the old potentials are
 //     valid on the entire residual graph with no Bellman–Ford repair;
 //  4. the resulting imbalance (typically a tiny fraction of the total
-//     supply) is rerouted with ordinary shortest-path augmentations on
-//     the residual graph — which may use reverse arcs, i.e. undo
-//     earlier routing, so the repaired flow is exactly optimal for the
-//     new configuration, not an approximation (certified by Verify,
-//     asserted bit-equal to fresh solves by
-//     TestResolveMatchesFreshRandom).
+//     supply) is rerouted on the residual graph — which may use reverse
+//     arcs, i.e. undo earlier routing, so the repaired flow is exactly
+//     optimal for the new configuration, not an approximation
+//     (certified by Verify, asserted bit-equal to fresh solves by
+//     TestResolveMatchesFreshRandom).  The per-source loop routes it
+//     first: a mesh repair costs it about 16 visited nodes per path.
+//     On trees a single path can cost tens of thousands, so once the
+//     loop has visited n nodes at more than n/8 nodes per path with at
+//     least 8 sources left, the rest goes to primal–dual phases
+//     (routePhases in ssp.go, with its races); no phase has run yet to
+//     measure against, so the network size is the yardstick.  A
+//     repair with fewer sources left keeps the per-source loop: a
+//     phase costs up to about n visited nodes, so it cannot beat n/8
+//     per path with fewer than 8 paths to route.
 //
 // One semantic difference from a full Solve: saturation prices
 // negative-cost structures away instead of detecting them, so a
@@ -50,6 +58,8 @@
 // 1×, against one augmentation per source) — pinned by
 // TestResolveGateFallback.
 package mcmf
+
+import "math"
 
 // ewmaAlpha is the smoothing factor of the per-problem augmentation
 // cost averages: a quarter of each run's fresh measurement, three
@@ -200,8 +210,18 @@ func resolveSSP(s *Solver, changed []int32, pf pathFinder, st *Stats, full func(
 	}
 	s.ensureSSP()
 	mark := *st
-	if err := s.augmentAll(excess, pf, st); err != nil {
+	// The per-source loop first, handing over to phases once it falls
+	// far behind (step 4 in the file comment).
+	n := int64(s.n)
+	lim := raceLimit{budget: math.MaxInt64, floor: n, visited: n, augs: 8, sources: 8}
+	_, _, handover, err := s.augmentSome(s.sourcesOf(excess), excess, pf, st, lim)
+	if err != nil {
 		return 0, err
+	}
+	if handover {
+		if err := s.routePhases(excess, pf, st); err != nil {
+			return 0, err
+		}
 	}
 	s.markSolved()
 	st.Resolves++

@@ -3,12 +3,11 @@
 // is pluggable (heap Dijkstra in search.go, Dial bucket Dijkstra in
 // dial.go).
 //
-// Two loops route supply.  The per-source loop (augmentAll) runs one
-// search per augmentation, from one source to its nearest deficit;
-// incremental repairs (resolve.go) use it alone.  Full solves route in
-// primal–dual phases first (Ahuja, Magnanti & Orlin, Network Flows,
-// §9.8): one search from every source at once, truncated at the
-// nearest deficit's distance D, updates the potentials by the same
+// Two loops route supply.  The per-source loop (augmentSome) runs one
+// search per augmentation, from one source to its nearest deficit.
+// Primal–dual phases (routePhases; Ahuja, Magnanti & Orlin, Network
+// Flows, §9.8) run one search from every source at once, truncated at
+// the nearest deficit's distance D, update the potentials by the same
 // settled-only rule one augmentation uses, and a Dinic-style blocking
 // flow then routes every source that reaches a deficit over residual
 // arcs of zero reduced cost.  On the wide, shallow D-phase networks of
@@ -16,9 +15,18 @@
 // would each search for.  Where phases stop paying — meshes and
 // ISCAS-like netlists, where after the first phase each one routes a
 // path or two — the per-source loop takes over: routePhases races the
-// two by measured visited nodes per routed path.  The final potentials, which
-// internal/dcs reads as the D-phase duals, match the per-source loop's
-// on every instance TestPhasesMatchClassicLoop covers.
+// two by measured visited nodes per routed path.
+//
+// Full solves start in phases.  Incremental repairs (resolve.go) start
+// in the per-source loop, which on a mesh routes a repair at about 16
+// visited nodes per path, and hand over to phases when it falls far
+// behind.  Either way no run of the per-source loop is unbounded: one
+// that has done a phase's worth of work at a worse rate per path than
+// the phases quits (raceLimit), because on trees a single path costs
+// anywhere from 5 to tens of thousands of visited nodes.  The final
+// potentials, which internal/dcs reads as the D-phase duals, match the
+// per-source loop's alone on every instance TestPhasesMatchClassicLoop
+// covers, full solves and resolves alike.
 package mcmf
 
 import "math"
@@ -42,15 +50,6 @@ func (heapFinder) shortestPath(s *Solver, srcs []int32, excess []int64) (int32, 
 	return s.dijkstraHeap(srcs, excess)
 }
 
-// augmentAll routes every positive excess to a deficit node along
-// reduced-cost shortest paths, updating potentials after each
-// augmentation.  excess must be balanced (sums to zero); residuals are
-// mutated in place.
-func (s *Solver) augmentAll(excess []int64, pf pathFinder, st *Stats) error {
-	_, _, err := s.augmentSome(s.sourcesOf(excess), excess, pf, st, math.MaxInt64)
-	return err
-}
-
 // sourcesOf lists the nodes with positive excess in the solver's
 // source scratch.
 func (s *Solver) sourcesOf(excess []int64) []int32 {
@@ -63,28 +62,64 @@ func (s *Solver) sourcesOf(excess []int64) []int32 {
 	return srcs
 }
 
+// raceLimit bounds one run of the per-source loop, after its first
+// augmentation: the run stops once it has visited budget nodes, and
+// quits early once it has visited floor nodes at more nodes per routed
+// path than the yardstick's visited/augs, provided at least sources
+// sources still have excess.
+type raceLimit struct {
+	budget, floor int64
+	visited, augs int64 // the yardstick rate to beat; augs > 0
+	sources       int
+}
+
+// unlimited lets the per-source loop route every supply.
+var unlimited = raceLimit{budget: math.MaxInt64, floor: math.MaxInt64, augs: 1}
+
+// hasSources reports whether at least k of srcs still have excess.
+func hasSources(srcs []int32, excess []int64, k int) bool {
+	for _, v := range srcs {
+		if k <= 0 {
+			break
+		}
+		if excess[v] > 0 {
+			k--
+		}
+	}
+	return k <= 0
+}
+
 // augmentSome runs the per-source loop over srcs, last source first,
-// until it has visited budget nodes (after at least one augmentation)
-// or no source has excess left, and returns the nodes it visited and
-// the paths it routed.
-func (s *Solver) augmentSome(srcs []int32, excess []int64, pf pathFinder, st *Stats, budget int64) (visited, augs int64, err error) {
+// until no source has excess left or lim stops it, and returns the
+// nodes it visited, the paths it routed, and whether it quit early on
+// lim's rate rule with supply left.
+func (s *Solver) augmentSome(srcs []int32, excess []int64, pf pathFinder, st *Stats, lim raceLimit) (visited, augs int64, quit bool, err error) {
 	v0 := st.Visited
-	for augs == 0 || st.Visited-v0 < budget {
+	for {
 		for len(srcs) > 0 && excess[srcs[len(srcs)-1]] <= 0 {
 			srcs = srcs[:len(srcs)-1]
 		}
 		if len(srcs) == 0 {
 			break // all supplies routed
 		}
+		if v := st.Visited - v0; augs > 0 {
+			if v >= lim.budget {
+				break
+			}
+			if v >= lim.floor && v*lim.augs > lim.visited*augs && hasSources(srcs, excess, lim.sources) {
+				quit = true
+				break
+			}
+		}
 		if err := s.pollAbort(); err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
 		if err := s.augmentFrom(srcs[len(srcs)-1:], excess, pf, st); err != nil {
-			return 0, 0, err
+			return 0, 0, false, err
 		}
 		augs++
 	}
-	return st.Visited - v0, augs, nil
+	return st.Visited - v0, augs, quit, nil
 }
 
 // augmentFrom is one step of the per-source loop: a search from the
@@ -149,9 +184,9 @@ func (e *sspEngine) Resolve(s *Solver, changed []int32) (float64, error) {
 // single phase is too short a sample.
 const phaseWindow = 3
 
-// routePhases routes every supply of a full solve, in primal–dual
-// phases while they pay and in races of the per-source loop while they
-// do not.
+// routePhases routes every supply in excess, in primal–dual phases
+// while they pay and in races of the per-source loop while they do
+// not.
 //
 // A phase runs one search from every node with positive excess,
 // truncated at the first deficit's distance D, and applies the same
@@ -166,9 +201,11 @@ const phaseWindow = 3
 // sources until it has visited as many nodes as the last phase did.
 // While a race beats the phase window, the next race gets twice the
 // budget, so where phases have stopped paying the per-source loop
-// finishes the tail after a few doublings; once a race does worse than
-// the window, phases resume.  A race routes real supply, so one that
-// loses to the phases still makes progress.
+// finishes the tail after a few doublings.  A race that has used the
+// first budget and routes at a worse rate than the window quits at
+// once instead of running out its doubled budget, and phases resume.
+// A race routes real supply, so one that loses to the phases still
+// makes progress.
 func (s *Solver) routePhases(excess []int64, pf pathFinder, st *Stats) error {
 	srcs := s.sourcesOf(excess)
 	var visited, augs [phaseWindow]int64 // per phase, ring-indexed
@@ -199,11 +236,18 @@ func (s *Solver) routePhases(excess []int64, pf pathFinder, st *Stats) error {
 			continue
 		}
 		// Race while the phase window costs more per path than the
-		// last race (or before the first race).
+		// last race (or before the first race).  A race that quits has
+		// lost to the window, which ends the loop.
 		for budget := v; len(srcs) > 0 && (raceAugs == 0 || winVisited*raceAugs > raceVisited*winAugs); budget *= 2 {
+			lim := raceLimit{budget: budget, floor: v, visited: winVisited, augs: winAugs}
+			var quit bool
 			var err error
-			if raceVisited, raceAugs, err = s.augmentSome(srcs, excess, pf, st, budget); err != nil {
+			if raceVisited, raceAugs, quit, err = s.augmentSome(srcs, excess, pf, st, lim); err != nil {
 				return err
+			}
+			st.Races++
+			if quit {
+				st.RaceQuits++
 			}
 			srcs = activeSources(srcs, excess)
 		}
