@@ -42,7 +42,7 @@ func main() {
 		benchFile   = flag.String("bench", "", "ISCAS85 .bench netlist file")
 		spec        = flag.Float64("spec", 0.5, "delay target as a fraction of Dmin")
 		algo        = flag.String("algo", "minflo", "sizing algorithm: minflo, tilos or lagrange")
-		engine      = flag.String("engine", "auto", "D-phase flow engine: auto (= dial), ssp, dial or costscaling")
+		engine      = flag.String("engine", "auto", "D-phase flow engine: auto (= ssp), ssp or costscaling")
 		budget      = flag.Duration("budget", 0, "wall-clock budget for the optimization (0 = unlimited); on expiry the best sizing so far is printed and the exit code is 4")
 		mode        = flag.String("mode", "gate", "sizing mode: gate or transistor")
 		dumpSizes   = flag.Bool("sizes", false, "print the per-element sizes")

@@ -64,14 +64,13 @@ import (
 	"syscall"
 	"time"
 
-	"minflo"
 	"minflo/internal/serve"
 )
 
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7317", "listen address")
-		engine      = flag.String("engine", "ssp", "default D-phase flow engine for sessions that do not pin one: "+strings.Join(minflo.FlowEngines(), ", ")+", or auto")
+		engine      = flag.String("engine", "auto", "default D-phase flow engine for sessions that do not pin one: auto (= ssp), ssp or costscaling")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing solves (0 = GOMAXPROCS)")
 		maxPending  = flag.Int("max-pending", 64, "globally admitted-but-unfinished requests before 429")
 		queueDepth  = flag.Int("queue-depth", 8, "per-session request queue before 429")

@@ -36,7 +36,7 @@ func cancelProblem(t *testing.T) (*dag.Problem, float64) {
 // pinned returns deterministic options (fixed engine, serial) so twin
 // runs are bit-comparable.
 func pinned() Options {
-	return Options{FlowEngine: "dial"}
+	return Options{FlowEngine: "ssp"}
 }
 
 func TestSizeCtxCancelBetweenIterations(t *testing.T) {

@@ -33,26 +33,18 @@ import (
 	"minflo/internal/tilos"
 )
 
-// defaultFlowEngine is the backend "" and "auto" resolve to: dial was
-// the fastest registered engine on every measured D-phase instance
-// (EXPERIMENTS.md "Engine zoo pruned").
-const defaultFlowEngine = "dial"
-
 // ResolveFlowEngine maps an Options.FlowEngine value to a concrete
 // mcmf backend name — the one rule for which engine names are
-// accepted.  "" and "auto" return the default ("dial"); anything else
-// must be a registered engine.  The resolved engine is pinned for the
-// whole run, so every run is deterministic.
+// accepted.  "", "auto" and the deprecated "dial" return "ssp"
+// (mcmf.CanonicalEngine); anything else must be a registered engine.
+// The resolved engine is pinned for the whole run, so every run is
+// deterministic.
 func ResolveFlowEngine(name string) (string, error) {
-	switch name {
-	case "", "auto":
-		return defaultFlowEngine, nil
-	default:
-		if !mcmf.ValidEngine(name) {
-			return "", fmt.Errorf("core: unknown flow engine %q (have auto, %v)", name, mcmf.EngineNames())
-		}
-		return name, nil
+	canon, ok := mcmf.CanonicalEngine(name)
+	if !ok {
+		return "", fmt.Errorf("core: unknown flow engine %q (have auto, %v)", name, mcmf.EngineNames())
 	}
+	return canon, nil
 }
 
 // ErrInfeasible is returned when no sizing meets the delay target.
@@ -95,9 +87,9 @@ type Options struct {
 	// power-of-10 scaling). Defaults 1e6 / 1e4.
 	CostScale, SupplyScale float64
 	// FlowEngine selects the D-phase min-cost-flow backend by mcmf
-	// registry name ("ssp", "dial", "costscaling").  Empty or "auto"
-	// selects "dial" (see ResolveFlowEngine); IterStats.FlowEngine
-	// reports the backend that ran.
+	// registry name ("ssp", "costscaling").  Empty, "auto" and the
+	// deprecated "dial" select "ssp" (see ResolveFlowEngine);
+	// IterStats.FlowEngine reports the backend that ran.
 	FlowEngine string
 	// Parallelism is ignored: every run is serial.
 	//

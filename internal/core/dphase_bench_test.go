@@ -15,15 +15,15 @@ import (
 
 // BenchmarkDPhaseFlowTree times the D-phase flow network of a wide
 // tree — gen.BalancedTree(2048) at 0.9·Dmin, priced by D/W rounds from
-// the TILOS seed — on both SSP engines: the regime their primal–dual
+// the TILOS seed — on the ssp engine: the regime its primal–dual
 // phases target, where one phase routes thousands of sources.  "warm"
 // ops are Reset plus Solve on the network dcs built after one round.
 // "resolve" ops are the tree's first incremental repair in a sizing
 // run: from the flow solved at one round's prices, re-price the network
 // to the next round's and time ResolveChanged.  The bench gate
 // (bench_gate.json) holds the rows' allocs/op — 0, except that each
-// dial resolve op runs on a fresh network whose bucket ring grows
-// during the repair — and their work counters (dphaseWork).
+// resolve op runs on a fresh network whose bucket pool grows during
+// the repair — and their work counters (dphaseWork).
 func BenchmarkDPhaseFlowTree(b *testing.B) {
 	m := delay.NewModel(tech.Default013())
 	p, err := dag.GateLevel(gen.BalancedTree(2048), m)
@@ -40,10 +40,71 @@ func BenchmarkDPhaseFlowTree(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt := Options{}.withDefaults()
-	for _, engine := range []string{"ssp", "dial"} {
-		engine := engine
-		b.Run(engine+"/warm", func(b *testing.B) {
-			aug := p.Augment()
+	const engine = "ssp"
+	b.Run(engine+"/warm", func(b *testing.B) {
+		aug := p.Augment()
+		sc, err := newIterScratch(p, aug, tr.X, engine)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := iterate(p, aug, sc, tr.X, T, opt.Window, opt); err != nil {
+			b.Fatal(err)
+		}
+		// One warm solve before timing lets the scratch reach its
+		// steady-state capacity.
+		f := sc.sys.Network()
+		f.Reset()
+		if _, err := f.Solve(); err != nil {
+			b.Fatal(err)
+		}
+		var work dphaseWork
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Reset()
+			before := f.EngineStats()
+			if _, err := f.Solve(); err != nil {
+				b.Fatal(err)
+			}
+			work.add(before, f.EngineStats())
+		}
+		work.report(b)
+	})
+	b.Run(engine+"/resolve", func(b *testing.B) {
+		// Size the tree, snapshotting the network's prices after
+		// every round, up to the first round the engine repaired
+		// incrementally: from and to are the prices of the round
+		// before it and of that round.
+		var sess *Session
+		var from, to netPrices
+		found, resolves := false, 0
+		sizeOpt := Options{FlowEngine: engine, OnIteration: func(IterStats) {
+			if found {
+				return
+			}
+			f := sess.sc.sys.Network()
+			from, to = to, pricesOf(f, from)
+			st := f.EngineStats()
+			found, resolves = st.Resolves > resolves, st.Resolves
+		}}
+		if sess, err = NewSession(p, sizeOpt); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.Resize(context.Background(), T, Budgets{}); err != nil {
+			b.Fatal(err)
+		}
+		if !found || from.cost == nil {
+			b.Fatal("no D/W round after the first was repaired incrementally")
+		}
+		changed := to.changedSince(from)
+		// Each op starts from a fresh network, so the resolve gate
+		// sees no history of earlier ops (one op's repair would
+		// price the next one out of the incremental path): priced
+		// by one round from the TILOS seed, re-priced to from and
+		// solved warm, then re-priced to to and repaired.
+		aug := p.Augment()
+		op := func(work *dphaseWork) {
+			b.StopTimer()
 			sc, err := newIterScratch(p, aug, tr.X, engine)
 			if err != nil {
 				b.Fatal(err)
@@ -51,94 +112,31 @@ func BenchmarkDPhaseFlowTree(b *testing.B) {
 			if _, err := iterate(p, aug, sc, tr.X, T, opt.Window, opt); err != nil {
 				b.Fatal(err)
 			}
-			// One warm solve before timing lets the scratch reach its
-			// steady-state capacity.
 			f := sc.sys.Network()
-			f.Reset()
+			from.apply(f)
 			if _, err := f.Solve(); err != nil {
 				b.Fatal(err)
 			}
-			var work dphaseWork
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Reset()
-				before := f.EngineStats()
-				if _, err := f.Solve(); err != nil {
-					b.Fatal(err)
-				}
-				work.add(before, f.EngineStats())
-			}
-			work.report(b)
-		})
-		b.Run(engine+"/resolve", func(b *testing.B) {
-			// Size the tree, snapshotting the network's prices after
-			// every round, up to the first round the engine repaired
-			// incrementally: from and to are the prices of the round
-			// before it and of that round.
-			var sess *Session
-			var from, to netPrices
-			found, resolves := false, 0
-			sizeOpt := Options{FlowEngine: engine, OnIteration: func(IterStats) {
-				if found {
-					return
-				}
-				f := sess.sc.sys.Network()
-				from, to = to, pricesOf(f, from)
-				st := f.EngineStats()
-				found, resolves = st.Resolves > resolves, st.Resolves
-			}}
-			if sess, err = NewSession(p, sizeOpt); err != nil {
+			to.apply(f)
+			before := f.EngineStats()
+			b.StartTimer()
+			if _, err := f.ResolveChanged(changed); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sess.Resize(context.Background(), T, Budgets{}); err != nil {
-				b.Fatal(err)
+			after := f.EngineStats()
+			if after.Resolves != before.Resolves+1 {
+				b.Fatal("ResolveChanged fell back to a full solve")
 			}
-			if !found || from.cost == nil {
-				b.Fatal("no D/W round after the first was repaired incrementally")
-			}
-			changed := to.changedSince(from)
-			// Each op starts from a fresh network, so the resolve gate
-			// sees no history of earlier ops (one op's repair would
-			// price the next one out of the incremental path): priced
-			// by one round from the TILOS seed, re-priced to from and
-			// solved warm, then re-priced to to and repaired.
-			aug := p.Augment()
-			op := func(work *dphaseWork) {
-				b.StopTimer()
-				sc, err := newIterScratch(p, aug, tr.X, engine)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := iterate(p, aug, sc, tr.X, T, opt.Window, opt); err != nil {
-					b.Fatal(err)
-				}
-				f := sc.sys.Network()
-				from.apply(f)
-				if _, err := f.Solve(); err != nil {
-					b.Fatal(err)
-				}
-				to.apply(f)
-				before := f.EngineStats()
-				b.StartTimer()
-				if _, err := f.ResolveChanged(changed); err != nil {
-					b.Fatal(err)
-				}
-				after := f.EngineStats()
-				if after.Resolves != before.Resolves+1 {
-					b.Fatal("ResolveChanged fell back to a full solve")
-				}
-				work.add(before, after)
-			}
-			var work dphaseWork
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op(&work)
-			}
-			work.report(b)
-		})
-	}
+			work.add(before, after)
+		}
+		var work dphaseWork
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(&work)
+		}
+		work.report(b)
+	})
 }
 
 // netPrices is a snapshot of a flow network's arc costs, capacities

@@ -59,9 +59,9 @@ func diffResults(t *testing.T, tag string, want, got *Result) {
 
 // TestAutoEngineMatchesDialRandom pins the default engine selection
 // end to end: across 100+ random logic instances, core.Size with
-// FlowEngine "" and "auto" must reproduce a pinned "dial" run bit for
-// bit — same areas, same iteration counts, same sizes, same
-// per-iteration trajectory.
+// FlowEngine "", "auto" and the deprecated "dial" must reproduce a
+// pinned "ssp" run bit for bit — same areas, same iteration counts,
+// same sizes, same per-iteration trajectory.
 func TestAutoEngineMatchesDialRandom(t *testing.T) {
 	m := delay.NewModel(tech.Default013())
 	count := 0
@@ -73,8 +73,8 @@ func TestAutoEngineMatchesDialRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		spec := 0.55 + 0.3*rng.Float64()
-		want := sizeOnce(t, p, spec, "dial")
-		for _, name := range []string{"", "auto"} {
+		want := sizeOnce(t, p, spec, "ssp")
+		for _, name := range []string{"", "auto", "dial"} {
 			diffResults(t, ckt.Name+" engine "+strconv.Quote(name), want, sizeOnce(t, p, spec, name))
 		}
 		count++
@@ -84,13 +84,13 @@ func TestAutoEngineMatchesDialRandom(t *testing.T) {
 	}
 }
 
-// TestResolveFlowEngineAuto pins the engine-name policy: ""/"auto"
-// select "dial", every registered engine passes through by name, and
-// unknown names are rejected.
+// TestResolveFlowEngineAuto pins the engine-name policy: "", "auto"
+// and the deprecated "dial" select "ssp", every registered engine
+// passes through by name, and unknown names are rejected.
 func TestResolveFlowEngineAuto(t *testing.T) {
-	for _, name := range []string{"", "auto"} {
-		if got, err := ResolveFlowEngine(name); err != nil || got != "dial" {
-			t.Fatalf("ResolveFlowEngine(%q) = %q, %v; want dial", name, got, err)
+	for _, name := range []string{"", "auto", "dial"} {
+		if got, err := ResolveFlowEngine(name); err != nil || got != "ssp" {
+			t.Fatalf("ResolveFlowEngine(%q) = %q, %v; want ssp", name, got, err)
 		}
 	}
 	for _, name := range mcmf.EngineNames() {
@@ -106,7 +106,7 @@ func TestResolveFlowEngineAuto(t *testing.T) {
 }
 
 // TestTreeSizingBoundsPerSourceWork sizes the wide tree TestAnswerPin
-// pins (gen.BalancedTree(1024) at 0.9·Dmin) on both SSP engines and
+// pins (gen.BalancedTree(1024) at 0.9·Dmin) on the ssp engine and
 // demands that both limits on the per-source loop fire: a race that
 // quits because it fell behind the phases, and a ResolveChanged that
 // hands its excess over to phases.  The answer pin then covers both
@@ -121,30 +121,29 @@ func TestTreeSizingBoundsPerSourceWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"ssp", "dial"} {
-		var sess *Session
-		var prev mcmf.Stats
-		handovers := 0
-		opt := Options{FlowEngine: engine, OnIteration: func(IterStats) {
-			st := sess.sc.sys.FlowEngineStats()
-			if st.Resolves > prev.Resolves && st.Phases > prev.Phases {
-				handovers++
-			}
-			prev = st
-		}}
-		if sess, err = NewSession(p, opt); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Resize(context.Background(), 0.9*tm.CP, Budgets{}); err != nil {
-			t.Fatal(err)
-		}
+	const engine = "ssp"
+	var sess *Session
+	var prev mcmf.Stats
+	handovers := 0
+	opt := Options{FlowEngine: engine, OnIteration: func(IterStats) {
 		st := sess.sc.sys.FlowEngineStats()
-		t.Logf("%s: %d solves, %d resolves, %d races, %d quits, %d handovers", engine, st.Solves, st.Resolves, st.Races, st.RaceQuits, handovers)
-		if st.RaceQuits == 0 {
-			t.Errorf("%s: no race quit in %d races", engine, st.Races)
+		if st.Resolves > prev.Resolves && st.Phases > prev.Phases {
+			handovers++
 		}
-		if handovers == 0 {
-			t.Errorf("%s: no resolve handed over to phases in %d resolves", engine, st.Resolves)
-		}
+		prev = st
+	}}
+	if sess, err = NewSession(p, opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Resize(context.Background(), 0.9*tm.CP, Budgets{}); err != nil {
+		t.Fatal(err)
+	}
+	st := sess.sc.sys.FlowEngineStats()
+	t.Logf("%s: %d solves, %d resolves, %d races, %d quits, %d handovers", engine, st.Solves, st.Resolves, st.Races, st.RaceQuits, handovers)
+	if st.RaceQuits == 0 {
+		t.Errorf("%s: no race quit in %d races", engine, st.Races)
+	}
+	if handovers == 0 {
+		t.Errorf("%s: no resolve handed over to phases in %d resolves", engine, st.Resolves)
 	}
 }

@@ -23,96 +23,95 @@ func trOpt(engine string) Options {
 // answers stay feasible and within 2e-2 relative area of a
 // seeding-off session's answers.
 func TestSessionTrustRegionReplay(t *testing.T) {
-	for _, engine := range []string{"ssp", "dial"} {
-		t.Run(engine, func(t *testing.T) {
-			warm, err := NewSession(mustProblem(t, "adder16"), trOpt(engine))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer warm.Close()
-			twin, err := NewSession(mustProblem(t, "adder16"), trOpt(engine))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer twin.Close()
-			off, err := NewSession(mustProblem(t, "adder16"),
-				Options{FlowEngine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer off.Close()
+	const engine = "ssp"
+	t.Run(engine, func(t *testing.T) {
+		warm, err := NewSession(mustProblem(t, "adder16"), trOpt(engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer warm.Close()
+		twin, err := NewSession(mustProblem(t, "adder16"), trOpt(engine))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+		off, err := NewSession(mustProblem(t, "adder16"),
+			Options{FlowEngine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer off.Close()
 
-			tmin := minCP(t, warm.p)
-			// The latency harness's small-refinement mix: a cold anchor
-			// then targets within ±0.7% of it.
-			targets := []float64{0.6, 0.602, 0.598, 0.601, 0.599, 0.6}
-			seeded, fallbacks := 0, 0
-			for qi, f := range targets {
-				T := f * tmin
-				rw, err := warm.Resize(context.Background(), T, Budgets{})
-				if err != nil {
-					t.Fatalf("query %d: %v", qi, err)
-				}
-				rt, err := twin.Resize(context.Background(), T, Budgets{})
-				if err != nil {
-					t.Fatalf("twin query %d: %v", qi, err)
-				}
-				if !bitEqual(rw.X, rt.X) || rw.Area != rt.Area || rw.CP != rt.CP ||
-					rw.Iterations != rt.Iterations || rw.Seed != rt.Seed {
-					t.Fatalf("query %d (T=%g): seeded session diverged from replaying twin\nwarm: area %.17g seed %q iters %d\ntwin: area %.17g seed %q iters %d",
-						qi, T, rw.Area, rw.Seed, rw.Iterations, rt.Area, rt.Seed, rt.Iterations)
-				}
-				wantSeed := SeedWarm
-				if qi == 0 {
-					wantSeed = SeedTilos
-				}
-				if rw.Seed != wantSeed {
-					t.Fatalf("query %d: Seed = %q, want %q", qi, rw.Seed, wantSeed)
-				}
-				if rw.Seed == SeedWarm {
-					seeded++
-				}
-				if rw.SeedFallback {
-					fallbacks++
-				}
-				if rw.CP > T*(1+1e-9) {
-					t.Fatalf("query %d: seeded CP %g violates target %g", qi, rw.CP, T)
-				}
-				ro, err := off.Resize(context.Background(), T, Budgets{})
-				if err != nil {
-					t.Fatalf("seeding-off query %d: %v", qi, err)
-				}
-				if rel := math.Abs(rw.Area-ro.Area) / ro.Area; rel > 2e-2 {
-					t.Fatalf("query %d: seeded area %.17g vs cold-path %.17g (rel %g) beyond tolerance",
-						qi, rw.Area, ro.Area, rel)
-				}
-			}
-			if want := len(targets) - 1; seeded != want {
-				t.Fatalf("seeded answers = %d, want %d", seeded, want)
-			}
-			if fallbacks != 0 {
-				t.Fatalf("seed fallbacks = %d, want 0", fallbacks)
-			}
-			// Seed provenance threads into the per-iteration stats too.
-			last := warm // any clean seeded result: re-run the final target
-			rw, err := last.Resize(context.Background(), targets[len(targets)-1]*tmin, Budgets{})
+		tmin := minCP(t, warm.p)
+		// The latency harness's small-refinement mix: a cold anchor
+		// then targets within ±0.7% of it.
+		targets := []float64{0.6, 0.602, 0.598, 0.601, 0.599, 0.6}
+		seeded, fallbacks := 0, 0
+		for qi, f := range targets {
+			T := f * tmin
+			rw, err := warm.Resize(context.Background(), T, Budgets{})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("query %d: %v", qi, err)
 			}
-			for _, st := range rw.Stats {
-				if st.Seed != SeedWarm {
-					t.Fatalf("iteration %d: Seed = %q, want %q", st.Iter, st.Seed, SeedWarm)
-				}
+			rt, err := twin.Resize(context.Background(), T, Budgets{})
+			if err != nil {
+				t.Fatalf("twin query %d: %v", qi, err)
 			}
-		})
-	}
+			if !bitEqual(rw.X, rt.X) || rw.Area != rt.Area || rw.CP != rt.CP ||
+				rw.Iterations != rt.Iterations || rw.Seed != rt.Seed {
+				t.Fatalf("query %d (T=%g): seeded session diverged from replaying twin\nwarm: area %.17g seed %q iters %d\ntwin: area %.17g seed %q iters %d",
+					qi, T, rw.Area, rw.Seed, rw.Iterations, rt.Area, rt.Seed, rt.Iterations)
+			}
+			wantSeed := SeedWarm
+			if qi == 0 {
+				wantSeed = SeedTilos
+			}
+			if rw.Seed != wantSeed {
+				t.Fatalf("query %d: Seed = %q, want %q", qi, rw.Seed, wantSeed)
+			}
+			if rw.Seed == SeedWarm {
+				seeded++
+			}
+			if rw.SeedFallback {
+				fallbacks++
+			}
+			if rw.CP > T*(1+1e-9) {
+				t.Fatalf("query %d: seeded CP %g violates target %g", qi, rw.CP, T)
+			}
+			ro, err := off.Resize(context.Background(), T, Budgets{})
+			if err != nil {
+				t.Fatalf("seeding-off query %d: %v", qi, err)
+			}
+			if rel := math.Abs(rw.Area-ro.Area) / ro.Area; rel > 2e-2 {
+				t.Fatalf("query %d: seeded area %.17g vs cold-path %.17g (rel %g) beyond tolerance",
+					qi, rw.Area, ro.Area, rel)
+			}
+		}
+		if want := len(targets) - 1; seeded != want {
+			t.Fatalf("seeded answers = %d, want %d", seeded, want)
+		}
+		if fallbacks != 0 {
+			t.Fatalf("seed fallbacks = %d, want 0", fallbacks)
+		}
+		// Seed provenance threads into the per-iteration stats too.
+		last := warm // any clean seeded result: re-run the final target
+		rw, err := last.Resize(context.Background(), targets[len(targets)-1]*tmin, Budgets{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range rw.Stats {
+			if st.Seed != SeedWarm {
+				t.Fatalf("iteration %d: Seed = %q, want %q", st.Iter, st.Seed, SeedWarm)
+			}
+		}
+	})
 }
 
 // TestSessionTrustRegionFallbackBeyondDelta: a target jump beyond δ
 // re-seeds from TILOS (no fallback counted — the policy never armed),
 // and the session recovers warm seeding around the new anchor.
 func TestSessionTrustRegionFallbackBeyondDelta(t *testing.T) {
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("dial"))
+	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("ssp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestSessionTrustRegionFallbackBeyondDelta(t *testing.T) {
 // beyond δ invalidates the seed for the next Resize; the clean answer
 // that follows re-arms seeding (perturbation resets per clean answer).
 func TestSessionTrustRegionFallbackOnWeightEdit(t *testing.T) {
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("dial"))
+	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("ssp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestSessionTrustRegionBlowoutFallback(t *testing.T) {
 	seedIterFloor = 1
 	defer func() { seedIterFloor = oldFloor }()
 
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("dial"))
+	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("ssp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +247,9 @@ func TestSessionTrustRegionAbortedSeedReusable(t *testing.T) {
 		tmin := minCP(t, sess.p)
 
 		// The wrapper rebuilds its inner backend when the plan names a
-		// different one — keep Inner pinned to "dial" across the whole
+		// different one — keep Inner pinned to "ssp" across the whole
 		// sequence so the warm flow state persists like production.
-		fault.SetPlan(fault.Plan{Inner: "dial"})
+		fault.SetPlan(fault.Plan{Inner: "ssp"})
 		r0, err = sess.Resize(context.Background(), 0.6*tmin, Budgets{})
 		if err != nil {
 			t.Fatalf("%s anchor: %v", label, err)
@@ -260,9 +259,9 @@ func TestSessionTrustRegionAbortedSeedReusable(t *testing.T) {
 		// attempt's first D-phase — deterministic for the serial inner
 		// engine, so the twin's injection lands on the same operation.
 		ctx, cancel := context.WithCancel(context.Background())
-		fault.SetPlan(fault.Plan{Inner: "dial", Mode: fault.Cancel, Op: 5, OnCancel: cancel})
+		fault.SetPlan(fault.Plan{Inner: "ssp", Mode: fault.Cancel, Op: 5, OnCancel: cancel})
 		r1, err = sess.Resize(ctx, 0.601*tmin, Budgets{})
-		fault.SetPlan(fault.Plan{Inner: "dial"})
+		fault.SetPlan(fault.Plan{Inner: "ssp"})
 		defer fault.Reset()
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s injected cancel: err = %v, want ErrCanceled", label, err)

@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"minflo/internal/dag"
+	"minflo/internal/mcmf"
 	"minflo/internal/tilos"
 )
 
@@ -219,9 +220,10 @@ func (s *Session) FlowResolves() int { return s.sc.sys.FlowEngineStats().Resolve
 // MemoryBytes estimates the resident footprint of the warm state in
 // bytes: the problem's coupling CSR and coefficient arena, both DAGs,
 // the timing/balancing/W-phase solvers, the D-phase constraint system
-// with its cached flow network, and the iteration buffers.  It is an
-// estimate from element counts (within ~2× of measured heap growth on
-// the benchmark circuits, see serve's accounting test), deterministic
+// with its cached flow network and search scratch, and the iteration
+// buffers.  It is an estimate from element counts (within 2× of the
+// live-heap growth of a session built and queried warm on the
+// benchmark circuits, see TestSessionMemoryAccounting), deterministic
 // for a given problem, and cheap — the server's watermark eviction
 // only needs relative, stable numbers.
 func (s *Session) MemoryBytes() int64 {
@@ -247,6 +249,9 @@ func (s *Session) MemoryBytes() int64 {
 	b += (cons + objs) * 4 * word // dcs constraint/objective tables + cost diff state
 	b += arcs * 16 * word         // flow network: arc pairs, CSR index, attempt snapshots
 	b += an * 14 * word           // iteration buffers, W-phase/sensitivity scratch
+	// The flow network's search scratch (its nodes: the variables and
+	// ground).
+	b += mcmf.SearchScratchBytes(s.sc.sys.NumVars() + 1)
 	// Trust-region warm-seed state: the retained previous sizing vector
 	// plus the target/EWMA bookkeeping (preallocated at build time, so
 	// the estimate is identical before and after the first query).

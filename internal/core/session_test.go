@@ -63,7 +63,7 @@ func bitEqual(a, b []float64) bool {
 // feasibility and on area to 1e-3 relative — so the warm path can
 // never silently trade answer quality for speed.
 func TestSessionReplayDeterminism(t *testing.T) {
-	for _, engine := range []string{"ssp", "dial", "costscaling"} {
+	for _, engine := range []string{"ssp", "costscaling"} {
 		t.Run(engine, func(t *testing.T) {
 			opt := Options{FlowEngine: engine}
 			pWarm := mustProblem(t, "adder16")
@@ -147,7 +147,7 @@ func minCP(t testing.TB, p *dag.Problem) float64 {
 // constraint system (no rebuild) and matches a cold session built
 // with the same weights.
 func TestSessionWhatIfCost(t *testing.T) {
-	opt := Options{FlowEngine: "dial"}
+	opt := Options{FlowEngine: "ssp"}
 	p := mustProblem(t, "adder16")
 	sess, err := NewSession(p, opt)
 	if err != nil {
@@ -256,7 +256,7 @@ func TestSessionPerCallBudgets(t *testing.T) {
 // to a never-canceled twin (the mcmf abort rollback, surfaced at the
 // session level).
 func TestSessionCanceledThenClean(t *testing.T) {
-	opt := Options{FlowEngine: "dial"}
+	opt := Options{FlowEngine: "ssp"}
 	p := mustProblem(t, "adder16")
 	sess, err := NewSession(p, opt)
 	if err != nil {

@@ -30,7 +30,7 @@
 // rerouting every supply.  Supply deltas are diffed inside mcmf, and
 // arc capacities use a stable doubling bound (capBound) so they only
 // count as changed when the bound actually grows.  Options.Engine
-// selects the flow backend ("ssp", "dial", "costscaling"); engines can
+// selects the flow backend ("ssp", "costscaling"); engines can
 // change between Solve calls without losing the cached network.
 //
 // Costs and supplies are integerized by scaling (the paper's
@@ -211,7 +211,8 @@ type Options struct {
 	// Default 1e4.
 	SupplyScale float64
 	// Engine selects the min-cost-flow backend by mcmf registry name
-	// ("ssp", "dial", "costscaling").  Empty keeps the solver's current
+	// ("ssp", "costscaling"; see mcmf.CanonicalEngine for the
+	// aliases).  Empty keeps the solver's current
 	// engine (the mcmf default on a fresh network).  Switching engines
 	// between Solve calls keeps the cached network and its warm state.
 	Engine string

@@ -385,9 +385,11 @@ func TestQuickAlwaysFeasible(t *testing.T) {
 
 // TestIncrementalResolvePath asserts the delta-tracking Update path:
 // re-solves on a cached network must go through mcmf's incremental
-// ResolveChanged (not a from-scratch solve), for every selectable
-// engine, and unchanged weights must produce an empty changed set
-// (observable as a resolve that does no augmentation work).
+// ResolveChanged (not a from-scratch solve), for the default engine
+// under each name that selects it ("" keeps the network's default,
+// "dial" is the deprecated alias of "ssp"), and unchanged weights
+// must produce an empty changed set (observable as a resolve that does
+// no augmentation work).
 func TestIncrementalResolvePath(t *testing.T) {
 	for _, engine := range []string{"", "ssp", "dial"} {
 		engine := engine
@@ -406,8 +408,8 @@ func TestIncrementalResolvePath(t *testing.T) {
 			if _, err := s.Solve(opt); err != nil {
 				t.Fatal(err)
 			}
-			if engine != "" && s.FlowEngineName() != engine {
-				t.Fatalf("engine = %q, want %q", s.FlowEngineName(), engine)
+			if s.FlowEngineName() != "ssp" {
+				t.Fatalf("engine = %q, want ssp", s.FlowEngineName())
 			}
 			base := s.FlowEngineStats()
 			// Weight updates: the re-solve must run incrementally.

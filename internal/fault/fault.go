@@ -62,7 +62,8 @@ var ErrInjected = errors.New("fault: injected failure")
 
 // Plan configures the next runs of every "fault" engine instance.
 type Plan struct {
-	// Inner is the wrapped backend's registry name ("ssp" when empty).
+	// Inner names the wrapped backend (mcmf.CanonicalEngine: "", "auto"
+	// and "dial" wrap "ssp").
 	Inner string
 	// Mode selects the fault; None counts operations only.
 	Mode Mode
@@ -107,9 +108,8 @@ func currentPlan() Plan {
 func Ops() int64 { return lastOps.Load() }
 
 // engine is the registered wrapper.  The inner engine persists across
-// calls (its adaptive state and counters behave like a directly
-// installed backend) and is rebuilt only when the plan names a
-// different backend.
+// calls (its counters behave like a directly installed backend's) and
+// is rebuilt only when the plan names a different backend.
 type engine struct {
 	inner     mcmf.Engine
 	innerName string
@@ -127,10 +127,7 @@ func (e *engine) Resolve(s *mcmf.Solver, changed []int32) (float64, error) {
 
 func (e *engine) run(s *mcmf.Solver, call func(mcmf.Engine) (float64, error)) (float64, error) {
 	p := currentPlan()
-	name := p.Inner
-	if name == "" {
-		name = "ssp"
-	}
+	name, _ := mcmf.CanonicalEngine(p.Inner)
 	if e.inner == nil || e.innerName != name {
 		in, err := mcmf.NewEngine(name)
 		if err != nil {
@@ -174,28 +171,6 @@ func (e *engine) Stats() mcmf.Stats {
 		return mcmf.Stats{}
 	}
 	return e.inner.Stats()
-}
-
-// attemptStateKeeper mirrors the solver's optional abort-rollback
-// interface (structural match on the exported method names).
-type attemptStateKeeper interface {
-	SaveAttemptState()
-	RestoreAttemptState()
-}
-
-// SaveAttemptState / RestoreAttemptState forward the abort-rollback
-// protocol to the inner engine, so e.g. a wrapped "dial" keeps its
-// bit-identical-after-abort guarantee under injection.
-func (e *engine) SaveAttemptState() {
-	if k, ok := e.inner.(attemptStateKeeper); ok {
-		k.SaveAttemptState()
-	}
-}
-
-func (e *engine) RestoreAttemptState() {
-	if k, ok := e.inner.(attemptStateKeeper); ok {
-		k.RestoreAttemptState()
-	}
 }
 
 // ResetWorkCounters forwards the per-problem counter reset.

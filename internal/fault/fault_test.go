@@ -94,7 +94,7 @@ func sspReference(t *testing.T) state {
 func TestInjectedFailureFallsBackToSSP(t *testing.T) {
 	defer Reset()
 	want := sspReference(t)
-	for _, inner := range []string{"ssp", "dial", "costscaling"} {
+	for _, inner := range []string{"ssp", "costscaling"} {
 		ops := probeOps(t, inner)
 		for _, mode := range []Mode{Error, Panic} {
 			for _, op := range samplePoints(ops) {
@@ -144,11 +144,11 @@ func TestInjectedPanicWithoutFallback(t *testing.T) {
 	if err := s.SetEngine("fault"); err != nil {
 		t.Fatal(err)
 	}
-	SetPlan(Plan{Inner: "dial", Mode: Panic, Op: 5})
+	SetPlan(Plan{Inner: "ssp", Mode: Panic, Op: 5})
 	if _, err := s.Solve(); !errors.Is(err, mcmf.ErrEngineFailed) {
 		t.Fatalf("Solve = %v, want ErrEngineFailed", err)
 	}
-	SetPlan(Plan{Inner: "dial"})
+	SetPlan(Plan{Inner: "ssp"})
 	cost, err := s.Solve()
 	if err != nil {
 		t.Fatalf("re-solve after recovered panic: %v", err)
@@ -167,16 +167,8 @@ func TestInjectedPanicWithoutFallback(t *testing.T) {
 // same inner engine.
 func TestInjectedCancelRollsBack(t *testing.T) {
 	defer Reset()
-	ops := probeOps(t, "dial")
-	ref := grid()
-	if err := ref.SetEngine("dial"); err != nil {
-		t.Fatal(err)
-	}
-	refCost, err := ref.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := capture(ref, refCost)
+	ops := probeOps(t, "ssp")
+	want := sspReference(t)
 	for _, op := range samplePoints(ops) {
 		s := grid()
 		if err := s.SetEngine("fault"); err != nil {
@@ -184,14 +176,14 @@ func TestInjectedCancelRollsBack(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		s.SetContext(ctx)
-		SetPlan(Plan{Inner: "dial", Mode: Cancel, Op: op, OnCancel: cancel})
+		SetPlan(Plan{Inner: "ssp", Mode: Cancel, Op: op, OnCancel: cancel})
 		if _, err := s.Solve(); !errors.Is(err, mcmf.ErrCanceled) {
 			cancel()
 			t.Fatalf("op %d/%d: Solve = %v, want ErrCanceled", op, ops, err)
 		}
 		cancel()
 		s.SetContext(nil)
-		SetPlan(Plan{Inner: "dial"})
+		SetPlan(Plan{Inner: "ssp"})
 		cost, err := s.Solve()
 		if err != nil {
 			t.Fatalf("op %d: re-solve after cancel: %v", op, err)
@@ -258,7 +250,7 @@ func TestInjectedErrorDuringResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetEngineFallback(true)
-	SetPlan(Plan{Inner: "dial"})
+	SetPlan(Plan{Inner: "ssp"})
 	if _, err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +258,7 @@ func TestInjectedErrorDuringResolve(t *testing.T) {
 	for _, id := range changed {
 		s.SetCost(int(id), s.Cost(int(id))+250)
 	}
-	SetPlan(Plan{Inner: "dial", Mode: Error, Op: 2})
+	SetPlan(Plan{Inner: "ssp", Mode: Error, Op: 2})
 	cost, err := s.ResolveChanged(changed)
 	Reset()
 	if err != nil {
@@ -290,5 +282,53 @@ func TestInjectedErrorDuringResolve(t *testing.T) {
 	}
 	if cost != wantCost {
 		t.Fatalf("degraded resolve cost %v != fresh optimum %v", cost, wantCost)
+	}
+}
+
+// TestDialAliasRunsSSP: "", "auto" and the deprecated "dial" all
+// select ssp — on a Solver, on a Solver already running ssp (which
+// keeps its engine and counters), and as a fault Plan's inner engine —
+// and each solves bit-identical to the ssp reference.
+func TestDialAliasRunsSSP(t *testing.T) {
+	defer Reset()
+	want := sspReference(t)
+	for _, name := range []string{"", "auto", "dial"} {
+		if canon, ok := mcmf.CanonicalEngine(name); canon != "ssp" || !ok || !mcmf.ValidEngine(name) {
+			t.Fatalf("CanonicalEngine(%q) = %q, %v; want ssp", name, canon, ok)
+		}
+		s := grid()
+		if err := s.SetEngine(name); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.EngineName(); got != "ssp" {
+			t.Fatalf("SetEngine(%q): engine %q, want ssp", name, got)
+		}
+		cost, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff(t, "engine "+name, want, capture(s, cost))
+		if err := s.SetEngine(name); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.EngineStats().Solves; got != 1 {
+			t.Fatalf("SetEngine(%q) on ssp reset the counters: %d solves, want 1", name, got)
+		}
+
+		f := grid()
+		if err := f.SetEngine("fault"); err != nil {
+			t.Fatal(err)
+		}
+		SetPlan(Plan{Inner: name})
+		cost, err = f.Solve()
+		if err != nil {
+			t.Fatalf("fault Inner %q: %v", name, err)
+		}
+		diff(t, "fault Inner "+name, want, capture(f, cost))
+	}
+	for _, name := range mcmf.EngineNames() {
+		if name == "dial" {
+			t.Fatalf("EngineNames lists the deprecated alias: %v", mcmf.EngineNames())
+		}
 	}
 }

@@ -2,10 +2,10 @@
 //
 // Every engine inner loop polls Solver.pollAbort at its natural
 // operation granularity — one shortest-path augmentation of the
-// per-source loop (ssp, dial), one primal–dual phase search and one
-// path routed by its blocking flow (ssp, dial full solves; a phase
-// search on a tree can cover the whole network), one Bellman–Ford
-// round, one discharge (costscaling).  The poll is a single abort
+// per-source loop, one primal–dual phase search and one path routed
+// by its blocking flow (ssp; a phase search on a tree can cover the
+// whole network), one Bellman–Ford round, one discharge
+// (costscaling).  The poll is a single abort
 // funnel with four sources:
 //
 //   - a context.Context installed with SetContext (→ ErrCanceled),
@@ -28,9 +28,9 @@
 // (equally optimal) trajectory than a never-aborted twin.  To keep
 // cancellation invisible, the engine wrapper snapshots the mutable
 // solve state (residual capacities, potentials, the
-// solved/repairable/flowDirty flags, and engine-adaptive state via
-// attemptStateKeeper) before an attempt whenever an abort source is
-// armed, and restores it when the attempt aborts.  A subsequent solve
+// solved/repairable/flowDirty flags, and the search's heap back-off)
+// before an attempt whenever an abort source is armed, and restores it
+// when the attempt aborts.  A subsequent solve
 // on the cancelled Solver is therefore bit-identical to one on a twin
 // that was never cancelled (TestConformanceCancelAtPollPoints).  The
 // snapshot buffers are reused across attempts, so the armed warm path
@@ -43,9 +43,11 @@
 // process.  With SetEngineFallback(true) (internal/dcs enables this
 // for the sizing pipeline) a failure-class error — a panic, a scaling
 // engine's ErrPriceRange refusal, or a fault-injected error — restores
-// the pre-attempt state, permanently degrades the Solver to the "ssp"
-// reference engine, re-runs the attempt there, and records the
-// failure (EngineFailures/LastEngineFailure; surfaced per-iteration in
+// the pre-attempt state and re-runs the attempt once: a failing
+// costscaling (or wrapper) engine permanently degrades the Solver to
+// "ssp", and a failing "ssp" permanently pins its search to the heap,
+// leaving the bucket queue out.  Either rescue is recorded
+// (EngineFailures/LastEngineFailure; surfaced per-iteration in
 // core.IterStats.FlowEngineFailures).  Abort-class errors (canceled,
 // budget exhausted) and semantic errors (infeasible, unbalanced,
 // negative cycle) never trigger fallback: retrying cannot change them.
@@ -124,14 +126,15 @@ func (s *Solver) SetPollHook(h func() error) {
 
 // SetEngineFallback enables graceful degradation: when the active
 // engine fails (panic, price-range refusal, injected fault), the
-// pre-attempt state is restored and the solve re-runs on the "ssp"
-// reference engine, which stays installed.  Disabled by default so
-// direct engine tests observe raw engine errors; internal/dcs enables
-// it for the sizing pipeline.
+// pre-attempt state is restored and the solve re-runs on "ssp", which
+// stays installed — or, when "ssp" itself failed, on ssp with its
+// search pinned to the heap for the rest of the Solver's life.
+// Disabled by default so direct engine tests observe raw engine
+// errors; internal/dcs enables it for the sizing pipeline.
 func (s *Solver) SetEngineFallback(on bool) { s.fallbackOn = on }
 
 // EngineFailures returns how many times an engine failed and the
-// Solver degraded to "ssp" (see SetEngineFallback).
+// Solver rescued the attempt (see SetEngineFallback).
 func (s *Solver) EngineFailures() int { return s.engineFailures }
 
 // LastEngineFailure returns the wrapped error of the most recent
@@ -191,16 +194,6 @@ func isSemanticErr(err error) bool {
 		errors.Is(err, ErrNegativeCycle)
 }
 
-// attemptStateKeeper is the optional interface engines implement when
-// they carry adaptive state a successful solve would have advanced
-// differently than an aborted one (the dial engine's heap back-off).
-// beginAttempt saves it, restoreAttempt rolls it back, keeping an
-// aborted Solver bit-identical to a never-aborted twin.
-type attemptStateKeeper interface {
-	SaveAttemptState()
-	RestoreAttemptState()
-}
-
 // attemptState snapshots the solve-mutable Solver state so an aborted
 // or failed engine attempt can be rolled back exactly.  Costs,
 // configured capacities, supplies and the routed snapshot are never
@@ -208,14 +201,14 @@ type attemptStateKeeper interface {
 type attemptState struct {
 	caps                          []int64 // residual capacity per residual arc
 	pot                           []int64
-	eng                           Engine // engine the snapshot was taken for (adaptive state)
+	skip, skipLen                 int // the search's heap back-off
 	solved, repairable, flowDirty bool
 	valid                         bool
 }
 
 // beginAttempt snapshots the pre-attempt state into reused buffers
 // (allocation-free once warm).
-func (s *Solver) beginAttempt(e Engine) {
+func (s *Solver) beginAttempt() {
 	a := &s.att
 	if cap(a.caps) < len(s.arcs) {
 		a.caps = make([]int64, len(s.arcs))
@@ -229,12 +222,9 @@ func (s *Solver) beginAttempt(e Engine) {
 	}
 	a.pot = a.pot[:len(s.pot)]
 	copy(a.pot, s.pot)
+	a.skip, a.skipLen = s.ss.skip, s.ss.skipLen
 	a.solved, a.repairable, a.flowDirty = s.solved, s.repairable, s.flowDirty
-	a.eng = e
 	a.valid = true
-	if k, ok := e.(attemptStateKeeper); ok {
-		k.SaveAttemptState()
-	}
 }
 
 // restoreAttempt rolls the Solver back to the last beginAttempt
@@ -251,21 +241,20 @@ func (s *Solver) restoreAttempt() {
 	for i := len(a.pot); i < len(s.pot); i++ {
 		s.pot[i] = 0
 	}
+	s.ss.skip, s.ss.skipLen = a.skip, a.skipLen
 	s.solved, s.repairable, s.flowDirty = a.solved, a.repairable, a.flowDirty
-	if k, ok := a.eng.(attemptStateKeeper); ok {
-		k.RestoreAttemptState()
-	}
 }
 
 // runEngine is the guarded engine dispatch behind Solver.Solve and
 // Solver.ResolveChanged: snapshot when an abort source or fallback is
 // in play, run the attempt under panic recovery, classify the error,
-// and degrade to ssp on engine failure when enabled.
+// and rescue an engine failure when enabled — degrading to ssp, or
+// pinning a failed ssp's search to the heap.
 func (s *Solver) runEngine(changed []int32, resolve bool) (float64, error) {
 	e := s.engine()
 	guard := s.armed || s.fallbackOn
 	if guard {
-		s.beginAttempt(e)
+		s.beginAttempt()
 	}
 	cost, err := s.attempt(e, changed, resolve)
 	if err == nil || !guard {
@@ -281,14 +270,21 @@ func (s *Solver) runEngine(changed []int32, resolve bool) (float64, error) {
 	// Failure class: panic (ErrEngineFailed), scaling price-range
 	// refusal, or an injected fault.
 	s.restoreAttempt()
-	if !s.fallbackOn || e.Name() == "ssp" {
+	if !s.fallbackOn {
 		return 0, err
+	}
+	if e.Name() != "ssp" {
+		if serr := s.SetEngine("ssp"); serr != nil {
+			return 0, err
+		}
+		s.lastFailure = fmt.Errorf("mcmf: engine %q failed, degraded to ssp: %w", e.Name(), err)
+	} else if !s.ss.heapOnly {
+		s.ss.heapOnly = true
+		s.lastFailure = fmt.Errorf("mcmf: engine \"ssp\" failed, re-ran on the heap search: %w", err)
+	} else {
+		return 0, err // already on the heap: nothing left to fall back to
 	}
 	s.engineFailures++
-	s.lastFailure = fmt.Errorf("mcmf: engine %q failed, degraded to ssp: %w", e.Name(), err)
-	if serr := s.SetEngine("ssp"); serr != nil {
-		return 0, err
-	}
 	cost, err = s.attempt(s.engine(), changed, resolve)
 	if err != nil && isAbortErr(err) {
 		s.restoreAttempt() // snapshot still holds the pre-attempt state

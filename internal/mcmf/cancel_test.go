@@ -54,19 +54,50 @@ func cancelPoints(rng *rand.Rand, polls, extra int) []int {
 	return points
 }
 
+// backoffRun runs fn on s and records the search's heap back-off at
+// every poll (the hook is removed afterwards): the trajectory of
+// heap-vs-bucket choices a solve takes.
+func backoffRun(s *Solver, fn func() (float64, error)) (trace [][2]int, cost float64, err error) {
+	s.SetPollHook(func() error {
+		trace = append(trace, [2]int{s.ss.skip, s.ss.skipLen})
+		return nil
+	})
+	defer s.SetPollHook(nil)
+	cost, err = fn()
+	return trace, cost, err
+}
+
 // TestConformanceCancelAtPollPoints is the cancellation-determinism
 // gate: per engine, solves canceled at randomized poll points must
 // return ErrCanceled and leave the solver able to re-solve to a state
-// bit-identical with a never-canceled twin's.
+// bit-identical with a never-canceled twin's.  Seeds from 6 on are
+// grids with costs far past the bucket ring, so SSP searches fall back
+// to the heap mid-solve: the re-solve must also take the twin's path
+// of heap and bucket searches, which holds only if the abort rolled
+// back the back-off the canceled attempt advanced.
 func TestConformanceCancelAtPollPoints(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
-		for seed := int64(0); seed < 6; seed++ {
+		for seed := int64(0); seed < 9; seed++ {
+			instance := func() *Solver {
+				if seed < 6 {
+					return newEngineInstance(t, engine, seed, false)
+				}
+				s := NewGridInstance(12, 10, seed)
+				for id := 0; id < s.NumArcs(); id++ {
+					s.SetCost(id, s.Cost(id)*4099)
+				}
+				if err := s.SetEngine(engine); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
 			// Reference: an identical twin solved without interference.
-			ref := newEngineInstance(t, engine, seed, false)
-			polls, cost, err := countedRun(ref, ref.Solve)
+			ref := instance()
+			wantTrace, cost, err := backoffRun(ref, ref.Solve)
 			if err != nil {
 				t.Fatalf("seed %d: reference solve: %v", seed, err)
 			}
+			polls := len(wantTrace)
 			if polls == 0 {
 				t.Fatalf("seed %d: solve never polled — poll sites missing for %s", seed, engine)
 			}
@@ -74,7 +105,7 @@ func TestConformanceCancelAtPollPoints(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(1000 + seed))
 			for _, n := range cancelPoints(rng, polls, 4) {
-				s := newEngineInstance(t, engine, seed, false)
+				s := instance()
 				cost, err := cancelAtPoll(s, n, s.Solve)
 				if err == nil {
 					// The final poll can precede completion so closely
@@ -88,11 +119,14 @@ func TestConformanceCancelAtPollPoints(t *testing.T) {
 				}
 				// The abort must have rolled the attempt back: re-solving
 				// the untouched instance is bit-identical to the twin.
-				cost, err = s.Solve()
+				trace, cost, err := backoffRun(s, s.Solve)
 				if err != nil {
 					t.Fatalf("seed %d re-solve after cancel@%d: %v", seed, n, err)
 				}
 				diffState(t, "re-solve after cancel", want, captureState(s, cost))
+				if fmt.Sprint(trace) != fmt.Sprint(wantTrace) {
+					t.Fatalf("seed %d re-solve after cancel@%d: heap back-off %v, reference %v", seed, n, trace, wantTrace)
+				}
 			}
 		}
 	})
@@ -160,78 +194,133 @@ func TestConformanceCancelInsidePhase(t *testing.T) {
 		{"grid", func(seed int64) *Solver { return NewGridInstance(12, 10, seed) }},
 		{"tree", func(seed int64) *Solver { return buildTreeFeasible(rand.New(rand.NewSource(seed))) }},
 	}
-	for _, engine := range []string{"ssp", "dial"} {
-		for _, b := range builds {
-			for seed := int64(0); seed < 3; seed++ {
-				for _, warm := range []bool{false, true} {
-					tag := fmt.Sprintf("%s/%s/%d warm=%v", engine, b.name, seed, warm)
-					// prime builds the instance and, for the warm case,
-					// solves it once and perturbs its costs.
-					prime := func() *Solver {
-						s := b.build(seed)
-						if err := s.SetEngine(engine); err != nil {
-							t.Fatal(err)
+	for _, b := range builds {
+		for seed := int64(0); seed < 3; seed++ {
+			for _, warm := range []bool{false, true} {
+				tag := fmt.Sprintf("%s/%d warm=%v", b.name, seed, warm)
+				// prime builds the instance and, for the warm case,
+				// solves it once and perturbs its costs.
+				prime := func() *Solver {
+					s := b.build(seed)
+					if warm {
+						if _, err := s.Solve(); err != nil {
+							t.Fatalf("%s: priming solve: %v", tag, err)
 						}
-						if warm {
-							if _, err := s.Solve(); err != nil {
-								t.Fatalf("%s: priming solve: %v", tag, err)
-							}
-							rng := rand.New(rand.NewSource(seed))
-							for id := 0; id < s.NumArcs(); id++ {
-								if rng.Intn(3) == 0 {
-									s.SetCost(id, s.Cost(id)+int64(rng.Intn(30)))
-								}
+						rng := rand.New(rand.NewSource(seed))
+						for id := 0; id < s.NumArcs(); id++ {
+							if rng.Intn(3) == 0 {
+								s.SetCost(id, s.Cost(id)+int64(rng.Intn(30)))
 							}
 						}
-						return s
 					}
+					return s
+				}
 
-					// Reference run: record the polls inside the blocking
-					// flows of the first two phases (races of the
-					// per-source loop start after the third), which follow
-					// a routed path and so see the augmentation count rise.
-					ref := prime()
-					st0 := ref.EngineStats()
-					var inside []int
-					polls, augs := 0, st0.Augmentations
-					ref.SetPollHook(func() error {
-						polls++
-						st := ref.EngineStats()
-						if st.Phases-st0.Phases <= 2 && st.Augmentations > augs {
-							inside = append(inside, polls)
-						}
-						augs = st.Augmentations
-						return nil
-					})
-					cost, err := ref.Solve()
-					ref.SetPollHook(nil)
+				// Reference run: record the polls inside the blocking
+				// flows of the first two phases (races of the
+				// per-source loop start after the third), which follow
+				// a routed path and so see the augmentation count rise.
+				ref := prime()
+				st0 := ref.EngineStats()
+				var inside []int
+				polls, augs := 0, st0.Augmentations
+				ref.SetPollHook(func() error {
+					polls++
+					st := ref.EngineStats()
+					if st.Phases-st0.Phases <= 2 && st.Augmentations > augs {
+						inside = append(inside, polls)
+					}
+					augs = st.Augmentations
+					return nil
+				})
+				cost, err := ref.Solve()
+				ref.SetPollHook(nil)
+				if err != nil {
+					t.Fatalf("%s: reference solve: %v", tag, err)
+				}
+				if len(inside) < 2 {
+					t.Fatalf("%s: the first two phases routed %d paths, want several", tag, len(inside))
+				}
+				want := captureState(ref, cost)
+
+				points := []int{inside[0], inside[len(inside)/2], inside[len(inside)-1], polls}
+				for _, n := range points {
+					s := prime()
+					cost, err := cancelAtPoll(s, n, s.Solve)
+					if err == nil {
+						diffState(t, tag+" uncanceled completion", want, captureState(s, cost))
+						continue
+					}
+					if !errors.Is(err, ErrCanceled) {
+						t.Fatalf("%s cancel@%d/%d: got %v, want ErrCanceled", tag, n, polls, err)
+					}
+					cost, err = s.Solve()
 					if err != nil {
-						t.Fatalf("%s: reference solve: %v", tag, err)
+						t.Fatalf("%s re-solve after cancel@%d: %v", tag, n, err)
 					}
-					if len(inside) < 2 {
-						t.Fatalf("%s: the first two phases routed %d paths, want several", tag, len(inside))
-					}
-					want := captureState(ref, cost)
-
-					points := []int{inside[0], inside[len(inside)/2], inside[len(inside)-1], polls}
-					for _, n := range points {
-						s := prime()
-						cost, err := cancelAtPoll(s, n, s.Solve)
-						if err == nil {
-							diffState(t, tag+" uncanceled completion", want, captureState(s, cost))
-							continue
-						}
-						if !errors.Is(err, ErrCanceled) {
-							t.Fatalf("%s cancel@%d/%d: got %v, want ErrCanceled", tag, n, polls, err)
-						}
-						cost, err = s.Solve()
-						if err != nil {
-							t.Fatalf("%s re-solve after cancel@%d: %v", tag, n, err)
-						}
-						diffState(t, fmt.Sprintf("%s re-solve after cancel@%d", tag, n), want, captureState(s, cost))
-					}
+					diffState(t, fmt.Sprintf("%s re-solve after cancel@%d", tag, n), want, captureState(s, cost))
 				}
 			}
 		}
 	}
+}
+
+// TestSSPFailureReRunsOnHeap is ssp's rescue: with fallback enabled, a
+// failing ssp attempt rolls back and re-runs once with its search
+// pinned to the heap, counted in EngineFailures and bit-identical to a
+// heap-pinned twin — for a full solve and a resolve.  A failure of the
+// pinned search is not rescued again.
+func TestSSPFailureReRunsOnHeap(t *testing.T) {
+	errInjected := errors.New("injected")
+	failAt := func(s *Solver, n int) {
+		polls := 0
+		s.SetPollHook(func() error {
+			if polls++; polls == n {
+				return errInjected
+			}
+			return nil
+		})
+	}
+	s, twin := NewGridInstance(12, 10, 3), NewGridInstance(12, 10, 3)
+	twin.ss.heapOnly = true
+	s.SetEngineFallback(true)
+	failAt(s, 5)
+	cost, err := s.Solve()
+	if err != nil {
+		t.Fatalf("rescued solve: %v", err)
+	}
+	if s.EngineFailures() != 1 || !errors.Is(s.LastEngineFailure(), errInjected) || !s.ss.heapOnly || s.EngineName() != "ssp" {
+		t.Fatalf("after rescue: %d failures (%v), heapOnly %v, engine %s", s.EngineFailures(), s.LastEngineFailure(), s.ss.heapOnly, s.EngineName())
+	}
+	want, err := twin.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffState(t, "rescued solve", captureState(twin, want), captureState(s, cost))
+
+	rng := rand.New(rand.NewSource(3))
+	var changed []int32
+	for id := 0; id < s.NumArcs(); id += 1 + rng.Intn(8) {
+		c := s.Cost(id) + int64(rng.Intn(30))
+		s.SetCost(id, c)
+		twin.SetCost(id, c)
+		changed = append(changed, int32(id))
+	}
+	failAt(s, 2)
+	if _, err := s.ResolveChanged(changed); !errors.Is(err, errInjected) {
+		t.Fatalf("failure of the pinned search: %v, want the injected error", err)
+	}
+	s.SetPollHook(nil)
+	if s.EngineFailures() != 1 {
+		t.Fatalf("%d failures after an unrescued one, want 1", s.EngineFailures())
+	}
+	cost, err = s.ResolveChanged(changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = twin.ResolveChanged(changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffState(t, "resolve after the rescue", captureState(twin, want), captureState(s, cost))
 }

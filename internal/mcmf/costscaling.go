@@ -39,7 +39,7 @@ func (e *costScalingEngine) Solve(s *Solver) (float64, error) {
 // full cost-scaling solve backs it up when the work-estimate gate
 // prefers one.
 func (e *costScalingEngine) Resolve(s *Solver, changed []int32) (float64, error) {
-	return resolveSSP(s, changed, heapFinder{}, &e.st, e.Solve)
+	return resolveSSP(s, changed, &e.st, e.Solve)
 }
 
 // SolveCostScaling computes a minimum-cost feasible flow with the

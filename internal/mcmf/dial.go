@@ -1,4 +1,6 @@
-// Dial/bucket-queue successive shortest paths.
+// Dial's bucket search: the shortest-path search of the "ssp" engine,
+// with the heap Dijkstra (search.go) as its fallback (Ahuja, Magnanti
+// & Orlin, Network Flows, §4.6).
 //
 // The D-phase instances this package serves have two properties the
 // general heap Dijkstra cannot exploit: reduced costs along the paths
@@ -20,7 +22,12 @@
 // move into the ring.  Warm searches never rebase — they terminate
 // within a few buckets — while cold searches with many megascale
 // distances burn a bounded rebase budget and then fall back to the
-// heap for that augmentation (counted in Stats.DialFallbacks).
+// heap for that search (counted in Stats.HeapFallbacks).
+//
+// The buckets hold no storage of their own: each is a head/tail pair
+// of indices into one pool of (node, next) entries that the search
+// appends to and the next search truncates, so the queue's memory is
+// the largest search's push count, not a per-bucket high-water mark.
 package mcmf
 
 import "math/bits"
@@ -29,40 +36,6 @@ import "math/bits"
 // the ring represents: relaxations within [d, d+dialRing) of the scan
 // position are O(1) bucket pushes, anything farther overflows.
 const dialRing = 4096
-
-type dialEngine struct {
-	engineCore
-	pf dialFinder
-
-	// Saved adaptive back-off for abort rollback (attemptStateKeeper):
-	// an aborted attempt may have advanced skip/skipLen, which decides
-	// heap-vs-bucket searches — and with them tie-breaking — on the
-	// next solve, so bit-identical twins require restoring them.
-	savedSkip    int
-	savedSkipLen int
-}
-
-func (e *dialEngine) Name() string { return "dial" }
-
-// SaveAttemptState / RestoreAttemptState roll the adaptive heap
-// back-off across aborted attempts (see abort.go).
-func (e *dialEngine) SaveAttemptState() {
-	e.savedSkip, e.savedSkipLen = e.pf.skip, e.pf.skipLen
-}
-
-func (e *dialEngine) RestoreAttemptState() {
-	e.pf.skip, e.pf.skipLen = e.savedSkip, e.savedSkipLen
-}
-
-func (e *dialEngine) Solve(s *Solver) (float64, error) {
-	e.pf.st = &e.st
-	return solveSSPFull(s, &e.pf, &e.st)
-}
-
-func (e *dialEngine) Resolve(s *Solver, changed []int32) (float64, error) {
-	e.pf.st = &e.st
-	return resolveSSP(s, changed, &e.pf, &e.st, e.Solve)
-}
 
 // dialMaxRebases bounds how often one search may rebase before
 // falling back to the heap.  Warm searches terminate without rebasing
@@ -81,60 +54,77 @@ type ovEntry struct {
 	v int32
 }
 
-// dialFinder is the bucket-queue pathFinder with overflow handling and
-// heap fallback.
-type dialFinder struct {
-	st       *Stats
-	buckets  [dialRing][]int32     // distance ring, index = dist mod dialRing
-	mask     [dialRing / 64]uint64 // occupancy bitmap: which buckets are nonempty
-	used     []int32               // ring indices holding entries (for O(used) flush)
-	overflow []ovEntry             // entries whose tentative dist lies beyond the horizon
-	ovMin    int64                 // min stored distance in overflow (inf when empty)
-	pending  int                   // entries currently in the ring
-
-	// Adaptive back-off: after a fallback the next skip searches run
-	// directly on the heap (doubling up to dialMaxSkip while fallbacks
-	// persist), so heap-shaped solve phases pay almost no dial tax;
-	// a successful bucket search resets the back-off.
-	skip    int
-	skipLen int
+// qEntry is one bucket entry in the pool: a node and the pool index
+// of the next entry of the same bucket (−1 at the tail).
+type qEntry struct {
+	v, next int32
 }
 
-// dialSeedCap is the initial per-bucket capacity carved out of one
-// shared backing array: buckets grow individually past it, but the
-// common case — a few entries per touched bucket — never allocates,
-// where nil buckets would each pay several growth reallocations
-// (measured as the dominant allocator of a sizing run).
-const dialSeedCap = 8
+// bucketQueue is the Dial ring with its overflow list.  Between
+// searches it is empty: every head is −1, the mask is clear and the
+// pool, used and overflow lists have length zero.
+type bucketQueue struct {
+	head, tail []int32               // per bucket: first and last pool entry, −1 when empty
+	mask       [dialRing / 64]uint64 // occupancy bitmap: which buckets are nonempty
+	used       []int32               // ring indices holding entries (for O(used) flush)
+	pool       []qEntry              // this search's bucket entries, in push order
+	overflow   []ovEntry             // entries whose tentative dist lies beyond the horizon
+	ovMin      int64                 // min stored distance in overflow (inf when empty)
+	pending    int                   // entries currently in the ring
+}
 
-func (f *dialFinder) shortestPath(s *Solver, srcs []int32, excess []int64) (int32, int64) {
-	if f.skip > 0 {
-		f.skip--
-		return heapFinder{}.shortestPath(s, srcs, excess)
-	}
-	if f.buckets[0] == nil {
-		backing := make([]int32, dialRing*dialSeedCap)
-		for i := range f.buckets {
-			lo := i * dialSeedCap
-			f.buckets[i] = backing[lo : lo : lo+dialSeedCap]
+// ensure allocates the ring's head/tail arrays once and gives the pool
+// room for an n-node search.
+func (q *bucketQueue) ensure(n int) {
+	if q.head == nil {
+		q.head = make([]int32, dialRing)
+		q.tail = make([]int32, dialRing)
+		for i := range q.head {
+			q.head[i] = -1
 		}
 	}
-	target, dt, ok := f.dialSearch(s, srcs, excess)
+	if cap(q.pool) < n {
+		q.pool = make([]qEntry, 0, n)
+	}
+}
+
+// shortestPath runs one shortest-path search on reduced costs from
+// every node in srcs (one source per augmentation in the per-source
+// loop, all current sources in a phase), filling the search scratch
+// s.ss for the settled region, and returns the first node with
+// negative excess together with its distance, or target −1 when no
+// deficit node is reachable.  It runs the bucket search, and the heap
+// when the search is pinned there (SetEngineFallback's rescue), while
+// the back-off after a fallback lasts, or when the bucket search
+// exceeds its rebase budget.
+func (s *Solver) shortestPath(srcs []int32, excess []int64, st *Stats) (int32, int64) {
+	sc := &s.ss
+	if sc.heapOnly {
+		return s.dijkstraHeap(srcs, excess)
+	}
+	if sc.skip > 0 {
+		sc.skip--
+		return s.dijkstraHeap(srcs, excess)
+	}
+	target, dt, ok := s.bucketSearch(srcs, excess)
 	if !ok {
 		// The rebase budget ran out (a cold search spreading over a
-		// huge distance range): redo this augmentation on the heap and
-		// back off.
-		f.st.DialFallbacks++
-		f.skipLen = min(2*f.skipLen+1, dialMaxSkip)
-		f.skip = f.skipLen
-		return heapFinder{}.shortestPath(s, srcs, excess)
+		// huge distance range): redo this search on the heap and back
+		// off — the next skipLen searches go straight to the heap,
+		// doubling while fallbacks persist, so heap-shaped solve
+		// phases pay almost no bucket tax.  A successful bucket search
+		// resets the back-off.
+		st.HeapFallbacks++
+		sc.skipLen = min(2*sc.skipLen+1, dialMaxSkip)
+		sc.skip = sc.skipLen
+		return s.dijkstraHeap(srcs, excess)
 	}
-	f.skipLen = 0
+	sc.skipLen = 0
 	return target, dt
 }
 
-// dialSearch is the bucket-queue Dijkstra from every node in srcs.  ok
-// is false when the search exceeded its merge budget (the caller
+// bucketSearch is the bucket-queue Dijkstra from every node in srcs.
+// ok is false when the search exceeded its merge budget (the caller
 // retries on the heap).
 //
 // Queue discipline: the ring holds tentative distances in
@@ -147,14 +137,16 @@ func (f *dialFinder) shortestPath(s *Solver, srcs []int32, excess []int64) (int3
 // with a recomputed ovMin.  This keeps strict Dijkstra order: no node
 // is ever settled at a distance above an unsettled tentative one, so
 // overflow entries can never be orphaned behind the scan position.
-func (f *dialFinder) dialSearch(s *Solver, srcs []int32, excess []int64) (target int32, dt int64, ok bool) {
-	s.ss.begin()
+func (s *Solver) bucketSearch(srcs []int32, excess []int64) (target int32, dt int64, ok bool) {
+	sc := &s.ss
+	q := &sc.q
+	sc.begin()
 	for _, src := range srcs {
-		s.ss.touch(src)
-		s.ss.dist[src] = 0
-		f.push(0, src)
+		sc.touch(src)
+		sc.dist[src] = 0
+		q.push(0, src)
 	}
-	f.ovMin = inf
+	q.ovMin = inf
 	d := int64(0)
 	// Every merge rescans the overflow list, so a search whose
 	// frontier lives mostly beyond the horizon degenerates to
@@ -163,40 +155,42 @@ func (f *dialFinder) dialSearch(s *Solver, srcs []int32, excess []int64) (target
 	budget := dialMaxRebases
 	for {
 		next := int64(inf)
-		if f.pending > 0 {
-			next = f.nextOccupied(d)
+		if q.pending > 0 {
+			next = q.nextOccupied(d)
 		}
-		if f.ovMin < next {
+		if q.ovMin < next {
 			// The nearest pending distance lives in the overflow:
 			// merge before advancing the scan past it.
 			budget--
 			if budget < 0 {
-				f.flush()
+				q.flush()
 				return -1, 0, false
 			}
-			d = f.mergeOverflow(s, f.ovMin)
+			d = q.mergeOverflow(s, q.ovMin)
 			continue
 		}
-		if f.pending == 0 {
-			f.flush()
+		if q.pending == 0 {
+			q.flush()
 			return -1, 0, true // frontier exhausted: no deficit reachable
 		}
 		d = next
-		b := &f.buckets[d%dialRing]
-		// Drain the bucket FIFO (including entries appended while it
-		// drains).  Order matters enormously for the early exit: FIFO
-		// explores the zero-reduced-cost region breadth-first and
-		// reaches the (typically adjacent) deficit node after a
-		// neighbourhood-sized scan, where LIFO would walk the entire
-		// region depth-first before surfacing it.
-		for k := 0; k < len(*b); k++ {
-			u := (*b)[k]
-			f.pending--
-			if s.ss.dist[u] != d {
+		i := d % dialRing
+		// Drain the bucket FIFO, including entries appended while it
+		// drains (a zero reduced cost pushes onto this same bucket's
+		// tail, and the walk reads next only after the relaxations).
+		// Order matters enormously for the early exit: FIFO explores
+		// the zero-reduced-cost region breadth-first and reaches the
+		// (typically adjacent) deficit node after a neighbourhood-sized
+		// scan, where LIFO would walk the entire region depth-first
+		// before surfacing it.
+		for k := q.head[i]; k >= 0; k = q.pool[k].next {
+			u := q.pool[k].v
+			q.pending--
+			if sc.dist[u] != d {
 				continue // stale entry (node improved to a smaller distance)
 			}
 			if excess[u] < 0 {
-				f.flush()
+				q.flush()
 				return u, d, true
 			}
 			pu := s.pot[u]
@@ -208,28 +202,27 @@ func (f *dialFinder) dialSearch(s *Solver, srcs []int32, excess []int64) (target
 				v := a.to
 				rc := a.cost + pu - s.pot[v]
 				if rc < 0 {
-					rc = 0 // see heapFinder: tie artifacts after early exit
+					rc = 0 // see dijkstraHeap: tie artifacts after early exit
 				}
-				if s.ss.stamp[v] != s.ss.epoch {
-					s.ss.touch(v)
+				if sc.stamp[v] != sc.epoch {
+					sc.touch(v)
 				}
-				if nd := d + rc; nd < s.ss.dist[v] {
-					s.ss.dist[v] = nd
-					s.ss.prevArc[v] = ai
+				if nd := d + rc; nd < sc.dist[v] {
+					sc.dist[v] = nd
+					sc.prevArc[v] = ai
 					if nd-d < dialRing {
-						f.push(nd, v)
+						q.push(nd, v)
 					} else {
-						f.overflow = append(f.overflow, ovEntry{d: nd, v: v})
-						if nd < f.ovMin {
-							f.ovMin = nd
+						q.overflow = append(q.overflow, ovEntry{d: nd, v: v})
+						if nd < q.ovMin {
+							q.ovMin = nd
 						}
 					}
 				}
 			}
 		}
-		*b = (*b)[:0]
-		i := d % dialRing
-		f.mask[i>>6] &^= 1 << (i & 63) // bucket drained
+		q.head[i] = -1
+		q.mask[i>>6] &^= 1 << (i & 63) // bucket drained
 		d++
 	}
 }
@@ -241,65 +234,72 @@ func (f *dialFinder) dialSearch(s *Solver, srcs []int32, excess []int64) (target
 // next occupied bucket is beyond ovMin) and sits below the previous
 // scan position + dialRing ≤ base + dialRing, so the re-based window
 // cannot collide modulo the ring size.  Returns the new scan position.
-func (f *dialFinder) mergeOverflow(s *Solver, base int64) int64 {
-	kept := f.overflow[:0]
-	f.ovMin = inf
-	for _, e := range f.overflow {
+func (q *bucketQueue) mergeOverflow(s *Solver, base int64) int64 {
+	kept := q.overflow[:0]
+	q.ovMin = inf
+	for _, e := range q.overflow {
 		if s.ss.dist[e.v] != e.d {
 			continue // stale: the node improved into the ring meanwhile
 		}
 		if e.d-base < dialRing {
-			f.push(e.d, e.v)
+			q.push(e.d, e.v)
 		} else {
 			kept = append(kept, e)
-			if e.d < f.ovMin {
-				f.ovMin = e.d
+			if e.d < q.ovMin {
+				q.ovMin = e.d
 			}
 		}
 	}
-	f.overflow = kept
+	q.overflow = kept
 	return base
 }
 
 // nextOccupied returns the smallest distance ≥ d whose bucket holds an
 // entry.  The caller guarantees pending > 0, so a set bit exists
 // within the ring window [d, d+dialRing).
-func (f *dialFinder) nextOccupied(d int64) int64 {
+func (q *bucketQueue) nextOccupied(d int64) int64 {
 	start := int(d % dialRing)
 	w, b := start>>6, start&63
-	if rest := f.mask[w] >> b; rest != 0 {
+	if rest := q.mask[w] >> b; rest != 0 {
 		return d + int64(bits.TrailingZeros64(rest))
 	}
-	for off := 1; off <= len(f.mask); off++ {
-		word := f.mask[(w+off)%len(f.mask)]
+	for off := 1; off <= len(q.mask); off++ {
+		word := q.mask[(w+off)%len(q.mask)]
 		if word != 0 {
-			idx := ((w+off)%len(f.mask))<<6 + bits.TrailingZeros64(word)
+			idx := ((w+off)%len(q.mask))<<6 + bits.TrailingZeros64(word)
 			return d + int64((idx-start+dialRing)%dialRing)
 		}
 	}
 	return d // unreachable with pending > 0
 }
 
-func (f *dialFinder) push(d int64, v int32) {
+// push appends v at the tail of the bucket for distance d.
+func (q *bucketQueue) push(d int64, v int32) {
 	i := d % dialRing
-	if len(f.buckets[i]) == 0 {
-		f.used = append(f.used, int32(i))
+	k := int32(len(q.pool))
+	q.pool = append(q.pool, qEntry{v: v, next: -1})
+	if q.head[i] < 0 {
+		q.head[i] = k
+		q.used = append(q.used, int32(i))
+		q.mask[i>>6] |= 1 << (i & 63)
+	} else {
+		q.pool[q.tail[i]].next = k
 	}
-	f.buckets[i] = append(f.buckets[i], v)
-	f.mask[i>>6] |= 1 << (i & 63)
-	f.pending++
+	q.tail[i] = k
+	q.pending++
 }
 
-// flush empties every touched bucket and the overflow list (early
-// exits leave entries behind; the queue must be clean for the next
-// search).
-func (f *dialFinder) flush() {
-	for _, i := range f.used {
-		f.buckets[i] = f.buckets[i][:0]
-		f.mask[i>>6] &^= 1 << (i & 63)
+// flush empties every touched bucket, the pool and the overflow list
+// (early exits leave entries behind; the queue must be clean for the
+// next search).
+func (q *bucketQueue) flush() {
+	for _, i := range q.used {
+		q.head[i] = -1
+		q.mask[i>>6] &^= 1 << (i & 63)
 	}
-	f.used = f.used[:0]
-	f.overflow = f.overflow[:0]
-	f.ovMin = inf
-	f.pending = 0
+	q.used = q.used[:0]
+	q.pool = q.pool[:0]
+	q.overflow = q.overflow[:0]
+	q.ovMin = inf
+	q.pending = 0
 }

@@ -1,32 +1,32 @@
 // Engine architecture: the Solver struct (mcmf.go) is the shared
 // residual-network state core — arc storage in forward/backward pairs,
 // supplies, the CSR adjacency index, node potentials and the
-// epoch-stamped scratch — while the algorithms that drive it to
-// optimality live behind the Engine interface.  Three backends are
+// epoch-stamped search scratch — while the algorithms that drive it to
+// optimality live behind the Engine interface.  Two backends are
 // registered:
 //
-//	"ssp"         successive shortest paths, heap Dijkstra (the default)
-//	"dial"        successive shortest paths, Dial bucket-queue Dijkstra
-//	              (exploits the small reduced costs of warm-started
-//	              D-phase instances; falls back to the heap per
-//	              augmentation when distances outgrow the bucket ring)
+//	"ssp"         successive shortest paths (ssp.go), each search
+//	              Dial's bucket queue with a heap fallback (dial.go) —
+//	              the default; "", "auto" and the deprecated "dial"
+//	              name it too
 //	"costscaling" Goldberg–Tarjan cost-scaling push-relabel, serial
 //	              LIFO discharge (costscaling.go over scalingcore.go) —
 //	              the second, independent algorithm the conformance
-//	              suite cross-checks the SSP family against
+//	              suite cross-checks ssp against
 //
 // Engines are cheap per-Solver objects: a factory from the registry
-// owns only algorithm-local scratch (the dial bucket ring, the heap)
-// and counters, so switching engines mid-life keeps all network state
-// — flow, potentials, warm-start validity — intact.
+// owns only counters and algorithm-local scratch (cost-scaling's
+// prices; the shortest-path search state belongs to the Solver), so
+// switching engines mid-life keeps all network state — flow,
+// potentials, warm-start validity — intact.
 //
 // Solve computes a minimum-cost flow from the configured instance
 // state.  Resolve is the incremental path: given the set of arc IDs
 // whose cost or capacity changed since the last successful solve, it
 // repairs the existing optimal flow (drain-and-reroute on the residual
 // graph, see resolve.go) instead of rerouting every supply from
-// scratch.  Engines that cannot re-flow incrementally (cost-scaling)
-// fall back to a full Solve and say so in their Stats.
+// scratch, and falls back to a full Solve when the repair is refused
+// (and says so in its Stats).
 package mcmf
 
 import (
@@ -57,9 +57,9 @@ type Stats struct {
 	// BellmanFords counts potential (re)builds — zero on a pure
 	// warm-start trajectory.
 	BellmanFords int
-	// DialFallbacks counts augmentations the dial engine handed to the
-	// heap because a reduced cost outgrew the bucket ring.
-	DialFallbacks int64
+	// HeapFallbacks counts searches the bucket search handed to the
+	// heap because distances outgrew the bucket ring.
+	HeapFallbacks int64
 	// FullFallbacks counts Resolve calls that ran a full Solve instead
 	// (no prior flow, topology changed, or the engine cannot re-flow).
 	FullFallbacks int
@@ -134,17 +134,23 @@ func Register(name string, factory func() Engine) {
 	engineFactories[name] = factory
 }
 
-// unregister removes a backend from the registry.  Test-only: the race
-// test registers throwaway names and must not leave them behind for
-// the conformance suites (which enumerate EngineNames dynamically).
-func unregister(name string) {
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	delete(engineFactories, name)
+// CanonicalEngine returns the registry name a backend name selects:
+// "", "auto" and the deprecated "dial" select "ssp", and any other
+// name selects itself.  ok reports whether that backend is registered.
+func CanonicalEngine(name string) (canon string, ok bool) {
+	switch name {
+	case "", "auto", "dial":
+		name = "ssp"
+	}
+	engineMu.RLock()
+	defer engineMu.RUnlock()
+	_, ok = engineFactories[name]
+	return name, ok
 }
 
-// NewEngine instantiates a registered backend by name.
+// NewEngine instantiates a backend by name (see CanonicalEngine).
 func NewEngine(name string) (Engine, error) {
+	name, _ = CanonicalEngine(name)
 	engineMu.RLock()
 	f, ok := engineFactories[name]
 	engineMu.RUnlock()
@@ -166,26 +172,27 @@ func EngineNames() []string {
 	return names
 }
 
-// ValidEngine reports whether name is a registered backend.
+// ValidEngine reports whether name selects a registered backend (see
+// CanonicalEngine).
 func ValidEngine(name string) bool {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	_, ok := engineFactories[name]
+	_, ok := CanonicalEngine(name)
 	return ok
 }
 
 func init() {
 	Register("ssp", func() Engine { return &sspEngine{} })
-	Register("dial", func() Engine { return &dialEngine{} })
 	Register("costscaling", func() Engine { return &costScalingEngine{} })
 }
 
-// SetEngine switches the solver to the named backend.  Network state
-// (flow, potentials, warm-start validity) is untouched, so engines can
-// be swapped between solves; only algorithm scratch is re-created.
-// Switching to the name already in use is a no-op.
+// SetEngine switches the solver to the named backend (see
+// CanonicalEngine).  Network state (flow, potentials, warm-start
+// validity, the search scratch) is untouched, so engines can be
+// swapped between solves; only algorithm scratch and counters are
+// re-created.  Switching to the backend already in use — under any of
+// its names — is a no-op that keeps its counters.
 func (s *Solver) SetEngine(name string) error {
-	if s.eng != nil && s.eng.Name() == name {
+	name, _ = CanonicalEngine(name)
+	if s.engine().Name() == name {
 		return nil
 	}
 	e, err := NewEngine(name)

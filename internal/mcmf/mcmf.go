@@ -8,9 +8,11 @@
 // The algorithm is successive shortest paths with node potentials:
 // potentials are initialized with Bellman–Ford (arc costs may be
 // negative), after which every augmentation uses Dijkstra on reduced
-// costs.  At optimality the node potentials are the dual variables of
-// the flow LP, which is exactly what the D-phase needs (the FSDU
-// displacement r is read off the potentials; see internal/dcs).
+// costs — Dial's bucket queue, falling back to a heap when distances
+// outgrow its ring (dial.go).  At optimality the node potentials are
+// the dual variables of the flow LP, which is exactly what the D-phase
+// needs (the FSDU displacement r is read off the potentials; see
+// internal/dcs).
 //
 // Full solves route in primal–dual phases (ssp.go): one Dijkstra from
 // every source at once, truncated at the nearest deficit's distance,
@@ -33,8 +35,9 @@
 //
 //   - adjacency is a CSR-style arc index (flat csrStart/csrArc arrays)
 //     built once per topology, not a slice-of-slices;
-//   - the Dijkstra priority queue is an inline index-based 4-ary heap
-//     on int64 keys (no container/heap interface boxing);
+//   - the Dijkstra priority queue is a ring of FIFO buckets over one
+//     entry pool, with an inline index-based 4-ary heap on int64 keys
+//     (no container/heap interface boxing) as its fallback;
 //   - per-augmentation dist/prevArc scratch is epoch-stamped instead of
 //     O(n)-reset, and the potential update touches only settled nodes;
 //   - Reset, SetCost, SetCapacity and SetSupply mutate an instance in
@@ -44,20 +47,20 @@
 //
 // After the first Solve on a topology, re-solves allocate nothing.
 //
-// The Solver struct itself is only the residual-network state core.
-// The algorithms that drive it live behind the Engine interface
-// (engine.go) with three registered backends — "ssp" (successive
-// shortest paths, heap Dijkstra; the default and the degradation
-// fallback), "dial" (SSP with a Dial bucket-queue Dijkstra) and
-// "costscaling" (Goldberg–Tarjan, serial discharge; the independent
-// algorithm the conformance suite cross-checks against) — selectable
-// per instance with SetEngine.  Beyond full solves,
-// every engine offers ResolveChanged: an incremental re-flow that
-// repairs the previous optimal flow after a set of arcs changed cost
-// or capacity, instead of rerouting every supply.  All three engines
-// repair through the same drain-and-reroute, resolveSSP in resolve.go
-// (the cost-scaling engine on the exact potentials its full solve
-// recovers; see costscaling.go).
+// The Solver struct itself is the residual-network state core and the
+// shortest-path search scratch.  The algorithms that drive it live
+// behind the Engine interface (engine.go) with two registered
+// backends — "ssp" (successive shortest paths; the default, which "",
+// "auto" and the deprecated "dial" also select, and the degradation
+// fallback) and "costscaling" (Goldberg–Tarjan, serial discharge; the
+// independent algorithm the conformance suite cross-checks against) —
+// selectable per instance with SetEngine.  Beyond full solves, both
+// offer ResolveChanged: an incremental re-flow that repairs the
+// previous optimal flow after a set of arcs changed cost or capacity,
+// instead of rerouting every supply.  Both repair through the same
+// drain-and-reroute, resolveSSP in resolve.go (the cost-scaling engine
+// on the exact potentials its full solve recovers; see
+// costscaling.go).
 //
 // The solver is self-certifying: Verify re-checks conservation, bounds
 // and reduced-cost optimality after every Solve.
@@ -118,7 +121,8 @@ type Solver struct {
 	topoDirty bool
 	flowDirty bool // residuals carry a previous solve's flow
 
-	// ss is the solver's epoch-stamped Dijkstra scratch (search.go).
+	// ss is the solver's epoch-stamped Dijkstra scratch with Dial's
+	// bucket queue and the heap fallback (search.go, dial.go).
 	ss      searchScratch
 	excess  []int64
 	sources []int32
@@ -440,7 +444,7 @@ func (s *Solver) bellmanFord() error {
 // SetPollHook) the solve can additionally return ErrCanceled or
 // ErrBudgetExhausted; the pre-solve state is restored, so a subsequent
 // solve is bit-identical to one on a never-aborted twin.  Engine
-// panics surface as ErrEngineFailed (or degrade to "ssp" with
+// panics surface as ErrEngineFailed (or are rescued with
 // SetEngineFallback).  See abort.go.
 func (s *Solver) Solve() (float64, error) {
 	return s.runEngine(nil, false)

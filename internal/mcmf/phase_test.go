@@ -9,8 +9,9 @@ import (
 
 // solveClassic is the full solve with the per-source loop routing
 // every supply and no primal–dual phases: the reference the phased
-// solveSSPFull is held to.
-func solveClassic(s *Solver, pf pathFinder) (float64, error) {
+// ssp Solve is held to.  It searches with s's own search, like the
+// engine does.
+func solveClassic(s *Solver) (float64, error) {
 	var st Stats
 	if err := s.beginSolve(&st); err != nil {
 		return 0, err
@@ -20,7 +21,7 @@ func solveClassic(s *Solver, pf pathFinder) (float64, error) {
 	copy(excess, s.supply)
 	s.flowDirty = true
 	s.repairable = false
-	if _, _, _, err := s.augmentSome(s.sourcesOf(excess), excess, pf, &st, unlimited); err != nil {
+	if _, _, _, err := s.augmentSome(s.sourcesOf(excess), excess, &st, unlimited); err != nil {
 		return 0, err
 	}
 	s.markSolved()
@@ -31,14 +32,14 @@ func solveClassic(s *Solver, pf pathFinder) (float64, error) {
 // the whole repair and no handover to phases: the reference resolves
 // are held to.  fallback reports that the repair was refused (the
 // caller then compares full solves).
-func resolveClassic(s *Solver, changed []int32, pf pathFinder) (cost float64, fallback bool, err error) {
+func resolveClassic(s *Solver, changed []int32) (cost float64, fallback bool, err error) {
 	excess, fallback, err := s.resolvePrep(changed)
 	if err != nil || fallback {
 		return 0, fallback, err
 	}
 	s.ensureSSP()
 	var st Stats
-	if _, _, _, err := s.augmentSome(s.sourcesOf(excess), excess, pf, &st, unlimited); err != nil {
+	if _, _, _, err := s.augmentSome(s.sourcesOf(excess), excess, &st, unlimited); err != nil {
 		return 0, false, err
 	}
 	s.markSolved()
@@ -90,14 +91,6 @@ func buildDPhaseTree(depth int, seed int64) *Solver {
 		s.SetSupply(g, -c)
 	}
 	return s
-}
-
-// classicFinder returns the path finder the named SSP engine uses.
-func classicFinder(engine string) pathFinder {
-	if engine == "dial" {
-		return &dialFinder{st: &Stats{}}
-	}
-	return heapFinder{}
 }
 
 // oracleCase is one instance shape of the classic-loop oracle: build
@@ -173,35 +166,30 @@ func oracleCases() []oracleCase {
 // bit-identical.  On the tree family some races must quit and some
 // resolves must hand over to phases, so both rules are covered.
 func TestPhasesMatchClassicLoop(t *testing.T) {
-	for _, engine := range []string{"ssp", "dial"} {
-		var quits, handovers int64
-		for _, c := range oracleCases() {
-			phased, classic := c.build(), c.build()
-			if err := phased.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(int64(len(c.name))))
-			perturb := func() []int32 {
-				var changed []int32
-				for id := 0; id < phased.NumArcs(); id++ {
-					if rng.Intn(4) == 0 {
-						cost := max(phased.Cost(id)+int64(rng.Intn(41)-20), 0)
-						phased.SetCost(id, cost)
-						classic.SetCost(id, cost)
-						changed = append(changed, int32(id))
-					}
+	var quits, handovers int64
+	for _, c := range oracleCases() {
+		phased, classic := c.build(), c.build()
+		rng := rand.New(rand.NewSource(int64(len(c.name))))
+		perturb := func() []int32 {
+			var changed []int32
+			for id := 0; id < phased.NumArcs(); id++ {
+				if rng.Intn(4) == 0 {
+					cost := max(phased.Cost(id)+int64(rng.Intn(41)-20), 0)
+					phased.SetCost(id, cost)
+					classic.SetCost(id, cost)
+					changed = append(changed, int32(id))
 				}
-				return changed
 			}
-			h, q := matchClassicRounds(t, engine+" "+c.name, phased, classic, classicFinder(engine), 3, 6, perturb)
-			handovers += h
-			if strings.HasPrefix(c.name, "tree/") {
-				quits += q
-			}
+			return changed
 		}
-		if quits == 0 || handovers == 0 {
-			t.Errorf("%s: %d race quits on the tree family and %d resolve handovers: both rules must be covered", engine, quits, handovers)
+		h, q := matchClassicRounds(t, c.name, phased, classic, 3, 6, perturb)
+		handovers += h
+		if strings.HasPrefix(c.name, "tree/") {
+			quits += q
 		}
+	}
+	if quits == 0 || handovers == 0 {
+		t.Errorf("%d race quits on the tree family and %d resolve handovers: both rules must be covered", quits, handovers)
 	}
 }
 
@@ -211,7 +199,7 @@ func TestPhasesMatchClassicLoop(t *testing.T) {
 // After every round both must be certified with the same cost and the
 // same potentials relative to node 0.  It returns the resolves that
 // handed over to phases and the races that quit.
-func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, pf pathFinder, fullRounds, rounds int, perturb func() []int32) (handovers, quits int64) {
+func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, fullRounds, rounds int, perturb func() []int32) (handovers, quits int64) {
 	t.Helper()
 	for round := 0; round <= rounds; round++ {
 		tag := fmt.Sprintf("%s round %d", name, round)
@@ -224,14 +212,14 @@ func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, pf p
 		var gotErr, wantErr error
 		if round <= fullRounds {
 			gotCost, gotErr = phased.Solve()
-			wantCost, wantErr = solveClassic(classic, pf)
+			wantCost, wantErr = solveClassic(classic)
 		} else {
 			forceResolve(phased)
 			forceResolve(classic)
 			gotCost, gotErr = phased.ResolveChanged(changed)
 			var fallback bool
-			if wantCost, fallback, wantErr = resolveClassic(classic, changed, pf); fallback {
-				wantCost, wantErr = solveClassic(classic, pf)
+			if wantCost, fallback, wantErr = resolveClassic(classic, changed); fallback {
+				wantCost, wantErr = solveClassic(classic)
 			}
 			after := phased.EngineStats()
 			if fell := after.FullFallbacks > before.FullFallbacks; gotErr == nil && fell != fallback {
@@ -270,7 +258,8 @@ func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, pf p
 
 // FuzzRoutingMatchesClassic drives the classic-loop oracle with
 // fuzzer-chosen instances and re-pricings: a D-phase tree or a grid
-// (shape), solved cold on a fuzzer-chosen SSP engine and then
+// (shape), solved cold — on the bucket search, or with both twins'
+// searches pinned to the heap (the rescue mode) — and then
 // re-priced three times by the bytes of deltas — each triple names an
 // arc and a new cost — and re-solved, the first re-pricing in full and
 // the next two by ResolveChanged.  Every round must match the
@@ -281,15 +270,13 @@ func FuzzRoutingMatchesClassic(f *testing.F) {
 	f.Add(int64(42), uint8(2), []byte{0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18})
 	f.Add(int64(3), uint8(3), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, deltas []byte) {
-		engine := []string{"ssp", "dial"}[shape&1]
 		build := func() *Solver { return buildDPhaseTree(5+int(shape>>2)%4, seed) }
 		if shape&2 != 0 {
 			build = func() *Solver { return NewGridInstance(4+int(shape>>2)%12, 4+int(shape>>4)%12, seed) }
 		}
 		phased, classic := build(), build()
-		if err := phased.SetEngine(engine); err != nil {
-			t.Fatal(err)
-		}
+		heapOnly := shape&1 != 0
+		phased.ss.heapOnly, classic.ss.heapOnly = heapOnly, heapOnly
 		const rounds = 3
 		round := 0
 		perturb := func() []int32 {
@@ -305,6 +292,6 @@ func FuzzRoutingMatchesClassic(f *testing.F) {
 			round++
 			return changed
 		}
-		matchClassicRounds(t, fmt.Sprintf("%s seed %d shape %d", engine, seed, shape), phased, classic, classicFinder(engine), 1, rounds, perturb)
+		matchClassicRounds(t, fmt.Sprintf("seed %d shape %d", seed, shape), phased, classic, 1, rounds, perturb)
 	})
 }

@@ -1,4 +1,4 @@
-// Incremental re-flow (drain-and-reroute), shared by the SSP engines.
+// Incremental re-flow (drain-and-reroute), shared by ssp and costscaling.
 //
 // The D-phase solves the same network dozens of times with small cost
 // and supply deltas between solves.  A warm full solve already skips
@@ -197,9 +197,9 @@ func (s *Solver) resolvePrep(changed []int32) (excess []int64, fallback bool, er
 	return excess, false, nil
 }
 
-// resolveSSP implements Engine.Resolve for the SSP family.  full is
-// the engine's own Solve, used when no repairable flow exists.
-func resolveSSP(s *Solver, changed []int32, pf pathFinder, st *Stats, full func(*Solver) (float64, error)) (float64, error) {
+// resolveSSP implements Engine.Resolve for ssp and costscaling.  full
+// is the engine's own Solve, used when no repairable flow exists.
+func resolveSSP(s *Solver, changed []int32, st *Stats, full func(*Solver) (float64, error)) (float64, error) {
 	excess, fallback, err := s.resolvePrep(changed)
 	if err != nil {
 		return 0, err
@@ -214,12 +214,12 @@ func resolveSSP(s *Solver, changed []int32, pf pathFinder, st *Stats, full func(
 	// far behind (step 4 in the file comment).
 	n := int64(s.n)
 	lim := raceLimit{budget: math.MaxInt64, floor: n, visited: n, augs: 8, sources: 8}
-	_, _, handover, err := s.augmentSome(s.sourcesOf(excess), excess, pf, st, lim)
+	_, _, handover, err := s.augmentSome(s.sourcesOf(excess), excess, st, lim)
 	if err != nil {
 		return 0, err
 	}
 	if handover {
-		if err := s.routePhases(excess, pf, st); err != nil {
+		if err := s.routePhases(excess, st); err != nil {
 			return 0, err
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // resolve-vs-fresh property gate moved to conformance_test.go
 // (TestConformanceResolve), which runs them for every registered
 // engine.  This file keeps the resolve tests that pin engine-specific
-// behaviour: exact fallback/no-fallback gate outcomes and the dial
-// overflow machinery.
+// behaviour: exact fallback/no-fallback gate outcomes and the bucket
+// search's overflow machinery.
 
 // TestResolveDisconnectedSupply covers the degenerate network the
 // property test can't hit reliably: supply on a node with no arcs at
@@ -93,9 +93,6 @@ func FuzzResolveDeltas(f *testing.F) {
 	f.Fuzz(func(t *testing.T, deltas []byte, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		s := buildRandomFeasible(rng, false)
-		if err := s.SetEngine("dial"); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
@@ -133,9 +130,9 @@ func FuzzResolveDeltas(f *testing.F) {
 // incremental re-flow: a steady-state D-phase-shaped loop that mutates
 // a small batch of arc costs per iteration, re-solved three ways —
 // "warmfull" (Reset + full Solve from warm potentials, the previous
-// best path), and "resolve" via the incremental drain-and-reroute on
-// both SSP engines.  The bench gate holds every row's flow work per op
-// and the warmfull / resolve/dial ns/op ratio.
+// best path), and "resolve/ssp" via the incremental drain-and-reroute.
+// The bench gate holds every row's flow work per op and the warmfull /
+// resolve/ssp ns/op ratio.
 func BenchmarkDPhaseResolve(b *testing.B) {
 	const batch = 24
 	mkSchedule := func(s *Solver) ([]int32, []int64) {
@@ -171,40 +168,34 @@ func BenchmarkDPhaseResolve(b *testing.B) {
 		}
 		work.report(b)
 	})
-	for _, engine := range []string{"ssp", "dial"} {
-		engine := engine
-		b.Run("resolve/"+engine, func(b *testing.B) {
-			s := NewGridInstance(40, 25, 7)
-			ids, costs := mkSchedule(s)
-			if err := s.SetEngine(engine); err != nil {
+	b.Run("resolve/ssp", func(b *testing.B) {
+		s := NewGridInstance(40, 25, 7)
+		ids, costs := mkSchedule(s)
+		if _, err := s.Solve(); err != nil {
+			b.Fatal(err)
+		}
+		var work flowWork
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (i % 256) * batch
+			for k := 0; k < batch; k++ {
+				s.SetCost(int(ids[off+k]), costs[off+k])
+			}
+			before := s.EngineStats()
+			if _, err := s.ResolveChanged(ids[off : off+batch]); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.Solve(); err != nil {
-				b.Fatal(err)
-			}
-			var work flowWork
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := (i % 256) * batch
-				for k := 0; k < batch; k++ {
-					s.SetCost(int(ids[off+k]), costs[off+k])
-				}
-				before := s.EngineStats()
-				if _, err := s.ResolveChanged(ids[off : off+batch]); err != nil {
-					b.Fatal(err)
-				}
-				work.add(before, s.EngineStats())
-			}
-			work.report(b)
-		})
-	}
+			work.add(before, s.EngineStats())
+		}
+		work.report(b)
+	})
 }
 
 // BenchmarkDPhaseResolveArmed is the poll-hook overhead gate: the
 // resolve loop of BenchmarkDPhaseResolve with every abort source armed
 // (live context, wall-clock deadline, work budget) but never firing.
-// Comparing its resolve/<engine> rows against BenchmarkDPhaseResolve's
+// Comparing its resolve/ssp row against BenchmarkDPhaseResolve's
 // measures the full cost of cancellation support on the hot path —
 // the robustness contract requires <2% and zero extra allocations.
 func BenchmarkDPhaseResolveArmed(b *testing.B) {
@@ -219,38 +210,40 @@ func BenchmarkDPhaseResolveArmed(b *testing.B) {
 		}
 		return ids, costs
 	}
-	for _, engine := range []string{"ssp", "dial"} {
-		engine := engine
-		b.Run("resolve/"+engine, func(b *testing.B) {
-			s := NewGridInstance(40, 25, 7)
-			ids, costs := mkSchedule(s)
-			if err := s.SetEngine(engine); err != nil {
+	b.Run("resolve/ssp", func(b *testing.B) {
+		s := NewGridInstance(40, 25, 7)
+		ids, costs := mkSchedule(s)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s.SetContext(ctx)
+		s.SetDeadline(time.Now().Add(24 * time.Hour))
+		s.SetWorkBudget(1 << 60)
+		if _, err := s.Solve(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (i % 256) * batch
+			for k := 0; k < batch; k++ {
+				s.SetCost(int(ids[off+k]), costs[off+k])
+			}
+			if _, err := s.ResolveChanged(ids[off : off+batch]); err != nil {
 				b.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			s.SetContext(ctx)
-			s.SetDeadline(time.Now().Add(24 * time.Hour))
-			s.SetWorkBudget(1 << 60)
-			if _, err := s.Solve(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := (i % 256) * batch
-				for k := 0; k < batch; k++ {
-					s.SetCost(int(ids[off+k]), costs[off+k])
-				}
-				if _, err := s.ResolveChanged(ids[off : off+batch]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// TestDialOverflowHorizon pins the dial engine's overflow discipline
+// heapTwin returns a fresh twin of s whose searches are pinned to the
+// heap: the reference the bucket search is held to.
+func heapTwin(s *Solver) *Solver {
+	h := freshTwin(s)
+	h.ss.heapOnly = true
+	return h
+}
+
+// TestDialOverflowHorizon pins the bucket search's overflow discipline
 // (regression: an unsettled node whose tentative distance equals the
 // scan position at a rebase was dropped as settled, making a feasible
 // instance report ErrInfeasible).  Arc costs sit exactly at and just
@@ -266,20 +259,17 @@ func TestDialOverflowHorizon(t *testing.T) {
 		s.SetSupply(3, -1)
 		return s
 	}
-	want, err := build().Solve() // ssp reference
-	if err != nil {
-		t.Fatal(err)
-	}
 	d := build()
-	if err := d.SetEngine("dial"); err != nil {
+	want, err := heapTwin(d).Solve()
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.Solve()
 	if err != nil {
-		t.Fatalf("dial on feasible horizon instance: %v", err)
+		t.Fatalf("bucket search on feasible horizon instance: %v", err)
 	}
 	if got != want {
-		t.Fatalf("dial cost %v != ssp cost %v", got, want)
+		t.Fatalf("bucket search cost %v != heap cost %v", got, want)
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
@@ -288,8 +278,9 @@ func TestDialOverflowHorizon(t *testing.T) {
 
 // TestDialHugeCostsMatchSSP drives the overflow/merge machinery hard:
 // random feasible instances with costs scaled far beyond the bucket
-// ring must solve to exactly the ssp optimum (the D-phase integerizes
-// at 1e6, so megascale reduced costs are the production shape).
+// ring must solve to exactly the optimum of a heap-pinned twin (the
+// D-phase integerizes at 1e6, so megascale reduced costs are the
+// production shape).
 func TestDialHugeCostsMatchSSP(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -299,19 +290,17 @@ func TestDialHugeCostsMatchSSP(t *testing.T) {
 			a.SetCost(id, a.Cost(id)*scale)
 		}
 		b := freshTwin(a)
-		if err := b.SetEngine("dial"); err != nil {
-			t.Fatal(err)
-		}
+		a.ss.heapOnly = true
 		want, err1 := a.Solve()
 		got, err2 := b.Solve()
 		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: ssp err %v, dial err %v", seed, err1, err2)
+			t.Fatalf("seed %d: heap err %v, bucket err %v", seed, err1, err2)
 		}
 		if got != want {
-			t.Fatalf("seed %d (scale %d): dial cost %v != ssp cost %v", seed, scale, got, want)
+			t.Fatalf("seed %d (scale %d): bucket cost %v != heap cost %v", seed, scale, got, want)
 		}
 		if err := b.Verify(); err != nil {
-			t.Fatalf("seed %d: dial certificate: %v", seed, err)
+			t.Fatalf("seed %d: bucket certificate: %v", seed, err)
 		}
 		// And again through the incremental path after a delta batch.
 		changed := mutateRandom(rng, b, false)
@@ -331,7 +320,7 @@ func TestDialHugeCostsMatchSSP(t *testing.T) {
 			t.Fatalf("seed %d: resolve err %v, fresh err %v", seed, err2, err1)
 		}
 		if err1 == nil && gotR != wantR {
-			t.Fatalf("seed %d: dial resolve cost %v != ssp cost %v", seed, gotR, wantR)
+			t.Fatalf("seed %d: bucket resolve cost %v != heap cost %v", seed, gotR, wantR)
 		}
 	}
 }

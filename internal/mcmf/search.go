@@ -1,21 +1,30 @@
 // Per-search Dijkstra state: the residual arcs, potentials and excess
 // vector are read-only during a search, while everything a search
 // writes — tentative distances, the shortest-path tree, the epoch
-// stamps and the heap — lives in the Solver's searchScratch (s.ss),
-// which the heap and Dial searches share.
+// stamps, the bucket queue and the heap — lives in the Solver's
+// searchScratch (s.ss), which the bucket search (dial.go) and its heap
+// fallback share.
 package mcmf
 
 // searchScratch is the write-side state of one shortest-path search:
 // epoch-stamped dist/prevArc entries (valid only when stamp matches
-// epoch, so per-search reset is O(1) plus the nodes actually visited)
-// and the inline 4-ary heap.
+// epoch, so per-search reset is O(1) plus the nodes actually visited),
+// Dial's bucket queue, the inline 4-ary heap, and the heap back-off
+// that carries over from one search to the next.
 type searchScratch struct {
 	dist    []int64
 	prevArc []int32
 	stamp   []uint32
 	epoch   uint32
 	visited []int32
+	q       bucketQueue
 	h       heap4
+
+	// skip/skipLen are the heap back-off (shortestPath).  They decide
+	// heap-vs-bucket searches, and with them tie-breaking, so an
+	// aborted attempt rolls them back (restoreAttempt).
+	skip, skipLen int
+	heapOnly      bool // every search on the heap: ssp's rescue (runEngine)
 }
 
 // ensure sizes the scratch for an n-node network, keeping existing
@@ -30,20 +39,32 @@ func (sc *searchScratch) ensure(n int) {
 }
 
 // ensureSSP sizes the scratch the SSP routing loops fill up to the
-// node count: the visited list and heap of a search (a phase's
-// multi-source search can touch every node), the source list, and a
-// phase's DFS path.  Sizing them once per network keeps warm solves
-// allocation-free; engines that never search (costscaling) skip it.
+// node count: the visited list, bucket queue and heap of a search (a
+// phase's multi-source search can touch every node), the source list,
+// and a phase's DFS path.  Sizing them once per network keeps warm
+// solves allocation-free; engines that never search (costscaling full
+// solves) skip it.
 func (s *Solver) ensureSSP() {
 	n := s.n
 	if cap(s.ss.visited) >= n {
 		return
 	}
 	s.ss.visited = make([]int32, 0, n)
+	s.ss.q.ensure(n)
 	s.ss.h.key = make([]int64, 0, n)
 	s.ss.h.node = make([]int32, 0, n)
 	s.sources = make([]int32, 0, n)
 	s.path = make([]int32, 0, n)
+}
+
+// SearchScratchBytes estimates the search scratch an n-node network
+// keeps once solved by ssp (or repaired by any engine): per node the
+// stamped dist/prevArc/stamp entries, the visited list, a heap slot, a
+// bucket-pool entry, the source list and a phase's DFS path; plus the
+// bucket ring's head/tail arrays.  A search that pushes a node more
+// than once grows the pool past n, so this is a floor, not a bound.
+func SearchScratchBytes(n int) int64 {
+	return int64(n)*(8+4+4+4+12+8+4+4) + 2*4*dialRing
 }
 
 // begin starts a fresh epoch for the stamped scratch.
@@ -67,9 +88,9 @@ func (sc *searchScratch) touch(v int32) {
 }
 
 // dijkstraHeap runs one shortest-path search on reduced costs from
-// every node in srcs (each at distance 0) into s.ss — the classic SSP
-// inner loop on the inline 4-ary heap, multi-source for a primal–dual
-// phase.  It reads (and never writes) the solver's residual arcs,
+// every node in srcs (each at distance 0) into s.ss on the inline
+// 4-ary heap — the bucket search's fallback (shortestPath), with the
+// same contract.  It reads (and never writes) the solver's residual arcs,
 // potentials and the excess vector.  It fills
 // ss.dist/ss.prevArc/ss.visited for the settled region and returns the
 // first node with negative excess together with its distance, or

@@ -1,7 +1,7 @@
-// Successive-shortest-paths machinery shared by the "ssp" and "dial"
-// engines: the routing loops are common, and the shortest-path search
-// is pluggable (heap Dijkstra in search.go, Dial bucket Dijkstra in
-// dial.go).
+// Successive shortest paths: the "ssp" engine and its routing loops.
+// Every search is Dial's bucket search with its heap fallback
+// (shortestPath in dial.go); the search state is the Solver's own
+// (search.go), so the engine itself holds only its counters.
 //
 // Two loops route supply.  The per-source loop (augmentSome) runs one
 // search per augmentation, from one source to its nearest deficit.
@@ -30,25 +30,6 @@
 package mcmf
 
 import "math"
-
-// pathFinder runs one shortest-path search on reduced costs from every
-// node in srcs (one source per augmentation in the per-source loop,
-// all current sources in a phase), filling the solver's own scratch
-// (s.ss) for the settled region, and returns the first node with
-// negative excess together with its distance, or target −1 when no
-// deficit node is reachable.
-type pathFinder interface {
-	shortestPath(s *Solver, srcs []int32, excess []int64) (target int32, dt int64)
-}
-
-// heapFinder is Dijkstra on the inline 4-ary heap — the classic SSP
-// inner loop, and the fallback the dial engine reaches for when a
-// reduced cost outgrows its bucket ring.
-type heapFinder struct{}
-
-func (heapFinder) shortestPath(s *Solver, srcs []int32, excess []int64) (int32, int64) {
-	return s.dijkstraHeap(srcs, excess)
-}
 
 // sourcesOf lists the nodes with positive excess in the solver's
 // source scratch.
@@ -93,7 +74,7 @@ func hasSources(srcs []int32, excess []int64, k int) bool {
 // until no source has excess left or lim stops it, and returns the
 // nodes it visited, the paths it routed, and whether it quit early on
 // lim's rate rule with supply left.
-func (s *Solver) augmentSome(srcs []int32, excess []int64, pf pathFinder, st *Stats, lim raceLimit) (visited, augs int64, quit bool, err error) {
+func (s *Solver) augmentSome(srcs []int32, excess []int64, st *Stats, lim raceLimit) (visited, augs int64, quit bool, err error) {
 	v0 := st.Visited
 	for {
 		for len(srcs) > 0 && excess[srcs[len(srcs)-1]] <= 0 {
@@ -114,7 +95,7 @@ func (s *Solver) augmentSome(srcs []int32, excess []int64, pf pathFinder, st *St
 		if err := s.pollAbort(); err != nil {
 			return 0, 0, false, err
 		}
-		if err := s.augmentFrom(srcs[len(srcs)-1:], excess, pf, st); err != nil {
+		if err := s.augmentFrom(srcs[len(srcs)-1:], excess, st); err != nil {
 			return 0, 0, false, err
 		}
 		augs++
@@ -125,8 +106,8 @@ func (s *Solver) augmentSome(srcs []int32, excess []int64, pf pathFinder, st *St
 // augmentFrom is one step of the per-source loop: a search from the
 // single source in src to the nearest deficit, then the augmentation
 // along its path.
-func (s *Solver) augmentFrom(src []int32, excess []int64, pf pathFinder, st *Stats) error {
-	target, dt := pf.shortestPath(s, src, excess)
+func (s *Solver) augmentFrom(src []int32, excess []int64, st *Stats) error {
+	target, dt := s.shortestPath(src, excess, st)
 	if target == -1 {
 		return ErrInfeasible
 	}
@@ -136,22 +117,18 @@ func (s *Solver) augmentFrom(src []int32, excess []int64, pf pathFinder, st *Sta
 	return nil
 }
 
-// sspEngine is successive shortest paths with the heap Dijkstra — the
-// Solver's default backend.
+// sspEngine is successive shortest paths — the Solver's default
+// backend and the one every failing engine degrades to.
 type sspEngine struct {
 	engineCore
 }
 
 func (e *sspEngine) Name() string { return "ssp" }
 
+// Solve is the full solve: preamble, phased supply routing, and the
+// solved-state bookkeeping.
 func (e *sspEngine) Solve(s *Solver) (float64, error) {
-	return solveSSPFull(s, heapFinder{}, &e.st)
-}
-
-// solveSSPFull is the full solve shared by the SSP-family engines
-// ("ssp" and "dial" differ only in their path finder): preamble,
-// phased supply routing, and the solved-state bookkeeping.
-func solveSSPFull(s *Solver, pf pathFinder, st *Stats) (float64, error) {
+	st := &e.st
 	if err := s.beginSolve(st); err != nil {
 		return 0, err
 	}
@@ -164,7 +141,7 @@ func solveSSPFull(s *Solver, pf pathFinder, st *Stats) (float64, error) {
 	s.flowDirty = true
 	s.repairable = false
 	mark := *st
-	if err := s.routePhases(excess, pf, st); err != nil {
+	if err := s.routePhases(excess, st); err != nil {
 		return 0, err
 	}
 	s.markSolved()
@@ -174,7 +151,7 @@ func solveSSPFull(s *Solver, pf pathFinder, st *Stats) (float64, error) {
 }
 
 func (e *sspEngine) Resolve(s *Solver, changed []int32) (float64, error) {
-	return resolveSSP(s, changed, heapFinder{}, &e.st, e.Solve)
+	return resolveSSP(s, changed, &e.st, e.Solve)
 }
 
 // phaseWindow is how many recent phases the switch to the per-source
@@ -206,7 +183,7 @@ const phaseWindow = 3
 // once instead of running out its doubled budget, and phases resume.
 // A race routes real supply, so one that loses to the phases still
 // makes progress.
-func (s *Solver) routePhases(excess []int64, pf pathFinder, st *Stats) error {
+func (s *Solver) routePhases(excess []int64, st *Stats) error {
 	srcs := s.sourcesOf(excess)
 	var visited, augs [phaseWindow]int64 // per phase, ring-indexed
 	var winVisited, winAugs int64        // sums over the ring
@@ -216,7 +193,7 @@ func (s *Solver) routePhases(excess []int64, pf pathFinder, st *Stats) error {
 			return err
 		}
 		v0, a0 := st.Visited, st.Augmentations
-		target, dt := pf.shortestPath(s, srcs, excess)
+		target, dt := s.shortestPath(srcs, excess, st)
 		if target == -1 {
 			return ErrInfeasible
 		}
@@ -242,7 +219,7 @@ func (s *Solver) routePhases(excess []int64, pf pathFinder, st *Stats) error {
 			lim := raceLimit{budget: budget, floor: v, visited: winVisited, augs: winAugs}
 			var quit bool
 			var err error
-			if raceVisited, raceAugs, quit, err = s.augmentSome(srcs, excess, pf, st, lim); err != nil {
+			if raceVisited, raceAugs, quit, err = s.augmentSome(srcs, excess, st, lim); err != nil {
 				return err
 			}
 			st.Races++

@@ -147,7 +147,7 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 // "flow_engine": "auto" must answer as a pure function of its history,
 // including across a structural rewire that rebuilds the D-phase
 // scratch.  The oracle is a serial core.NewEcoSession twin pinned to
-// "dial" replaying the same queries and edits: every answer must be
+// "ssp" replaying the same queries and edits: every answer must be
 // bit-identical to it.
 func TestServeAutoEngineReplayDeterministic(t *testing.T) {
 	cfg := Config{TrustRegion: 0.05}
@@ -170,7 +170,7 @@ func TestServeAutoEngineReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "dial", TrustRegion: cfg.TrustRegion})
+	twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "ssp", TrustRegion: cfg.TrustRegion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestServeAutoEngineReplayDeterministic(t *testing.T) {
 			t.Fatalf("%s: twin: %v", tag, err)
 		}
 		if q.Area != ref.Area || q.CPPS != ref.CP || q.Iterations != ref.Iterations || q.Seed != ref.Seed {
-			t.Fatalf("%s: served (%.17g, %.17g, %d, %s) != dial twin (%.17g, %.17g, %d, %s)",
+			t.Fatalf("%s: served (%.17g, %.17g, %d, %s) != ssp twin (%.17g, %.17g, %d, %s)",
 				tag, q.Area, q.CPPS, q.Iterations, q.Seed, ref.Area, ref.CP, ref.Iterations, ref.Seed)
 		}
 		for i := range ref.X {
 			if q.Sizes[i] != ref.X[i] {
-				t.Fatalf("%s: size[%d] %.17g != dial twin %.17g", tag, i, q.Sizes[i], ref.X[i])
+				t.Fatalf("%s: size[%d] %.17g != ssp twin %.17g", tag, i, q.Sizes[i], ref.X[i])
 			}
 		}
 	}

@@ -91,15 +91,15 @@ func TestServeSubmitQueryLifecycle(t *testing.T) {
 	if info.Queries != int64(len(targets)) || info.Quarantined {
 		t.Fatalf("info: %+v", info)
 	}
-	// The engine resolved at submit: the server default ("ssp") when the
-	// submit names none, core's default for "auto".
+	// The engine resolved at submit: "ssp" both when the submit names
+	// none (the server default) and for "auto".
 	if info.FlowEngine != "ssp" {
 		t.Fatalf("default submit flow_engine = %q, want ssp", info.FlowEngine)
 	}
 	if _, err := c.Submit(ctx, &SubmitRequest{ID: "auto", Circuit: "c17", FlowEngine: "auto"}); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := c.Info(ctx, "auto"); err != nil || info.FlowEngine != "dial" {
+	if info, err := c.Info(ctx, "auto"); err != nil || info.FlowEngine != "ssp" {
 		t.Fatalf("auto submit info: %+v, %v", info, err)
 	}
 	if err := c.Delete(ctx, "auto"); err != nil {

@@ -88,8 +88,8 @@ import (
 // defaults (ssp engine, 1 GiB memory watermark).
 type Config struct {
 	// Engine is the default D-phase flow backend for sessions that do
-	// not pin one ("ssp" when empty, the robust reference engine;
-	// "auto" selects core's default, "dial").
+	// not pin one (core.ResolveFlowEngine: "", "auto" and the
+	// deprecated "dial" select "ssp", every sizer's default).
 	Engine string
 	// MaxInFlight caps concurrently executing solves (default
 	// GOMAXPROCS).
@@ -141,9 +141,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Engine == "" {
-		c.Engine = "ssp"
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = runtime.GOMAXPROCS(0)
 	}

@@ -57,7 +57,8 @@ type SubmitRequest struct {
 	// Name labels a Bench netlist (diagnostics only).
 	Name string `json:"name,omitempty"`
 	// FlowEngine pins the D-phase backend for this session ("" uses
-	// the server default; "auto" selects "dial").
+	// the server default; "auto" and the deprecated "dial" select
+	// "ssp").
 	FlowEngine string `json:"flow_engine,omitempty"`
 	// A "parallelism" key, the retired per-session worker budget, is
 	// accepted and ignored: decoding skips unknown fields, and every

@@ -186,12 +186,12 @@ type Config struct {
 	// CostScale integerizes D-phase arc costs (default 1e6).
 	CostScale float64
 	// FlowEngine selects the D-phase min-cost-flow backend: "ssp"
-	// (successive shortest paths, heap Dijkstra), "dial" (SSP with a
-	// bucket-queue Dijkstra), "costscaling" (Goldberg–Tarjan, serial
-	// discharge), or ""/"auto" for the default, "dial" (the fastest
-	// engine measured; see FlowEngines and EXPERIMENTS.md "Engine zoo
-	// pruned").  Every engine finds an equally optimal D-phase
-	// solution, and every run is deterministic.  Applies to every
+	// (successive shortest paths over Dial's bucket queue, with a heap
+	// fallback; the default, which ""/"auto" and the deprecated "dial"
+	// also select) or "costscaling" (Goldberg–Tarjan, serial
+	// discharge); see FlowEngines and EXPERIMENTS.md "One SSP engine".
+	// Every engine finds an equally optimal D-phase solution, and
+	// every run is deterministic.  Applies to every
 	// optimization the Sizer runs: Minflotransit, Sweep, RunTable and
 	// the transistor/wire variants.
 	FlowEngine string

@@ -62,7 +62,7 @@ func BenchmarkParallelWPhase(b *testing.B) {
 // BenchmarkParallelSize is the end-to-end row at a CI-friendly size:
 // one op = a full core.Size (TILOS + D/W iteration) on the 10k-gate
 // mesh.  The full-scale mesh102k run lives in BenchmarkScalingLarge
-// (excluded from the bench gate).  The flow engine is pinned to "dial"
+// (excluded from the bench gate).  The flow engine is pinned to "ssp"
 // (also the default) so the row keeps measuring the same D-phase
 // backend if the default ever changes.  iters/op is the D/W iteration
 // count, a deterministic work counter the gate holds.
@@ -82,7 +82,7 @@ func BenchmarkParallelSize(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r, err := core.Size(p, T, core.Options{FlowEngine: "dial"})
+			r, err := core.Size(p, T, core.Options{FlowEngine: "ssp"})
 			if err != nil {
 				b.Fatal(err)
 			}
