@@ -12,9 +12,6 @@
 // of real ISCAS85 .bench files (parsed by internal/bench): every
 // *.bench file in the directory becomes one table row at -spec·Dmin.
 //
-// -engine selects the D-phase flow backend (ssp or costscaling — or
-// auto, the default, which selects ssp) for every mode.
-//
 // Table 1 runs the full 12-circuit suite and takes a few minutes.
 package main
 
@@ -40,7 +37,6 @@ func main() {
 		lagr     = flag.Bool("lagrangian", false, "compare against the reference-[8] Lagrangian sizer")
 		all      = flag.Bool("all", false, "run everything")
 		quick    = flag.Bool("quick", false, "restrict Table 1 to the small circuits")
-		engine   = flag.String("engine", "auto", "D-phase flow engine: auto (= ssp), ssp or costscaling")
 		benchdir = flag.String("benchdir", "", "directory of .bench netlists: run a table sweep over every *.bench file in it")
 		spec     = flag.Float64("spec", 0.5, "delay spec (fraction of Dmin) for -benchdir rows")
 	)
@@ -52,7 +48,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: *engine})
+	sz, err := minflo.NewSizer(nil)
 	if err != nil {
 		fail(err)
 	}

@@ -8,7 +8,6 @@
 //	minflo -circuit adder32 -spec 0.5 -algo tilos
 //	minflo -circuit c17 -spec 0.6 -mode transistor
 //	minflo -circuit c17 -spec 0.6 -sizes             # dump per-gate sizes
-//	minflo -circuit c6288 -spec 0.5 -engine ssp      # pin the D-phase flow backend
 //	minflo -circuit c6288 -spec 0.5 -budget 30s      # bounded run, best-so-far on expiry
 //
 // Ctrl-C cancels a running optimization gracefully: the best sizing
@@ -42,7 +41,6 @@ func main() {
 		benchFile   = flag.String("bench", "", "ISCAS85 .bench netlist file")
 		spec        = flag.Float64("spec", 0.5, "delay target as a fraction of Dmin")
 		algo        = flag.String("algo", "minflo", "sizing algorithm: minflo, tilos or lagrange")
-		engine      = flag.String("engine", "auto", "D-phase flow engine: auto (= ssp), ssp or costscaling")
 		budget      = flag.Duration("budget", 0, "wall-clock budget for the optimization (0 = unlimited); on expiry the best sizing so far is printed and the exit code is 4")
 		mode        = flag.String("mode", "gate", "sizing mode: gate or transistor")
 		dumpSizes   = flag.Bool("sizes", false, "print the per-element sizes")
@@ -60,7 +58,7 @@ func main() {
 	// kills the process the default way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	err := run(ctx, *circuitName, *benchFile, *spec, *algo, *engine, *budget, *mode, *dumpSizes, *report, *sweep)
+	err := run(ctx, *circuitName, *benchFile, *spec, *algo, *budget, *mode, *dumpSizes, *report, *sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "minflo:", err)
 	}
@@ -98,7 +96,7 @@ func exitCode(err error) int {
 	}
 }
 
-func run(ctx context.Context, circuitName, benchFile string, spec float64, algo, engine string, budget time.Duration, mode string, dumpSizes, report, sweep bool) error {
+func run(ctx context.Context, circuitName, benchFile string, spec float64, algo string, budget time.Duration, mode string, dumpSizes, report, sweep bool) error {
 	var ckt *minflo.Circuit
 	var err error
 	switch {
@@ -124,7 +122,7 @@ func run(ctx context.Context, circuitName, benchFile string, spec float64, algo,
 		return fmt.Errorf("-spec %g must be in (0, 1]", spec)
 	}
 
-	sz, err := minflo.NewSizer(&minflo.Config{FlowEngine: engine, Budget: budget})
+	sz, err := minflo.NewSizer(&minflo.Config{Budget: budget})
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	minflod -addr :7317
-//	minflod -addr :7317 -engine ssp -mem-high 512MiB -max-pending 64
+//	minflod -addr :7317 -mem-high 512MiB -max-pending 64
 //	minflod -addr :7317 -edit-cone-budget 0.5 -edit-cone-resize
 //
 // Endpoints:
@@ -70,7 +70,6 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7317", "listen address")
-		engine      = flag.String("engine", "auto", "default D-phase flow engine for sessions that do not pin one: auto (= ssp), ssp or costscaling")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing solves (0 = GOMAXPROCS)")
 		maxPending  = flag.Int("max-pending", 64, "globally admitted-but-unfinished requests before 429")
 		queueDepth  = flag.Int("queue-depth", 8, "per-session request queue before 429")
@@ -82,13 +81,13 @@ func main() {
 		coneResize  = flag.Bool("edit-cone-resize", false, "answer the first in-trust-region query after a value-only edit batch from a cone-scoped subproblem against frozen boundary arrivals (requires -trust-region > 0)")
 	)
 	flag.Parse()
-	if err := run(*addr, *engine, *maxInflight, *maxPending, *queueDepth, *memHigh, *memLow, *drain, *trustRegion, *editCone, *coneResize); err != nil {
+	if err := run(*addr, *maxInflight, *maxPending, *queueDepth, *memHigh, *memLow, *drain, *trustRegion, *editCone, *coneResize); err != nil {
 		fmt.Fprintln(os.Stderr, "minflod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, engine string, maxInflight, maxPending, queueDepth int, memHigh, memLow string, drain time.Duration, trustRegion, editCone float64, coneResize bool) error {
+func run(addr string, maxInflight, maxPending, queueDepth int, memHigh, memLow string, drain time.Duration, trustRegion, editCone float64, coneResize bool) error {
 	high, err := parseBytes(memHigh)
 	if err != nil {
 		return fmt.Errorf("-mem-high: %w", err)
@@ -100,7 +99,6 @@ func run(addr, engine string, maxInflight, maxPending, queueDepth int, memHigh, 
 		}
 	}
 	srv, err := serve.New(serve.Config{
-		Engine:         engine,
 		MaxInFlight:    maxInflight,
 		MaxPending:     maxPending,
 		QueueDepth:     queueDepth,
@@ -118,7 +116,7 @@ func run(addr, engine string, maxInflight, maxPending, queueDepth int, memHigh, 
 	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("minflod listening on %s (engine=%s, mem-high=%s)", addr, engine, memHigh)
+		log.Printf("minflod listening on %s (mem-high=%s)", addr, memHigh)
 		errCh <- hs.ListenAndServe()
 	}()
 

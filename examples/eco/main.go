@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	srv, err := serve.New(serve.Config{Engine: "ssp", TrustRegion: 0.05})
+	srv, err := serve.New(serve.Config{TrustRegion: 0.05})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	// An in-process server; production runs cmd/minflod instead.
-	srv, err := serve.New(serve.Config{Engine: "ssp"})
+	srv, err := serve.New(serve.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

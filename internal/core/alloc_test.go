@@ -36,7 +36,7 @@ func TestIterateSteadyStateZeroAlloc(t *testing.T) {
 		}
 		x := tr.X
 		aug := p.Augment()
-		sc, err := newIterScratch(p, aug, x, engine)
+		sc, err := newIterScratch(p, aug, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestIterateZeroAllocTransistorLevel(t *testing.T) {
 	}
 	x := tr.X
 	aug := p.Augment()
-	sc, err := newIterScratch(p, aug, x, "ssp")
+	sc, err := newIterScratch(p, aug, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,17 +33,11 @@ func cancelProblem(t *testing.T) (*dag.Problem, float64) {
 	return p, 0.5 * tm.CP
 }
 
-// pinned returns deterministic options (fixed engine, serial) so twin
-// runs are bit-comparable.
-func pinned() Options {
-	return Options{FlowEngine: "ssp"}
-}
-
 func TestSizeCtxCancelBetweenIterations(t *testing.T) {
 	p, T := cancelProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := pinned()
+	opt := Options{}
 	opt.OnIteration = func(st IterStats) {
 		if st.Iter == 2 {
 			cancel()
@@ -72,7 +66,7 @@ func TestSizeCtxPreCanceled(t *testing.T) {
 	p, T := cancelProblem(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SizeCtx(ctx, p, T, pinned())
+	res, err := SizeCtx(ctx, p, T, Options{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("SizeCtx = %v, want ErrCanceled", err)
 	}
@@ -90,7 +84,7 @@ func TestSizeCtxPreCanceled(t *testing.T) {
 
 func TestSizeCtxWallClockBudget(t *testing.T) {
 	p, T := cancelProblem(t)
-	opt := pinned()
+	opt := Options{}
 	opt.Budget = time.Nanosecond // expires during/right after the seed
 	res, err := SizeCtx(context.Background(), p, T, opt)
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -106,7 +100,7 @@ func TestSizeCtxWallClockBudget(t *testing.T) {
 
 func TestSizeCtxFlowWorkBudget(t *testing.T) {
 	p, T := cancelProblem(t)
-	opt := pinned()
+	opt := Options{}
 	opt.FlowWorkBudget = 1 // the first D-phase augmentation exhausts it
 	res, err := SizeCtx(context.Background(), p, T, opt)
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -129,14 +123,14 @@ func TestSizeCtxFlowWorkBudget(t *testing.T) {
 func TestSizeCtxNoResidueAfterCancel(t *testing.T) {
 	p, T := cancelProblem(t)
 	twin, _ := cancelProblem(t)
-	want, err := Size(twin, T, pinned())
+	want, err := Size(twin, T, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := pinned()
+	opt := Options{}
 	opt.OnIteration = func(st IterStats) {
 		if st.Iter == 1 {
 			cancel()
@@ -146,7 +140,7 @@ func TestSizeCtxNoResidueAfterCancel(t *testing.T) {
 		t.Fatalf("SizeCtx = %v, want ErrCanceled", err)
 	}
 
-	got, err := Size(p, T, pinned())
+	got, err := Size(p, T, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +159,7 @@ func TestSizeCtxNoResidueAfterCancel(t *testing.T) {
 // on an undisturbed run (the fallback chain is dormant, not active).
 func TestSizeHealthyRunReportsNoFailures(t *testing.T) {
 	p, T := cancelProblem(t)
-	res, err := Size(p, T, pinned())
+	res, err := Size(p, T, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,6 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	}
 	subOpt := s.opt
 	subOpt.EditConeResize = false
-	// Run the sub-session on the engine the parent's D-phase runs on
-	// ("ssp" once the fallback chain has replaced a failed backend).
-	subOpt.FlowEngine = s.sc.sys.FlowEngineName()
 	sub, err := NewSession(cone.Sub, subOpt)
 	if err != nil {
 		return nil, errSeedRejected

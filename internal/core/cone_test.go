@@ -48,8 +48,8 @@ func valueOnlyBatch(c *circuit.Circuit, rng *rand.Rand) []dag.Edit {
 // drift of two approximate seeded solvers, not a cone-scoping loss.
 func TestConeResizeConformance(t *testing.T) {
 	const coneAreaTol = 5e-3
-	optCone := Options{FlowEngine: "ssp", TrustRegion: 0.1, EditConeResize: true}
-	optFull := Options{FlowEngine: "ssp", TrustRegion: 0.1}
+	optCone := Options{TrustRegion: 0.1, EditConeResize: true}
+	optFull := Options{TrustRegion: 0.1}
 
 	coneAnswered, verified := 0, 0
 	for inst := 0; inst < 110; inst++ {
@@ -157,7 +157,7 @@ func TestConeResizeConformance(t *testing.T) {
 // voids the frozen-boundary premise), and no arming when the feature
 // is off.
 func TestConeResizeCounters(t *testing.T) {
-	opt := Options{FlowEngine: "ssp", TrustRegion: 0.1, EditConeResize: true}
+	opt := Options{TrustRegion: 0.1, EditConeResize: true}
 	sess, err := NewEcoSession(mustEco(t, gen.RippleAdder(16, gen.FABuffered)), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestConeResizeCounters(t *testing.T) {
 
 	// Feature off: same edit shape never arms.
 	off, err := NewEcoSession(mustEco(t, gen.RippleAdder(16, gen.FABuffered)),
-		Options{FlowEngine: "ssp", TrustRegion: 0.1})
+		Options{TrustRegion: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,20 +33,6 @@ import (
 	"minflo/internal/tilos"
 )
 
-// ResolveFlowEngine maps an Options.FlowEngine value to a concrete
-// mcmf backend name — the one rule for which engine names are
-// accepted.  "", "auto" and the deprecated "dial" return "ssp"
-// (mcmf.CanonicalEngine); anything else must be a registered engine.
-// The resolved engine is pinned for the whole run, so every run is
-// deterministic.
-func ResolveFlowEngine(name string) (string, error) {
-	canon, ok := mcmf.CanonicalEngine(name)
-	if !ok {
-		return "", fmt.Errorf("core: unknown flow engine %q (have auto, %v)", name, mcmf.EngineNames())
-	}
-	return canon, nil
-}
-
 // ErrInfeasible is returned when no sizing meets the delay target.
 var ErrInfeasible = errors.New("core: delay target unreachable")
 
@@ -59,8 +45,8 @@ var (
 	// ErrBudgetExhausted reports that Options.Budget (wall clock) or
 	// Options.FlowWorkBudget (flow work) ran out.
 	ErrBudgetExhausted = mcmf.ErrBudgetExhausted
-	// ErrEngineFailed wraps a flow-engine panic that could not be
-	// recovered by the ssp fallback chain.
+	// ErrEngineFailed wraps a flow-solve panic that the heap rescue
+	// did not recover.
 	ErrEngineFailed = mcmf.ErrEngineFailed
 )
 
@@ -86,10 +72,11 @@ type Options struct {
 	// CostScale / SupplyScale integerize the D-phase flow (paper's
 	// power-of-10 scaling). Defaults 1e6 / 1e4.
 	CostScale, SupplyScale float64
-	// FlowEngine selects the D-phase min-cost-flow backend by mcmf
-	// registry name ("ssp", "costscaling").  Empty, "auto" and the
-	// deprecated "dial" select "ssp" (see ResolveFlowEngine);
-	// IterStats.FlowEngine reports the backend that ran.
+	// FlowEngine is ignored: every D-phase runs mcmf's one flow
+	// algorithm.
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	FlowEngine string
 	// Parallelism is ignored: every run is serial.
 	//
@@ -98,7 +85,7 @@ type Options struct {
 	Parallelism int
 	// Budget, when positive, bounds the wall-clock time of the whole
 	// run: the deadline is sampled between iterations and inside the
-	// flow engines' poll loops, and exceeding it returns the
+	// flow solver's poll loops, and exceeding it returns the
 	// best-so-far sizing as a partial Result with ErrBudgetExhausted.
 	Budget time.Duration
 	// FlowWorkBudget, when positive, caps the cumulative D-phase flow
@@ -106,9 +93,9 @@ type Options struct {
 	// Bellman–Ford rounds) across the run; exceeding it returns a
 	// partial Result with ErrBudgetExhausted.
 	FlowWorkBudget int64
-	// NoEngineFallback disables the flow layer's graceful degradation
-	// (retrying a failed engine's solve on the ssp reference backend):
-	// an unrecovered engine failure then surfaces as ErrEngineFailed
+	// NoEngineFallback disables the flow layer's heap rescue
+	// (re-running a failed solve on the heap search): an unrecovered
+	// flow failure then surfaces as ErrEngineFailed
 	// with a best-so-far partial Result instead of being absorbed.
 	// Long-lived session owners (internal/serve) use this in fault
 	// drills to exercise their quarantine-and-rebuild path; the
@@ -170,8 +157,6 @@ type IterStats struct {
 	// constructions so far — 1 on every iteration when the build-once
 	// reuse path is working (asserted by tests).
 	NetBuilds int
-	// FlowEngine is the mcmf backend the D-phase ran on this problem.
-	FlowEngine string
 	// FlowResolves is the cumulative number of D-phase solves served by
 	// the incremental re-flow (mcmf ResolveChanged repairing the
 	// previous optimum) rather than a from-scratch solve — every
@@ -179,13 +164,12 @@ type IterStats struct {
 	// (asserted by tests).
 	FlowResolves int
 	// FlowFallbacks is the cumulative number of D-phase ResolveChanged
-	// calls the engine served with a full solve instead (work-estimate
-	// gate, missing prior flow, or price-range refusal).
+	// calls the flow solver served with a full solve instead
+	// (work-estimate gate or missing prior flow).
 	FlowFallbacks int
-	// FlowEngineFailures is the cumulative number of flow-engine
-	// failures (panics, price-range refusals) the fallback chain
-	// recovered by degrading to the ssp reference engine (see mcmf
-	// abort.go); 0 on every healthy run.
+	// FlowEngineFailures is the cumulative number of flow-solve
+	// failures (panics, injected faults) the heap rescue recovered (see
+	// mcmf abort.go); 0 on every healthy run.
 	FlowEngineFailures int
 	// Seed is the start-point provenance of the run this iteration
 	// belongs to: SeedTilos, SeedWarm (trust-region seeded) or SeedCone
@@ -287,11 +271,10 @@ type iterScratch struct {
 	lin      *lin.Solver       // sensitivity engine over p.CSR()
 
 	sys    *dcs.System
-	engine string // resolved mcmf backend name
-	loID   []int  // constraint r_i − r_dm ≤ …, per sizable vertex
-	hiID   []int  // constraint r_dm − r_i ≤ …, per sizable vertex
-	objID  []int  // objective term per sizable vertex
-	edgeID []int  // constraint per augmented edge (-1 for self edges)
+	loID   []int // constraint r_i − r_dm ≤ …, per sizable vertex
+	hiID   []int // constraint r_dm − r_i ≤ …, per sizable vertex
+	objID  []int // objective term per sizable vertex
+	edgeID []int // constraint per augmented edge (-1 for self edges)
 
 	selfEdge []bool // per augmented edge: is it i→Dmy(i)?
 
@@ -314,10 +297,9 @@ type iterScratch struct {
 // newIterScratch builds the constraint-network topology once and
 // preallocates the iteration buffers.  x0 seeds the incremental
 // arrival engine.
-func newIterScratch(p *dag.Problem, aug *dag.Augmented, x0 []float64, engine string) (*iterScratch, error) {
+func newIterScratch(p *dag.Problem, aug *dag.Augmented, x0 []float64) (*iterScratch, error) {
 	n := p.NumSizable
 	sc := &iterScratch{
-		engine:    engine,
 		balancer:  balance.NewBalancer(aug.G),
 		smp:       smp.NewSolver(p.CSR()),
 		lin:       lin.NewSolver(p.CSR()),
@@ -488,12 +470,11 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 	}
 	sol, err := sys.SolveCtx(sc.ctx, dcs.Options{
 		CostScale: opt.CostScale, SupplyScale: opt.SupplyScale,
-		Engine:   sc.engine,
 		Deadline: sc.deadline, WorkBudget: sc.flowBudget,
-		// A flow-engine failure (panic, price-range refusal) degrades
-		// to the ssp reference engine instead of killing the run;
-		// IterStats.FlowEngineFailures counts the rescues.  Session
-		// owners may disable the rescue to surface ErrEngineFailed.
+		// A flow-solve failure (panic) is re-run on the heap search
+		// instead of killing the run; IterStats.FlowEngineFailures
+		// counts the rescues.  Session owners may disable the rescue
+		// to surface ErrEngineFailed.
 		EngineFallback: !opt.NoEngineFallback,
 	})
 	if err != nil {
@@ -527,7 +508,6 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 		Objective:     sol.Objective,
 		Clamped:       len(w.Clamped),
 		NetBuilds:     sys.Builds(),
-		FlowEngine:    sys.FlowEngineName(),
 		FlowResolves:  sys.FlowEngineStats().Resolves,
 		FlowFallbacks: sys.FlowEngineStats().FullFallbacks,
 	}

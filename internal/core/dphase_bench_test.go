@@ -43,7 +43,7 @@ func BenchmarkDPhaseFlowTree(b *testing.B) {
 	const engine = "ssp"
 	b.Run(engine+"/warm", func(b *testing.B) {
 		aug := p.Augment()
-		sc, err := newIterScratch(p, aug, tr.X, engine)
+		sc, err := newIterScratch(p, aug, tr.X)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func BenchmarkDPhaseFlowTree(b *testing.B) {
 		var sess *Session
 		var from, to netPrices
 		found, resolves := false, 0
-		sizeOpt := Options{FlowEngine: engine, OnIteration: func(IterStats) {
+		sizeOpt := Options{OnIteration: func(IterStats) {
 			if found {
 				return
 			}
@@ -105,7 +105,7 @@ func BenchmarkDPhaseFlowTree(b *testing.B) {
 		aug := p.Augment()
 		op := func(work *dphaseWork) {
 			b.StopTimer()
-			sc, err := newIterScratch(p, aug, tr.X, engine)
+			sc, err := newIterScratch(p, aug, tr.X)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -149,9 +149,9 @@ func (s *Session) ApplyEdits(edits []dag.Edit) (*EditReport, error) {
 		// The constraint system has no API to move constraint endpoints
 		// (structural), and an over-budget cone invalidates most of the
 		// warm flow state anyway: rebuild the D-phase scratch on the
-		// current problem on the session's resolved flow engine.
+		// current problem.
 		s.aug = s.p.Augment()
-		sc2, serr := newIterScratch(s.p, s.aug, x, s.sc.engine)
+		sc2, serr := newIterScratch(s.p, s.aug, x)
 		if serr != nil {
 			return nil, serr
 		}

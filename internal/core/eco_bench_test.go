@@ -29,7 +29,7 @@ func BenchmarkEcoEdit(b *testing.B) {
 		{"mesh10k", func() *circuit.Circuit { return gen.Mesh(100, 100) }},
 	}
 	m := delay.NewModel(tech.Default013())
-	opt := Options{FlowEngine: "ssp"}
+	opt := Options{}
 
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("%s/edit", tc.name), func(b *testing.B) {

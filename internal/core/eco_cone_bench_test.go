@@ -53,7 +53,7 @@ func BenchmarkEcoConeResize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt := Options{FlowEngine: "ssp", TrustRegion: 0.1, EditConeResize: mode == "cone"}
+				opt := Options{TrustRegion: 0.1, EditConeResize: mode == "cone"}
 				sess, err := NewEcoSession(e, opt)
 				if err != nil {
 					b.Fatal(err)

@@ -93,7 +93,7 @@ func randomCoreBatch(c *circuit.Circuit, rng *rand.Rand) []dag.Edit {
 // from the already-edited netlist — edit-then-resize ≡
 // rebuild-then-resize, per the state-patch exactness contract.
 func TestEcoEditResizeColdConformance(t *testing.T) {
-	opt := Options{FlowEngine: "ssp"}
+	opt := Options{}
 	applied := 0
 	for inst := 0; inst < 110; inst++ {
 		rng := rand.New(rand.NewSource(int64(9100 + inst)))
@@ -142,7 +142,7 @@ func TestEcoEditResizeColdConformance(t *testing.T) {
 // including across a structural rewire (which resets sticky weights on
 // both sides at the same point).
 func TestEcoSessionReplayDeterminism(t *testing.T) {
-	opt := Options{FlowEngine: "ssp", TrustRegion: 0.05}
+	opt := Options{TrustRegion: 0.05}
 	build := func() *Session {
 		e := mustEco(t, gen.RippleAdder(16, gen.FABuffered))
 		s, err := NewEcoSession(e, opt)
@@ -254,7 +254,7 @@ func retypeTarget(t testing.TB, e *dag.Eco, gi int) cell.Kind {
 // negative budget disables the check entirely.
 func TestEcoConeBudget(t *testing.T) {
 	e := mustEco(t, gen.RippleAdder(16, gen.FABuffered))
-	sess, err := NewEcoSession(e, Options{FlowEngine: "ssp", TrustRegion: 0.5, EditConeBudget: 1e-6})
+	sess, err := NewEcoSession(e, Options{TrustRegion: 0.5, EditConeBudget: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestEcoConeBudget(t *testing.T) {
 
 	// Negative budget: the same edit keeps the seed warm.
 	e2 := mustEco(t, gen.RippleAdder(16, gen.FABuffered))
-	s2, err := NewEcoSession(e2, Options{FlowEngine: "ssp", TrustRegion: 0.5, EditConeBudget: -1})
+	s2, err := NewEcoSession(e2, Options{TrustRegion: 0.5, EditConeBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestEcoConeBudget(t *testing.T) {
 // an invalid one) leaves the session bit-identical to never having
 // received it, proven by a serial twin that never saw the batch.
 func TestSessionAtomicWeights(t *testing.T) {
-	opt := Options{FlowEngine: "ssp"}
+	opt := Options{}
 	p1 := mustProblem(t, "adder16")
 	sess, err := NewSession(p1, opt)
 	if err != nil {
@@ -390,7 +390,7 @@ func FuzzApplyEdits(f *testing.F) {
 			program = program[:12]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		opt := Options{FlowEngine: "ssp", TrustRegion: 0.05}
+		opt := Options{TrustRegion: 0.05}
 		c := gen.RandomLogic(4, 16, seed)
 		sess, err := NewEcoSession(mustEco(t, c), opt)
 		if err != nil {

@@ -32,12 +32,9 @@ import (
 	"minflo/internal/tech"
 )
 
-// metamorphicOptions pins the flow engine: the metamorphic invariants
-// quantify over one exact trajectory, and the auto policy's timing
-// probe is free to land on a different (equally optimal) backend per
-// run.
+// metamorphicOptions sets the integerization scales of one run.
 func metamorphicOptions(costScale, supplyScale float64) Options {
-	return Options{FlowEngine: "ssp", CostScale: costScale, SupplyScale: supplyScale}
+	return Options{CostScale: costScale, SupplyScale: supplyScale}
 }
 
 // sizeProblem runs the optimizer at spec·Dmin and returns the result.

@@ -9,11 +9,10 @@ import (
 	"minflo/internal/fault"
 )
 
-// trOpt is the trust-region configuration the seed tests share: a
-// pinned serial engine (bit-reproducible trajectories) and the 5%
-// region the server defaults to.
-func trOpt(engine string) Options {
-	return Options{FlowEngine: engine, TrustRegion: 0.05}
+// trOpt is the trust-region configuration the seed tests share: the
+// 5% region the server defaults to.
+func trOpt() Options {
+	return Options{TrustRegion: 0.05}
 }
 
 // TestSessionTrustRegionReplay is the renegotiated determinism
@@ -25,18 +24,18 @@ func trOpt(engine string) Options {
 func TestSessionTrustRegionReplay(t *testing.T) {
 	const engine = "ssp"
 	t.Run(engine, func(t *testing.T) {
-		warm, err := NewSession(mustProblem(t, "adder16"), trOpt(engine))
+		warm, err := NewSession(mustProblem(t, "adder16"), trOpt())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer warm.Close()
-		twin, err := NewSession(mustProblem(t, "adder16"), trOpt(engine))
+		twin, err := NewSession(mustProblem(t, "adder16"), trOpt())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer twin.Close()
 		off, err := NewSession(mustProblem(t, "adder16"),
-			Options{FlowEngine: engine})
+			Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +110,7 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 // re-seeds from TILOS (no fallback counted — the policy never armed),
 // and the session recovers warm seeding around the new anchor.
 func TestSessionTrustRegionFallbackBeyondDelta(t *testing.T) {
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("ssp"))
+	sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestSessionTrustRegionFallbackBeyondDelta(t *testing.T) {
 // beyond δ invalidates the seed for the next Resize; the clean answer
 // that follows re-arms seeding (perturbation resets per clean answer).
 func TestSessionTrustRegionFallbackOnWeightEdit(t *testing.T) {
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("ssp"))
+	sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestSessionTrustRegionBlowoutFallback(t *testing.T) {
 	seedIterFloor = 1
 	defer func() { seedIterFloor = oldFloor }()
 
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt("ssp"))
+	sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,37 +231,31 @@ func TestSessionTrustRegionBlowoutFallback(t *testing.T) {
 }
 
 // TestSessionTrustRegionAbortedSeedReusable: a seeded resize canceled
-// mid-flow (fault-engine cancel at a deterministic operation) answers
+// mid-flow (a fault-injected cancel at a deterministic operation) answers
 // partial, does NOT update the seed state, and leaves the session
 // reusable — a twin replaying the same sequence (including the same
 // injected cancel) answers every query bit-identically.
 func TestSessionTrustRegionAbortedSeedReusable(t *testing.T) {
-	opt := Options{FlowEngine: "fault", TrustRegion: 0.05}
 	run := func(t *testing.T, label string) (r0, r1, r2 *Result) {
-		sess, err := NewSession(mustProblem(t, "adder16"), opt)
+		sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sess.Close()
 		tmin := minCP(t, sess.p)
 
-		// The wrapper rebuilds its inner backend when the plan names a
-		// different one — keep Inner pinned to "ssp" across the whole
-		// sequence so the warm flow state persists like production.
-		fault.SetPlan(fault.Plan{Inner: "ssp"})
 		r0, err = sess.Resize(context.Background(), 0.6*tmin, Budgets{})
 		if err != nil {
 			t.Fatalf("%s anchor: %v", label, err)
 		}
 
 		// Cancel at the 5th abort-funnel operation of the seeded
-		// attempt's first D-phase — deterministic for the serial inner
-		// engine, so the twin's injection lands on the same operation.
+		// attempt's first D-phase — deterministic, so the twin's
+		// injection lands on the same operation.
 		ctx, cancel := context.WithCancel(context.Background())
-		fault.SetPlan(fault.Plan{Inner: "ssp", Mode: fault.Cancel, Op: 5, OnCancel: cancel})
-		r1, err = sess.Resize(ctx, 0.601*tmin, Budgets{})
-		fault.SetPlan(fault.Plan{Inner: "ssp"})
-		defer fault.Reset()
+		defer cancel()
+		plan := fault.Plan{Mode: fault.Cancel, Op: 5, OnCancel: cancel}
+		r1, err = sess.Resize(fault.Context(ctx, plan), 0.601*tmin, Budgets{})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s injected cancel: err = %v, want ErrCanceled", label, err)
 		}

@@ -129,12 +129,8 @@ func NewSession(p *dag.Problem, opt Options) (*Session, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := ResolveFlowEngine(opt.FlowEngine)
-	if err != nil {
-		return nil, err
-	}
 	aug := p.Augment()
-	sc, err := newIterScratch(p, aug, p.InitialSizes(), engine)
+	sc, err := newIterScratch(p, aug, p.InitialSizes())
 	if err != nil {
 		return nil, err
 	}
@@ -318,9 +314,6 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 	}
 	opt := s.opt
 	sc := s.sc
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil // uncancelable: keep the flow layer's unarmed fast path
-	}
 
 	// Arm the per-call abort sources (polled by sc.abortErr and threaded
 	// into the timing and flow layers).  The flow-work budget is spent
@@ -527,7 +520,7 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 				return finishPartial(err)
 			}
 			if errors.Is(err, ErrEngineFailed) {
-				// An engine failure the fallback chain did not (or was
+				// A flow failure the heap rescue did not (or was
 				// configured not to) recover: the warm flow state is
 				// suspect.  Hand back the best-so-far answer with the
 				// typed error so session owners can quarantine and

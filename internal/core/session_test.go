@@ -63,77 +63,75 @@ func bitEqual(a, b []float64) bool {
 // feasibility and on area to 1e-3 relative — so the warm path can
 // never silently trade answer quality for speed.
 func TestSessionReplayDeterminism(t *testing.T) {
-	for _, engine := range []string{"ssp", "costscaling"} {
-		t.Run(engine, func(t *testing.T) {
-			opt := Options{FlowEngine: engine}
-			pWarm := mustProblem(t, "adder16")
-			warm, err := NewSession(pWarm, opt)
+	t.Run("ssp", func(t *testing.T) {
+		opt := Options{}
+		pWarm := mustProblem(t, "adder16")
+		warm, err := NewSession(pWarm, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer warm.Close()
+		pTwin := mustProblem(t, "adder16")
+		twin, err := NewSession(pTwin, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+
+		// Dmin from the problem's minimum sizes.
+		tmin := minCP(t, pWarm)
+		targets := []float64{0.6 * tmin, 0.5 * tmin, 0.75 * tmin, 0.55 * tmin, 0.75 * tmin}
+
+		for qi, T := range targets {
+			rw, err := warm.Resize(context.Background(), T, Budgets{})
+			if err != nil {
+				t.Fatalf("warm query %d: %v", qi, err)
+			}
+			rt, err := twin.Resize(context.Background(), T, Budgets{})
+			if err != nil {
+				t.Fatalf("twin query %d: %v", qi, err)
+			}
+			if !bitEqual(rw.X, rt.X) || rw.Area != rt.Area || rw.CP != rt.CP || rw.Iterations != rt.Iterations {
+				t.Fatalf("query %d (T=%g): session answer diverged from replaying twin\nwarm: area %.17g cp %.17g iters %d\ntwin: area %.17g cp %.17g iters %d",
+					qi, T, rw.Area, rw.CP, rw.Iterations, rt.Area, rt.CP, rt.Iterations)
+			}
+
+			// One-shot cold run: must agree on feasibility and area
+			// within tolerance (equally optimal, not bit-equal).
+			pCold := mustProblem(t, "adder16")
+			cold, err := NewSession(pCold, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer warm.Close()
-			pTwin := mustProblem(t, "adder16")
-			twin, err := NewSession(pTwin, opt)
+			rc, err := cold.Resize(context.Background(), T, Budgets{})
+			cold.Close()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("cold query %d: %v", qi, err)
 			}
-			defer twin.Close()
-
-			// Dmin from the problem's minimum sizes.
-			tmin := minCP(t, pWarm)
-			targets := []float64{0.6 * tmin, 0.5 * tmin, 0.75 * tmin, 0.55 * tmin, 0.75 * tmin}
-
-			for qi, T := range targets {
-				rw, err := warm.Resize(context.Background(), T, Budgets{})
-				if err != nil {
-					t.Fatalf("warm query %d: %v", qi, err)
-				}
-				rt, err := twin.Resize(context.Background(), T, Budgets{})
-				if err != nil {
-					t.Fatalf("twin query %d: %v", qi, err)
-				}
-				if !bitEqual(rw.X, rt.X) || rw.Area != rt.Area || rw.CP != rt.CP || rw.Iterations != rt.Iterations {
-					t.Fatalf("query %d (T=%g): session answer diverged from replaying twin\nwarm: area %.17g cp %.17g iters %d\ntwin: area %.17g cp %.17g iters %d",
-						qi, T, rw.Area, rw.CP, rw.Iterations, rt.Area, rt.CP, rt.Iterations)
-				}
-
-				// One-shot cold run: must agree on feasibility and area
-				// within tolerance (equally optimal, not bit-equal).
-				pCold := mustProblem(t, "adder16")
-				cold, err := NewSession(pCold, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rc, err := cold.Resize(context.Background(), T, Budgets{})
-				cold.Close()
-				if err != nil {
-					t.Fatalf("cold query %d: %v", qi, err)
-				}
-				if rw.CP > T*(1+1e-9) {
-					t.Fatalf("query %d: warm CP %g violates target %g", qi, rw.CP, T)
-				}
-				if rel := (rw.Area - rc.Area) / rc.Area; rel > 1e-3 || rel < -1e-3 {
-					t.Fatalf("query %d: warm area %.17g vs cold %.17g (rel %g) beyond tolerance",
-						qi, rw.Area, rc.Area, rel)
-				}
+			if rw.CP > T*(1+1e-9) {
+				t.Fatalf("query %d: warm CP %g violates target %g", qi, rw.CP, T)
 			}
+			if rel := (rw.Area - rc.Area) / rc.Area; rel > 1e-3 || rel < -1e-3 {
+				t.Fatalf("query %d: warm area %.17g vs cold %.17g (rel %g) beyond tolerance",
+					qi, rw.Area, rc.Area, rel)
+			}
+		}
 
-			// The warm path must actually be warm: one network build for
-			// the whole session and incremental re-flows across queries.
-			if got := warm.sc.sys.Builds(); got != 1 {
-				t.Fatalf("session built the flow network %d times, want 1", got)
-			}
-			if engine != "costscaling" && warm.FlowResolves() == 0 {
-				t.Fatalf("no incremental D-phase resolves across %d warm queries", len(targets))
-			}
-		})
-	}
+		// The warm path must actually be warm: one network build for
+		// the whole session and incremental re-flows across queries.
+		if got := warm.sc.sys.Builds(); got != 1 {
+			t.Fatalf("session built the flow network %d times, want 1", got)
+		}
+		if warm.FlowResolves() == 0 {
+			t.Fatalf("no incremental D-phase resolves across %d warm queries", len(targets))
+		}
+	})
 }
 
 // minCP returns the minimum-size critical path of p.
 func minCP(t testing.TB, p *dag.Problem) float64 {
 	t.Helper()
-	s, err := NewSession(p, Options{FlowEngine: "ssp"})
+	s, err := NewSession(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +145,7 @@ func minCP(t testing.TB, p *dag.Problem) float64 {
 // constraint system (no rebuild) and matches a cold session built
 // with the same weights.
 func TestSessionWhatIfCost(t *testing.T) {
-	opt := Options{FlowEngine: "ssp"}
+	opt := Options{}
 	p := mustProblem(t, "adder16")
 	sess, err := NewSession(p, opt)
 	if err != nil {
@@ -222,7 +220,7 @@ func TestSessionWhatIfCost(t *testing.T) {
 // composes with the solver's cumulative work counter).
 func TestSessionPerCallBudgets(t *testing.T) {
 	p := mustProblem(t, "adder32")
-	sess, err := NewSession(p, Options{FlowEngine: "ssp"})
+	sess, err := NewSession(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +254,7 @@ func TestSessionPerCallBudgets(t *testing.T) {
 // to a never-canceled twin (the mcmf abort rollback, surfaced at the
 // session level).
 func TestSessionCanceledThenClean(t *testing.T) {
-	opt := Options{FlowEngine: "ssp"}
+	opt := Options{}
 	p := mustProblem(t, "adder16")
 	sess, err := NewSession(p, opt)
 	if err != nil {
@@ -296,12 +294,12 @@ func TestSessionCanceledThenClean(t *testing.T) {
 func TestSessionMemoryBytes(t *testing.T) {
 	small := mustProblem(t, "c17")
 	big := mustProblem(t, "mult8")
-	ss, err := NewSession(small, Options{FlowEngine: "ssp"})
+	ss, err := NewSession(small, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	sb, err := NewSession(big, Options{FlowEngine: "ssp"})
+	sb, err := NewSession(big, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

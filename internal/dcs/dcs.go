@@ -29,9 +29,7 @@
 // repairs the previous optimal flow (drain-and-reroute) instead of
 // rerouting every supply.  Supply deltas are diffed inside mcmf, and
 // arc capacities use a stable doubling bound (capBound) so they only
-// count as changed when the bound actually grows.  Options.Engine
-// selects the flow backend ("ssp", "costscaling"); engines can
-// change between Solve calls without losing the cached network.
+// count as changed when the bound actually grows.
 //
 // Costs and supplies are integerized by scaling (the paper's
 // "multiply by a power of 10 and round" step); Options selects the
@@ -96,7 +94,7 @@ type System struct {
 	// pending accumulates the arcs re-priced since the last flow solve
 	// that actually completed: SetCost applies immediately, so a
 	// canceled or failed solve leaves its cost edits in the network
-	// while the engine's rolled-back optimum still prices the OLD
+	// while the solver's rolled-back optimum still prices the OLD
 	// costs.  The next ResolveChanged must therefore list those arcs
 	// too, or it repairs against stale potentials and the optimality
 	// certificate fails.  pendingIn dedups arcs across retries.
@@ -107,11 +105,6 @@ type System struct {
 	// re-solve (an externally-seeded warm start whose costs barely
 	// moved shows up as a small changed set here).
 	lastChanged int
-	// degraded latches once the flow solver's fallback chain replaced
-	// a failed engine with ssp (see mcmf abort.go): while set, Solve
-	// stops re-pinning Options.Engine, so the failed backend is not
-	// reinstalled on the next iteration.  Reset on rebuild.
-	degraded bool
 
 	// sol is the reused Solution storage: Solve rewrites it in place so
 	// steady-state re-solves allocate nothing.
@@ -200,8 +193,8 @@ func (s *System) Pin(v int) {
 	s.topoVersion++
 }
 
-// Options controls integerization and the flow backend. Zero values
-// select the defaults.
+// Options controls integerization, abort sources and the flow
+// solver's rescue. Zero values select the defaults.
 type Options struct {
 	// CostScale multiplies constraint weights before rounding to int64.
 	// Default 1e6 (the paper: "by choosing appropriate powers of 10
@@ -210,29 +203,29 @@ type Options struct {
 	// SupplyScale multiplies objective coefficients before rounding.
 	// Default 1e4.
 	SupplyScale float64
-	// Engine selects the min-cost-flow backend by mcmf registry name
-	// ("ssp", "costscaling"; see mcmf.CanonicalEngine for the
-	// aliases).  Empty keeps the solver's current
-	// engine (the mcmf default on a fresh network).  Switching engines
-	// between Solve calls keeps the cached network and its warm state.
+	// Engine is ignored: every flow solve runs mcmf's one algorithm.
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	Engine string
-	// Parallelism is ignored: every registered flow engine is serial.
+	// Parallelism is ignored: every flow solve is serial.
 	//
 	// Deprecated: kept only so cmd/minflobench, its one remaining user,
 	// still compiles; it goes with that benchmark's replica.
 	Parallelism int
 	// Deadline, when non-zero, aborts flow solves running past it with
-	// mcmf.ErrBudgetExhausted (sampled at the engines' poll points).
+	// mcmf.ErrBudgetExhausted (sampled at the flow solver's poll
+	// points).
 	Deadline time.Time
 	// WorkBudget, when positive, caps the cumulative flow work (in
 	// mcmf poll operations) across every solve on the cached network;
 	// exceeding it returns mcmf.ErrBudgetExhausted.
 	WorkBudget int64
-	// EngineFallback enables graceful degradation in the flow solver:
-	// a failed engine (panic, price-range refusal) is replaced by the
-	// ssp reference engine and the solve retried there, recording the
-	// failure (FlowEngineFailures).  internal/core enables this for
-	// the sizing pipeline; direct users opt in.
+	// EngineFallback enables the flow solver's heap rescue: a failed
+	// attempt (panic, injected fault) is rolled back and re-run once
+	// on the heap search, recording the failure (FlowEngineFailures).
+	// internal/core enables this for the sizing pipeline; direct users
+	// opt in.
 	EngineFallback bool
 }
 
@@ -282,7 +275,6 @@ func (s *System) ensureFlow() *mcmf.Solver {
 	// Fresh network: nothing is priced yet, everything below starts
 	// from the full-solve path.
 	s.priced = false
-	s.degraded = false
 	s.capBound = 0
 	if cap(s.lastCost) < len(s.cons) {
 		s.lastCost = make([]int64, len(s.cons))
@@ -306,16 +298,7 @@ func (s *System) ensureFlow() *mcmf.Solver {
 // System's back leaves the next Solve's incremental bookkeeping stale.
 func (s *System) Network() *mcmf.Solver { return s.flow }
 
-// FlowEngineName reports the mcmf backend the cached network uses
-// ("" before the first Solve).
-func (s *System) FlowEngineName() string {
-	if s.flow == nil {
-		return ""
-	}
-	return s.flow.EngineName()
-}
-
-// FlowEngineStats reports the cached network's engine counters — the
+// FlowEngineStats reports the cached network's flow counters — the
 // observable record of how many Solve calls ran incrementally
 // (Stats.Resolves) versus from scratch.
 func (s *System) FlowEngineStats() mcmf.Stats {
@@ -344,8 +327,9 @@ func (s *System) FlowWorkDone() int64 {
 	return s.flow.WorkDone()
 }
 
-// FlowEngineFailures reports how many times a flow engine failed and
-// the solver degraded to ssp (0 without Options.EngineFallback).
+// FlowEngineFailures reports how many times a flow solve failed and
+// the solver re-ran it on the heap search (0 without
+// Options.EngineFallback).
 func (s *System) FlowEngineFailures() int {
 	if s.flow == nil {
 		return 0
@@ -364,7 +348,7 @@ func (s *System) Solve(opt Options) (*Solution, error) {
 }
 
 // SolveCtx is Solve with cancellation: ctx is polled inside the flow
-// engines' inner loops (and the degenerate feasibility path), so a
+// solver's inner loops (and the degenerate feasibility path), so a
 // cancellation mid-solve returns mcmf.ErrCanceled within one poll
 // granule and leaves the cached network reusable — the next SolveCtx
 // behaves as if the canceled call never ran.
@@ -389,21 +373,10 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 	}
 
 	f := s.ensureFlow()
-	if opt.Engine != "" && !s.degraded {
-		if err := f.SetEngine(opt.Engine); err != nil {
-			return nil, err
-		}
-	}
 	f.SetContext(ctx)
 	f.SetDeadline(opt.Deadline)
 	f.SetWorkBudget(opt.WorkBudget)
 	f.SetEngineFallback(opt.EngineFallback)
-	failures := f.EngineFailures()
-	defer func() {
-		if f.EngineFailures() > failures {
-			s.degraded = true
-		}
-	}()
 
 	// Supplies: zero, then accumulate the integerized objective terms
 	// (mcmf diffs them against the last routed configuration itself).
@@ -455,7 +428,7 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 	s.priced = true
 	// Merge this call's diffs into the arcs still pending from solves
 	// that never completed (canceled, budget-exhausted or failed): the
-	// network already holds all of those costs, the engine's optimum
+	// network already holds all of those costs, the solver's optimum
 	// prices none of them.
 	for _, a := range changed {
 		if !s.pendingIn[a] {
@@ -473,7 +446,7 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 
 	// Incremental re-flow with the exact changed-arc set; the first
 	// solve on a fresh network (or after a failed one) falls back to a
-	// full solve inside the engine.
+	// full solve inside the flow solver.
 	if _, err := f.ResolveChanged(s.pending); err != nil {
 		return nil, mapFlowErr(err)
 	}

@@ -1,7 +1,8 @@
 // The robustness gate: every guarantee the hardened pipeline makes —
-// fallback bit-identical to ssp, panics surfacing as typed errors,
-// abort rollback, budget enforcement — exercised by deterministic
-// fault injection at points sampled across whole runs.  CI runs this
+// the heap rescue bit-identical to an undisturbed solve, panics
+// surfacing as typed errors, abort rollback, budget enforcement —
+// exercised by deterministic fault injection at points sampled across
+// whole runs.  CI runs this
 // package under -race.
 package fault
 
@@ -51,22 +52,21 @@ func diff(t *testing.T, tag string, want, got state) {
 	}
 }
 
+// under installs plan p on s, over a background context.
+func under(s *mcmf.Solver, p Plan) { s.SetContext(Context(context.Background(), p)) }
+
 // probeOps measures the abort-funnel operation count of one full solve
-// with the given inner engine (probe mode: nothing injected).
-func probeOps(t *testing.T, inner string) int64 {
+// (probe mode: nothing injected).
+func probeOps(t *testing.T) int64 {
 	t.Helper()
-	defer Reset()
 	s := grid()
-	if err := s.SetEngine("fault"); err != nil {
-		t.Fatal(err)
-	}
-	SetPlan(Plan{Inner: inner})
+	under(s, Plan{})
 	if _, err := s.Solve(); err != nil {
-		t.Fatalf("probe solve (%s): %v", inner, err)
+		t.Fatalf("probe solve: %v", err)
 	}
 	ops := Ops()
 	if ops == 0 {
-		t.Fatalf("probe solve (%s) observed no operations", inner)
+		t.Fatal("probe solve observed no operations")
 	}
 	return ops
 }
@@ -76,7 +76,7 @@ func samplePoints(ops int64) []int64 {
 	return []int64{1, ops / 4, ops / 2, 3 * ops / 4, ops}
 }
 
-// sspReference solves the grid with the ssp reference engine.
+// sspReference solves the grid undisturbed.
 func sspReference(t *testing.T) state {
 	t.Helper()
 	ref := grid()
@@ -87,68 +87,52 @@ func sspReference(t *testing.T) state {
 	return capture(ref, cost)
 }
 
-// TestInjectedFailureFallsBackToSSP is the degradation gate: an engine
+// TestInjectedFailureFallsBackToSSP is the rescue gate: a solve
 // failing — by error or by panic — at ANY point of its run must be
-// rescued by the ssp fallback with the final state bit-identical to a
-// pure-ssp twin, the failure recorded, never a crash.
+// rescued by the heap re-run with the final state bit-identical to an
+// undisturbed twin, the failure recorded, never a crash.
 func TestInjectedFailureFallsBackToSSP(t *testing.T) {
-	defer Reset()
 	want := sspReference(t)
-	for _, inner := range []string{"ssp", "costscaling"} {
-		ops := probeOps(t, inner)
-		for _, mode := range []Mode{Error, Panic} {
-			for _, op := range samplePoints(ops) {
-				s := grid()
-				if err := s.SetEngine("fault"); err != nil {
-					t.Fatal(err)
-				}
-				s.SetEngineFallback(true)
-				SetPlan(Plan{Inner: inner, Mode: mode, Op: op})
-				cost, err := s.Solve()
-				Reset()
-				tag := func() string {
-					return inner + "/" + map[Mode]string{Error: "error", Panic: "panic"}[mode]
-				}()
-				if err != nil {
-					t.Fatalf("%s op %d/%d: fallback did not rescue: %v", tag, op, ops, err)
-				}
-				if got := s.EngineFailures(); got != 1 {
-					t.Fatalf("%s op %d: EngineFailures = %d, want 1", tag, op, got)
-				}
-				lf := s.LastEngineFailure()
-				if mode == Error && !errors.Is(lf, ErrInjected) {
-					t.Fatalf("%s op %d: LastEngineFailure = %v, want ErrInjected", tag, op, lf)
-				}
-				if mode == Panic && !errors.Is(lf, mcmf.ErrEngineFailed) {
-					t.Fatalf("%s op %d: LastEngineFailure = %v, want ErrEngineFailed", tag, op, lf)
-				}
-				if name := s.EngineName(); name != "ssp" {
-					t.Fatalf("%s op %d: degraded to %q, want ssp", tag, op, name)
-				}
-				diff(t, tag, want, capture(s, cost))
-				if err := s.Verify(); err != nil {
-					t.Fatalf("%s op %d: Verify after fallback: %v", tag, op, err)
-				}
+	ops := probeOps(t)
+	for _, mode := range []Mode{Error, Panic} {
+		for _, op := range samplePoints(ops) {
+			s := grid()
+			s.SetEngineFallback(true)
+			under(s, Plan{Mode: mode, Op: op})
+			cost, err := s.Solve()
+			tag := map[Mode]string{Error: "error", Panic: "panic"}[mode]
+			if err != nil {
+				t.Fatalf("%s op %d/%d: fallback did not rescue: %v", tag, op, ops, err)
+			}
+			if got := s.EngineFailures(); got != 1 {
+				t.Fatalf("%s op %d: EngineFailures = %d, want 1", tag, op, got)
+			}
+			lf := s.LastEngineFailure()
+			if mode == Error && !errors.Is(lf, ErrInjected) {
+				t.Fatalf("%s op %d: LastEngineFailure = %v, want ErrInjected", tag, op, lf)
+			}
+			if mode == Panic && !errors.Is(lf, mcmf.ErrEngineFailed) {
+				t.Fatalf("%s op %d: LastEngineFailure = %v, want ErrEngineFailed", tag, op, lf)
+			}
+			diff(t, tag, want, capture(s, cost))
+			if err := s.Verify(); err != nil {
+				t.Fatalf("%s op %d: Verify after fallback: %v", tag, op, err)
 			}
 		}
 	}
 }
 
-// TestInjectedPanicWithoutFallback: with degradation off, a panicking
-// engine surfaces as a typed ErrEngineFailed — never a crash — and the
+// TestInjectedPanicWithoutFallback: with the rescue off, a panicking
+// solve surfaces as a typed ErrEngineFailed — never a crash — and the
 // solver remains usable: the next clean solve reaches the optimum.
 func TestInjectedPanicWithoutFallback(t *testing.T) {
-	defer Reset()
 	want := sspReference(t)
 	s := grid()
-	if err := s.SetEngine("fault"); err != nil {
-		t.Fatal(err)
-	}
-	SetPlan(Plan{Inner: "ssp", Mode: Panic, Op: 5})
+	under(s, Plan{Mode: Panic, Op: 5})
 	if _, err := s.Solve(); !errors.Is(err, mcmf.ErrEngineFailed) {
 		t.Fatalf("Solve = %v, want ErrEngineFailed", err)
 	}
-	SetPlan(Plan{Inner: "ssp"})
+	under(s, Plan{})
 	cost, err := s.Solve()
 	if err != nil {
 		t.Fatalf("re-solve after recovered panic: %v", err)
@@ -163,54 +147,42 @@ func TestInjectedPanicWithoutFallback(t *testing.T) {
 
 // TestInjectedCancelRollsBack: a context canceled deep inside a run
 // returns ErrCanceled with the pre-solve state restored, so the next
-// clean solve is bit-identical to a never-canceled twin running the
-// same inner engine.
+// clean solve is bit-identical to a never-canceled twin.
 func TestInjectedCancelRollsBack(t *testing.T) {
-	defer Reset()
-	ops := probeOps(t, "ssp")
+	ops := probeOps(t)
 	want := sspReference(t)
 	for _, op := range samplePoints(ops) {
 		s := grid()
-		if err := s.SetEngine("fault"); err != nil {
-			t.Fatal(err)
-		}
 		ctx, cancel := context.WithCancel(context.Background())
-		s.SetContext(ctx)
-		SetPlan(Plan{Inner: "ssp", Mode: Cancel, Op: op, OnCancel: cancel})
+		s.SetContext(Context(ctx, Plan{Mode: Cancel, Op: op, OnCancel: cancel}))
 		if _, err := s.Solve(); !errors.Is(err, mcmf.ErrCanceled) {
 			cancel()
 			t.Fatalf("op %d/%d: Solve = %v, want ErrCanceled", op, ops, err)
 		}
 		cancel()
-		s.SetContext(nil)
-		SetPlan(Plan{Inner: "ssp"})
+		under(s, Plan{})
 		cost, err := s.Solve()
 		if err != nil {
 			t.Fatalf("op %d: re-solve after cancel: %v", op, err)
 		}
 		diff(t, "re-solve after injected cancel", want, capture(s, cost))
-		Reset()
 	}
 }
 
-// TestInjectedDelayHitsDeadline: a wrapper-injected stall makes the
+// TestInjectedDelayHitsDeadline: an injected stall makes the
 // wall-clock deadline fire mid-solve with ErrBudgetExhausted, the
 // state rolls back, and clearing the deadline re-solves bit-identical
-// to an undisturbed ssp twin.
+// to an undisturbed twin.
 func TestInjectedDelayHitsDeadline(t *testing.T) {
-	defer Reset()
 	want := sspReference(t)
 	s := grid()
-	if err := s.SetEngine("fault"); err != nil {
-		t.Fatal(err)
-	}
 	s.SetDeadline(time.Now().Add(10 * time.Millisecond))
-	SetPlan(Plan{Inner: "ssp", Mode: Delay, Op: 1, Repeat: true, Delay: 2 * time.Millisecond})
+	under(s, Plan{Mode: Delay, Op: 1, Repeat: true, Delay: 2 * time.Millisecond})
 	if _, err := s.Solve(); !errors.Is(err, mcmf.ErrBudgetExhausted) {
 		t.Fatalf("Solve = %v, want ErrBudgetExhausted", err)
 	}
 	s.SetDeadline(time.Time{})
-	SetPlan(Plan{Inner: "ssp"})
+	under(s, Plan{})
 	cost, err := s.Solve()
 	if err != nil {
 		t.Fatalf("re-solve after deadline: %v", err)
@@ -218,16 +190,13 @@ func TestInjectedDelayHitsDeadline(t *testing.T) {
 	diff(t, "re-solve after deadline", want, capture(s, cost))
 }
 
-// TestWorkBudgetExhaustion: the flow-work budget cuts a solve short
-// deterministically, rolls back, and lifting it re-solves clean.
+// TestWorkBudgetExhaustion: the flow-work budget, composed with a
+// probe hook, cuts a solve short deterministically, rolls back, and
+// lifting it re-solves clean.
 func TestWorkBudgetExhaustion(t *testing.T) {
-	defer Reset()
 	want := sspReference(t)
 	s := grid()
-	if err := s.SetEngine("fault"); err != nil {
-		t.Fatal(err)
-	}
-	SetPlan(Plan{Inner: "ssp"})
+	under(s, Plan{})
 	s.SetWorkBudget(10)
 	if _, err := s.Solve(); !errors.Is(err, mcmf.ErrBudgetExhausted) {
 		t.Fatalf("Solve = %v, want ErrBudgetExhausted", err)
@@ -241,16 +210,12 @@ func TestWorkBudgetExhaustion(t *testing.T) {
 }
 
 // TestInjectedErrorDuringResolve: failure injected into the
-// incremental path degrades to ssp and still reaches the optimum of
-// the mutated instance (certified by Verify and a fresh-twin cost).
+// incremental path is rescued on the heap and still reaches the
+// optimum of the mutated instance (certified by Verify and a
+// fresh-twin cost).
 func TestInjectedErrorDuringResolve(t *testing.T) {
-	defer Reset()
 	s := grid()
-	if err := s.SetEngine("fault"); err != nil {
-		t.Fatal(err)
-	}
 	s.SetEngineFallback(true)
-	SetPlan(Plan{Inner: "ssp"})
 	if _, err := s.Solve(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +223,8 @@ func TestInjectedErrorDuringResolve(t *testing.T) {
 	for _, id := range changed {
 		s.SetCost(int(id), s.Cost(int(id))+250)
 	}
-	SetPlan(Plan{Inner: "ssp", Mode: Error, Op: 2})
+	under(s, Plan{Mode: Error, Op: 2})
 	cost, err := s.ResolveChanged(changed)
-	Reset()
 	if err != nil {
 		t.Fatalf("resolve under injection: %v", err)
 	}
@@ -268,7 +232,7 @@ func TestInjectedErrorDuringResolve(t *testing.T) {
 		t.Fatalf("EngineFailures = %d, want 1", got)
 	}
 	if err := s.Verify(); err != nil {
-		t.Fatalf("Verify after degraded resolve: %v", err)
+		t.Fatalf("Verify after rescued resolve: %v", err)
 	}
 	// The optimum is unique even when optimal flows are not: a fresh
 	// twin with the same mutations must agree on cost.
@@ -281,54 +245,6 @@ func TestInjectedErrorDuringResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cost != wantCost {
-		t.Fatalf("degraded resolve cost %v != fresh optimum %v", cost, wantCost)
-	}
-}
-
-// TestDialAliasRunsSSP: "", "auto" and the deprecated "dial" all
-// select ssp — on a Solver, on a Solver already running ssp (which
-// keeps its engine and counters), and as a fault Plan's inner engine —
-// and each solves bit-identical to the ssp reference.
-func TestDialAliasRunsSSP(t *testing.T) {
-	defer Reset()
-	want := sspReference(t)
-	for _, name := range []string{"", "auto", "dial"} {
-		if canon, ok := mcmf.CanonicalEngine(name); canon != "ssp" || !ok || !mcmf.ValidEngine(name) {
-			t.Fatalf("CanonicalEngine(%q) = %q, %v; want ssp", name, canon, ok)
-		}
-		s := grid()
-		if err := s.SetEngine(name); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.EngineName(); got != "ssp" {
-			t.Fatalf("SetEngine(%q): engine %q, want ssp", name, got)
-		}
-		cost, err := s.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff(t, "engine "+name, want, capture(s, cost))
-		if err := s.SetEngine(name); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.EngineStats().Solves; got != 1 {
-			t.Fatalf("SetEngine(%q) on ssp reset the counters: %d solves, want 1", name, got)
-		}
-
-		f := grid()
-		if err := f.SetEngine("fault"); err != nil {
-			t.Fatal(err)
-		}
-		SetPlan(Plan{Inner: name})
-		cost, err = f.Solve()
-		if err != nil {
-			t.Fatalf("fault Inner %q: %v", name, err)
-		}
-		diff(t, "fault Inner "+name, want, capture(f, cost))
-	}
-	for _, name := range mcmf.EngineNames() {
-		if name == "dial" {
-			t.Fatalf("EngineNames lists the deprecated alias: %v", mcmf.EngineNames())
-		}
+		t.Fatalf("rescued resolve cost %v != fresh optimum %v", cost, wantCost)
 	}
 }

@@ -1,20 +1,19 @@
-// Cancellation, budgets and graceful engine degradation.
+// Cancellation, budgets, fault hooks and the heap rescue.
 //
-// Every engine inner loop polls Solver.pollAbort at its natural
-// operation granularity — one shortest-path augmentation of the
-// per-source loop, one primal–dual phase search and one path routed
-// by its blocking flow (ssp; a phase search on a tree can cover the
-// whole network), one Bellman–Ford round, one discharge
-// (costscaling).  The poll is a single abort
-// funnel with four sources:
+// Every inner loop polls Solver.pollAbort at its natural operation
+// granularity — one shortest-path augmentation of the per-source loop,
+// one primal–dual phase search and one path routed by its blocking
+// flow (a phase search on a tree can cover the whole network), one
+// Bellman–Ford round, one discharge of the cost-scaling oracle.  The
+// poll is a single abort funnel with four sources:
 //
 //   - a context.Context installed with SetContext (→ ErrCanceled),
 //   - a wall-clock deadline installed with SetDeadline
 //     (→ ErrBudgetExhausted),
 //   - a cumulative flow-work budget installed with SetWorkBudget
 //     (→ ErrBudgetExhausted),
-//   - a test/fault poll hook installed with SetPollHook (returns
-//     whatever the hook returns; internal/fault injects through it).
+//   - a poll hook the installed context carries (WithPollHook; returns
+//     whatever the hook returns — internal/fault injects through it).
 //
 // When none of these is armed the poll is a single predictable branch
 // on a cached bool — measured in BenchmarkDPhaseResolve (the warm
@@ -26,31 +25,31 @@
 // abort mid-solve would otherwise leave the Solver in a state whose
 // next solve — while still correct — could follow a different
 // (equally optimal) trajectory than a never-aborted twin.  To keep
-// cancellation invisible, the engine wrapper snapshots the mutable
-// solve state (residual capacities, potentials, the
-// solved/repairable/flowDirty flags, and the search's heap back-off)
-// before an attempt whenever an abort source is armed, and restores it
-// when the attempt aborts.  A subsequent solve
-// on the cancelled Solver is therefore bit-identical to one on a twin
-// that was never cancelled (TestConformanceCancelAtPollPoints).  The
-// snapshot buffers are reused across attempts, so the armed warm path
-// stays allocation-free after the first solve.
+// cancellation invisible, runEngine snapshots the mutable solve state
+// (residual capacities, potentials, the solved/repairable/flowDirty
+// flags, and the search's heap back-off) before an attempt whenever an
+// abort source is armed, and restores it when the attempt aborts.  A
+// subsequent solve on the cancelled Solver is therefore bit-identical
+// to one on a twin that was never cancelled
+// (TestConformanceCancelAtPollPoints).  The snapshot buffers are
+// reused across attempts, so the armed warm path stays allocation-free
+// after the first solve.
 //
-// # Engine degradation
+// # Heap rescue
 //
-// Engine attempts additionally run under panic recovery: a panicking
-// engine yields a typed ErrEngineFailed instead of crashing the
-// process.  With SetEngineFallback(true) (internal/dcs enables this
-// for the sizing pipeline) a failure-class error — a panic, a scaling
-// engine's ErrPriceRange refusal, or a fault-injected error — restores
-// the pre-attempt state and re-runs the attempt once: a failing
-// costscaling (or wrapper) engine permanently degrades the Solver to
-// "ssp", and a failing "ssp" permanently pins its search to the heap,
-// leaving the bucket queue out.  Either rescue is recorded
+// Attempts additionally run under panic recovery: a panic yields a
+// typed ErrEngineFailed instead of crashing the process.  With
+// SetEngineFallback(true) (internal/dcs enables this for the sizing
+// pipeline) a failure-class error — a panic or a hook-injected error —
+// restores the pre-attempt state and re-runs the attempt once with the
+// search permanently pinned to the heap, leaving the bucket queue out.
+// The rescue runs without the poll hook, so an injected fault fires in
+// the failing attempt only.  Each rescue is recorded
 // (EngineFailures/LastEngineFailure; surfaced per-iteration in
 // core.IterStats.FlowEngineFailures).  Abort-class errors (canceled,
 // budget exhausted) and semantic errors (infeasible, unbalanced,
-// negative cycle) never trigger fallback: retrying cannot change them.
+// negative cycle) never trigger the rescue: retrying cannot change
+// them.
 package mcmf
 
 import (
@@ -60,9 +59,9 @@ import (
 	"time"
 )
 
-// Abort and degradation errors.  ErrCanceled and ErrBudgetExhausted
-// leave the Solver reusable with its pre-solve state restored;
-// ErrEngineFailed wraps the panic value of a failed engine.
+// Abort and failure errors.  ErrCanceled and ErrBudgetExhausted leave
+// the Solver reusable with its pre-solve state restored;
+// ErrEngineFailed wraps the panic value of a failed attempt.
 var (
 	// ErrCanceled reports that the context installed with SetContext
 	// was canceled at a poll point.
@@ -71,22 +70,42 @@ var (
 	// (SetDeadline) or the cumulative work budget (SetWorkBudget)
 	// expired at a poll point.
 	ErrBudgetExhausted = errors.New("mcmf: solve budget exhausted")
-	// ErrEngineFailed wraps a panic recovered from an engine's
-	// Solve/Resolve.
+	// ErrEngineFailed wraps a panic recovered from a Solve or
+	// ResolveChanged attempt.
 	ErrEngineFailed = errors.New("mcmf: engine failed")
 )
 
 // SetContext installs a cancellation context checked at every poll
 // point; a canceled context aborts the running solve with ErrCanceled
 // and restores the pre-solve state.  nil (or a context that can never
-// be canceled, like context.Background) disarms the check.  The
-// context persists across solves until replaced.
+// be canceled, like context.Background) disarms the check.  A poll
+// hook the context carries (WithPollHook) is installed with it, even
+// from an uncancelable context.  Both persist across solves until
+// replaced.
 func (s *Solver) SetContext(ctx context.Context) {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil // uncancelable: keep the unarmed fast path
+	s.pollHook = nil
+	if ctx != nil {
+		s.pollHook, _ = ctx.Value(pollHookKey{}).(func(int64) error)
+		if ctx.Done() == nil {
+			ctx = nil // uncancelable: keep the unarmed fast path
+		}
 	}
 	s.ctx = ctx
 	s.reArm()
+}
+
+// pollHookKey is the context key of WithPollHook.
+type pollHookKey struct{}
+
+// WithPollHook returns a copy of ctx carrying h, which every Solver the
+// context reaches through SetContext — directly, or through the
+// contexts of dcs.System.SolveCtx and core.Session.Resize — calls at
+// each poll point with the 1-based poll count of the current Solve or
+// ResolveChanged attempt; a non-nil return aborts that attempt with
+// the error.  It exists for deterministic mid-solve injection in tests
+// (internal/fault); the heap rescue runs without it.
+func WithPollHook(ctx context.Context, h func(op int64) error) context.Context {
+	return context.WithValue(ctx, pollHookKey{}, h)
 }
 
 // SetDeadline installs a wall-clock deadline sampled at poll points;
@@ -115,30 +134,19 @@ func (s *Solver) SetWorkBudget(n int64) {
 // abort source was armed (the currency SetWorkBudget is spent in).
 func (s *Solver) WorkDone() int64 { return s.workDone }
 
-// SetPollHook installs a hook called at every poll point; a non-nil
-// return aborts the running solve with that error.  One hook owner at
-// a time — internal/fault and the cancellation tests use it for
-// deterministic mid-solve injection.  nil disarms it.
-func (s *Solver) SetPollHook(h func() error) {
-	s.pollHook = h
-	s.reArm()
-}
-
-// SetEngineFallback enables graceful degradation: when the active
-// engine fails (panic, price-range refusal, injected fault), the
-// pre-attempt state is restored and the solve re-runs on "ssp", which
-// stays installed — or, when "ssp" itself failed, on ssp with its
-// search pinned to the heap for the rest of the Solver's life.
-// Disabled by default so direct engine tests observe raw engine
-// errors; internal/dcs enables it for the sizing pipeline.
+// SetEngineFallback enables the heap rescue: when an attempt fails
+// (panic, injected fault), the pre-attempt state is restored and the
+// attempt re-runs once with the search pinned to the heap for the rest
+// of the Solver's life.  Disabled by default so direct tests observe
+// raw failures; internal/dcs enables it for the sizing pipeline.
 func (s *Solver) SetEngineFallback(on bool) { s.fallbackOn = on }
 
-// EngineFailures returns how many times an engine failed and the
-// Solver rescued the attempt (see SetEngineFallback).
+// EngineFailures returns how many times an attempt failed and the
+// Solver rescued it (see SetEngineFallback).
 func (s *Solver) EngineFailures() int { return s.engineFailures }
 
 // LastEngineFailure returns the wrapped error of the most recent
-// engine failure that triggered degradation, or nil.
+// failure that triggered the rescue, or nil.
 func (s *Solver) LastEngineFailure() error { return s.lastFailure }
 
 // reArm recaches the armed flag after any abort-source change, keeping
@@ -148,7 +156,7 @@ func (s *Solver) reArm() {
 		!s.deadline.IsZero()
 }
 
-// pollAbort is the abort funnel every engine inner loop polls.  It
+// pollAbort is the abort funnel every inner loop polls.  It
 // returns nil to continue, or the abort error to surface.  Unarmed it
 // is one branch; armed it runs the hook and budget checks every call
 // and samples the clock every 32nd call.
@@ -161,7 +169,8 @@ func (s *Solver) pollAbort() error {
 
 func (s *Solver) pollAbortArmed() error {
 	if s.pollHook != nil {
-		if err := s.pollHook(); err != nil {
+		s.hookOps++
+		if err := s.pollHook(s.hookOps); err != nil {
 			return err
 		}
 	}
@@ -180,14 +189,13 @@ func (s *Solver) pollAbortArmed() error {
 }
 
 // isAbortErr classifies the errors that abort a solve on behalf of the
-// caller: restoring state is required, retrying on another engine is
-// pointless.
+// caller: restoring state is required, retrying is pointless.
 func isAbortErr(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted)
 }
 
 // isSemanticErr classifies the errors that describe the instance, not
-// the engine: every engine would return the same verdict, so fallback
+// the attempt: a retry would return the same verdict, so the rescue
 // never helps and the post-error state keeps its legacy semantics.
 func isSemanticErr(err error) bool {
 	return errors.Is(err, ErrInfeasible) || errors.Is(err, ErrUnbalanced) ||
@@ -195,9 +203,9 @@ func isSemanticErr(err error) bool {
 }
 
 // attemptState snapshots the solve-mutable Solver state so an aborted
-// or failed engine attempt can be rolled back exactly.  Costs,
-// configured capacities, supplies and the routed snapshot are never
-// mutated mid-solve and need no copy.
+// or failed attempt can be rolled back exactly.  Costs, configured
+// capacities, supplies and the routed snapshot are never mutated
+// mid-solve and need no copy.
 type attemptState struct {
 	caps                          []int64 // residual capacity per residual arc
 	pot                           []int64
@@ -245,18 +253,18 @@ func (s *Solver) restoreAttempt() {
 	s.solved, s.repairable, s.flowDirty = a.solved, a.repairable, a.flowDirty
 }
 
-// runEngine is the guarded engine dispatch behind Solver.Solve and
-// Solver.ResolveChanged: snapshot when an abort source or fallback is
-// in play, run the attempt under panic recovery, classify the error,
-// and rescue an engine failure when enabled — degrading to ssp, or
-// pinning a failed ssp's search to the heap.
+// runEngine is the guarded dispatch behind Solver.Solve and
+// Solver.ResolveChanged: snapshot when an abort source or the rescue
+// is in play, run the attempt under panic recovery, classify the
+// error, and rescue a failure when enabled by re-running the attempt
+// on the heap search.
 func (s *Solver) runEngine(changed []int32, resolve bool) (float64, error) {
-	e := s.engine()
 	guard := s.armed || s.fallbackOn
 	if guard {
 		s.beginAttempt()
+		s.hookOps = 0
 	}
-	cost, err := s.attempt(e, changed, resolve)
+	cost, err := s.attempt(changed, resolve)
 	if err == nil || !guard {
 		return cost, err
 	}
@@ -267,43 +275,37 @@ func (s *Solver) runEngine(changed []int32, resolve bool) (float64, error) {
 	if isSemanticErr(err) {
 		return 0, err
 	}
-	// Failure class: panic (ErrEngineFailed), scaling price-range
-	// refusal, or an injected fault.
+	// Failure class: a panic (ErrEngineFailed) or an injected fault.
 	s.restoreAttempt()
-	if !s.fallbackOn {
-		return 0, err
+	if !s.fallbackOn || s.ss.heapOnly {
+		return 0, err // off, or already on the heap: nothing to re-run on
 	}
-	if e.Name() != "ssp" {
-		if serr := s.SetEngine("ssp"); serr != nil {
-			return 0, err
-		}
-		s.lastFailure = fmt.Errorf("mcmf: engine %q failed, degraded to ssp: %w", e.Name(), err)
-	} else if !s.ss.heapOnly {
-		s.ss.heapOnly = true
-		s.lastFailure = fmt.Errorf("mcmf: engine \"ssp\" failed, re-ran on the heap search: %w", err)
-	} else {
-		return 0, err // already on the heap: nothing left to fall back to
-	}
+	s.ss.heapOnly = true
+	s.lastFailure = fmt.Errorf("mcmf: solve failed, re-ran on the heap search: %w", err)
 	s.engineFailures++
-	cost, err = s.attempt(s.engine(), changed, resolve)
+	hook := s.pollHook
+	s.pollHook = nil
+	s.reArm()
+	cost, err = s.attempt(changed, resolve)
+	s.pollHook = hook
+	s.reArm()
 	if err != nil && isAbortErr(err) {
 		s.restoreAttempt() // snapshot still holds the pre-attempt state
 	}
 	return cost, err
 }
 
-// attempt runs one engine call under panic recovery, converting a
-// panicking engine into a typed ErrEngineFailed instead of crashing
-// the process.
-func (s *Solver) attempt(e Engine, changed []int32, resolve bool) (cost float64, err error) {
+// attempt runs one solve under panic recovery, converting a panic into
+// a typed ErrEngineFailed instead of crashing the process.
+func (s *Solver) attempt(changed []int32, resolve bool) (cost float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cost = 0
-			err = fmt.Errorf("%w: engine %q panicked: %v", ErrEngineFailed, e.Name(), r)
+			err = fmt.Errorf("%w: solve panicked: %v", ErrEngineFailed, r)
 		}
 	}()
 	if resolve {
-		return e.Resolve(s, changed)
+		return s.resolve(changed)
 	}
-	return e.Solve(s)
+	return s.solveFull()
 }

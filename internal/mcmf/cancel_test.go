@@ -2,8 +2,8 @@
 // point must leave the solver reusable — a subsequent fresh solve has
 // to be bit-identical (flows, potentials, cost) to a twin that was
 // never canceled.  This is the abort-safety contract of the
-// snapshot/restore layer in abort.go, exercised per registered engine
-// at randomized poll points for both full solves and incremental
+// snapshot/restore layer in abort.go, exercised on ssp and the
+// cost-scaling oracle at randomized poll points for both full solves and incremental
 // resolves.
 package mcmf
 
@@ -15,12 +15,18 @@ import (
 	"testing"
 )
 
+// withHook installs h as s's poll hook for one run of fn (the hook is
+// removed afterwards).
+func withHook(s *Solver, h func(op int64) error, fn func() (float64, error)) (float64, error) {
+	s.SetContext(WithPollHook(context.Background(), h))
+	defer s.SetContext(nil)
+	return fn()
+}
+
 // countedRun measures how many times the abort funnel polls during one
-// run of fn on s (the hook is removed afterwards).
+// run of fn on s.
 func countedRun(s *Solver, fn func() (float64, error)) (polls int, cost float64, err error) {
-	s.SetPollHook(func() error { polls++; return nil })
-	defer s.SetPollHook(nil)
-	cost, err = fn()
+	cost, err = withHook(s, func(op int64) error { polls = int(op); return nil }, fn)
 	return polls, cost, err
 }
 
@@ -29,19 +35,14 @@ func countedRun(s *Solver, fn func() (float64, error)) (polls int, cost float64,
 func cancelAtPoll(s *Solver, n int, fn func() (float64, error)) (float64, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s.SetContext(ctx)
-	polls := 0
-	s.SetPollHook(func() error {
-		polls++
-		if polls == n {
+	s.SetContext(WithPollHook(ctx, func(op int64) error {
+		if op == int64(n) {
 			cancel()
 		}
 		return nil
-	})
-	cost, err := fn()
-	s.SetPollHook(nil)
-	s.SetContext(nil)
-	return cost, err
+	}))
+	defer s.SetContext(nil)
+	return fn()
 }
 
 // cancelPoints picks the poll points to cancel at: always the first
@@ -55,20 +56,17 @@ func cancelPoints(rng *rand.Rand, polls, extra int) []int {
 }
 
 // backoffRun runs fn on s and records the search's heap back-off at
-// every poll (the hook is removed afterwards): the trajectory of
-// heap-vs-bucket choices a solve takes.
+// every poll: the trajectory of heap-vs-bucket choices a solve takes.
 func backoffRun(s *Solver, fn func() (float64, error)) (trace [][2]int, cost float64, err error) {
-	s.SetPollHook(func() error {
+	cost, err = withHook(s, func(int64) error {
 		trace = append(trace, [2]int{s.ss.skip, s.ss.skipLen})
 		return nil
-	})
-	defer s.SetPollHook(nil)
-	cost, err = fn()
+	}, fn)
 	return trace, cost, err
 }
 
 // TestConformanceCancelAtPollPoints is the cancellation-determinism
-// gate: per engine, solves canceled at randomized poll points must
+// gate: per algorithm, solves canceled at randomized poll points must
 // return ErrCanceled and leave the solver able to re-solve to a state
 // bit-identical with a never-canceled twin's.  Seeds from 6 on are
 // grids with costs far past the bucket ring, so SSP searches fall back
@@ -86,9 +84,7 @@ func TestConformanceCancelAtPollPoints(t *testing.T) {
 				for id := 0; id < s.NumArcs(); id++ {
 					s.SetCost(id, s.Cost(id)*4099)
 				}
-				if err := s.SetEngine(engine); err != nil {
-					t.Fatal(err)
-				}
+				useEngine(s, engine)
 				return s
 			}
 			// Reference: an identical twin solved without interference.
@@ -224,17 +220,15 @@ func TestConformanceCancelInsidePhase(t *testing.T) {
 				st0 := ref.EngineStats()
 				var inside []int
 				polls, augs := 0, st0.Augmentations
-				ref.SetPollHook(func() error {
-					polls++
+				cost, err := withHook(ref, func(op int64) error {
+					polls = int(op)
 					st := ref.EngineStats()
 					if st.Phases-st0.Phases <= 2 && st.Augmentations > augs {
 						inside = append(inside, polls)
 					}
 					augs = st.Augmentations
 					return nil
-				})
-				cost, err := ref.Solve()
-				ref.SetPollHook(nil)
+				}, ref.Solve)
 				if err != nil {
 					t.Fatalf("%s: reference solve: %v", tag, err)
 				}
@@ -265,21 +259,20 @@ func TestConformanceCancelInsidePhase(t *testing.T) {
 	}
 }
 
-// TestSSPFailureReRunsOnHeap is ssp's rescue: with fallback enabled, a
-// failing ssp attempt rolls back and re-runs once with its search
-// pinned to the heap, counted in EngineFailures and bit-identical to a
-// heap-pinned twin — for a full solve and a resolve.  A failure of the
-// pinned search is not rescued again.
+// TestSSPFailureReRunsOnHeap is the rescue: with fallback enabled, a
+// failing attempt rolls back and re-runs once, without the poll hook,
+// with its search pinned to the heap, counted in EngineFailures and
+// bit-identical to a heap-pinned twin — for a full solve and a
+// resolve.  A failure of the pinned search is not rescued again.
 func TestSSPFailureReRunsOnHeap(t *testing.T) {
 	errInjected := errors.New("injected")
 	failAt := func(s *Solver, n int) {
-		polls := 0
-		s.SetPollHook(func() error {
-			if polls++; polls == n {
+		s.SetContext(WithPollHook(context.Background(), func(op int64) error {
+			if op == int64(n) {
 				return errInjected
 			}
 			return nil
-		})
+		}))
 	}
 	s, twin := NewGridInstance(12, 10, 3), NewGridInstance(12, 10, 3)
 	twin.ss.heapOnly = true
@@ -289,8 +282,8 @@ func TestSSPFailureReRunsOnHeap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rescued solve: %v", err)
 	}
-	if s.EngineFailures() != 1 || !errors.Is(s.LastEngineFailure(), errInjected) || !s.ss.heapOnly || s.EngineName() != "ssp" {
-		t.Fatalf("after rescue: %d failures (%v), heapOnly %v, engine %s", s.EngineFailures(), s.LastEngineFailure(), s.ss.heapOnly, s.EngineName())
+	if s.EngineFailures() != 1 || !errors.Is(s.LastEngineFailure(), errInjected) || !s.ss.heapOnly {
+		t.Fatalf("after rescue: %d failures (%v), heapOnly %v", s.EngineFailures(), s.LastEngineFailure(), s.ss.heapOnly)
 	}
 	want, err := twin.Solve()
 	if err != nil {
@@ -310,7 +303,7 @@ func TestSSPFailureReRunsOnHeap(t *testing.T) {
 	if _, err := s.ResolveChanged(changed); !errors.Is(err, errInjected) {
 		t.Fatalf("failure of the pinned search: %v, want the injected error", err)
 	}
-	s.SetPollHook(nil)
+	s.SetContext(nil)
 	if s.EngineFailures() != 1 {
 		t.Fatalf("%d failures after an unrescued one, want 1", s.EngineFailures())
 	}

@@ -1,10 +1,11 @@
-// Unified cross-engine conformance harness.
+// Conformance harness: ssp against the cost-scaling oracle.
 //
-// Every registered engine runs the same table-driven suites — the
-// 110-instance random equivalence suite, the warm-start suite, the
+// Both algorithms run the same table-driven suites — the 110-instance
+// random equivalence suite, the warm-start suite, the
 // incremental-resolve rounds, the degenerate shapes (zero-capacity
-// cut, disconnected supply, zero total supply) — so a new backend
-// gets full coverage by registering, not by copying tests.  The
+// cut, disconnected supply, zero total supply) — so ssp, the one
+// algorithm the product runs, is checked against an independent
+// algorithm on every shape.  The
 // scaffolding here (random instance builder, state capture/diff, fresh
 // twins, random mutation batches) is shared with equivalence_test.go
 // and resolve_test.go.
@@ -188,35 +189,39 @@ func mutateRandom(rng *rand.Rand, s *Solver, allowNegativeCosts bool) []int32 {
 	return changed
 }
 
-// forEachEngine runs f as a subtest per registered engine, and once
-// more under the deprecated "dial" name, which callers still pass and
-// which must keep selecting a conforming engine.
-func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
-	engines := EngineNames()
-	if len(engines) < 2 {
-		t.Fatalf("expected ≥2 registered engines, have %v", engines)
+// engines names the two algorithms the suites cross-check, in the
+// order FuzzEngineAgreement's corpus indexes them: the cost-scaling
+// oracle and ssp, the product's algorithm.
+var engines = []string{"costscaling", "ssp"}
+
+// useEngine switches s to the named algorithm (ssp is every Solver's
+// own).
+func useEngine(s *Solver, name string) {
+	if name == "costscaling" {
+		s.useCostScaling()
 	}
-	for _, name := range append(engines, "dial") {
-		name := name
+}
+
+// forEachEngine runs f as a subtest per algorithm.
+func forEachEngine(t *testing.T, f func(t *testing.T, engine string)) {
+	for _, name := range engines {
 		t.Run(name, func(t *testing.T) { f(t, name) })
 	}
 }
 
-// newEngineInstance builds the seed's twin instance under the given
-// engine.
+// newEngineInstance builds the seed's twin instance on the given
+// algorithm.
 func newEngineInstance(t *testing.T, engine string, seed int64, negative bool) *Solver {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	inst := buildRandomFeasible(rng, negative)
-	if err := inst.SetEngine(engine); err != nil {
-		t.Fatal(err)
-	}
+	useEngine(inst, engine)
 	return inst
 }
 
-// TestConformanceRandom is the cross-engine equivalence gate: on 110
-// randomized D-phase-shaped instances, every registered backend must
-// find the same optimal cost as the "ssp" reference on an identical
+// TestConformanceRandom is the cross-algorithm equivalence gate: on 110
+// randomized D-phase-shaped instances, both algorithms must find the
+// same optimal cost as the "ssp" reference on an identical
 // twin instance and pass the self-certifying Verify.
 func TestConformanceRandom(t *testing.T) {
 	const instances = 110
@@ -258,9 +263,7 @@ func TestConformanceWarm(t *testing.T) {
 		for seed := int64(0); seed < 30; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			warm := buildRandomFeasible(rng, false)
-			if err := warm.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(warm, engine)
 			if _, err := warm.Solve(); err != nil {
 				t.Fatalf("seed %d: initial solve: %v", seed, err)
 			}
@@ -310,9 +313,7 @@ func TestConformanceResolve(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			negative := seed%4 == 0
 			s := buildRandomFeasible(rng, negative)
-			if err := s.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(s, engine)
 			if _, err := s.Solve(); err != nil {
 				t.Fatalf("seed %d: initial solve: %v", seed, err)
 			}
@@ -356,9 +357,7 @@ func TestConformanceDegenerate(t *testing.T) {
 			direct := s.AddArc(0, 2, 10, 9)
 			s.SetSupply(0, 4)
 			s.SetSupply(2, -4)
-			if err := s.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(s, engine)
 			if cost, err := s.Solve(); err != nil || cost != 8 {
 				t.Fatalf("initial: cost=%v err=%v, want 8", cost, err)
 			}
@@ -381,9 +380,7 @@ func TestConformanceDegenerate(t *testing.T) {
 			s.AddArc(1, 2, 10, 2)
 			s.SetSupply(0, 3)
 			s.SetSupply(2, -3)
-			if err := s.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(s, engine)
 			if _, err := s.Solve(); err != nil {
 				t.Fatal(err)
 			}
@@ -408,9 +405,7 @@ func TestConformanceDegenerate(t *testing.T) {
 			for v := 0; v < s.N(); v++ {
 				s.SetSupply(v, 0)
 			}
-			if err := s.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(s, engine)
 			cost, err := s.Solve()
 			if err != nil {
 				t.Fatal(err)
@@ -433,9 +428,7 @@ func TestConformanceDegenerate(t *testing.T) {
 func TestConformanceStatsReset(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
 		s := NewGridInstance(8, 6, 3)
-		if err := s.SetEngine(engine); err != nil {
-			t.Fatal(err)
-		}
+		useEngine(s, engine)
 		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +474,6 @@ func FuzzEngineAgreement(f *testing.F) {
 	f.Add([]byte{0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17}, int64(42), uint8(3))
 	f.Add([]byte{0x05, 0x04, 0x00, 0x21, 0x00, 0x30, 0x09, 0x04, 0x00}, int64(11), uint8(0x8e)) // many-source tree, costscaling vs ssp
 	f.Fuzz(func(t *testing.T, deltas []byte, seed int64, pair uint8) {
-		engines := EngineNames()
 		nameA := engines[int(pair)%len(engines)]
 		nameB := engines[(int(pair)/len(engines))%len(engines)]
 
@@ -494,9 +486,7 @@ func FuzzEngineAgreement(f *testing.F) {
 				s = buildRandomFeasible(rng, false)
 			}
 			iso := s.AddNode() // disconnected: no arcs ever touch it
-			if err := s.SetEngine(name); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(s, name)
 			return s, iso
 		}
 		a, isoA := build(nameA)

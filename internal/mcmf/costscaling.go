@@ -1,58 +1,35 @@
-// Serial cost-scaling driver (Goldberg–Tarjan).  The paper's
-// complexity claim for the D-phase — O(|V|·|E|·log log |V|) — comes
-// from the scaling family of algorithms [9]; this engine provides the
-// classic sequential variant so the flow engines can be compared on
-// D-phase-shaped instances (BenchmarkFlowEngines) and cross-checked
-// for equal optimal cost (the conformance suite).
+// Serial cost-scaling driver (Goldberg–Tarjan): the conformance
+// oracle.  The paper's complexity claim for the D-phase —
+// O(|V|·|E|·log log |V|) — comes from the scaling family of algorithms
+// [9]; this is the classic sequential variant, an algorithm
+// independent of ssp that the package's tests cross-check it against
+// for equal optimal cost (the conformance suite, FuzzEngineAgreement)
+// and time it against on D-phase-shaped instances
+// (BenchmarkFlowEngines).  No product path selects it.
 //
 // The ε-scaling machinery (scaled costs, admissibility, price
-// refinement, the phase schedule, the warm-start resolve) lives in
-// scalingcore.go; this file contributes the discharge strategy — the
-// textbook sequential loop: a LIFO stack of active vertices, each
-// discharged fully (push along admissible current arcs, relabel when
-// the arc list is exhausted) before the next is popped.
+// refinement, the phase schedule) lives in scalingcore.go; this file
+// contributes the discharge strategy — the textbook sequential loop: a
+// LIFO stack of active vertices, each discharged fully (push along
+// admissible current arcs, relabel when the arc list is exhausted)
+// before the next is popped.
 package mcmf
 
-// costScalingEngine adapts the serial cost-scaling driver to the
-// Engine interface.
-type costScalingEngine struct {
-	engineCore
-	sc scalingState
-}
+// useCostScaling switches s's full solves to the cost-scaling oracle.
+// Resolves keep the shared drain-and-reroute (resolve.go) on the exact
+// potentials the scaling solve recovers, falling back to a scaling
+// solve when the work-estimate gate prefers one.
+func (s *Solver) useCostScaling() { s.scaling = &scalingState{} }
 
-func (e *costScalingEngine) Name() string { return "costscaling" }
-
-func (e *costScalingEngine) Solve(s *Solver) (float64, error) {
-	mark := e.st
-	cost, err := solveScalingFull(s, &e.sc, &e.st)
+// solveCostScaling is the oracle's full solve.
+func (s *Solver) solveCostScaling() (float64, error) {
+	mark := s.st
+	cost, err := solveScalingFull(s, s.scaling, &s.st)
 	if err == nil {
-		e.st.Solves++
-		s.noteFullRun(mark, e.st)
+		s.st.Solves++
+		s.noteFullRun(mark, s.st)
 	}
 	return cost, err
-}
-
-// Resolve repairs the previous optimal flow incrementally: the exact
-// potentials finishScaling recovered double as warm duals, so the
-// shared SSP drain-and-reroute serves the repair (see scalingcore.go
-// on why a refinement-pass repair was measured and rejected), and a
-// full cost-scaling solve backs it up when the work-estimate gate
-// prefers one.
-func (e *costScalingEngine) Resolve(s *Solver, changed []int32) (float64, error) {
-	return resolveSSP(s, changed, &e.st, e.Solve)
-}
-
-// SolveCostScaling computes a minimum-cost feasible flow with the
-// serial cost-scaling push-relabel method.  It is interchangeable with
-// Solve: same inputs, same optimality guarantees (Verify certifies the
-// result; potentials are rescaled back to cost units).  It always runs
-// the serial cost-scaling algorithm regardless of the engine
-// configured with SetEngine (the "costscaling" engine is this
-// algorithm behind the Engine interface).
-func (s *Solver) SolveCostScaling() (float64, error) {
-	var sc scalingState
-	var st Stats
-	return solveScalingFull(s, &sc, &st)
 }
 
 // refineSerial discharges all active vertices at sc.eps with the

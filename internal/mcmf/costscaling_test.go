@@ -6,12 +6,18 @@ import (
 	"testing/quick"
 )
 
+// scalingSolve runs a full solve of s on the cost-scaling oracle.
+func scalingSolve(s *Solver) (float64, error) {
+	s.useCostScaling()
+	return s.Solve()
+}
+
 func TestCostScalingTrivial(t *testing.T) {
 	s := New(2)
 	s.SetSupply(0, 3)
 	s.SetSupply(1, -3)
 	a := s.AddArc(0, 1, 10, 7)
-	cost, err := s.SolveCostScaling()
+	cost, err := scalingSolve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +39,7 @@ func TestCostScalingChoosesCheaperPath(t *testing.T) {
 	s.AddArc(0, 1, 10, 10)
 	s.AddArc(0, 2, 10, 2)
 	s.AddArc(2, 1, 10, 3)
-	cost, err := s.SolveCostScaling()
+	cost, err := scalingSolve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestCostScalingInfeasible(t *testing.T) {
 	s.SetSupply(0, 10)
 	s.SetSupply(1, -10)
 	s.AddArc(0, 1, 3, 1)
-	if _, err := s.SolveCostScaling(); err != ErrInfeasible {
+	if _, err := scalingSolve(s); err != ErrInfeasible {
 		t.Fatalf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -58,7 +64,7 @@ func TestCostScalingInfeasible(t *testing.T) {
 func TestCostScalingUnbalanced(t *testing.T) {
 	s := New(2)
 	s.SetSupply(0, 5)
-	if _, err := s.SolveCostScaling(); err != ErrUnbalanced {
+	if _, err := scalingSolve(s); err != ErrUnbalanced {
 		t.Fatalf("want ErrUnbalanced, got %v", err)
 	}
 }
@@ -69,7 +75,7 @@ func TestCostScalingNegativeArc(t *testing.T) {
 	s.SetSupply(2, -2)
 	s.AddArc(0, 1, 5, -4)
 	s.AddArc(1, 2, 5, 1)
-	cost, err := s.SolveCostScaling()
+	cost, err := scalingSolve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func TestQuickEnginesAgree(t *testing.T) {
 		s1 := build()
 		c1, err1 := s1.Solve()
 		s2 := build()
-		c2, err2 := s2.SolveCostScaling()
+		c2, err2 := scalingSolve(s2)
 		if err1 == ErrNegativeCycle {
 			// SSP refuses; cost-scaling may legitimately solve it.
 			return true
@@ -142,9 +148,7 @@ func TestQuickEnginesAgree(t *testing.T) {
 func TestScalingResolveIncremental(t *testing.T) {
 	t.Run("costscaling", func(t *testing.T) {
 		s := NewGridInstance(12, 10, 5)
-		if err := s.SetEngine("costscaling"); err != nil {
-			t.Fatal(err)
-		}
+		s.useCostScaling()
 		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
 		}
@@ -192,9 +196,7 @@ func TestScalingPriceRange(t *testing.T) {
 		return s
 	}
 	s := build()
-	if err := s.SetEngine("costscaling"); err != nil {
-		t.Fatal(err)
-	}
+	s.useCostScaling()
 	if _, err := s.Solve(); err != ErrPriceRange {
 		t.Fatalf("costscaling on megacost instance: err=%v, want ErrPriceRange", err)
 	}

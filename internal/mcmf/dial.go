@@ -1,4 +1,4 @@
-// Dial's bucket search: the shortest-path search of the "ssp" engine,
+// Dial's bucket search: the shortest-path search of ssp,
 // with the heap Dijkstra (search.go) as its fallback (Ahuja, Magnanti
 // & Orlin, Network Flows, §4.6).
 //

@@ -5,22 +5,20 @@ import (
 	"testing"
 )
 
-// The cross-engine random equivalence gate and its buildRandomFeasible
-// scaffolding moved to conformance_test.go (TestConformanceRandom),
-// where every registered engine runs the full table-driven suite.
+// The random equivalence gate and its buildRandomFeasible scaffolding
+// live in conformance_test.go (TestConformanceRandom), where both
+// algorithms run the full table-driven suite.
 
-// TestEnginesAgreeGrid cross-checks all backends on the exact layered
-// D-phase grid instances the benchmarks use.
+// TestEnginesAgreeGrid cross-checks ssp and the cost-scaling oracle on
+// the exact layered D-phase grid instances the benchmarks use.
 func TestEnginesAgreeGrid(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		layers := 6 + int(seed)
 		width := 4 + int(seed)%5
 		var ref float64
-		for i, name := range EngineNames() {
+		for i, name := range engines {
 			inst := NewGridInstance(layers, width, seed)
-			if err := inst.SetEngine(name); err != nil {
-				t.Fatal(err)
-			}
+			useEngine(inst, name)
 			cost, err := inst.Solve()
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, name, err)
@@ -37,16 +35,16 @@ func TestEnginesAgreeGrid(t *testing.T) {
 	}
 }
 
-// TestOneSolverBothEngines runs both engines on one instance object:
-// SolveCostScaling starts from the unsolved residual configuration
-// regardless of a prior Solve, so the costs must match.
+// TestOneSolverBothEngines runs both algorithms on one instance
+// object: the oracle starts from the unsolved residual configuration
+// regardless of a prior ssp Solve, so the costs must match.
 func TestOneSolverBothEngines(t *testing.T) {
 	s := NewGridInstance(12, 8, 3)
 	costSSP, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	costCS, err := s.SolveCostScaling()
+	costCS, err := scalingSolve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func TestOneSolverBothEngines(t *testing.T) {
 	}
 }
 
-// BenchmarkFlowEngines compares every registered backend on identical
+// BenchmarkFlowEngines compares ssp with the cost-scaling oracle on identical
 // D-phase-shaped instances of growing size — "fresh" builds and solves
 // (the per-problem cost), "warm" re-solves one network through the
 // Reset warm-start path (the per-iteration cost).  Every row reports
@@ -68,16 +66,13 @@ func TestOneSolverBothEngines(t *testing.T) {
 func BenchmarkFlowEngines(b *testing.B) {
 	for _, size := range []struct{ layers, width int }{{10, 10}, {40, 25}, {80, 50}} {
 		name := fmt.Sprintf("%dx%d", size.layers, size.width)
-		for _, engine := range EngineNames() {
-			engine := engine
+		for _, engine := range engines {
 			b.Run(engine+"/"+name+"/fresh", func(b *testing.B) {
 				var work flowWork
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s := NewGridInstance(size.layers, size.width, 7)
-					if err := s.SetEngine(engine); err != nil {
-						b.Fatal(err)
-					}
+					useEngine(s, engine)
 					if _, err := s.Solve(); err != nil {
 						b.Fatal(err)
 					}
@@ -87,9 +82,7 @@ func BenchmarkFlowEngines(b *testing.B) {
 			})
 			b.Run(engine+"/"+name+"/warm", func(b *testing.B) {
 				s := NewGridInstance(size.layers, size.width, 7)
-				if err := s.SetEngine(engine); err != nil {
-					b.Fatal(err)
-				}
+				useEngine(s, engine)
 				if _, err := s.Solve(); err != nil {
 					b.Fatal(err)
 				}
@@ -110,7 +103,7 @@ func BenchmarkFlowEngines(b *testing.B) {
 	}
 }
 
-// flowWork sums an engine's Visited, Augmentations, Phases, Races and
+// flowWork sums a Solver's Visited, Augmentations, Phases, Races and
 // RaceQuits over a benchmark's ops and reports them per op:
 // deterministic work counters the bench gate holds where ns/op would
 // only measure the host.  Each op is read around its own solve because

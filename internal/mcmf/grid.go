@@ -6,8 +6,8 @@ import "math/rand"
 // DAG with backbone arcs guaranteeing feasibility, random cross arcs,
 // supplies on the first layer and balancing demands on the last.  It is
 // the shared workload of BenchmarkMCMF (package minflo), the in-package
-// solver benchmarks, and the Solve/SolveCostScaling equivalence tests,
-// so engine comparisons and the bench gate's flow rows all measure the
+// solver benchmarks, and the ssp/cost-scaling equivalence tests, so
+// the oracle comparison and the bench gate's flow rows all measure the
 // same shape of problem the D-phase produces.
 func NewGridInstance(layers, width int, seed int64) *Solver {
 	rng := rand.New(rand.NewSource(seed))

@@ -48,19 +48,11 @@
 // After the first Solve on a topology, re-solves allocate nothing.
 //
 // The Solver struct itself is the residual-network state core and the
-// shortest-path search scratch.  The algorithms that drive it live
-// behind the Engine interface (engine.go) with two registered
-// backends — "ssp" (successive shortest paths; the default, which "",
-// "auto" and the deprecated "dial" also select, and the degradation
-// fallback) and "costscaling" (Goldberg–Tarjan, serial discharge; the
-// independent algorithm the conformance suite cross-checks against) —
-// selectable per instance with SetEngine.  Beyond full solves, both
-// offer ResolveChanged: an incremental re-flow that repairs the
-// previous optimal flow after a set of arcs changed cost or capacity,
-// instead of rerouting every supply.  Both repair through the same
-// drain-and-reroute, resolveSSP in resolve.go (the cost-scaling engine
-// on the exact potentials its full solve recovers; see
-// costscaling.go).
+// shortest-path search scratch; Solve and ResolveChanged always run
+// successive shortest paths on it (engine.go).  Beyond full solves,
+// ResolveChanged is an incremental re-flow that repairs the previous
+// optimal flow after a set of arcs changed cost or capacity, instead
+// of rerouting every supply (drain-and-reroute, resolve.go).
 //
 // The solver is self-certifying: Verify re-checks conservation, bounds
 // and reduced-cost optimality after every Solve.
@@ -111,7 +103,10 @@ type Solver struct {
 	// mutations; it is cleared by Reset, by legacy SetCapacity (which
 	// discards an arc's flow) and while a solve is mutating residuals.
 	repairable bool
-	eng        Engine // active backend; nil means the "ssp" default
+	st         Stats // cumulative work counters (EngineStats)
+	// scaling, when set, makes full solves run the cost-scaling
+	// oracle instead of ssp (costscaling.go; tests only).
+	scaling *scalingState
 
 	// CSR-style adjacency: arc indices of node u are
 	// csrArc[csrStart[u]:csrStart[u+1]].  Rebuilt lazily when arcs or
@@ -137,16 +132,18 @@ type Solver struct {
 	ewmaFullVisits    float64
 	ewmaResolveVisits float64
 
-	// Abort sources and engine-degradation state (abort.go).  armed
-	// caches whether any abort source is installed so the per-operation
-	// pollAbort stays a single branch on the warm path; pollTick paces
-	// the deadline's clock sampling.
+	// Abort sources and rescue state (abort.go).  armed caches whether
+	// any abort source is installed so the per-operation pollAbort
+	// stays a single branch on the warm path; pollTick paces the
+	// deadline's clock sampling; hookOps counts the current attempt's
+	// polls for the context's poll hook.
 	ctx        context.Context
 	deadline   time.Time
 	pollTick   uint32
 	workBudget int64
 	workDone   int64
-	pollHook   func() error
+	pollHook   func(op int64) error
+	hookOps    int64
 	armed      bool
 	fallbackOn bool
 	att        attemptState
@@ -274,24 +271,21 @@ func (s *Solver) Capacity(arcID int) int64 { return s.orig[arcID] }
 // itself.  It exists for callers that want the restored residual state
 // earlier (e.g. to inspect capacities between solves).
 //
-// Reset also zeroes the engine's per-problem work counter
-// (Stats.Visited), so back-to-back problems on
-// a reused solver report per-problem work instead of cumulative
-// numbers; the lifetime counters (Solves, Resolves, fallbacks) are
-// untouched.
+// Reset also zeroes the per-problem work counter (Stats.Visited), so
+// back-to-back problems on a reused solver report per-problem work
+// instead of cumulative numbers; the lifetime counters (Solves,
+// Resolves, fallbacks) are untouched.
 func (s *Solver) Reset() {
 	s.resetResiduals()
 	s.flowDirty = false
 	s.solved = false
 	s.repairable = false
-	if r, ok := s.eng.(workCounterResetter); ok {
-		r.ResetWorkCounters()
-	}
+	s.st.Visited = 0
 }
 
 // resetResiduals restores residual capacities to the original
-// configuration (also used by SolveCostScaling, which starts from the
-// unsolved state regardless of prior solves).
+// configuration (also used by the cost-scaling oracle, which starts
+// from the unsolved state regardless of prior solves).
 func (s *Solver) resetResiduals() {
 	for id, c := range s.orig {
 		s.arcs[2*id].cap = c
@@ -430,10 +424,10 @@ func (s *Solver) bellmanFord() error {
 	return ErrNegativeCycle
 }
 
-// Solve computes a minimum-cost feasible flow with the active engine
-// (SetEngine; "ssp" by default). It returns the total cost (as
-// float64; see TotalCost) or an error if the instance is unbalanced,
-// infeasible, or contains a negative-cost cycle of positive capacity.
+// Solve computes a minimum-cost feasible flow with successive shortest
+// paths. It returns the total cost (as float64; see TotalCost) or an
+// error if the instance is unbalanced, infeasible, or contains a
+// negative-cost cycle of positive capacity.
 //
 // Solve always prices the instance as configured: a previous solve's
 // flow is cleared automatically (see Reset), so mutate-and-solve-again
@@ -441,30 +435,29 @@ func (s *Solver) bellmanFord() error {
 // inner loop is allocation-free.
 //
 // With an abort source armed (SetContext, SetDeadline, SetWorkBudget,
-// SetPollHook) the solve can additionally return ErrCanceled or
-// ErrBudgetExhausted; the pre-solve state is restored, so a subsequent
-// solve is bit-identical to one on a never-aborted twin.  Engine
-// panics surface as ErrEngineFailed (or are rescued with
-// SetEngineFallback).  See abort.go.
+// or a poll hook carried by the context) the solve can additionally
+// return ErrCanceled or ErrBudgetExhausted; the pre-solve state is
+// restored, so a subsequent solve is bit-identical to one on a
+// never-aborted twin.  Panics surface as ErrEngineFailed (or are
+// rescued with SetEngineFallback).  See abort.go.
 func (s *Solver) Solve() (float64, error) {
 	return s.runEngine(nil, false)
 }
 
-// ResolveChanged incrementally repairs the previous optimal flow with
-// the active engine after the listed arcs changed cost and/or
-// capacity: the changed arcs' flow is drained back to their endpoints
-// and only the resulting imbalance (plus any supply deltas, which are
-// detected automatically) is rerouted on the residual graph, instead
-// of rerouting every supply from scratch.  changed must include every
-// arc mutated with SetCost/UpdateCapacity since the last successful
-// solve; listing unchanged arcs is allowed (they are drained and
-// rerouted too, just wastefully).  Without a reusable previous flow —
-// first solve, topology change, or an engine that cannot re-flow —
-// it falls back to a full Solve.
+// ResolveChanged incrementally repairs the previous optimal flow after
+// the listed arcs changed cost and/or capacity: the changed arcs' flow
+// is drained back to their endpoints and only the resulting imbalance
+// (plus any supply deltas, which are detected automatically) is
+// rerouted on the residual graph, instead of rerouting every supply
+// from scratch.  changed must include every arc mutated with
+// SetCost/UpdateCapacity since the last successful solve; listing
+// unchanged arcs is allowed (they are drained and rerouted too, just
+// wastefully).  Without a reusable previous flow — first solve or
+// topology change — it falls back to a full Solve.
 //
-// ResolveChanged honors the same abort sources and degradation
-// contract as Solve (see abort.go): an aborted repair restores the
-// pre-call state, including repairability of the previous flow.
+// ResolveChanged honors the same abort sources and rescue contract as
+// Solve (see abort.go): an aborted repair restores the pre-call state,
+// including repairability of the previous flow.
 func (s *Solver) ResolveChanged(changed []int32) (float64, error) {
 	return s.runEngine(changed, true)
 }

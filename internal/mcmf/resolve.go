@@ -1,4 +1,4 @@
-// Incremental re-flow (drain-and-reroute), shared by ssp and costscaling.
+// Incremental re-flow (drain-and-reroute) behind ResolveChanged.
 //
 // The D-phase solves the same network dozens of times with small cost
 // and supply deltas between solves.  A warm full solve already skips
@@ -76,7 +76,7 @@ const ewmaAlpha = 0.25
 const supplyDeltaWeight = 64
 
 // noteFullRun updates the full-solve cost average from one completed
-// run: mark is the engine's counters before the run, now after.
+// run: mark is the Solver's counters before the run, now after.
 func (s *Solver) noteFullRun(mark, now Stats) {
 	s.ewmaFullVisits = ewmaUpdate(s.ewmaFullVisits, mark, now)
 }
@@ -142,7 +142,7 @@ func (s *Solver) resolveGate(changed []int32) bool {
 // excess vector ready for augmentation; fallback=true means the
 // caller must run its full Solve instead (counting the fallback).
 // resolvePrep allocates nothing, preserving the warm zero-alloc
-// guarantee of the serial engines.
+// guarantee.
 func (s *Solver) resolvePrep(changed []int32) (excess []int64, fallback bool, err error) {
 	if !s.repairable || s.topoDirty {
 		return nil, true, nil
@@ -197,16 +197,19 @@ func (s *Solver) resolvePrep(changed []int32) (excess []int64, fallback bool, er
 	return excess, false, nil
 }
 
-// resolveSSP implements Engine.Resolve for ssp and costscaling.  full
-// is the engine's own Solve, used when no repairable flow exists.
-func resolveSSP(s *Solver, changed []int32, st *Stats, full func(*Solver) (float64, error)) (float64, error) {
+// resolve is the incremental repair behind ResolveChanged, falling
+// back to a full solve when no repairable flow exists.  The
+// cost-scaling oracle repairs through it too, on the exact potentials
+// its full solve recovers.
+func (s *Solver) resolve(changed []int32) (float64, error) {
+	st := &s.st
 	excess, fallback, err := s.resolvePrep(changed)
 	if err != nil {
 		return 0, err
 	}
 	if fallback {
 		st.FullFallbacks++
-		return full(s)
+		return s.solveFull()
 	}
 	s.ensureSSP()
 	mark := *st

@@ -9,10 +9,10 @@ import (
 
 // The freshTwin/mutateRandom scaffolding and the random
 // resolve-vs-fresh property gate moved to conformance_test.go
-// (TestConformanceResolve), which runs them for every registered
-// engine.  This file keeps the resolve tests that pin engine-specific
-// behaviour: exact fallback/no-fallback gate outcomes and the bucket
-// search's overflow machinery.
+// (TestConformanceResolve), which runs them on ssp and the
+// cost-scaling oracle.  This file keeps the resolve tests that pin
+// ssp-specific behaviour: exact fallback/no-fallback gate outcomes and
+// the bucket search's overflow machinery.
 
 // TestResolveDisconnectedSupply covers the degenerate network the
 // property test can't hit reliably: supply on a node with no arcs at

@@ -1,4 +1,4 @@
-// ε-scaling core of the cost-scaling engine.
+// ε-scaling core of the cost-scaling oracle.
 //
 // Goldberg–Tarjan cost scaling maintains an ε-optimal pseudoflow:
 // costs are scaled by α = n+1 so that 1-optimality in scaled units
@@ -33,12 +33,11 @@ package mcmf
 
 import "errors"
 
-// ErrPriceRange is returned by the cost-scaling engine when the
+// ErrPriceRange is returned by the cost-scaling oracle when the
 // scaled costs (α·cost with α = n+1) would not fit int64, or when the
 // price development during refinement reaches the runtime floor
 // (priceFloor): rather than silently wrapping int64 arithmetic, the
-// solve refuses.  The SSP-family engines have no such limit; with
-// SetEngineFallback the refusal degrades the solve to "ssp".
+// solve refuses.  Successive shortest paths has no such limit.
 var ErrPriceRange = errors.New("mcmf: cost magnitude exceeds the cost-scaling price range")
 
 // priceFloor is the runtime price guard: prices start at zero and
@@ -51,9 +50,9 @@ var ErrPriceRange = errors.New("mcmf: cost magnitude exceeds the cost-scaling pr
 const priceFloor = -(inf / 2)
 
 // scalingState is the reusable scratch of the cost-scaling driver:
-// scaled costs and prices plus the active-set bookkeeping.  The engine
-// owns one (SolveCostScaling allocates a transient one), so all
-// buffers survive between solves on a topology.
+// scaled costs and prices plus the active-set bookkeeping.  A Solver
+// switched to the oracle owns one, so all buffers survive between
+// solves on a topology.
 type scalingState struct {
 	alpha int64   // cost scale α = n+1
 	eps   int64   // current phase ε (scaled units)
@@ -195,7 +194,7 @@ func (sc *scalingState) phaseSchedule(refine func() error) error {
 // operation, and this skeleton bills one Augmentation per supply
 // source routed — so the solver's EWMA gate (ewmaFullVisits =
 // visited/augmentations) prices a scaling full solve per source, the
-// same currency the SSP engines use, and the shared resolve gate can
+// same currency ssp uses, and the shared resolve gate can
 // weigh a Dijkstra repair against a scaling re-solve honestly.
 func solveScalingFull(s *Solver, sc *scalingState, st *Stats) (float64, error) {
 	var sum int64

@@ -42,8 +42,8 @@ func (sc *searchScratch) ensure(n int) {
 // node count: the visited list, bucket queue and heap of a search (a
 // phase's multi-source search can touch every node), the source list,
 // and a phase's DFS path.  Sizing them once per network keeps warm
-// solves allocation-free; engines that never search (costscaling full
-// solves) skip it.
+// solves allocation-free; the cost-scaling oracle's full solves, which
+// never search, skip it.
 func (s *Solver) ensureSSP() {
 	n := s.n
 	if cap(s.ss.visited) >= n {
@@ -58,7 +58,7 @@ func (s *Solver) ensureSSP() {
 }
 
 // SearchScratchBytes estimates the search scratch an n-node network
-// keeps once solved by ssp (or repaired by any engine): per node the
+// keeps once solved or repaired: per node the
 // stamped dist/prevArc/stamp entries, the visited list, a heap slot, a
 // bucket-pool entry, the source list and a phase's DFS path; plus the
 // bucket ring's head/tail arrays.  A search that pushes a node more

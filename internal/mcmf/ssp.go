@@ -1,7 +1,7 @@
-// Successive shortest paths: the "ssp" engine and its routing loops.
-// Every search is Dial's bucket search with its heap fallback
-// (shortestPath in dial.go); the search state is the Solver's own
-// (search.go), so the engine itself holds only its counters.
+// Successive shortest paths: the Solver's one flow algorithm and its
+// routing loops.  Every search is Dial's bucket search with its heap
+// fallback (shortestPath in dial.go); the search state is the
+// Solver's own (search.go).
 //
 // Two loops route supply.  The per-source loop (augmentSome) runs one
 // search per augmentation, from one source to its nearest deficit.
@@ -117,18 +117,10 @@ func (s *Solver) augmentFrom(src []int32, excess []int64, st *Stats) error {
 	return nil
 }
 
-// sspEngine is successive shortest paths — the Solver's default
-// backend and the one every failing engine degrades to.
-type sspEngine struct {
-	engineCore
-}
-
-func (e *sspEngine) Name() string { return "ssp" }
-
-// Solve is the full solve: preamble, phased supply routing, and the
+// solveSSP is the full solve: preamble, phased supply routing, and the
 // solved-state bookkeeping.
-func (e *sspEngine) Solve(s *Solver) (float64, error) {
-	st := &e.st
+func (s *Solver) solveSSP() (float64, error) {
+	st := &s.st
 	if err := s.beginSolve(st); err != nil {
 		return 0, err
 	}
@@ -148,10 +140,6 @@ func (e *sspEngine) Solve(s *Solver) (float64, error) {
 	st.Solves++
 	s.noteFullRun(mark, *st)
 	return s.TotalCost(), nil
-}
-
-func (e *sspEngine) Resolve(s *Solver, changed []int32) (float64, error) {
-	return resolveSSP(s, changed, &e.st, e.Solve)
 }
 
 // phaseWindow is how many recent phases the switch to the per-source

@@ -115,15 +115,14 @@ func TestServeEditLifecycle(t *testing.T) {
 // and a crash, the rebuilt generation answers the post-edit query
 // bit-identically — and differently from a never-edited control.
 func TestServeEditQuarantineReplay(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{NoEngineFallback: true})
+	srv, _, c, faults := newFaultServer(t, Config{NoEngineFallback: true}, "eq")
 	ctx := context.Background()
 
-	sub, err := c.Submit(ctx, &SubmitRequest{ID: "eq", Circuit: "adder16", FlowEngine: "fault"})
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "eq", Circuit: "adder16"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	T := 0.6 * sub.MinDelayPS
-	fault.Reset()
 
 	if _, err := c.Edit(ctx, "eq", &EditRequest{Edits: []EditOp{{Op: "load", Gate: 3, LoadFF: 30}}}); err != nil {
 		t.Fatal(err)
@@ -134,10 +133,9 @@ func TestServeEditQuarantineReplay(t *testing.T) {
 	}
 
 	// Crash the next solve; the session quarantines.
-	fault.SetPlan(fault.Plan{Mode: fault.Panic, Op: 20})
-	defer fault.Reset()
+	faults.set(fault.Plan{Mode: fault.Panic, Op: 20})
 	_, _ = c.Query(ctx, "eq", &QueryRequest{TargetPS: 0.5 * sub.MinDelayPS})
-	fault.Reset()
+	faults.set(fault.Plan{})
 	if info, _ := c.Info(ctx, "eq"); !info.Quarantined {
 		t.Fatal("session not quarantined")
 	}

@@ -23,14 +23,13 @@ import (
 // with no intervening solves, then queried at the same target.  The
 // rebuilt generation's first answer must be bit-identical to it.
 func TestServeQuarantineReplayMixedHistory(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{NoEngineFallback: true})
+	srv, _, c, faults := newFaultServer(t, Config{NoEngineFallback: true}, "mx")
 	ctx := context.Background()
 
-	sub, err := c.Submit(ctx, &SubmitRequest{ID: "mx", Circuit: "adder16", FlowEngine: "fault"})
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "mx", Circuit: "adder16"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault.Reset()
 
 	T1, T2, T3 := 0.6*sub.MinDelayPS, 0.65*sub.MinDelayPS, 0.62*sub.MinDelayPS
 	w1g, w1w := []int{5}, []float64{5}
@@ -59,10 +58,9 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 	}
 
 	// Crash the next solve; the session quarantines.
-	fault.SetPlan(fault.Plan{Mode: fault.Panic, Op: 20})
-	defer fault.Reset()
+	faults.set(fault.Plan{Mode: fault.Panic, Op: 20})
 	_, _ = c.Query(ctx, "mx", &QueryRequest{TargetPS: 0.5 * sub.MinDelayPS})
-	fault.Reset()
+	faults.set(fault.Plan{})
 	if info, _ := c.Info(ctx, "mx"); !info.Quarantined {
 		t.Fatal("session not quarantined")
 	}
@@ -94,7 +92,7 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "fault", NoEngineFallback: true})
+		twin, err := core.NewEcoSession(teco, core.Options{NoEngineFallback: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,17 +141,16 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 	}
 }
 
-// TestServeAutoEngineReplayDeterministic: a session submitted with
-// "flow_engine": "auto" must answer as a pure function of its history,
-// including across a structural rewire that rebuilds the D-phase
-// scratch.  The oracle is a serial core.NewEcoSession twin pinned to
-// "ssp" replaying the same queries and edits: every answer must be
-// bit-identical to it.
+// TestServeAutoEngineReplayDeterministic: a served session must answer
+// as a pure function of its history, including across a structural
+// rewire that rebuilds the D-phase scratch.  The oracle is a serial
+// core.NewEcoSession twin replaying the same queries and edits: every
+// answer must be bit-identical to it.
 func TestServeAutoEngineReplayDeterministic(t *testing.T) {
 	cfg := Config{TrustRegion: 0.05}
 	srv, _, c := newTestServer(t, cfg)
 	ctx := context.Background()
-	sub, err := c.Submit(ctx, &SubmitRequest{ID: "au", Circuit: "adder16", FlowEngine: "auto"})
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "au", Circuit: "adder16"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +167,7 @@ func TestServeAutoEngineReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "ssp", TrustRegion: cfg.TrustRegion})
+	twin, err := core.NewEcoSession(teco, core.Options{TrustRegion: cfg.TrustRegion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +342,7 @@ func TestServeEvictionHistoryGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := core.NewEcoSession(eco, core.Options{FlowEngine: "ssp"})
+	cs, err := core.NewEcoSession(eco, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

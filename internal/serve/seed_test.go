@@ -160,16 +160,15 @@ func TestServeStatsMatchResponses(t *testing.T) {
 // blocked solve holds the worker so the burst deterministically lands
 // behind one queued job.
 func TestServeCoalescing(t *testing.T) {
-	_, hs, c := newTestServer(t, Config{MaxInFlight: 1})
-	sub, err := c.Submit(context.Background(), &SubmitRequest{ID: "a", Circuit: "adder16", FlowEngine: "fault"})
+	_, hs, c, faults := newFaultServer(t, Config{MaxInFlight: 1}, "a")
+	sub, err := c.Submit(context.Background(), &SubmitRequest{ID: "a", Circuit: "adder16"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Park the worker inside a first, distinct query.
 	release := make(chan struct{})
-	fault.SetPlan(fault.Plan{Mode: fault.Cancel, Op: 1, OnCancel: func() { <-release }})
-	defer fault.Reset()
+	faults.set(fault.Plan{Mode: fault.Cancel, Op: 1, OnCancel: func() { <-release }})
 	var blocker sync.WaitGroup
 	blocker.Add(1)
 	go func() {
@@ -241,48 +240,66 @@ func TestServeCoalescing(t *testing.T) {
 }
 
 // TestServeParallelismIgnored pins the wire contract of the retired
-// per-session worker budget: a submit body that still carries
-// "parallelism" is accepted, the response no longer reports the field,
-// and the session answers bit-identically to one submitted without it.
+// per-session fields: a submit body that still carries "parallelism"
+// or "flow_engine" — whatever its value, even a name that never
+// selected a backend — is accepted, neither the submit response nor
+// the session info reports either field, and the session answers
+// bit-identically to one submitted without it.
 func TestServeParallelismIgnored(t *testing.T) {
 	_, hs, c := newTestServer(t, Config{})
-	resp, err := http.Post(hs.URL+"/v1/sessions", "application/json",
-		strings.NewReader(`{"id":"p","circuit":"adder16","parallelism":8}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&raw)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit with parallelism: status %d, body %v", resp.StatusCode, raw)
-	}
-	if _, ok := raw["parallelism"]; ok {
-		t.Fatalf("submit response still reports parallelism: %v", raw)
-	}
+	ctx := context.Background()
 	plain := submitCircuit(t, c, "q", "adder16")
-	if raw["min_delay_ps"] != plain.MinDelayPS {
-		t.Fatalf("Dmin %v with parallelism, %v without", raw["min_delay_ps"], plain.MinDelayPS)
-	}
 	req := &QueryRequest{TargetPS: 0.6 * plain.MinDelayPS, WantSizes: true}
-	withPar, err := c.Query(context.Background(), "p", req)
+	without, err := c.Query(ctx, "q", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := c.Query(context.Background(), "q", req)
-	if err != nil {
-		t.Fatal(err)
+	// rawJSON sends one request and decodes the reply as a bare map, so
+	// a key the typed wire structs no longer declare still shows.
+	rawJSON := func(method, path, body string) map[string]any {
+		t.Helper()
+		hr, err := http.NewRequest(method, hs.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var raw map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s %s: status %d, body %v", method, path, body, resp.StatusCode, raw)
+		}
+		for _, key := range []string{"parallelism", "flow_engine"} {
+			if _, ok := raw[key]; ok {
+				t.Fatalf("%s %s still reports %s: %v", method, path, key, raw)
+			}
+		}
+		return raw
 	}
-	if withPar.Area != without.Area || withPar.CPPS != without.CPPS ||
-		withPar.Iterations != without.Iterations || len(withPar.Sizes) != len(without.Sizes) {
-		t.Fatalf("answers differ: %+v vs %+v", withPar, without)
-	}
-	for i := range without.Sizes {
-		if withPar.Sizes[i] != without.Sizes[i] {
-			t.Fatalf("size[%d] = %v with parallelism, %v without", i, withPar.Sizes[i], without.Sizes[i])
+	for i, field := range []string{`"parallelism":8`, `"flow_engine":"costscaling"`, `"flow_engine":"nope"`} {
+		id := fmt.Sprintf("p%d", i)
+		sub := rawJSON(http.MethodPost, "/v1/sessions", fmt.Sprintf(`{"id":%q,"circuit":"adder16",%s}`, id, field))
+		if sub["min_delay_ps"] != plain.MinDelayPS {
+			t.Fatalf("%s: Dmin %v, %v without", field, sub["min_delay_ps"], plain.MinDelayPS)
+		}
+		rawJSON(http.MethodGet, "/v1/sessions/"+id, "")
+		with, err := c.Query(ctx, id, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if with.Area != without.Area || with.CPPS != without.CPPS ||
+			with.Iterations != without.Iterations || len(with.Sizes) != len(without.Sizes) {
+			t.Fatalf("%s: answers differ: %+v vs %+v", field, with, without)
+		}
+		for k := range without.Sizes {
+			if with.Sizes[k] != without.Sizes[k] {
+				t.Fatalf("%s: size[%d] = %v, %v without", field, k, with.Sizes[k], without.Sizes[k])
+			}
 		}
 	}
 }

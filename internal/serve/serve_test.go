@@ -20,11 +20,20 @@ import (
 // and registers shutdown cleanup.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client) {
 	t.Helper()
+	srv, hs, c, _ := newFaultServer(t, cfg, "")
+	return srv, hs, c
+}
+
+// newFaultServer is newTestServer with fault injection on session id
+// (see faultHandler); an empty id injects nowhere.
+func newFaultServer(t *testing.T, cfg Config, id string) (*Server, *httptest.Server, *Client, *faultHandler) {
+	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	f := injectFaults(srv.Handler(), id)
+	hs := httptest.NewServer(f)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -32,7 +41,42 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client
 		hs.Close()
 	})
 	c := NewClient(hs.URL, hs.Client())
-	return srv, hs, c
+	return srv, hs, c, f
+}
+
+// faultHandler wraps a server's handler for fault drills: every
+// request on one session's paths (/v1/sessions/{id}/query and /edit)
+// runs its solves under the plan last passed to set (fault.Context),
+// while other sessions run untouched.
+type faultHandler struct {
+	next   http.Handler
+	prefix string // "" matches nothing
+	mu     sync.Mutex
+	plan   fault.Plan
+}
+
+func injectFaults(next http.Handler, id string) *faultHandler {
+	f := &faultHandler{next: next}
+	if id != "" {
+		f.prefix = "/v1/sessions/" + id + "/"
+	}
+	return f
+}
+
+func (f *faultHandler) set(p fault.Plan) {
+	f.mu.Lock()
+	f.plan = p
+	f.mu.Unlock()
+}
+
+func (f *faultHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if f.prefix != "" && strings.HasPrefix(r.URL.Path, f.prefix) {
+		f.mu.Lock()
+		p := f.plan
+		f.mu.Unlock()
+		r = r.WithContext(fault.Context(r.Context(), p))
+	}
+	f.next.ServeHTTP(w, r)
 }
 
 func submitCircuit(t *testing.T, c *Client, id, circuit string) *SubmitResponse {
@@ -90,20 +134,6 @@ func TestServeSubmitQueryLifecycle(t *testing.T) {
 	}
 	if info.Queries != int64(len(targets)) || info.Quarantined {
 		t.Fatalf("info: %+v", info)
-	}
-	// The engine resolved at submit: "ssp" both when the submit names
-	// none (the server default) and for "auto".
-	if info.FlowEngine != "ssp" {
-		t.Fatalf("default submit flow_engine = %q, want ssp", info.FlowEngine)
-	}
-	if _, err := c.Submit(ctx, &SubmitRequest{ID: "auto", Circuit: "c17", FlowEngine: "auto"}); err != nil {
-		t.Fatal(err)
-	}
-	if info, err := c.Info(ctx, "auto"); err != nil || info.FlowEngine != "ssp" {
-		t.Fatalf("auto submit info: %+v, %v", info, err)
-	}
-	if err := c.Delete(ctx, "auto"); err != nil {
-		t.Fatal(err)
 	}
 
 	st, err := c.Stats(ctx)
@@ -179,15 +209,12 @@ func TestServeInfeasibleAndBadRequests(t *testing.T) {
 		t.Fatalf("infeasible target: %v", err)
 	}
 
-	// Unknown circuit, missing netlist, bad engine, bad target.
+	// Unknown circuit, missing netlist, bad target.
 	if _, err := c.Submit(ctx, &SubmitRequest{Circuit: "nope9999"}); err == nil {
 		t.Fatal("unknown circuit accepted")
 	}
 	if _, err := c.Submit(ctx, &SubmitRequest{}); err == nil {
 		t.Fatal("empty submit accepted")
-	}
-	if _, err := c.Submit(ctx, &SubmitRequest{Circuit: "c17", FlowEngine: "warp"}); err == nil {
-		t.Fatal("bad engine accepted")
 	}
 	if _, err := c.Query(ctx, "c", &QueryRequest{TargetPS: -1}); err == nil {
 		t.Fatal("negative target accepted")
@@ -238,15 +265,15 @@ OUTPUT(23)
 // TestServeOverload drives more work than the tiny admission limits
 // allow and checks the excess is refused with 429 + Retry-After —
 // bounded queues, no silent backlog.  The in-flight solve is pinned
-// mid-run via the fault engine's callback hook so admission pressure
-// is deterministic, not a race against solve speed.
+// mid-run via a fault plan's callback so admission pressure is
+// deterministic, not a race against solve speed.
 func TestServeOverload(t *testing.T) {
-	_, hs, c := newTestServer(t, Config{
+	_, hs, c, faults := newFaultServer(t, Config{
 		MaxInFlight: 1,
 		MaxPending:  2,
 		QueueDepth:  1,
-	})
-	sub, err := c.Submit(context.Background(), &SubmitRequest{ID: "a", Circuit: "adder16", FlowEngine: "fault"})
+	}, "a")
+	sub, err := c.Submit(context.Background(), &SubmitRequest{ID: "a", Circuit: "adder16"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +282,7 @@ func TestServeOverload(t *testing.T) {
 	// the two admitted jobs (1 executing + 1 queued) hold their
 	// pending slots for the whole burst.
 	release := make(chan struct{})
-	fault.SetPlan(fault.Plan{Mode: fault.Cancel, Op: 1, OnCancel: func() { <-release }})
-	defer fault.Reset()
+	faults.set(fault.Plan{Mode: fault.Cancel, Op: 1, OnCancel: func() { <-release }})
 
 	const burst = 8
 	var rejected, retryAfterSeen, completed atomic.Int64
@@ -311,32 +337,30 @@ func TestServeOverload(t *testing.T) {
 	}
 }
 
-// TestServeQuarantineRebuild injects an engine panic (fallback off),
+// TestServeQuarantineRebuild injects a solve panic (rescue off),
 // checks the session is quarantined — process stays up — and that the
 // next query transparently rebuilds a fresh generation that answers
 // like a cold session.
 func TestServeQuarantineRebuild(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{NoEngineFallback: true})
+	srv, _, c, faults := newFaultServer(t, Config{NoEngineFallback: true}, "f")
 	ctx := context.Background()
 
-	sub, err := c.Submit(ctx, &SubmitRequest{ID: "f", Circuit: "adder16", FlowEngine: "fault"})
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "f", Circuit: "adder16"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	T := 0.6 * sub.MinDelayPS
 
 	// Clean run first (plan None) to have a reference answer.
-	fault.Reset()
 	ref, err := c.Query(ctx, "f", &QueryRequest{TargetPS: T})
 	if err != nil || ref.Error != nil {
 		t.Fatalf("reference query: %v %+v", err, ref)
 	}
 
 	// Arm a panic mid-solve and fire.
-	fault.SetPlan(fault.Plan{Mode: fault.Panic, Op: 20})
-	defer fault.Reset()
+	faults.set(fault.Plan{Mode: fault.Panic, Op: 20})
 	q, err := c.Query(ctx, "f", &QueryRequest{TargetPS: 0.5 * sub.MinDelayPS})
-	fault.Reset()
+	faults.set(fault.Plan{})
 	if err != nil {
 		// No partial available: terminal 500 engine_failed.
 		var apiErr *APIError

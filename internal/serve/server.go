@@ -45,10 +45,12 @@
 //     followers receive the same answer marked "coalesced": true and
 //     bypass the pending cap.
 //
-// Every solve is serial: throughput comes from distinct sessions
-// running concurrently.  A submit body that still carries the retired
-// "parallelism" field is accepted and the field ignored (JSON decoding
-// skips unknown fields); the submit response no longer reports it.
+// Every solve is serial and runs the one D-phase flow algorithm:
+// throughput comes from distinct sessions running concurrently.  A
+// submit body that still carries the retired "parallelism" or
+// "flow_engine" field is accepted and the field ignored (JSON decoding
+// skips unknown fields); neither the submit response nor the session
+// info reports either.
 //
 // Determinism contract: within one session generation (between cold
 // builds), answers are a deterministic function of the query sequence
@@ -79,17 +81,18 @@ import (
 	"time"
 
 	"minflo"
-	"minflo/internal/core"
 	"minflo/internal/delay"
 	"minflo/internal/tech"
 )
 
 // Config parameterizes a Server.  The zero value serves with safe
-// defaults (ssp engine, 1 GiB memory watermark).
+// defaults (1 GiB memory watermark).
 type Config struct {
-	// Engine is the default D-phase flow backend for sessions that do
-	// not pin one (core.ResolveFlowEngine: "", "auto" and the
-	// deprecated "dial" select "ssp", every sizer's default).
+	// Engine is ignored: every session's D-phase runs the one flow
+	// algorithm.
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	Engine string
 	// MaxInFlight caps concurrently executing solves (default
 	// GOMAXPROCS).
@@ -110,9 +113,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// RetryAfter is the hint returned with 429/503 (default 1s).
 	RetryAfter time.Duration
-	// NoEngineFallback disables the flow layer's ssp fallback so
-	// engine failures surface and exercise the quarantine path (fault
-	// drills; default false).
+	// NoEngineFallback disables the flow layer's heap rescue so flow
+	// failures surface and exercise the quarantine path (fault drills;
+	// default false).
 	NoEngineFallback bool
 	// TrustRegion enables trust-region warm seeding on every session
 	// (core.Options.TrustRegion): a query whose target moved at most
@@ -203,9 +206,6 @@ type Server struct {
 // New builds a Server.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if _, err := core.ResolveFlowEngine(cfg.Engine); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		cfg:        cfg,
@@ -298,16 +298,6 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	engine := req.FlowEngine
-	if engine == "" {
-		engine = srv.cfg.Engine
-	}
-	engine, err := core.ResolveFlowEngine(engine)
-	if err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-
 	j := &job{kind: jobBuild, ctx: r.Context(), resp: make(chan jobReply, 1)}
 
 	srv.mu.Lock()
@@ -338,7 +328,6 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id:       id,
 		srv:      srv,
 		src:      req,
-		engine:   engine,
 		queue:    make(chan *job, srv.cfg.QueueDepth),
 		inflight: make(map[string]*job),
 		quit:     make(chan struct{}),
@@ -549,7 +538,6 @@ func (srv *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Edits:       s.editsDone,
 		Queued:      s.queued,
 		Quarantined: s.quarantined,
-		FlowEngine:  s.engine,
 	}
 	srv.mu.Unlock()
 	writeJSON(w, http.StatusOK, info)

@@ -65,9 +65,6 @@ type session struct {
 	// identical concurrent query coalesces through.
 	inflight map[string]*job
 
-	// engine is the flow engine resolved at submit (immutable).
-	engine string
-
 	// Worker-owned (no locking needed).
 	core *core.Session
 	dmin float64
@@ -157,7 +154,6 @@ func (s *session) buildCore() error {
 		return err
 	}
 	cs, err := core.NewEcoSession(eco, core.Options{
-		FlowEngine:       s.engine,
 		NoEngineFallback: s.srv.cfg.NoEngineFallback,
 		TrustRegion:      s.srv.cfg.TrustRegion,
 		EditConeBudget:   s.srv.cfg.EditConeBudget,
@@ -362,8 +358,7 @@ func (s *session) handle(j *job) (rep jobReply) {
 
 func (s *session) handleBuild() jobReply {
 	if err := s.buildCore(); err != nil {
-		// Unknown circuit names, parse errors, bad engine names: all
-		// caller mistakes.
+		// Unknown circuit names and parse errors: caller mistakes.
 		return jobReply{http.StatusBadRequest, &ErrorBody{Code: CodeBadRequest, Message: err.Error()}}
 	}
 	s.srv.accountMem(s)
@@ -453,7 +448,7 @@ func (s *session) handleQuery(j *job) jobReply {
 
 	code, status := codeForSolveErr(err)
 	if code == CodeEngineFailed {
-		// The engine died and fallback was off (or exhausted): the warm
+		// The flow solve died and the rescue was off (or failed): the warm
 		// state is no longer trustworthy.  Quarantine; the next query
 		// rebuilds cold.
 		s.setQuarantined(true)

@@ -71,7 +71,7 @@ func TestServeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := core.NewEcoSession(eco, core.Options{FlowEngine: "ssp"})
+	cs, err := core.NewEcoSession(eco, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,8 @@ func TestServeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	drill := injectFaults(srv.Handler(), "drill")
+	hs := httptest.NewServer(drill)
 	defer hs.Close()
 
 	const (
@@ -249,15 +250,15 @@ func TestServeSoak(t *testing.T) {
 	}
 
 	// The fault drill runs beside the soak traffic: a dedicated
-	// session on the fault engine takes an injected panic, quarantines,
-	// and rebuilds — while every other session keeps answering.
+	// session takes an injected panic, quarantines, and rebuilds —
+	// while every other session keeps answering.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		ctx := context.Background()
 		c := NewClient(hs.URL, hs.Client())
 		submit := func() *SubmitResponse {
-			sub, err := c.Submit(ctx, &SubmitRequest{ID: "drill", Circuit: "adder16", FlowEngine: "fault"})
+			sub, err := c.Submit(ctx, &SubmitRequest{ID: "drill", Circuit: "adder16"})
 			if err != nil {
 				t.Errorf("drill submit: %v", err)
 				return nil
@@ -294,9 +295,9 @@ func TestServeSoak(t *testing.T) {
 		// panic may fire on a solve that answers 404 instead).
 		quarantined := false
 		for attempt := 0; attempt < 10 && !quarantined; attempt++ {
-			fault.SetPlan(fault.Plan{Mode: fault.Panic, Op: 20})
+			drill.set(fault.Plan{Mode: fault.Panic, Op: 20})
 			q, err := query(0.5 * sub.MinDelayPS)
-			fault.Reset()
+			drill.set(fault.Plan{})
 			if err != nil {
 				var apiErr *APIError
 				if !errors.As(err, &apiErr) || apiErr.Body.Code != CodeEngineFailed {
@@ -325,7 +326,6 @@ func TestServeSoak(t *testing.T) {
 	}()
 
 	wg.Wait()
-	fault.Reset()
 
 	// The process survived everything; check the drills actually ran.
 	c := NewClient(hs.URL, hs.Client())
@@ -367,7 +367,7 @@ func TestServeSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := core.NewEcoSession(teco, core.Options{FlowEngine: "ssp", NoEngineFallback: true})
+		twin, err := core.NewEcoSession(teco, core.Options{NoEngineFallback: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,8 +31,8 @@ const (
 	// CodeBudgetExhausted: the per-request wall-clock or flow-work
 	// budget ran out.  200 when a partial sizing exists, 504 otherwise.
 	CodeBudgetExhausted = "budget_exhausted"
-	// CodeEngineFailed: the flow engine crashed and the failure was
-	// not recovered; the session is quarantined and will be rebuilt
+	// CodeEngineFailed: a flow solve crashed and the failure was not
+	// recovered; the session is quarantined and will be rebuilt
 	// cold on its next query.  500.
 	CodeEngineFailed = "engine_failed"
 	// CodeInternal: any other server-side failure.  500.
@@ -56,13 +56,10 @@ type SubmitRequest struct {
 	Bench string `json:"bench,omitempty"`
 	// Name labels a Bench netlist (diagnostics only).
 	Name string `json:"name,omitempty"`
-	// FlowEngine pins the D-phase backend for this session ("" uses
-	// the server default; "auto" and the deprecated "dial" select
-	// "ssp").
-	FlowEngine string `json:"flow_engine,omitempty"`
-	// A "parallelism" key, the retired per-session worker budget, is
-	// accepted and ignored: decoding skips unknown fields, and every
-	// solve is serial.
+	// The retired keys "parallelism" (a per-session worker budget) and
+	// "flow_engine" (a D-phase backend name) are accepted and ignored:
+	// decoding skips unknown fields, every solve is serial, and every
+	// D-phase runs the one flow algorithm.
 }
 
 // SubmitResponse describes the created session.
@@ -229,7 +226,6 @@ type SessionInfo struct {
 	Edits       int64  `json:"edits"`
 	Queued      int    `json:"queued"`
 	Quarantined bool   `json:"quarantined"`
-	FlowEngine  string `json:"flow_engine,omitempty"`
 }
 
 // StatsResponse is the GET /stats body.

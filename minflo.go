@@ -56,7 +56,6 @@ import (
 	"minflo/internal/dag"
 	"minflo/internal/delay"
 	"minflo/internal/gen"
-	"minflo/internal/mcmf"
 	"minflo/internal/sta"
 	"minflo/internal/tech"
 	"minflo/internal/tilos"
@@ -162,8 +161,8 @@ var (
 	// ErrBudgetExhausted reports an exhausted Config.Budget or
 	// Config.FlowWorkBudget.
 	ErrBudgetExhausted = core.ErrBudgetExhausted
-	// ErrEngineFailed wraps a flow-engine failure the ssp fallback
-	// chain could not recover.
+	// ErrEngineFailed wraps a D-phase flow failure the heap rescue
+	// could not recover.
 	ErrEngineFailed = core.ErrEngineFailed
 )
 
@@ -185,15 +184,12 @@ type Config struct {
 	MaxIters int
 	// CostScale integerizes D-phase arc costs (default 1e6).
 	CostScale float64
-	// FlowEngine selects the D-phase min-cost-flow backend: "ssp"
-	// (successive shortest paths over Dial's bucket queue, with a heap
-	// fallback; the default, which ""/"auto" and the deprecated "dial"
-	// also select) or "costscaling" (Goldberg–Tarjan, serial
-	// discharge); see FlowEngines and EXPERIMENTS.md "One SSP engine".
-	// Every engine finds an equally optimal D-phase solution, and
-	// every run is deterministic.  Applies to every
-	// optimization the Sizer runs: Minflotransit, Sweep, RunTable and
-	// the transistor/wire variants.
+	// FlowEngine is ignored: every D-phase runs successive shortest
+	// paths over Dial's bucket queue (see EXPERIMENTS.md "One flow
+	// algorithm").
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	FlowEngine string
 	// Budget, when positive, bounds the wall clock of each
 	// optimization run: exceeding it returns the best sizing reached
@@ -204,9 +200,6 @@ type Config struct {
 	// the exhaustion behavior.
 	FlowWorkBudget int64
 }
-
-// FlowEngines lists the selectable D-phase flow backends.
-func FlowEngines() []string { return mcmf.EngineNames() }
 
 // Sizer runs the optimizers over circuits with fixed technology
 // parameters.
@@ -243,9 +236,6 @@ func NewSizer(cfg *Config) (*Sizer, error) {
 		return nil, fmt.Errorf("minflo: MaxIters %d must be ≥ 0", c.MaxIters)
 	case !(c.CostScale >= 0):
 		return nil, fmt.Errorf("minflo: CostScale %g must be ≥ 0", c.CostScale)
-	}
-	if _, err := core.ResolveFlowEngine(c.FlowEngine); err != nil {
-		return nil, err
 	}
 	m := delay.NewModel(c.Tech)
 	if c.POLoad > 0 {
@@ -341,7 +331,7 @@ func (s *Sizer) Minflotransit(c *Circuit, T float64) (*Sizing, error) {
 
 // MinflotransitCtx is Minflotransit with cancellation and budgets:
 // the context (and the Config.Budget deadline) is polled between D/W
-// iterations and inside the flow engines' augmentation loops, so even
+// iterations and inside the flow solver's augmentation loops, so even
 // a solver stuck deep in one min-cost-flow solve stops promptly.  A
 // run cut short still answers usefully when it can: the returned
 // Sizing holds the best feasible sizing reached before the abort (the
@@ -398,7 +388,6 @@ func (s *Sizer) coreOptions() core.Options {
 		Window:         s.cfg.Window,
 		MaxIters:       s.cfg.MaxIters,
 		CostScale:      s.cfg.CostScale,
-		FlowEngine:     s.cfg.FlowEngine,
 		Budget:         s.cfg.Budget,
 		FlowWorkBudget: s.cfg.FlowWorkBudget,
 		Tilos:          tilos.Options{Bump: s.cfg.TilosBump},

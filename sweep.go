@@ -30,9 +30,8 @@ type TradeoffPoint struct {
 // MINFLOTRANSIT per point — the harness behind Figure 7.  Points are
 // independent and run concurrently (the problem instance is read-only
 // during optimization); results are deterministic regardless of
-// scheduling.  The Sizer's FlowEngine config selects the D-phase flow
-// backend for every point (each point owns a private flow network, so
-// engine state is never shared across goroutines).
+// scheduling: each point owns a private flow network, so no solver
+// state is shared across goroutines.
 func (s *Sizer) Sweep(c *Circuit, fracs []float64) ([]TradeoffPoint, error) {
 	p, err := s.problem(c)
 	if err != nil {
