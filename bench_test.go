@@ -352,17 +352,22 @@ func BenchmarkSTA(b *testing.B) {
 }
 
 // BenchmarkTilos times one TILOS run from minimum sizes — the seed of
-// every cold MINFLOTRANSIT run and the Table-1 baseline — on c7552 at
-// its paper spec and on tree8192 at the scaling workload's 0.9·Dmin.
-// moves/op (tilos.Result.Moves) pins the greedy trajectory: a changed
-// move sequence moves it, and an allocation in the move loop scales
-// allocs/op with it.
+// every cold MINFLOTRANSIT run and the Table-1 baseline — at the paper
+// spec on c7552 and on adder256 and c6288, the rows where TILOS is
+// most of the Table-1 time, and on tree8192 at the scaling workload's
+// 0.9·Dmin.  moves/op (tilos.Result.Moves) pins the greedy trajectory:
+// a changed move sequence moves it, and an allocation in the move loop
+// scales allocs/op with it.  evals/op (tilos.Result.Evals) counts the
+// sensitivity evaluations, which the per-vertex cache keeps to what
+// each move changed.
 func BenchmarkTilos(b *testing.B) {
 	cases := []struct {
 		name string
 		mk   func() *Circuit
 		spec float64
 	}{
+		{"adder256", func() *Circuit { return gen.RippleAdder(256, gen.FABuffered) }, PaperSpec("adder256")},
+		{"c6288", gen.C6288, PaperSpec("c6288")},
 		{"c7552", gen.C7552, PaperSpec("c7552")},
 		{"tree8192", func() *Circuit { return gen.BalancedTree(1 << 13) }, 0.9},
 	}
@@ -385,6 +390,7 @@ func BenchmarkTilos(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(last.Moves), "moves/op")
+			b.ReportMetric(float64(last.Evals), "evals/op")
 		})
 	}
 }

@@ -38,9 +38,9 @@ func TestBenchDirGolden(t *testing.T) {
 	dir := filepath.Join("..", "..", "examples", "iscas85")
 	goldenPath := filepath.Join("testdata", "benchdir_golden.txt")
 
-	// The flow engine is left at the default: the golden table records
-	// one exact trajectory, so it also pins that the default selection
-	// is deterministic.
+	// The golden table records one exact trajectory per netlist: any
+	// change to a TILOS move, a D-phase flow or a W-phase step that
+	// moves an area or an iteration count shows up here.
 	sz, err := minflo.NewSizer(nil)
 	if err != nil {
 		t.Fatal(err)

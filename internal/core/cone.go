@@ -42,7 +42,7 @@ func (s *Session) resizeCone(seeds []int, T float64) (*Result, error) {
 	// sits at the seed (the common case after ApplyEdits' cone repair).
 	x := append([]float64(nil), s.seedX...)
 	s.sc.retime(p, x)
-	finish := append([]float64(nil), s.sc.arr.FinishSlice()...)
+	finish := s.sc.arr.AppendFinish(nil)
 
 	// Membership: forward cone of the edit, grown backward over the
 	// vertices the new target forces to speed up — freezing those out
@@ -79,7 +79,7 @@ func (s *Session) resizeCone(seeds []int, T float64) (*Result, error) {
 		// merged sizes; keep the refinement only when it is feasible and
 		// strictly cheaper.  Aborts surface with the pass-1 answer as
 		// the best-so-far partial, per the Resize contract.
-		finish2 := append([]float64(nil), s.sc.arr.FinishSlice()...)
+		finish2 := s.sc.arr.AppendFinish(nil)
 		// Membership is recomputed at the merged timing: the first pass
 		// may have exposed macroscopic slack in a region it could not
 		// touch, and the freed-slack recruitment only sees that region

@@ -208,7 +208,7 @@ func (p *Problem) WidenMembers(members []int) []int {
 
 // ExtractCone builds the cone-scoped subproblem over members (as
 // returned by ConeMembers or WidenMembers) at frozen sizes x, frozen
-// full-graph finish times (sta.Arrivals.FinishSlice), and critical-path
+// full-graph finish times (sta.Arrivals.AppendFinish), and critical-path
 // target T.  The construction is a pure function of its arguments —
 // ascending orders throughout — so replay determinism is preserved.
 func (p *Problem) ExtractCone(members []int, x, finish []float64, T float64) (*Cone, error) {

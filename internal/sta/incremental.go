@@ -6,16 +6,23 @@
 // target check uses CP, path extraction uses AT, and sensitivities are
 // local.
 //
-// The worklist is a bitset over topological positions swept upward, so
-// a move costs no heap operations.  While no delay is negative, finish
-// never drops along an edge: CP scans only the fanout-free vertices,
-// and the critical path's end is found by a backward search from them.
-// Cone subproblems carry negative pad delays and take full scans.
+// Every per-vertex array — delays, arrivals, finish times and the
+// fanin/fanout adjacency, whose entries are positions too — is stored
+// by topological position, not by vertex id.  The worklist is a bitset
+// over positions swept upward, so a move costs no heap operations and
+// marks fanouts straight into the bitset.  Vertex ids appear only at
+// the API edge: SetDelays' and Reseed's inputs, AppendCriticalPath's
+// and AppendFinish's outputs, and criticalEnd's lowest-numbered-vertex
+// rule.  While no delay is negative, finish never drops along an edge:
+// CP scans only the fanout-free vertices, and the critical path's end
+// is found by a backward search from them.  Cone subproblems carry
+// negative pad delays and take full scans.
 package sta
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"minflo/internal/graph"
 )
@@ -23,22 +30,23 @@ import (
 // Arrivals tracks arrival times under point updates to vertex delays.
 type Arrivals struct {
 	g      *graph.Digraph
-	d      []float64
+	d      []float64 // by topological position, as are at and finish
 	at     []float64
 	finish []float64 // at + d
 	pos    []int     // topological position per vertex
 	order  []int     // vertex per topological position
-	sinks  []int     // vertices without fanouts, ascending
+	sinks  []int     // positions of the vertices without fanouts
 	neg    int       // number of entries of d that are negative or NaN
 
-	// Flattened CSR adjacency (avoids edge-struct copies on the hot
-	// path and per-vertex slice growth at construction): the fanins of
-	// v are predIdx[predPtr[v]:predPtr[v+1]], fanouts likewise.
+	// Flattened CSR adjacency over positions (avoids edge-struct copies
+	// on the hot path and per-vertex slice growth at construction): the
+	// fanins of position i are predIdx[predPtr[i]:predPtr[i+1]], in the
+	// vertex's g.In order, fanouts likewise.
 	predPtr, predIdx []int32
 	succPtr, succIdx []int32
 
-	pending []uint64 // SetDelays worklist: bit i marks order[i]
-	seen    []int    // criticalEnd's visit list
+	pending []uint64 // SetDelays worklist: bit i marks position i
+	seen    []int    // criticalEnd's visit list (positions)
 }
 
 // NewArrivals runs the initial forward pass.
@@ -58,8 +66,14 @@ func NewArrivals(g *graph.Digraph, d []float64) (*Arrivals, error) {
 		finish:  make([]float64, n),
 		pos:     make([]int, n),
 		order:   order,
-		sinks:   g.Sinks(),
 		pending: make([]uint64, (n+63)/64),
+	}
+	for i, v := range order {
+		a.pos[v] = i
+	}
+	a.sinks = g.Sinks()
+	for i, v := range a.sinks {
+		a.sinks[i] = a.pos[v]
 	}
 	// CSR adjacency by counting sort over the edge list; iterating
 	// edges in insertion order lands each vertex's neighbours in the
@@ -68,52 +82,56 @@ func NewArrivals(g *graph.Digraph, d []float64) (*Arrivals, error) {
 	a.predPtr = make([]int32, n+1)
 	a.succPtr = make([]int32, n+1)
 	for i := range edges {
-		a.predPtr[edges[i].To+1]++
-		a.succPtr[edges[i].From+1]++
+		a.predPtr[a.pos[edges[i].To]+1]++
+		a.succPtr[a.pos[edges[i].From]+1]++
 	}
-	for v := 0; v < n; v++ {
-		a.predPtr[v+1] += a.predPtr[v]
-		a.succPtr[v+1] += a.succPtr[v]
+	for i := 0; i < n; i++ {
+		a.predPtr[i+1] += a.predPtr[i]
+		a.succPtr[i+1] += a.succPtr[i]
 	}
 	a.predIdx = make([]int32, len(edges))
 	a.succIdx = make([]int32, len(edges))
 	pc := append([]int32(nil), a.predPtr[:n]...)
 	sc := append([]int32(nil), a.succPtr[:n]...)
 	for i := range edges {
-		e := &edges[i]
-		a.predIdx[pc[e.To]] = int32(e.From)
-		pc[e.To]++
-		a.succIdx[sc[e.From]] = int32(e.To)
-		sc[e.From]++
-	}
-	for i, v := range order {
-		a.pos[v] = i
+		from, to := int32(a.pos[edges[i].From]), int32(a.pos[edges[i].To])
+		a.predIdx[pc[to]] = from
+		pc[to]++
+		a.succIdx[sc[from]] = to
+		sc[from]++
 	}
 	return a, a.Reseed(d)
 }
 
-// Reseed replaces every vertex delay with d and recomputes the full
-// forward pass in place — the bulk form of SetDelays for callers that
-// jump the engine to an externally-seeded sizing (a warm session
-// restarting from a previous optimum) without rebuilding the engine.
-// The resulting arrival state is bit-identical to NewArrivals(g, d).
+// Reseed replaces every vertex delay with d (indexed by vertex) and
+// recomputes the full forward pass in place — the bulk form of
+// SetDelays for callers that jump the engine to an externally-seeded
+// sizing (a warm session restarting from a previous optimum) without
+// rebuilding the engine.  The resulting arrival state is bit-identical
+// to NewArrivals(g, d).
 func (a *Arrivals) Reseed(d []float64) error {
 	if len(d) != a.g.N() {
 		return fmt.Errorf("sta: Reseed delay vector length %d != %d vertices", len(d), a.g.N())
 	}
 	for v, dv := range d {
-		a.setDelay(v, dv)
+		a.setDelay(a.pos[v], dv)
 	}
-	for _, v := range a.order {
-		a.recompute(v)
+	for i := range a.order {
+		a.recompute(i)
 	}
 	return nil
 }
 
-// FinishSlice exposes the finish array AT+delay (read-only for
-// callers) — the arrival a fanout of v sees.  Cone extraction freezes
-// these as boundary arrivals.
-func (a *Arrivals) FinishSlice() []float64 { return a.finish }
+// AppendFinish appends the finish times AT+delay, in vertex order, to
+// dst and returns it — the arrival a fanout of each vertex sees.  Cone
+// extraction freezes these as boundary arrivals.
+func (a *Arrivals) AppendFinish(dst []float64) []float64 {
+	dst = slices.Grow(dst, len(a.pos))
+	for _, i := range a.pos {
+		dst = append(dst, a.finish[i])
+	}
+	return dst
+}
 
 // CP returns the critical-path delay max(AT+delay), or 0 when every
 // finish time is negative.
@@ -127,38 +145,39 @@ func (a *Arrivals) CP() float64 {
 		}
 		return best
 	}
-	for _, v := range a.sinks {
-		if f := a.finish[v]; f > best {
+	for _, i := range a.sinks {
+		if f := a.finish[i]; f > best {
 			best = f
 		}
 	}
 	return best
 }
 
-// setDelay stores v's delay and keeps the negative-delay count.
-func (a *Arrivals) setDelay(v int, dv float64) {
-	if !(a.d[v] >= 0) {
+// setDelay stores position i's delay and keeps the negative-delay
+// count.
+func (a *Arrivals) setDelay(i int, dv float64) {
+	if !(a.d[i] >= 0) {
 		a.neg--
 	}
 	if !(dv >= 0) {
 		a.neg++
 	}
-	a.d[v] = dv
+	a.d[i] = dv
 }
 
-// recompute refreshes at/finish for v from its fanins and reports
-// whether v's finish time changed.
-func (a *Arrivals) recompute(v int) bool {
+// recompute refreshes at/finish at position i from its fanins and
+// reports whether its finish time changed.
+func (a *Arrivals) recompute(i int) bool {
 	at := 0.0
-	for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
+	for _, u := range a.predIdx[a.predPtr[i]:a.predPtr[i+1]] {
 		if f := a.finish[u]; f > at {
 			at = f
 		}
 	}
-	old := a.finish[v]
-	a.at[v] = at
-	a.finish[v] = at + a.d[v]
-	return a.finish[v] != old
+	old := a.finish[i]
+	a.at[i] = at
+	a.finish[i] = at + a.d[i]
+	return a.finish[i] != old
 }
 
 // SetDelays updates the delays of the listed vertices and repropagates
@@ -167,28 +186,27 @@ func (a *Arrivals) recompute(v int) bool {
 // once, after all of its changed fanins.
 func (a *Arrivals) SetDelays(vs []int, newD []float64) {
 	lo, hi := len(a.pending), -1
-	mark := func(v int) {
-		p := a.pos[v]
-		w := p >> 6
-		a.pending[w] |= 1 << (p & 63)
-		lo, hi = min(lo, w), max(hi, w)
-	}
-	for i, v := range vs {
-		if a.d[v] == newD[i] {
+	for k, v := range vs {
+		i := a.pos[v]
+		if a.d[i] == newD[k] {
 			continue
 		}
-		a.setDelay(v, newD[i])
-		mark(v)
+		a.setDelay(i, newD[k])
+		w := i >> 6
+		a.pending[w] |= 1 << (i & 63)
+		lo, hi = min(lo, w), max(hi, w)
 	}
 	for w := lo; w <= hi; w++ {
 		for a.pending[w] != 0 {
 			b := bits.TrailingZeros64(a.pending[w])
 			a.pending[w] &^= 1 << b
-			v := a.order[w<<6|b]
-			if a.recompute(v) {
-				for _, s := range a.succIdx[a.succPtr[v]:a.succPtr[v+1]] {
-					mark(int(s))
-				}
+			i := w<<6 | b
+			if !a.recompute(i) {
+				continue
+			}
+			for _, s := range a.succIdx[a.succPtr[i]:a.succPtr[i+1]] {
+				a.pending[s>>6] |= 1 << (s & 63)
+				hi = max(hi, int(s>>6))
 			}
 		}
 	}
@@ -205,16 +223,16 @@ func (a *Arrivals) AppendCriticalPath(dst []int) []int {
 	}
 	base := len(dst)
 	rev := dst
-	for v := end; v >= 0; {
-		rev = append(rev, v)
+	for i := a.pos[end]; i >= 0; {
+		rev = append(rev, a.order[i])
 		next := -1
-		for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
-			if a.finish[u] >= a.at[v]-1e-12 {
+		for _, u := range a.predIdx[a.predPtr[i]:a.predPtr[i+1]] {
+			if a.finish[u] >= a.at[i]-1e-12 {
 				next = int(u)
 				break
 			}
 		}
-		v = next
+		i = next
 	}
 	for i, j := base, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -229,36 +247,35 @@ func (a *Arrivals) AppendCriticalPath(dst []int) []int {
 // worklist bitset, instead of over every vertex.
 func (a *Arrivals) criticalEnd(thr float64) int {
 	if a.neg > 0 {
-		for v, f := range a.finish {
-			if f >= thr {
+		for v, i := range a.pos {
+			if a.finish[i] >= thr {
 				return v
 			}
 		}
 		return -1
 	}
 	seen := a.seen[:0]
-	visit := func(v int) {
-		p := a.pos[v]
-		if a.finish[v] >= thr && a.pending[p>>6]&(1<<(p&63)) == 0 {
-			a.pending[p>>6] |= 1 << (p & 63)
-			seen = append(seen, v)
+	visit := func(i int) {
+		if a.finish[i] >= thr && a.pending[i>>6]&(1<<(i&63)) == 0 {
+			a.pending[i>>6] |= 1 << (i & 63)
+			seen = append(seen, i)
 		}
 	}
-	for _, v := range a.sinks {
-		visit(v)
+	for _, i := range a.sinks {
+		visit(i)
 	}
 	end := -1
-	for i := 0; i < len(seen); i++ {
-		v := seen[i]
-		if end == -1 || v < end {
+	for k := 0; k < len(seen); k++ {
+		i := seen[k]
+		if v := a.order[i]; end == -1 || v < end {
 			end = v
 		}
-		for _, u := range a.predIdx[a.predPtr[v]:a.predPtr[v+1]] {
+		for _, u := range a.predIdx[a.predPtr[i]:a.predPtr[i+1]] {
 			visit(int(u))
 		}
 	}
-	for _, v := range seen {
-		a.pending[a.pos[v]>>6] = 0
+	for _, i := range seen {
+		a.pending[i>>6] = 0
 	}
 	a.seen = seen
 	return end

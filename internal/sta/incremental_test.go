@@ -18,8 +18,8 @@ func TestArrivalsMatchesAnalyzeInitially(t *testing.T) {
 	}
 	tm, _ := Analyze(g, d)
 	for v := 0; v < g.N(); v++ {
-		if a.at[v] != tm.AT[v] {
-			t.Fatalf("AT(%d) = %g, want %g", v, a.at[v], tm.AT[v])
+		if at := a.at[a.pos[v]]; at != tm.AT[v] {
+			t.Fatalf("AT(%d) = %g, want %g", v, at, tm.AT[v])
 		}
 	}
 	if a.CP() != tm.CP {
@@ -35,8 +35,8 @@ func TestArrivalsPointUpdate(t *testing.T) {
 	d[1] = 1
 	tm, _ := Analyze(g, d)
 	for v := 0; v < g.N(); v++ {
-		if a.at[v] != tm.AT[v] {
-			t.Fatalf("after update AT(%d) = %g, want %g", v, a.at[v], tm.AT[v])
+		if at := a.at[a.pos[v]]; at != tm.AT[v] {
+			t.Fatalf("after update AT(%d) = %g, want %g", v, at, tm.AT[v])
 		}
 	}
 	if a.CP() != tm.CP {
@@ -60,25 +60,45 @@ func TestArrivalsCycle(t *testing.T) {
 	}
 }
 
+// vertexDelays returns a's delays in vertex order (the engine stores
+// them by topological position).
+func vertexDelays(a *Arrivals) []float64 {
+	d := make([]float64, len(a.d))
+	for v, i := range a.pos {
+		d[v] = a.d[i]
+	}
+	return d
+}
+
 // sameArrivals reports the first difference between the incremental
 // state a and a fresh NewArrivals over the same delays, comparing AT,
-// finish and CP bit for bit, CP against a full scan of finish, and
-// the critical path's end against the first vertex attaining CP.
+// finish and CP bit for bit, CP against a full scan of finish, the
+// critical path's end against the first vertex attaining CP, and the
+// vertex-order AppendFinish against the position-ordered finish.
 func sameArrivals(a *Arrivals) error {
-	fresh, err := NewArrivals(a.g, a.d)
+	fresh, err := NewArrivals(a.g, vertexDelays(a))
 	if err != nil {
 		return err
 	}
-	for v := range a.d {
-		if math.Float64bits(a.at[v]) != math.Float64bits(fresh.at[v]) {
-			return fmt.Errorf("AT(%d) = %v, fresh %v", v, a.at[v], fresh.at[v])
+	for v, i := range a.pos {
+		if fi := fresh.pos[v]; fi != i {
+			return fmt.Errorf("vertex %d at position %d, fresh %d", v, i, fi)
 		}
-		if math.Float64bits(a.finish[v]) != math.Float64bits(fresh.finish[v]) {
-			return fmt.Errorf("finish(%d) = %v, fresh %v", v, a.finish[v], fresh.finish[v])
+		if math.Float64bits(a.at[i]) != math.Float64bits(fresh.at[i]) {
+			return fmt.Errorf("AT(%d) = %v, fresh %v", v, a.at[i], fresh.at[i])
+		}
+		if math.Float64bits(a.finish[i]) != math.Float64bits(fresh.finish[i]) {
+			return fmt.Errorf("finish(%d) = %v, fresh %v", v, a.finish[i], fresh.finish[i])
+		}
+	}
+	finish := a.AppendFinish(nil)
+	for v, f := range finish {
+		if math.Float64bits(f) != math.Float64bits(a.finish[a.pos[v]]) {
+			return fmt.Errorf("AppendFinish(%d) = %v, engine %v", v, f, a.finish[a.pos[v]])
 		}
 	}
 	full := 0.0
-	for _, f := range a.finish {
+	for _, f := range finish {
 		if f > full {
 			full = f
 		}
@@ -88,7 +108,7 @@ func sameArrivals(a *Arrivals) error {
 		return fmt.Errorf("CP = %v, fresh %v, full scan %v", cp, fcp, full)
 	}
 	end := -1
-	for v, f := range a.finish {
+	for v, f := range finish {
 		if f >= cp-1e-12 {
 			end = v
 			break
@@ -140,7 +160,7 @@ func TestQuickIncrementalMatchesFull(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				// Every vertex, most of them unchanged.
 				vs = all
-				nd = append([]float64(nil), a.d...)
+				nd = vertexDelays(a)
 				for i := range nd {
 					if rng.Intn(3) == 0 {
 						nd[i] = delay()

@@ -7,6 +7,11 @@
 // reduction per unit area) of bumping that vertex's size by a constant
 // factor (1.1 in the paper), applies the single best bump, and repeats
 // until the timing target is met or no bump helps.
+//
+// A move costs what it changes, not the path's length in
+// sensitivities: each vertex's sensitivity is cached with the path
+// predecessor it was computed for, and a bump marks stale only the
+// entries whose inputs it touched (see run).
 package tilos
 
 import (
@@ -34,6 +39,7 @@ type Result struct {
 	CP    float64
 	Area  float64
 	Moves int
+	Evals int // sensitivity evaluations (cache misses) over all moves
 }
 
 // Size runs TILOS on problem p toward critical-path target t, starting
@@ -92,8 +98,31 @@ func prepare(p *dag.Problem, x0 []float64, opt Options) (Options, []float64, err
 	return opt, x, nil
 }
 
+// stale is the cache key of an entry that must be recomputed: it
+// matches no path predecessor (a vertex id, or -1 for none).
+const stale = -2
+
+// sensEntry caches one vertex's sensitivity and the path predecessor
+// it was computed for.
+type sensEntry struct {
+	sens float64
+	key  int32
+}
+
 // run is the shared greedy loop: arr must already hold the arrival
 // state of sizes x.
+//
+// A vertex's sensitivity reads only x[v], the sizes in v's delay row
+// (its load) and, through the path predecessor u's load term, x[u] and
+// u's coefficient on v.  So the loop caches it per vertex, keyed by
+// the predecessor it was computed for (-1 at the path start or behind
+// an unsizable vertex, whose load term TILOS ignores), and recomputes
+// an entry only when its key differs from v's current predecessor.  A
+// bump at b marks stale exactly the entries that read x[b]: b itself,
+// the rows of csr.Incoming(b) (their load mentions x_b), and the
+// columns of csr.Row(b) (their load term when b precedes them).  The
+// argmax walks the path in order with the full sweep's first-wins
+// comparison, so the trajectory is the full sweep's bit for bit.
 func run(p *dag.Problem, t float64, x []float64, opt Options, arr *sta.Arrivals) (*Result, error) {
 	// The CSR transpose gives, per vertex v, the vertices whose delay
 	// mentions x_v (the coefficient coupling, NOT graph adjacency: at
@@ -104,45 +133,37 @@ func run(p *dag.Problem, t float64, x []float64, opt Options, arr *sta.Arrivals)
 	changed := make([]int, 0, 8)
 	newDelays := make([]float64, 0, 8)
 	var path []int // reused across moves
+	cache := make([]sensEntry, p.NumSizable)
+	for i := range cache {
+		cache[i].key = stale
+	}
 
-	moves := 0
+	moves, evals := 0, 0
 	for {
 		cp := arr.CP()
 		if cp <= t {
-			return &Result{X: x, CP: cp, Area: p.Area(x), Moves: moves}, nil
+			return &Result{X: x, CP: cp, Area: p.Area(x), Moves: moves, Evals: evals}, nil
 		}
 		if moves >= opt.MaxMoves {
 			return nil, fmt.Errorf("%w: move budget exhausted at CP %g (target %g)", ErrInfeasible, cp, t)
 		}
 		path = arr.AppendCriticalPath(path[:0])
 		best, bestSens := -1, 0.0
-		for pi, v := range path {
-			if v >= p.NumSizable || x[v] >= p.MaxSize {
-				continue
-			}
-			nx := x[v] * opt.Bump
-			if nx > p.MaxSize {
-				nx = p.MaxSize
-			}
-			// Delay change along the critical path: own delay improves
-			// (stronger drive), the path predecessor's worsens (heavier
-			// load).  As in TILOS, off-path fanins are ignored — the
-			// next iteration's timing pass accounts for any new critical
-			// path.
-			delta := deltaOwn(csr, x, v, nx)
-			if pi > 0 {
-				if u := path[pi-1]; u < p.NumSizable {
-					delta += deltaLoad(csr, x, u, v, nx)
+		u := -1
+		for _, v := range path {
+			if v < p.NumSizable {
+				e := &cache[v]
+				if int(e.key) != u {
+					e.sens, e.key = entry(p, csr, x, opt.Bump, u, v), int32(u)
+					evals++
 				}
-			}
-			dArea := p.AreaW[v] * (nx - x[v])
-			if dArea <= 0 {
-				continue
-			}
-			sens := -delta / dArea
-			if sens > bestSens {
-				bestSens = sens
-				best = v
+				if e.sens > bestSens {
+					bestSens = e.sens
+					best = v
+				}
+				u = v
+			} else {
+				u = -1
 			}
 		}
 		if best == -1 {
@@ -158,13 +179,46 @@ func run(p *dag.Problem, t float64, x []float64, opt Options, arr *sta.Arrivals)
 		// the delay of every vertex whose load mentions x_best.
 		changed = append(changed[:0], best)
 		newDelays = append(newDelays[:0], csr.Delay(best, x[best], x))
+		cache[best].key = stale
 		rows, _ := csr.Incoming(best)
-		for _, u := range rows {
-			changed = append(changed, int(u))
-			newDelays = append(newDelays, csr.Delay(int(u), x[u], x))
+		for _, r := range rows {
+			changed = append(changed, int(r))
+			newDelays = append(newDelays, csr.Delay(int(r), x[r], x))
+			cache[r].key = stale
+		}
+		cols, _ := csr.Row(best)
+		for _, c := range cols {
+			cache[c].key = stale
 		}
 		arr.SetDelays(changed, newDelays)
 	}
+}
+
+// entry returns the sensitivity -Δdelay/Δarea of bumping sizable
+// vertex v whose path predecessor is the sizable vertex u (-1 for
+// none), or 0 — which never beats the loop's initial best — when v
+// cannot grow.
+func entry(p *dag.Problem, csr *delay.CSR, x []float64, bump float64, u, v int) float64 {
+	if x[v] >= p.MaxSize {
+		return 0
+	}
+	nx := x[v] * bump
+	if nx > p.MaxSize {
+		nx = p.MaxSize
+	}
+	// Delay change along the critical path: own delay improves
+	// (stronger drive), the path predecessor's worsens (heavier load).
+	// As in TILOS, off-path fanins are ignored — the next move's timing
+	// pass accounts for any new critical path.
+	delta := deltaOwn(csr, x, v, nx)
+	if u >= 0 {
+		delta += deltaLoad(csr, x, u, v, nx)
+	}
+	dArea := p.AreaW[v] * (nx - x[v])
+	if dArea <= 0 {
+		return 0
+	}
+	return -delta / dArea
 }
 
 // deltaOwn returns delay(v) at size nx minus delay(v) at x[v].
