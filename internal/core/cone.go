@@ -103,12 +103,69 @@ func (s *Session) resizeCone(seeds []int, T float64) (*Result, error) {
 
 // coneAttempt extracts, solves and reconciles one cone.  On success the
 // returned Result is in full-problem coordinates (merged sizes,
-// full-graph CP and area).  errConeBoundary asks for a widened retry,
-// errSeedRejected for the full warm fallback; abort errors return the
-// merged best-so-far as a partial Result per the Resize contract.
+// full-graph CP and area) and the arrival engine sits at its sizes.
+// errConeBoundary asks for a widened retry, errSeedRejected for the
+// full warm fallback; abort errors return the merged best-so-far as a
+// partial Result per the Resize contract.
 func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64) (*Result, error) {
+	out, err := s.coneSolve(members, xFull, finish, T)
+	if err != nil || out.CP <= T*(1+1e-9) {
+		return out, err
+	}
+	if out.CP > T*(1+coneDriftTol) {
+		// A real miss — typically the cone slowed a gate whose arrival
+		// a re-entrant out-of-cone path depends on, beyond what the
+		// frozen virtual-PI arrivals promised.  Patching it with greedy
+		// full-graph TILOS bumps costs measurably more area than a
+		// wider cone's balanced answer: escalate.
+		return nil, errConeBoundary
+	}
+	// Micro-drift: re-sized ring gates perturbed out-of-cone rows
+	// coupled to them (delay(i) includes a_ij·x_j for in-cone fanouts
+	// j), so the full graph lands a hair past T even though the cone
+	// met its own target.  First re-solve the cone against a target
+	// shaved by twice the drift, which absorbs it at the price of the
+	// drift's own worth of slack.  A TILOS bump is a whole size step:
+	// on a deep mesh two of them overshot by 0.05% of T, slack no later
+	// cone answer sold, and the next edit's freed-slack recruitment
+	// then took the whole circuit.
+	shaved, serr := s.coneSolve(members, xFull, finish, T-2*(out.CP-T))
+	if serr != nil && (isAbortErr(serr) || errors.Is(serr, ErrEngineFailed)) {
+		return shaved, serr
+	}
+	if serr == nil && shaved.CP <= T*(1+1e-9) {
+		shaved.Iterations += out.Iterations
+		return shaved, nil
+	}
+	if shaved != nil {
+		out.Iterations += shaved.Iterations
+	}
+	// Repair with TILOS moves from the merged sizes — the same
+	// deterministic repair a violating warm seed gets — and escalate
+	// only if even that misses.
+	xm := out.X
+	s.sc.retime(s.p, xm)
+	tr, terr := tilos.SizeWith(s.p, T, xm, s.opt.Tilos, s.sc.arr, s.sc.dBase)
+	if terr != nil {
+		return nil, errConeBoundary
+	}
+	out.X = tr.X
+	out.CP = s.sc.retime(s.p, out.X)
+	out.Area = s.p.Area(out.X)
+	if out.CP > T*(1+1e-9) {
+		return nil, errConeBoundary
+	}
+	return out, nil
+}
+
+// coneSolve extracts the cone against target Tc, solves it warm from
+// the resident sizing, merges the answer and re-times the full graph
+// at the merged sizes (the arrival engine stays there).
+// errSeedRejected asks for the full warm fallback; abort errors return
+// the merged best-so-far as a partial Result.
+func (s *Session) coneSolve(members []int, xFull, finish []float64, Tc float64) (*Result, error) {
 	p := s.p
-	cone, err := p.ExtractCone(members, xFull, finish, T)
+	cone, err := p.ExtractCone(members, xFull, finish, Tc)
 	if err != nil {
 		return nil, errSeedRejected
 	}
@@ -122,7 +179,7 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	// the same target — and the parent's EWMA so the blowout gate
 	// judges the cone against the session's usual iteration counts.
 	copy(sub.seedX, cone.SeedSizes(xFull))
-	sub.seedT = T
+	sub.seedT = Tc
 	sub.seedValid = true
 	// The edit's perturbation (folded into the parent's trust-region
 	// ledger by ApplyEdits) sizes the sub-solve's budget window: with it
@@ -136,7 +193,7 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	sub.sc.ctx = s.sc.ctx
 	sub.sc.deadline = s.sc.deadline
 
-	subRes, serr := sub.resizeSeeded(T)
+	subRes, serr := sub.resizeSeeded(Tc)
 	if serr != nil && !isAbortErr(serr) && !errors.Is(serr, ErrEngineFailed) {
 		// errSeedRejected or a numerical corner: the cone could not
 		// refine from the resident sizing.
@@ -168,34 +225,6 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 		// answer with the typed error, per the Resize contract.
 		out.Partial = true
 		return out, serr
-	}
-	if cp > T*(1+1e-9) {
-		if cp > T*(1+coneDriftTol) {
-			// A real miss — typically the cone slowed a gate whose
-			// arrival a re-entrant out-of-cone path depends on, beyond
-			// what the frozen virtual-PI arrivals promised.  Patching it
-			// with greedy full-graph TILOS bumps costs measurably more
-			// area than a wider cone's balanced answer: escalate.
-			return nil, errConeBoundary
-		}
-		// Micro-drift: re-sized ring gates perturbed out-of-cone rows
-		// coupled to them (delay(i) includes a_ij·x_j for in-cone
-		// fanouts j), so the full graph lands a hair past T even though
-		// the cone met its own target.  Repair with TILOS moves from the
-		// merged sizes — the same deterministic repair a violating warm
-		// seed gets — and escalate only if even that misses.
-		tr, terr := tilos.SizeWith(p, T, xm, s.opt.Tilos, s.sc.arr, s.sc.dBase)
-		if terr != nil {
-			return nil, errConeBoundary
-		}
-		xm = tr.X
-		cp = s.sc.retime(p, xm)
-		out.X = xm
-		out.Area = p.Area(xm)
-		out.CP = cp
-		if cp > T*(1+1e-9) {
-			return nil, errConeBoundary
-		}
 	}
 	return out, nil
 }

@@ -207,7 +207,7 @@ func isSemanticErr(err error) bool {
 // capacities, supplies and the routed snapshot are never mutated
 // mid-solve and need no copy.
 type attemptState struct {
-	caps                          []int64 // residual capacity per residual arc
+	caps                          []int64 // residual capacity per residual arc; layoutArcs borrows it
 	pot                           []int64
 	skip, skipLen                 int // the search's heap back-off
 	solved, repairable, flowDirty bool
@@ -225,11 +225,13 @@ func (s *Solver) beginAttempt() {
 	for i := range s.arcs {
 		a.caps[i] = s.arcs[i].cap
 	}
-	if cap(a.pot) < len(s.pot) {
-		a.pot = make([]int64, len(s.pot))
+	if cap(a.pot) < len(s.node) {
+		a.pot = make([]int64, len(s.node))
 	}
-	a.pot = a.pot[:len(s.pot)]
-	copy(a.pot, s.pot)
+	a.pot = a.pot[:len(s.node)]
+	for v := range a.pot {
+		a.pot[v] = s.node[v].pot
+	}
 	a.skip, a.skipLen = s.ss.skip, s.ss.skipLen
 	a.solved, a.repairable, a.flowDirty = s.solved, s.repairable, s.flowDirty
 	a.valid = true
@@ -245,9 +247,8 @@ func (s *Solver) restoreAttempt() {
 	for i := range a.caps {
 		s.arcs[i].cap = a.caps[i]
 	}
-	copy(s.pot, a.pot)
-	for i := len(a.pot); i < len(s.pot); i++ {
-		s.pot[i] = 0
+	for v, p := range a.pot {
+		s.node[v].pot = p
 	}
 	s.ss.skip, s.ss.skipLen = a.skip, a.skipLen
 	s.solved, s.repairable, s.flowDirty = a.solved, a.repairable, a.flowDirty
@@ -259,6 +260,9 @@ func (s *Solver) restoreAttempt() {
 // error, and rescue a failure when enabled by re-running the attempt
 // on the heap search.
 func (s *Solver) runEngine(changed []int32, resolve bool) (float64, error) {
+	// Lay out a changed topology before the snapshot, which records
+	// residual capacities by arc position.
+	s.prepare()
 	guard := s.armed || s.fallbackOn
 	if guard {
 		s.beginAttempt()

@@ -150,9 +150,8 @@ func freshTwin(s *Solver) *Solver {
 		f.SetSupply(v, s.Supply(v))
 	}
 	for id := 0; id < s.NumArcs(); id++ {
-		u := int(s.arcs[2*id+1].to)
-		v := int(s.arcs[2*id].to)
-		f.AddArc(u, v, s.Capacity(id), s.Cost(id))
+		fwd, rev := s.pair(id)
+		f.AddArc(int(rev.to), int(fwd.to), s.Capacity(id), s.Cost(id))
 	}
 	return f
 }

@@ -84,7 +84,7 @@ func refineSerial(s *Solver, sc *scalingState, excess []int64, st *Stats) error 
 				sc.cur[v] = s.csrStart[v]
 				continue
 			}
-			ai := s.csrArc[sc.cur[v]]
+			ai := sc.cur[v]
 			a := &s.arcs[ai]
 			if a.cap > 0 && sc.cost[ai]+sc.pot[v]-sc.pot[a.to] < 0 {
 				amt := excess[v]
@@ -94,7 +94,7 @@ func refineSerial(s *Solver, sc *scalingState, excess []int64, st *Stats) error 
 				excess[v] -= amt
 				excess[a.to] += amt
 				a.cap -= amt
-				s.arcs[ai^1].cap += amt
+				s.arcs[a.rev].cap += amt
 				if to := a.to; !sc.inActive[to] && excess[to] > 0 {
 					sc.inActive[to] = true
 					active = append(active, to)

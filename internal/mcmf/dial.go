@@ -28,6 +28,11 @@
 // of indices into one pool of (node, next) entries that the search
 // appends to and the next search truncates, so the queue's memory is
 // the largest search's push count, not a per-bucket high-water mark.
+//
+// A relaxation reads the popped node's arcs, which lie contiguously in
+// Solver.arcs (grouped by tail), then the head's node record, which
+// holds its potential next to its search state (search.go); it records
+// the tree arc as its position in Solver.arcs.
 package mcmf
 
 import "math/bits"
@@ -140,10 +145,10 @@ func (s *Solver) shortestPath(srcs []int32, excess []int64, st *Stats) (int32, i
 func (s *Solver) bucketSearch(srcs []int32, excess []int64) (target int32, dt int64, ok bool) {
 	sc := &s.ss
 	q := &sc.q
-	sc.begin()
+	s.beginSearch()
 	for _, src := range srcs {
-		sc.touch(src)
-		sc.dist[src] = 0
+		s.touch(src)
+		s.node[src].dist = 0
 		q.push(0, src)
 	}
 	q.ovMin = inf
@@ -186,30 +191,34 @@ func (s *Solver) bucketSearch(srcs []int32, excess []int64) (target int32, dt in
 		for k := q.head[i]; k >= 0; k = q.pool[k].next {
 			u := q.pool[k].v
 			q.pending--
-			if sc.dist[u] != d {
+			nu := &s.node[u]
+			if nu.dist != d {
 				continue // stale entry (node improved to a smaller distance)
 			}
 			if excess[u] < 0 {
 				q.flush()
 				return u, d, true
 			}
-			pu := s.pot[u]
-			for _, ai := range s.arcsOf(int(u)) {
-				a := &s.arcs[ai]
+			pu := nu.pot
+			base := s.csrStart[u]
+			out := s.arcsOf(int(u))
+			for k := range out {
+				a := &out[k]
 				if a.cap <= 0 {
 					continue
 				}
 				v := a.to
-				rc := a.cost + pu - s.pot[v]
+				nv := &s.node[v]
+				rc := a.cost + pu - nv.pot
 				if rc < 0 {
 					rc = 0 // see dijkstraHeap: tie artifacts after early exit
 				}
-				if sc.stamp[v] != sc.epoch {
-					sc.touch(v)
+				if nv.stamp != sc.epoch {
+					s.touch(v)
 				}
-				if nd := d + rc; nd < sc.dist[v] {
-					sc.dist[v] = nd
-					sc.prevArc[v] = ai
+				if nd := d + rc; nd < nv.dist {
+					nv.dist = nd
+					nv.prev = base + int32(k)
 					if nd-d < dialRing {
 						q.push(nd, v)
 					} else {
@@ -238,7 +247,7 @@ func (q *bucketQueue) mergeOverflow(s *Solver, base int64) int64 {
 	kept := q.overflow[:0]
 	q.ovMin = inf
 	for _, e := range q.overflow {
-		if s.ss.dist[e.v] != e.d {
+		if s.node[e.v].dist != e.d {
 			continue // stale: the node improved into the ring meanwhile
 		}
 		if e.d-base < dialRing {

@@ -50,11 +50,13 @@ func FuzzBucketSearchMatchesHeap(f *testing.F) {
 		}
 		s.prepare()
 		s.ensureSSP()
-		copy(s.pot, pot)
+		for v, p := range pot {
+			s.node[v].pot = p
+		}
 		// Residuals: saturate a few arcs, and let zero-reduced-cost arcs
 		// carry some flow (their reverse arcs then price at zero too).
 		for id := range s.orig {
-			fwd, rev := &s.arcs[2*id], &s.arcs[2*id+1]
+			fwd, rev := s.pair(id)
 			rc := fwd.cost + pot[rev.to] - pot[fwd.to]
 			if fwd.cap > 0 && rc == 0 && rng.Intn(2) == 0 {
 				f := 1 + rng.Int63n(fwd.cap)
@@ -98,7 +100,7 @@ func FuzzBucketSearchMatchesHeap(f *testing.F) {
 			}
 			clear(settled)
 			for _, v := range s.ss.visited {
-				if d := s.ss.dist[v]; d < limit {
+				if d := s.node[v].dist; d < limit {
 					settled[v] = d
 				}
 			}
@@ -108,7 +110,7 @@ func FuzzBucketSearchMatchesHeap(f *testing.F) {
 			}
 			heapSettled := 0
 			for _, v := range s.ss.visited {
-				d := s.ss.dist[v]
+				d := s.node[v].dist
 				if d >= limit {
 					continue
 				}

@@ -1,6 +1,6 @@
 // One flow algorithm: the Solver struct (mcmf.go) is the
-// residual-network state — arc storage in forward/backward pairs,
-// supplies, the CSR adjacency index, node potentials and the
+// residual-network state — forward/backward residual arc pairs stored
+// grouped by tail node, supplies, node potentials and the
 // epoch-stamped search scratch — and Solve/ResolveChanged always drive
 // it with successive shortest paths (ssp.go), each search Dial's
 // bucket queue with a heap fallback (dial.go).

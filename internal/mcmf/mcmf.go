@@ -33,13 +33,19 @@
 // D/W iteration of internal/core solves the same constraint network
 // dozens of times with updated costs and supplies:
 //
-//   - adjacency is a CSR-style arc index (flat csrStart/csrArc arrays)
-//     built once per topology, not a slice-of-slices;
+//   - the residual arcs are stored grouped by tail node, CSR style
+//     (node u's arcs are arcs[csrStart[u]:csrStart[u+1]]), laid out in
+//     place once per topology, so a search scans each node's arcs
+//     contiguously; public arc IDs reach their arcs through an
+//     ID→position table;
 //   - the Dijkstra priority queue is a ring of FIFO buckets over one
 //     entry pool, with an inline index-based 4-ary heap on int64 keys
 //     (no container/heap interface boxing) as its fallback;
-//   - per-augmentation dist/prevArc scratch is epoch-stamped instead of
-//     O(n)-reset, and the potential update touches only settled nodes;
+//   - each node's potential and its per-search state (distance, tree
+//     arc, epoch stamp) share one 24-byte record, so a relaxation
+//     touches one place per head node; the search state is
+//     epoch-stamped instead of O(n)-reset, and the potential update
+//     touches only settled nodes;
 //   - Reset, SetCost, SetCapacity and SetSupply mutate an instance in
 //     place, and a warm re-solve skips Bellman–Ford entirely when the
 //     previous potentials still certify non-negative reduced costs
@@ -63,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -75,12 +82,14 @@ var (
 
 const inf = math.MaxInt64 / 4
 
-// arc is stored in the forward/backward residual pair convention:
-// arcs[i] and arcs[i^1] are mutual inverses.
+// arc is one residual arc.  Every public arc is a forward/backward
+// residual pair: arcs[i] and arcs[arcs[i].rev] are mutual inverses, so
+// the tail of arcs[i] is arcs[arcs[i].rev].to.
 type arc struct {
 	cap  int64 // remaining residual capacity
 	cost int64
 	to   int32
+	rev  int32 // position of the paired residual arc
 }
 
 // Solver holds a min-cost flow instance.  Build with New, AddArc and
@@ -89,10 +98,21 @@ type arc struct {
 // Solve again: arc arrays, the adjacency index and all scratch are
 // reused, and prior potentials warm-start the next solve.
 type Solver struct {
-	n      int
-	arcs   []arc
+	n int
+	// arcs holds the residual arcs.  Once prepared they are grouped by
+	// tail: node u's arcs are arcs[csrStart[u]:csrStart[u+1]], in the
+	// order the pairs were added (forward before backward for a
+	// self-loop).  AddArc appends a pair at the end, and the next solve
+	// lays the array out again in place (prepare).
+	arcs []arc
+	// fwd maps a public arc ID to the position of its forward arc in
+	// arcs as of the last layout (pos); the backward arc is
+	// arcs[fwd[id]].rev.
+	fwd    []int32
 	supply []int64
-	pot    []int64 // node potentials (valid after Solve)
+	// node holds one record per node: its potential (valid after
+	// Solve) and its state in the current search (search.go).
+	node   []nodeState
 	orig   []int64 // original capacity per public arc (index = arcID)
 	routed []int64 // supplies routed by the last successful solve
 	solved bool
@@ -101,18 +121,18 @@ type Solver struct {
 	// routed) — the precondition of the incremental ResolveChanged
 	// repair.  Unlike solved it survives cost/capacity/supply
 	// mutations; it is cleared by Reset, by legacy SetCapacity (which
-	// discards an arc's flow) and while a solve is mutating residuals.
+	// discards an arc's flow), by a topology change (topoChanged) and
+	// while a solve is mutating residuals.
 	repairable bool
 	st         Stats // cumulative work counters (EngineStats)
 	// scaling, when set, makes full solves run the cost-scaling
 	// oracle instead of ssp (costscaling.go; tests only).
 	scaling *scalingState
 
-	// CSR-style adjacency: arc indices of node u are
-	// csrArc[csrStart[u]:csrStart[u+1]].  Rebuilt lazily when arcs or
-	// nodes were added since the last Solve.
+	// csrStart[u] is where node u's arcs begin in arcs.  Rebuilt, with
+	// the arc layout, when arcs or nodes were added since the last
+	// solve.
 	csrStart  []int32
-	csrArc    []int32
 	topoDirty bool
 	flowDirty bool // residuals carry a previous solve's flow
 
@@ -171,8 +191,7 @@ func (s *Solver) NumArcs() int { return len(s.orig) }
 func (s *Solver) AddNode() int {
 	s.supply = append(s.supply, 0)
 	s.n++
-	s.topoDirty = true
-	s.solved = false
+	s.topoChanged()
 	return s.n - 1
 }
 
@@ -203,13 +222,36 @@ func (s *Solver) AddArc(u, v int, capacity, cost int64) int {
 		panic("mcmf: negative capacity")
 	}
 	id := len(s.orig)
+	i := int32(len(s.arcs))
 	s.orig = append(s.orig, capacity)
 	s.arcs = append(s.arcs,
-		arc{to: int32(v), cap: capacity, cost: cost},
-		arc{to: int32(u), cap: 0, cost: -cost})
+		arc{to: int32(v), cap: capacity, cost: cost, rev: i + 1},
+		arc{to: int32(u), cap: 0, cost: -cost, rev: i})
+	s.topoChanged()
+	return id
+}
+
+// topoChanged records a topology change: the next solve lays the arcs
+// out again, and the previous flow can no longer be repaired (a new
+// arc may price negative against it).
+func (s *Solver) topoChanged() {
 	s.topoDirty = true
 	s.solved = false
-	return id
+	s.repairable = false
+}
+
+// pos returns the position in arcs of public arc id's forward arc.
+func (s *Solver) pos(id int) int32 {
+	if id < len(s.fwd) {
+		return s.fwd[id]
+	}
+	return int32(2 * id) // added since the last layout: where AddArc put it
+}
+
+// pair returns the forward and backward residual arcs of public arc id.
+func (s *Solver) pair(id int) (fwd, rev *arc) {
+	fwd = &s.arcs[s.pos(id)]
+	return fwd, &s.arcs[fwd.rev]
 }
 
 // SetCost changes the per-unit cost of an existing arc in place.  The
@@ -217,13 +259,14 @@ func (s *Solver) AddArc(u, v int, capacity, cost int64) int {
 // subsequent Solve reuses everything and warm-starts from the current
 // potentials.
 func (s *Solver) SetCost(arcID int, cost int64) {
-	s.arcs[2*arcID].cost = cost
-	s.arcs[2*arcID+1].cost = -cost
+	fwd, rev := s.pair(arcID)
+	fwd.cost = cost
+	rev.cost = -cost
 	s.solved = false
 }
 
 // Cost returns the per-unit cost of the arc with the given ID.
-func (s *Solver) Cost(arcID int) int64 { return s.arcs[2*arcID].cost }
+func (s *Solver) Cost(arcID int) int64 { return s.arcs[s.pos(arcID)].cost }
 
 // SetCapacity changes the capacity of an existing arc in place and
 // clears any flow routed on it (the residual state is restored to the
@@ -233,8 +276,9 @@ func (s *Solver) SetCapacity(arcID int, capacity int64) {
 		panic("mcmf: negative capacity")
 	}
 	s.orig[arcID] = capacity
-	s.arcs[2*arcID].cap = capacity
-	s.arcs[2*arcID+1].cap = 0
+	fwd, rev := s.pair(arcID)
+	fwd.cap = capacity
+	rev.cap = 0
 	s.solved = false
 	s.repairable = false // the arc's routed flow was just discarded
 }
@@ -288,15 +332,17 @@ func (s *Solver) Reset() {
 // from the unsolved state regardless of prior solves).
 func (s *Solver) resetResiduals() {
 	for id, c := range s.orig {
-		s.arcs[2*id].cap = c
-		s.arcs[2*id+1].cap = 0
+		fwd, rev := s.pair(id)
+		fwd.cap = c
+		rev.cap = 0
 	}
 }
 
 // Flow returns the flow routed on the arc with the given ID.
 // Valid after Solve.
 func (s *Solver) Flow(arcID int) int64 {
-	return s.arcs[2*arcID+1].cap // reverse residual capacity == flow
+	_, rev := s.pair(arcID)
+	return rev.cap // reverse residual capacity == flow
 }
 
 // Potential returns the optimal dual potential of node v after Solve.
@@ -304,70 +350,106 @@ func (s *Solver) Flow(arcID int) int64 {
 // cost(a) + pot(from) − pot(to) are ≥ 0 on all arcs with residual
 // capacity.  The LP dual variable of the difference-constraint system is
 // −Potential(v) (see internal/dcs).
-func (s *Solver) Potential(v int) int64 { return s.pot[v] }
+func (s *Solver) Potential(v int) int64 { return s.node[v].pot }
 
 // TotalCost returns Σ cost·flow as a float64 (the product can exceed
 // int64 on heavily scaled instances).
 func (s *Solver) TotalCost() float64 {
 	var t float64
-	for i := 0; i < len(s.arcs); i += 2 {
-		f := s.arcs[i+1].cap
-		t += float64(s.arcs[i].cost) * float64(f)
+	for id := range s.orig {
+		fwd, rev := s.pair(id)
+		t += float64(fwd.cost) * float64(rev.cap)
 	}
 	return t
 }
 
-// prepare (re)builds the CSR adjacency index after topology changes and
-// sizes the scratch arrays.  Prior potentials are preserved so warm
-// starts survive arc additions; new nodes start at potential zero.
+// prepare lays the arcs out by tail after topology changes and sizes
+// the scratch arrays.  Prior potentials are preserved so warm starts
+// survive arc additions; new nodes start at potential zero.
 func (s *Solver) prepare() {
 	if !s.topoDirty && len(s.csrStart) == s.n+1 {
 		return
 	}
+	s.layoutArcs()
 	n := s.n
-	if cap(s.csrStart) >= n+1 {
-		s.csrStart = s.csrStart[:n+1]
-		for i := range s.csrStart {
-			s.csrStart[i] = 0
+	if len(s.node) < n {
+		node := make([]nodeState, n)
+		for v := range s.node {
+			node[v].pot = s.node[v].pot
 		}
-	} else {
-		s.csrStart = make([]int32, n+1)
+		s.node = node
 	}
-	// Origin of arcs[i] is the destination of its pair arcs[i^1].
-	for i := range s.arcs {
-		s.csrStart[s.arcs[i^1].to+1]++
-	}
-	for u := 0; u < n; u++ {
-		s.csrStart[u+1] += s.csrStart[u]
-	}
-	if cap(s.csrArc) >= len(s.arcs) {
-		s.csrArc = s.csrArc[:len(s.arcs)]
-	} else {
-		s.csrArc = make([]int32, len(s.arcs))
-	}
-	cursor := make([]int32, n)
-	copy(cursor, s.csrStart[:n])
-	for i := range s.arcs {
-		u := s.arcs[i^1].to
-		s.csrArc[cursor[u]] = int32(i)
-		cursor[u]++
-	}
-
-	if len(s.pot) < n {
-		pot := make([]int64, n)
-		copy(pot, s.pot)
-		s.pot = pot
-	}
-	s.ss.ensure(n)
 	if len(s.excess) < n {
 		s.excess = make([]int64, n)
 	}
 	s.topoDirty = false
 }
 
-// arcsOf returns the CSR slice of arc indices leaving u.
-func (s *Solver) arcsOf(u int) []int32 {
-	return s.csrArc[s.csrStart[u]:s.csrStart[u+1]]
+// layoutArcs groups the residual arcs by tail, in place.  A stable
+// counting sort by tail computes each arc's new position, and cycle
+// following over that position table moves every arc there, so no
+// second arc array is ever live.  Each node's arcs keep their relative
+// order — the order of their residual slots (2·id forward, 2·id+1
+// backward), since the part laid out before is already in that order
+// and AddArc appends in it — which is the order searches scan them in
+// and so decides their tie-breaks.
+//
+// The position table borrows the attempt snapshot's buffer, which
+// holds one value per residual arc and is only read after a snapshot
+// (beginAttempt) has refilled it.  Every solver of the sizing pipeline
+// keeps that buffer (internal/dcs enables the heap rescue), so there a
+// re-layout allocates no arc-sized scratch of its own.
+func (s *Solver) layoutArcs() {
+	n := s.n
+	if cap(s.csrStart) >= n+1 {
+		s.csrStart = s.csrStart[:n+1]
+		clear(s.csrStart)
+	} else {
+		s.csrStart = make([]int32, n+1)
+	}
+	start := s.csrStart
+	for i := range s.arcs {
+		start[s.arcs[s.arcs[i].rev].to+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	// dest[i] is the new position of arcs[i].  start[u] serves as u's
+	// cursor and so ends at u+1's start; the shift undoes that.
+	if cap(s.att.caps) < len(s.arcs) {
+		s.att.caps = make([]int64, len(s.arcs))
+	}
+	dest := s.att.caps[:len(s.arcs)]
+	for i := range s.arcs {
+		u := s.arcs[s.arcs[i].rev].to
+		dest[i] = int64(start[u])
+		start[u]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+
+	for i := range s.arcs {
+		s.arcs[i].rev = int32(dest[s.arcs[i].rev])
+	}
+	s.fwd = slices.Grow(s.fwd, len(s.orig)-len(s.fwd))
+	for id := len(s.fwd); id < len(s.orig); id++ {
+		s.fwd = append(s.fwd, int32(2*id))
+	}
+	for id, f := range s.fwd {
+		s.fwd[id] = int32(dest[f])
+	}
+	for i := range dest {
+		for j := dest[i]; j != int64(i); j = dest[i] {
+			s.arcs[i], s.arcs[j] = s.arcs[j], s.arcs[i]
+			dest[i], dest[j] = dest[j], j
+		}
+	}
+}
+
+// arcsOf returns the residual arcs leaving u; the arc at index k of
+// the slice is arcs[csrStart[u]+k].
+func (s *Solver) arcsOf(u int) []arc {
+	return s.arcs[s.csrStart[u]:s.csrStart[u+1]]
 }
 
 // potentialsValid reports whether the current potentials certify
@@ -375,13 +457,14 @@ func (s *Solver) arcsOf(u int) []int32 {
 // test that lets a re-solve on updated costs skip Bellman–Ford.
 func (s *Solver) potentialsValid() bool {
 	for u := 0; u < s.n; u++ {
-		pu := s.pot[u]
-		for _, ai := range s.arcsOf(u) {
-			a := &s.arcs[ai]
+		pu := s.node[u].pot
+		out := s.arcsOf(u)
+		for k := range out {
+			a := &out[k]
 			if a.cap <= 0 {
 				continue
 			}
-			if a.cost+pu-s.pot[a.to] < 0 {
+			if a.cost+pu-s.node[a.to].pot < 0 {
 				return false
 			}
 		}
@@ -398,21 +481,22 @@ func (s *Solver) potentialsValid() bool {
 // that still relaxes after n iterations proves a negative cycle
 // reachable through positive-residual arcs.
 func (s *Solver) bellmanFord() error {
-	dist := s.pot
+	node := s.node
 	for round := 0; round < s.n; round++ {
 		if err := s.pollAbort(); err != nil {
 			return err
 		}
 		changed := false
 		for u := 0; u < s.n; u++ {
-			du := dist[u]
-			for _, ai := range s.arcsOf(u) {
-				a := &s.arcs[ai]
+			du := node[u].pot
+			out := s.arcsOf(u)
+			for k := range out {
+				a := &out[k]
 				if a.cap <= 0 {
 					continue
 				}
-				if nd := du + a.cost; nd < dist[a.to] {
-					dist[a.to] = nd
+				if nd := du + a.cost; nd < node[a.to].pot {
+					node[a.to].pot = nd
 					changed = true
 				}
 			}
@@ -522,9 +606,8 @@ func (s *Solver) Verify() error {
 		if f < 0 || f > s.orig[id] {
 			return fmt.Errorf("mcmf: arc %d flow %d outside [0,%d]", id, f, s.orig[id])
 		}
-		fwd := s.arcs[2*id]
-		u := s.arcs[2*id+1].to
-		net[u] += f
+		fwd, rev := s.pair(id)
+		net[rev.to] += f
 		net[fwd.to] -= f
 	}
 	for v := 0; v < s.n; v++ {
@@ -533,12 +616,11 @@ func (s *Solver) Verify() error {
 		}
 	}
 	for u := 0; u < s.n; u++ {
-		for _, ai := range s.arcsOf(u) {
-			a := s.arcs[ai]
+		for _, a := range s.arcsOf(u) {
 			if a.cap <= 0 {
 				continue
 			}
-			if rc := a.cost + s.pot[u] - s.pot[a.to]; rc < 0 {
+			if rc := a.cost + s.node[u].pot - s.node[a.to].pot; rc < 0 {
 				return fmt.Errorf("mcmf: residual arc %d->%d has negative reduced cost %d", u, a.to, rc)
 			}
 		}

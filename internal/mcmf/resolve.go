@@ -115,10 +115,10 @@ func (s *Solver) resolveGate(changed []int32) bool {
 		}
 	}
 	for _, id := range changed {
-		fwd, rev := &s.arcs[2*id], &s.arcs[2*id+1]
+		fwd, rev := s.pair(int(id))
 		if rev.cap > 0 {
 			arcRepairs++
-		} else if s.orig[id] > 0 && fwd.cost+s.pot[rev.to]-s.pot[fwd.to] < 0 {
+		} else if s.orig[id] > 0 && fwd.cost+s.node[rev.to].pot-s.node[fwd.to].pot < 0 {
 			arcRepairs++ // will saturate
 		}
 	}
@@ -144,7 +144,7 @@ func (s *Solver) resolveGate(changed []int32) bool {
 // resolvePrep allocates nothing, preserving the warm zero-alloc
 // guarantee.
 func (s *Solver) resolvePrep(changed []int32) (excess []int64, fallback bool, err error) {
-	if !s.repairable || s.topoDirty {
+	if !s.repairable { // also cleared by a topology change (topoChanged)
 		return nil, true, nil
 	}
 	var sum int64
@@ -179,7 +179,7 @@ func (s *Solver) resolvePrep(changed []int32) (excess []int64, fallback bool, er
 	// because the forward residual is already empty only when the arc
 	// re-prices negative, and re-running it is idempotent).
 	for _, id := range changed {
-		fwd, rev := &s.arcs[2*id], &s.arcs[2*id+1]
+		fwd, rev := s.pair(int(id))
 		u, v := rev.to, fwd.to
 		if f := rev.cap; f > 0 {
 			excess[u] += f
@@ -187,7 +187,7 @@ func (s *Solver) resolvePrep(changed []int32) (excess []int64, fallback bool, er
 		}
 		fwd.cap = s.orig[id]
 		rev.cap = 0
-		if fwd.cap > 0 && fwd.cost+s.pot[u]-s.pot[v] < 0 {
+		if fwd.cap > 0 && fwd.cost+s.node[u].pot-s.node[v].pot < 0 {
 			excess[u] -= fwd.cap
 			excess[v] += fwd.cap
 			rev.cap = fwd.cap

@@ -59,7 +59,7 @@ type scalingState struct {
 	maxC  int64   // max |scaled cost|
 	cost  []int64 // scaled arc costs, index-parallel to Solver.arcs
 	pot   []int64 // scaled node prices
-	cur   []int32 // current-arc cursors
+	cur   []int32 // current-arc cursors (positions in Solver.arcs)
 	// active/inActive implement the discharge's LIFO stack.
 	active   []int32
 	inActive []bool
@@ -127,11 +127,12 @@ func bits64(x int64) int {
 
 // saturate pushes full residual capacity along every arc with negative
 // scaled reduced cost — the admissibility sweep opening each refine
-// phase.  Deterministic: vertices ascending, arcs in CSR order.
+// phase.  Deterministic: vertices ascending, each vertex's arcs in
+// storage order.
 func (sc *scalingState) saturate(s *Solver, excess []int64) {
 	for v := 0; v < s.n; v++ {
 		pv := sc.pot[v]
-		for _, ai := range s.arcsOf(v) {
+		for ai := s.csrStart[v]; ai < s.csrStart[v+1]; ai++ {
 			a := &s.arcs[ai]
 			if a.cap <= 0 {
 				continue
@@ -139,7 +140,7 @@ func (sc *scalingState) saturate(s *Solver, excess []int64) {
 			if sc.cost[ai]+pv-sc.pot[a.to] < 0 {
 				excess[v] -= a.cap
 				excess[a.to] += a.cap
-				s.arcs[ai^1].cap += a.cap
+				s.arcs[a.rev].cap += a.cap
 				a.cap = 0
 			}
 		}
@@ -151,7 +152,7 @@ func (sc *scalingState) saturate(s *Solver, excess []int64) {
 // max over residual arcs of pot(to) − cost − ε.  ok is false when v has
 // no residual arc at all (its excess can never drain).
 func (sc *scalingState) relabelValue(s *Solver, v int32) (val int64, ok bool) {
-	for _, ai := range s.arcsOf(int(v)) {
+	for ai := s.csrStart[v]; ai < s.csrStart[v+1]; ai++ {
 		a := &s.arcs[ai]
 		if a.cap <= 0 {
 			continue
@@ -245,7 +246,7 @@ func finishScaling(s *Solver, st *Stats, excess []int64) (float64, error) {
 		}
 	}
 	for i := 0; i < s.n; i++ {
-		s.pot[i] = 0
+		s.node[i].pot = 0
 	}
 	st.BellmanFords++
 	if err := s.bellmanFord(); err != nil {

@@ -1,20 +1,32 @@
 // Per-search Dijkstra state: the residual arcs, potentials and excess
 // vector are read-only during a search, while everything a search
-// writes — tentative distances, the shortest-path tree, the epoch
-// stamps, the bucket queue and the heap — lives in the Solver's
-// searchScratch (s.ss), which the bucket search (dial.go) and its heap
-// fallback share.
+// writes — each node's tentative distance, shortest-path tree arc and
+// epoch stamp, the bucket queue and the heap — lives in the node
+// records (Solver.node) and the Solver's searchScratch (s.ss), which
+// the bucket search (dial.go) and its heap fallback share.
 package mcmf
 
-// searchScratch is the write-side state of one shortest-path search:
-// epoch-stamped dist/prevArc entries (valid only when stamp matches
-// epoch, so per-search reset is O(1) plus the nodes actually visited),
+// nodeState is one node's record: its potential, which persists across
+// solves, and its state in the current search, valid only while stamp
+// matches the search epoch.  A relaxation reads the head node's
+// potential, stamp and distance, and writes its distance and tree arc,
+// all in this one 24-byte record.
+type nodeState struct {
+	pot  int64 // node potential (valid after Solve)
+	dist int64 // tentative distance; a blocking flow's BFS level
+	// prev is the position in Solver.arcs of the search tree's arc
+	// into the node (−1 at a source); a blocking flow keeps its
+	// current-arc position here instead.
+	prev  int32
+	stamp uint32
+}
+
+// searchScratch is the rest of a shortest-path search's state: the
+// epoch that validates the node records' search fields (so per-search
+// reset is O(1) plus the nodes actually visited), the visited list,
 // Dial's bucket queue, the inline 4-ary heap, and the heap back-off
 // that carries over from one search to the next.
 type searchScratch struct {
-	dist    []int64
-	prevArc []int32
-	stamp   []uint32
 	epoch   uint32
 	visited []int32
 	q       bucketQueue
@@ -25,17 +37,6 @@ type searchScratch struct {
 	// aborted attempt rolls them back (restoreAttempt).
 	skip, skipLen int
 	heapOnly      bool // every search on the heap: ssp's rescue (runEngine)
-}
-
-// ensure sizes the scratch for an n-node network, keeping existing
-// stamps when already large enough.
-func (sc *searchScratch) ensure(n int) {
-	if len(sc.dist) < n {
-		sc.dist = make([]int64, n)
-		sc.prevArc = make([]int32, n)
-		sc.stamp = make([]uint32, n)
-		sc.epoch = 0
-	}
 }
 
 // ensureSSP sizes the scratch the SSP routing loops fill up to the
@@ -58,55 +59,56 @@ func (s *Solver) ensureSSP() {
 }
 
 // SearchScratchBytes estimates the search scratch an n-node network
-// keeps once solved or repaired: per node the
-// stamped dist/prevArc/stamp entries, the visited list, a heap slot, a
-// bucket-pool entry, the source list and a phase's DFS path; plus the
-// bucket ring's head/tail arrays.  A search that pushes a node more
-// than once grows the pool past n, so this is a floor, not a bound.
+// keeps once solved or repaired: per node its 24-byte record (the
+// potential and the search fields), a visited-list entry, a heap slot
+// (8-byte key, 4-byte node), a bucket-pool entry, a source-list entry
+// and a phase's DFS path entry; plus the bucket ring's head/tail
+// arrays.  A search that pushes a node more than once grows the pool
+// past n, so this is a floor, not a bound.
 func SearchScratchBytes(n int) int64 {
-	return int64(n)*(8+4+4+4+12+8+4+4) + 2*4*dialRing
+	return int64(n)*(24+4+12+8+4+4) + 2*4*dialRing
 }
 
-// begin starts a fresh epoch for the stamped scratch.
-func (sc *searchScratch) begin() {
+// beginSearch starts a fresh search epoch.
+func (s *Solver) beginSearch() {
+	sc := &s.ss
 	sc.epoch++
 	if sc.epoch == 0 { // uint32 wraparound: invalidate all stamps
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
+		for v := range s.node {
+			s.node[v].stamp = 0
 		}
 		sc.epoch = 1
 	}
 	sc.visited = sc.visited[:0]
 }
 
-// touch stamps node v into the current epoch.
-func (sc *searchScratch) touch(v int32) {
-	sc.stamp[v] = sc.epoch
-	sc.dist[v] = inf
-	sc.prevArc[v] = -1
-	sc.visited = append(sc.visited, v)
+// touch stamps node v into the current search epoch, unreached.
+func (s *Solver) touch(v int32) {
+	nv := &s.node[v]
+	nv.dist, nv.prev, nv.stamp = inf, -1, s.ss.epoch
+	s.ss.visited = append(s.ss.visited, v)
 }
 
 // dijkstraHeap runs one shortest-path search on reduced costs from
-// every node in srcs (each at distance 0) into s.ss on the inline
-// 4-ary heap — the bucket search's fallback (shortestPath), with the
-// same contract.  It reads (and never writes) the solver's residual arcs,
-// potentials and the excess vector.  It fills
-// ss.dist/ss.prevArc/ss.visited for the settled region and returns the
-// first node with negative excess together with its distance, or
-// target −1 when no deficit node is reachable.
+// every node in srcs (each at distance 0) on the inline 4-ary heap —
+// the bucket search's fallback (shortestPath), with the same contract.
+// It reads (and never writes) the solver's residual arcs, potentials
+// and the excess vector.  It fills the node records' search fields and
+// ss.visited for the settled region and returns the first node with
+// negative excess together with its distance, or target −1 when no
+// deficit node is reachable.
 func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
 	sc := &s.ss
-	sc.begin()
+	s.beginSearch()
 	sc.h.reset()
 	for _, src := range srcs {
-		sc.touch(src)
-		sc.dist[src] = 0
+		s.touch(src)
+		s.node[src].dist = 0
 		sc.h.push(0, src)
 	}
 	for !sc.h.empty() {
 		d, u := sc.h.pop()
-		if d > sc.dist[u] {
+		if d > s.node[u].dist {
 			continue // stale heap entry (lazy deletion)
 		}
 		if excess[u] < 0 {
@@ -114,25 +116,28 @@ func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
 			// stop at the first deficit node for speed.
 			return u, d
 		}
-		pu := s.pot[u]
-		for _, ai := range s.arcsOf(int(u)) {
-			a := &s.arcs[ai]
+		pu := s.node[u].pot
+		base := s.csrStart[u]
+		out := s.arcsOf(int(u))
+		for k := range out {
+			a := &out[k]
 			if a.cap <= 0 {
 				continue
 			}
 			v := a.to
-			rc := a.cost + pu - s.pot[v]
+			nv := &s.node[v]
+			rc := a.cost + pu - nv.pot
 			if rc < 0 {
 				// Should not happen with valid potentials; clamp
 				// defensively (can arise from ties after early exit).
 				rc = 0
 			}
-			if sc.stamp[v] != sc.epoch {
-				sc.touch(v)
+			if nv.stamp != sc.epoch {
+				s.touch(v)
 			}
-			if nd := d + rc; nd < sc.dist[v] {
-				sc.dist[v] = nd
-				sc.prevArc[v] = ai
+			if nd := d + rc; nd < nv.dist {
+				nv.dist = nd
+				nv.prev = base + int32(k)
 				sc.h.push(nd, v)
 			}
 		}
@@ -140,7 +145,7 @@ func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
 	return -1, 0
 }
 
-// updatePotentials applies the completed search in s.ss, truncated at
+// updatePotentials applies the completed search, truncated at
 // the first deficit's distance dt: pot += dist − dt on settled nodes
 // only (equivalent to the classic pot += min(dist, dt) up to a uniform
 // −dt shift, which leaves every reduced cost unchanged).  Unvisited
@@ -149,39 +154,38 @@ func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
 // into a settled node, and the tree arc into the deficit, then has
 // reduced cost zero.
 func (s *Solver) updatePotentials(dt int64) {
-	sc := &s.ss
-	for _, v := range sc.visited {
-		if d := sc.dist[v]; d < dt {
-			s.pot[v] += d - dt
+	for _, v := range s.ss.visited {
+		if nv := &s.node[v]; nv.dist < dt {
+			nv.pot += nv.dist - dt
 		}
 	}
 }
 
 // applyAugmentation commits the augmentation described by the
-// completed single-source search in s.ss from src to target at
+// completed single-source search from src to target at
 // shortest distance dt: the settled-only potential update, then the
 // bottleneck push along the search tree's path.
 func (s *Solver) applyAugmentation(src, target int32, dt int64, excess []int64) {
 	s.updatePotentials(dt)
-	sc := &s.ss
 	// Bottleneck along the path.
 	bott := excess[src]
 	if -excess[target] < bott {
 		bott = -excess[target]
 	}
 	for v := target; v != src; {
-		ai := sc.prevArc[v]
-		if s.arcs[ai].cap < bott {
-			bott = s.arcs[ai].cap
+		a := &s.arcs[s.node[v].prev]
+		if a.cap < bott {
+			bott = a.cap
 		}
-		v = s.arcs[ai^1].to
+		v = s.arcs[a.rev].to
 	}
 	// Augment.
 	for v := target; v != src; {
-		ai := sc.prevArc[v]
-		s.arcs[ai].cap -= bott
-		s.arcs[ai^1].cap += bott
-		v = s.arcs[ai^1].to
+		a := &s.arcs[s.node[v].prev]
+		rev := &s.arcs[a.rev]
+		a.cap -= bott
+		rev.cap += bott
+		v = rev.to
 	}
 	excess[src] -= bott
 	excess[target] += bott

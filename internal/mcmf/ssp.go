@@ -235,36 +235,39 @@ func activeSources(srcs []int32, excess []int64) []int32 {
 
 // blockingFlow routes excess from srcs to deficit nodes over the
 // admissible graph — residual arcs of zero reduced cost — Dinic style.
-// A BFS from every source labels hop levels (in ss.dist, stopping at
-// the level of the nearest deficits); a DFS then pushes along
-// level-increasing admissible arcs, keeping a current-arc pointer per
-// node (a CSR position, in ss.prevArc) and retiring dead ends, until
-// no source can reach a deficit in the level graph.  Potentials are
-// untouched, so every reduced cost stays non-negative.
+// A BFS from every source labels hop levels (in the node records'
+// dist, stopping at the level of the nearest deficits); a DFS then
+// pushes along level-increasing admissible arcs, keeping a current-arc
+// position per node (in the records' prev) and retiring dead ends,
+// until no source can reach a deficit in the level graph.  Potentials
+// are untouched, so every reduced cost stays non-negative.
 func (s *Solver) blockingFlow(srcs []int32, excess []int64, st *Stats) error {
 	sc := &s.ss
-	sc.begin()
+	s.beginSearch()
 	for _, src := range srcs {
-		sc.touch(src)
-		sc.dist[src] = 0
+		s.touch(src)
+		s.node[src].dist = 0
 	}
 	sink := int64(inf) // level of the nearest deficits
 	for i := 0; i < len(sc.visited); i++ {
 		u := sc.visited[i]
-		sc.prevArc[u] = s.csrStart[u]
-		lu := sc.dist[u]
+		nu := &s.node[u]
+		nu.prev = s.csrStart[u]
+		lu := nu.dist
 		if lu >= sink {
 			continue // deficits and dead ends: nothing beyond them is needed
 		}
-		pu := s.pot[u]
-		for _, ai := range s.arcsOf(int(u)) {
-			a := &s.arcs[ai]
+		pu := nu.pot
+		out := s.arcsOf(int(u))
+		for k := range out {
+			a := &out[k]
 			v := a.to
-			if a.cap <= 0 || sc.stamp[v] == sc.epoch || a.cost+pu-s.pot[v] > 0 {
+			nv := &s.node[v]
+			if a.cap <= 0 || nv.stamp == sc.epoch || a.cost+pu-nv.pot > 0 {
 				continue
 			}
-			sc.touch(v)
-			sc.dist[v] = lu + 1
+			s.touch(v)
+			nv.dist = lu + 1
 			if excess[v] < 0 && sink == inf {
 				sink = lu + 1
 			}
@@ -286,8 +289,9 @@ func (s *Solver) blockingFlow(srcs []int32, excess []int64, st *Stats) error {
 					bott = min(bott, s.arcs[ai].cap)
 				}
 				for _, ai := range path {
-					s.arcs[ai].cap -= bott
-					s.arcs[ai^1].cap += bott
+					a := &s.arcs[ai]
+					a.cap -= bott
+					s.arcs[a.rev].cap += bott
 				}
 				excess[src] -= bott
 				excess[u] += bott
@@ -304,35 +308,35 @@ func (s *Solver) blockingFlow(srcs []int32, excess []int64, st *Stats) error {
 				continue
 			}
 			// Dead end: retire u (no level matches −1) and retreat.
-			sc.dist[u] = -1
+			s.node[u].dist = -1
 			if len(path) == 0 {
 				break
 			}
 			ai := path[len(path)-1]
 			path = path[:len(path)-1]
-			u = s.arcs[ai^1].to
-			sc.prevArc[u]++
+			u = s.arcs[s.arcs[ai].rev].to
+			s.node[u].prev++
 		}
 	}
 	return nil
 }
 
-// admissibleArc advances u's current-arc pointer to the next residual
+// admissibleArc advances u's current-arc position to the next residual
 // arc of zero reduced cost into the next BFS level and returns it.
 func (s *Solver) admissibleArc(u int32) (int32, bool) {
 	sc := &s.ss
-	next := sc.dist[u] + 1
-	pu := s.pot[u]
+	nu := &s.node[u]
+	next := nu.dist + 1
+	pu := nu.pot
 	end := s.csrStart[u+1]
-	for p := sc.prevArc[u]; p < end; p++ {
-		ai := s.csrArc[p]
-		a := &s.arcs[ai]
+	for p := nu.prev; p < end; p++ {
+		a := &s.arcs[p]
 		v := a.to
-		if a.cap > 0 && sc.stamp[v] == sc.epoch && sc.dist[v] == next && a.cost+pu-s.pot[v] <= 0 {
-			sc.prevArc[u] = p
-			return ai, true
+		if nv := &s.node[v]; a.cap > 0 && nv.stamp == sc.epoch && nv.dist == next && a.cost+pu-nv.pot <= 0 {
+			nu.prev = p
+			return p, true
 		}
 	}
-	sc.prevArc[u] = end
+	nu.prev = end
 	return 0, false
 }

@@ -122,9 +122,8 @@ func TestWarmStartMatchesFresh(t *testing.T) {
 			fresh.SetSupply(v, warm.Supply(v))
 		}
 		for id := 0; id < warm.NumArcs(); id++ {
-			u := int(warm.arcs[2*id+1].to)
-			v := int(warm.arcs[2*id].to)
-			fresh.AddArc(u, v, warm.Capacity(id), warm.Cost(id))
+			fwd, rev := warm.pair(id)
+			fresh.AddArc(int(rev.to), int(fwd.to), warm.Capacity(id), warm.Cost(id))
 		}
 
 		warm.Reset()
