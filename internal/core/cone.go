@@ -130,17 +130,26 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	// cone answer sold, and the next edit's freed-slack recruitment
 	// then took the whole circuit.
 	shaved, serr := s.coneSolve(members, xFull, finish, T-2*(out.CP-T))
-	if serr != nil && (isAbortErr(serr) || errors.Is(serr, ErrEngineFailed)) {
-		return shaved, serr
-	}
-	if serr == nil && shaved.CP <= T*(1+1e-9) {
+	switch {
+	case serr == nil && shaved.CP <= T*(1+1e-9):
 		shaved.Iterations += out.Iterations
 		return shaved, nil
+	case serr != nil && (isAbortErr(serr) || errors.Is(serr, ErrEngineFailed)):
+		// Cut short: the re-solve's merged best-so-far, or the first
+		// pass's answer when the re-solve had none yet, is the partial.
+		if shaved == nil {
+			out.Partial = true
+			return out, serr
+		}
+		shaved.Iterations += out.Iterations
+		return shaved, serr
 	}
 	if shaved != nil {
 		out.Iterations += shaved.Iterations
 	}
-	// Repair with TILOS moves from the merged sizes — the same
+	// The shaved cone drifted past T as well (its tighter target moves
+	// more ring gates; on c7552 load edits about half the re-solves do).
+	// Repair with TILOS moves from the first answer's sizes — the same
 	// deterministic repair a violating warm seed gets — and escalate
 	// only if even that misses.
 	xm := out.X
@@ -230,7 +239,8 @@ func (s *Session) coneSolve(members []int, xFull, finish []float64, Tc float64) 
 }
 
 // coneDriftTol separates repairable micro-drift (residual ring→row
-// coupling: the merged sizes land within a hair of the target and a
-// few TILOS bumps close it) from a real reconciliation miss that needs
-// a wider cone.  Relative to the target.
+// coupling: the merged sizes land within a hair of the target, and a
+// cone re-solve against a shaved target or a few TILOS bumps close it)
+// from a real reconciliation miss that needs a wider cone.  Relative
+// to the target.
 const coneDriftTol = 5e-4

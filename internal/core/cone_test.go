@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"minflo/internal/circuit"
 	"minflo/internal/dag"
 	"minflo/internal/gen"
+	"minflo/internal/mcmf"
 	"minflo/internal/sta"
 )
 
@@ -246,5 +248,151 @@ func TestConeResizeCounters(t *testing.T) {
 	}
 	if rOff.Seed == SeedCone || rOff.ConeFallback {
 		t.Fatalf("cone path ran with the feature off (seed %q)", rOff.Seed)
+	}
+}
+
+// driftScenario replays two load edits on c7552 after an anchor solve
+// at 0.6·tmin, answering the first and leaving the second armed: its
+// widened cone's answer lands a hair past T on the full graph, and so
+// does the re-solve against the shaved target.
+func driftScenario(t *testing.T) (*Session, float64) {
+	t.Helper()
+	sess, err := NewEcoSession(mustEco(t, gen.C7552()), Options{TrustRegion: 0.05, EditConeResize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := 0.6 * sess.sc.retime(sess.p, sess.p.InitialSizes())
+	if _, err := sess.Resize(context.Background(), T, Budgets{}); err != nil {
+		t.Fatal(err)
+	}
+	for k, e := range []dag.Edit{
+		{Op: dag.EditLoad, Gate: 1704, LoadFF: 0.2650543054337802},
+		{Op: dag.EditLoad, Gate: 3354, LoadFF: 0.11897740920349105},
+	} {
+		if _, err := sess.ApplyEdits([]dag.Edit{e}); err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			if _, err := sess.Resize(context.Background(), T, Budgets{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return sess, T
+}
+
+// TestConeDriftRepair drives both micro-drift repairs of coneAttempt:
+// on driftScenario's armed edit the first cone answer and the shaved
+// re-solve both land a hair past T, so only the TILOS repair of the
+// first answer keeps the query on the cone path.  The preconditions
+// are asserted on a probe twin, so the test fails loudly rather than
+// passing vacuously if the scenario stops reaching that branch.
+func TestConeDriftRepair(t *testing.T) {
+	if testing.Short() {
+		t.Skip("c7552 replay")
+	}
+	probe, T := driftScenario(t)
+	defer probe.Close()
+	x := append([]float64(nil), probe.seedX...)
+	probe.sc.retime(probe.p, x)
+	finish := probe.sc.arr.AppendFinish(nil)
+	// The edit's own cone misses T by more than coneDriftTol, so
+	// resizeCone widens it once; the drift shows on the widened cone.
+	members := probe.p.ConeMembersTimed(probe.pendingCone, x, finish, T)
+	if _, err := probe.coneAttempt(members, x, finish, T); !errors.Is(err, errConeBoundary) {
+		t.Fatalf("edit cone: err = %v, want errConeBoundary", err)
+	}
+	members = probe.p.WidenMembers(members)
+	first, err := probe.coneSolve(members, x, finish, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CP <= T*(1+1e-9) || first.CP > T*(1+coneDriftTol) {
+		t.Fatalf("first cone answer CP/T = %.9f, want a micro-drift in (1, 1+%g]", first.CP/T, coneDriftTol)
+	}
+	shaved, err := probe.coneSolve(members, x, finish, T-2*(first.CP-T))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shaved.CP <= T*(1+1e-9) {
+		t.Fatalf("shaved re-solve met T (CP/T = %.9f): the scenario no longer reaches the TILOS repair", shaved.CP/T)
+	}
+
+	sess, _ := driftScenario(t)
+	defer sess.Close()
+	r, err := sess.Resize(context.Background(), T, Budgets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Seed != SeedCone || r.ConeFallback {
+		t.Fatalf("drifted cone fell back: seed %q, cone fallback %v", r.Seed, r.ConeFallback)
+	}
+	tm, err := sta.Analyze(sess.p.G, sess.p.Delays(r.X))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.CP > T*(1+1e-9) {
+		t.Fatalf("cone answer misses T under an independent STA: CP/T = %.9f", tm.CP/T)
+	}
+}
+
+// TestConeShavedResolveAbort cancels driftScenario's cone query at
+// sampled poll points inside the shaved re-solve: each must answer
+// ErrCanceled with a partial cone Result (the Resize contract), never
+// a bare error.  A probe twin counts the poll points the query spends
+// before and inside the re-solve; polls are deterministic, so the
+// counted offsets land inside the re-solve of the twin that aborts.
+func TestConeShavedResolveAbort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("c7552 replay")
+	}
+	var polls int64
+	counting := mcmf.WithPollHook(context.Background(), func(int64) error {
+		polls++
+		return nil
+	})
+	probe, T := driftScenario(t)
+	probe.sc.ctx = counting
+	x := append([]float64(nil), probe.seedX...)
+	probe.sc.retime(probe.p, x)
+	finish := probe.sc.arr.AppendFinish(nil)
+	members := probe.p.ConeMembersTimed(probe.pendingCone, x, finish, T)
+	if _, err := probe.coneAttempt(members, x, finish, T); !errors.Is(err, errConeBoundary) {
+		t.Fatalf("edit cone: err = %v, want errConeBoundary", err)
+	}
+	members = probe.p.WidenMembers(members)
+	first, err := probe.coneSolve(members, x, finish, T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := polls
+	if _, err := probe.coneSolve(members, x, finish, T-2*(first.CP-T)); err != nil {
+		t.Fatal(err)
+	}
+	inside := polls - before
+	probe.Close()
+	if inside < 4 {
+		t.Fatalf("shaved re-solve polled %d times", inside)
+	}
+
+	for _, k := range []int64{1, inside / 4, inside / 2, inside - 1} {
+		sess, _ := driftScenario(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		var n int64
+		ctx = mcmf.WithPollHook(ctx, func(int64) error {
+			if n++; n == before+k {
+				cancel()
+			}
+			return nil
+		})
+		r, err := sess.Resize(ctx, T, Budgets{})
+		cancel()
+		sess.Close()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("cancel at re-solve poll %d/%d: err = %v, want ErrCanceled", k, inside, err)
+		}
+		if r == nil || !r.Partial || r.Seed != SeedCone || len(r.X) != sess.NumSizable() {
+			t.Fatalf("cancel at re-solve poll %d/%d: no partial cone answer (r = %+v)", k, inside, r)
+		}
 	}
 }

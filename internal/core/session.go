@@ -245,10 +245,9 @@ func (s *Session) MemoryBytes() int64 {
 	b += (cons + objs) * 4 * word // dcs constraint/objective tables + cost diff state
 	// Flow network, per public arc: two 24-byte residual arcs (grouped
 	// by tail), a 4-byte ID→position entry, the configured capacity and
-	// the attempt snapshot's two residual capacities — 76 bytes, plus
-	// the append slack of a network built arc by arc (83–90 bytes
-	// measured on mult8 and adder32).
-	b += arcs * 12 * word
+	// the attempt snapshot's two residual capacities.  dcs reserves the
+	// arrays before building, so they carry no append slack.
+	b += arcs * 76
 	b += an * 14 * word // iteration buffers, W-phase/sensitivity scratch
 	// The flow network's search scratch (its nodes: the variables and
 	// ground).

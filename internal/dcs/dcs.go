@@ -257,6 +257,7 @@ func (s *System) ensureFlow() *mcmf.Solver {
 	}
 	ground := s.n
 	f := mcmf.New(s.n + 1)
+	f.Reserve(len(s.cons) + 2*len(s.pinned))
 	s.consArc = s.consArc[:0]
 	for _, c := range s.cons {
 		s.consArc = append(s.consArc, f.AddArc(c.u, c.v, 0, 0))

@@ -81,8 +81,8 @@ func sameLayout(t *testing.T, tag string, a, b *Solver) {
 		t.Fatalf("%s: node arc ranges differ", tag)
 	}
 	for id := 0; id < a.NumArcs(); id++ {
-		if a.pos(id) != b.pos(id) {
-			t.Fatalf("%s: arc %d at position %d, reference %d", tag, id, a.pos(id), b.pos(id))
+		if a.fwd[id] != b.fwd[id] {
+			t.Fatalf("%s: arc %d at position %d, reference %d", tag, id, a.fwd[id], b.fwd[id])
 		}
 	}
 }

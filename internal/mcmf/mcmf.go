@@ -106,8 +106,7 @@ type Solver struct {
 	// lays the array out again in place (prepare).
 	arcs []arc
 	// fwd maps a public arc ID to the position of its forward arc in
-	// arcs as of the last layout (pos); the backward arc is
-	// arcs[fwd[id]].rev.
+	// arcs (pair); the backward arc is arcs[fwd[id]].rev.
 	fwd    []int32
 	supply []int64
 	// node holds one record per node: its potential (valid after
@@ -211,6 +210,15 @@ func (s *Solver) AddSupply(v int, b int64) {
 // Supply returns the configured supply of node v.
 func (s *Solver) Supply(v int) int64 { return s.supply[v] }
 
+// Reserve makes room for arcs more AddArc calls, so a caller that
+// knows the network's size builds it without reallocating the per-arc
+// arrays (and without their append slack).
+func (s *Solver) Reserve(arcs int) {
+	s.arcs = slices.Grow(s.arcs, 2*arcs)
+	s.orig = slices.Grow(s.orig, arcs)
+	s.fwd = slices.Grow(s.fwd, arcs)
+}
+
 // AddArc adds a directed arc u->v with the given capacity and per-unit
 // cost and returns its arc ID.  Capacities must be non-negative; costs
 // may be negative.
@@ -224,6 +232,7 @@ func (s *Solver) AddArc(u, v int, capacity, cost int64) int {
 	id := len(s.orig)
 	i := int32(len(s.arcs))
 	s.orig = append(s.orig, capacity)
+	s.fwd = append(s.fwd, i)
 	s.arcs = append(s.arcs,
 		arc{to: int32(v), cap: capacity, cost: cost, rev: i + 1},
 		arc{to: int32(u), cap: 0, cost: -cost, rev: i})
@@ -240,17 +249,9 @@ func (s *Solver) topoChanged() {
 	s.repairable = false
 }
 
-// pos returns the position in arcs of public arc id's forward arc.
-func (s *Solver) pos(id int) int32 {
-	if id < len(s.fwd) {
-		return s.fwd[id]
-	}
-	return int32(2 * id) // added since the last layout: where AddArc put it
-}
-
 // pair returns the forward and backward residual arcs of public arc id.
 func (s *Solver) pair(id int) (fwd, rev *arc) {
-	fwd = &s.arcs[s.pos(id)]
+	fwd = &s.arcs[s.fwd[id]]
 	return fwd, &s.arcs[fwd.rev]
 }
 
@@ -266,7 +267,7 @@ func (s *Solver) SetCost(arcID int, cost int64) {
 }
 
 // Cost returns the per-unit cost of the arc with the given ID.
-func (s *Solver) Cost(arcID int) int64 { return s.arcs[s.pos(arcID)].cost }
+func (s *Solver) Cost(arcID int) int64 { return s.arcs[s.fwd[arcID]].cost }
 
 // SetCapacity changes the capacity of an existing arc in place and
 // clears any flow routed on it (the residual state is restored to the
@@ -431,10 +432,6 @@ func (s *Solver) layoutArcs() {
 	for i := range s.arcs {
 		s.arcs[i].rev = int32(dest[s.arcs[i].rev])
 	}
-	s.fwd = slices.Grow(s.fwd, len(s.orig)-len(s.fwd))
-	for id := len(s.fwd); id < len(s.orig); id++ {
-		s.fwd = append(s.fwd, int32(2*id))
-	}
 	for id, f := range s.fwd {
 		s.fwd[id] = int32(dest[f])
 	}
@@ -546,9 +543,10 @@ func (s *Solver) ResolveChanged(changed []int32) (float64, error) {
 	return s.runEngine(changed, true)
 }
 
-// beginSolve is the shared full-solve preamble: balance check, index
-// and scratch preparation, residual reset after a prior solve, and
-// potential validation (warm-start scan with Bellman–Ford fallback).
+// beginSolve is the shared full-solve preamble: balance check,
+// residual reset after a prior solve, and potential validation
+// (warm-start scan with Bellman–Ford fallback).  The arcs must already
+// be laid out (runEngine prepares before the attempt snapshot).
 func (s *Solver) beginSolve(st *Stats) error {
 	var sum int64
 	for _, b := range s.supply {
@@ -557,7 +555,6 @@ func (s *Solver) beginSolve(st *Stats) error {
 	if sum != 0 {
 		return ErrUnbalanced
 	}
-	s.prepare()
 	if s.flowDirty {
 		s.resetResiduals()
 		s.flowDirty = false

@@ -13,6 +13,7 @@ import (
 // engine does.
 func solveClassic(s *Solver) (float64, error) {
 	var st Stats
+	s.prepare()
 	if err := s.beginSolve(&st); err != nil {
 		return 0, err
 	}

@@ -209,7 +209,6 @@ func solveScalingFull(s *Solver, sc *scalingState, st *Stats) (float64, error) {
 	if sum != 0 {
 		return 0, ErrUnbalanced
 	}
-	s.prepare()
 	if err := sc.prepare(s); err != nil {
 		return 0, err
 	}
