@@ -281,6 +281,41 @@ func driftScenario(t *testing.T) (*Session, float64) {
 	return sess, T
 }
 
+// driftProbe replays resizeCone's steps for driftScenario's armed
+// query on a session of its own, whose flows run under ctx: the edit's
+// own cone misses T by more than coneDriftTol, so resizeCone widens it
+// once, and the widened cone is the one that drifts.
+type driftProbe struct {
+	s         *Session
+	T         float64
+	members   []int
+	x, finish []float64
+}
+
+func newDriftProbe(t *testing.T, ctx context.Context) *driftProbe {
+	t.Helper()
+	s, T := driftScenario(t)
+	s.sc.ctx = ctx
+	x := append([]float64(nil), s.seedX...)
+	s.sc.retime(s.p, x)
+	finish := s.sc.arr.AppendFinish(nil)
+	members := s.p.ConeMembersTimed(s.pendingCone, x, finish, T)
+	if _, err := s.coneAttempt(members, x, finish, T); !errors.Is(err, errConeBoundary) {
+		t.Fatalf("edit cone: err = %v, want errConeBoundary", err)
+	}
+	return &driftProbe{s: s, T: T, members: s.p.WidenMembers(members), x: x, finish: finish}
+}
+
+// solve runs coneSolve on the widened cone against target Tc.
+func (d *driftProbe) solve(t *testing.T, Tc float64) *Result {
+	t.Helper()
+	r, err := d.s.coneSolve(d.members, d.x, d.finish, Tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestConeDriftRepair drives both micro-drift repairs of coneAttempt:
 // on driftScenario's armed edit the first cone answer and the shaved
 // re-solve both land a hair past T, so only the TILOS repair of the
@@ -291,30 +326,14 @@ func TestConeDriftRepair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("c7552 replay")
 	}
-	probe, T := driftScenario(t)
-	defer probe.Close()
-	x := append([]float64(nil), probe.seedX...)
-	probe.sc.retime(probe.p, x)
-	finish := probe.sc.arr.AppendFinish(nil)
-	// The edit's own cone misses T by more than coneDriftTol, so
-	// resizeCone widens it once; the drift shows on the widened cone.
-	members := probe.p.ConeMembersTimed(probe.pendingCone, x, finish, T)
-	if _, err := probe.coneAttempt(members, x, finish, T); !errors.Is(err, errConeBoundary) {
-		t.Fatalf("edit cone: err = %v, want errConeBoundary", err)
-	}
-	members = probe.p.WidenMembers(members)
-	first, err := probe.coneSolve(members, x, finish, T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := newDriftProbe(t, context.Background())
+	defer probe.s.Close()
+	T := probe.T
+	first := probe.solve(t, T)
 	if first.CP <= T*(1+1e-9) || first.CP > T*(1+coneDriftTol) {
 		t.Fatalf("first cone answer CP/T = %.9f, want a micro-drift in (1, 1+%g]", first.CP/T, coneDriftTol)
 	}
-	shaved, err := probe.coneSolve(members, x, finish, T-2*(first.CP-T))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shaved.CP <= T*(1+1e-9) {
+	if shaved := probe.solve(t, T-2*(first.CP-T)); shaved.CP <= T*(1+1e-9) {
 		t.Fatalf("shaved re-solve met T (CP/T = %.9f): the scenario no longer reaches the TILOS repair", shaved.CP/T)
 	}
 
@@ -351,26 +370,13 @@ func TestConeShavedResolveAbort(t *testing.T) {
 		polls++
 		return nil
 	})
-	probe, T := driftScenario(t)
-	probe.sc.ctx = counting
-	x := append([]float64(nil), probe.seedX...)
-	probe.sc.retime(probe.p, x)
-	finish := probe.sc.arr.AppendFinish(nil)
-	members := probe.p.ConeMembersTimed(probe.pendingCone, x, finish, T)
-	if _, err := probe.coneAttempt(members, x, finish, T); !errors.Is(err, errConeBoundary) {
-		t.Fatalf("edit cone: err = %v, want errConeBoundary", err)
-	}
-	members = probe.p.WidenMembers(members)
-	first, err := probe.coneSolve(members, x, finish, T)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := newDriftProbe(t, counting)
+	T := probe.T
+	first := probe.solve(t, T)
 	before := polls
-	if _, err := probe.coneSolve(members, x, finish, T-2*(first.CP-T)); err != nil {
-		t.Fatal(err)
-	}
+	probe.solve(t, T-2*(first.CP-T))
 	inside := polls - before
-	probe.Close()
+	probe.s.Close()
 	if inside < 4 {
 		t.Fatalf("shaved re-solve polled %d times", inside)
 	}
