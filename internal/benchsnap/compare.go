@@ -153,27 +153,47 @@ func WriteComparison(w io.Writer, old, new []BenchResult) int {
 
 // CheckRatios evaluates each ratio rule on rows, prints one line per
 // rule to w, and returns the number of rules that failed: a ratio
-// below its floor, or a rule whose rows the run did not produce.
+// below its floor, or a rule whose rows (or metric) the run did not
+// produce.
 func CheckRatios(w io.Writer, rules []Ratio, rows []BenchResult) int {
 	by := index(rows)
 	failures := 0
 	for _, r := range rules {
-		label := fmt.Sprintf("%s %s / %s", r.Pkg, r.Slow, r.Fast)
-		slow, fast := by[r.Pkg+" "+r.Slow], by[r.Pkg+" "+r.Fast]
-		if slow == nil || fast == nil || fast.NsPerOp <= 0 {
+		unit := r.Metric
+		if unit == "" {
+			unit = "ns/op"
+		}
+		label := fmt.Sprintf("%s %s / %s %s", r.Pkg, r.Slow, r.Fast, unit)
+		slow, sok := ratioValue(by[r.Pkg+" "+r.Slow], r.Metric)
+		fast, fok := ratioValue(by[r.Pkg+" "+r.Fast], r.Metric)
+		if !sok || !fok || fast <= 0 {
 			fmt.Fprintf(w, "ratio %s: rows missing  << ERROR\n", label)
 			failures++
 			continue
 		}
-		ratio := slow.NsPerOp / fast.NsPerOp
+		ratio := slow / fast
 		mark := ""
 		if ratio < r.Min {
 			mark = "  << BELOW FLOOR"
 			failures++
 		}
-		fmt.Fprintf(w, "ratio %s = %.1fx (floor %gx)%s\n", label, ratio, r.Min, mark)
+		fmt.Fprintf(w, "ratio %s = %.2fx (floor %gx)%s\n", label, ratio, r.Min, mark)
 	}
 	return failures
+}
+
+// ratioValue is the number a ratio rule reads from row: ns/op when
+// metric is empty, else that custom metric.  ok is false when the row
+// or its metric is absent.
+func ratioValue(row *BenchResult, metric string) (v float64, ok bool) {
+	if row == nil {
+		return 0, false
+	}
+	if metric == "" {
+		return row.NsPerOp, true
+	}
+	v, ok = row.Metrics[metric]
+	return v, ok
 }
 
 // Gate compares a fresh run against the manifest — baseline rows and

@@ -120,6 +120,41 @@ func TestGateRules(t *testing.T) {
 	}
 }
 
+// TestCheckRatiosMetric drives a ratio rule that reads a work counter
+// instead of ns/op: the counters decide it whatever ns/op says, and a
+// row without the counter fails the rule as missing.
+func TestCheckRatiosMetric(t *testing.T) {
+	rows := func(slowVisited, fastVisited float64) []BenchResult {
+		return []BenchResult{
+			{Pkg: ".", Name: "BenchmarkFull", NsPerOp: 100, Metrics: map[string]float64{"visited/op": slowVisited}},
+			{Pkg: ".", Name: "BenchmarkRepair", NsPerOp: 90, Metrics: map[string]float64{"visited/op": fastVisited}},
+		}
+	}
+	rule := []Ratio{{Pkg: ".", Slow: "BenchmarkFull", Fast: "BenchmarkRepair", Metric: "visited/op", Min: 3}}
+	for _, tc := range []struct {
+		name  string
+		rows  []BenchResult
+		fails int
+		line  string
+	}{
+		{"above floor, ns/op ratio 1.1", rows(12874, 4202), 0, "visited/op = 3.06x (floor 3x)"},
+		{"below floor", rows(12000, 4202), 1, "BELOW FLOOR"},
+		{"metric missing", append(rows(12874, 4202)[:1], BenchResult{Pkg: ".", Name: "BenchmarkRepair", NsPerOp: 1}), 1, "rows missing"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			if got := CheckRatios(&sb, rule, tc.rows); got != tc.fails || !strings.Contains(sb.String(), tc.line) {
+				t.Fatalf("failures = %d, want %d, report %q, want it to contain %q", got, tc.fails, sb.String(), tc.line)
+			}
+		})
+	}
+	// Without Metric the same rows are judged on ns/op: 100/90 < 3.
+	ns := []Ratio{{Pkg: ".", Slow: "BenchmarkFull", Fast: "BenchmarkRepair", Min: 3}}
+	if got := CheckRatios(io.Discard, ns, rows(12874, 4202)); got != 1 {
+		t.Fatalf("ns/op rule: failures = %d, want 1", got)
+	}
+}
+
 func TestWriteComparisonCountsRegressions(t *testing.T) {
 	old := []BenchResult{
 		{Pkg: ".", Name: "BenchmarkFast", NsPerOp: 100, AllocsPerOp: 4},

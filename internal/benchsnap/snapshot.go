@@ -5,10 +5,11 @@
 //
 // The gate checks only numbers that do not depend on the hardware:
 // allocs/op, the deterministic work counters the gated benchmarks
-// report with b.ReportMetric, and ns/op ratios between two rows of
-// the same run.  Absolute ns/op is recorded for reading but never
-// gated.  cmd/mkbench -gate runs a manifest (bench_gate.json at the
-// repo root); EXPERIMENTS.md "Benchmark gate" describes the rows.
+// report with b.ReportMetric, and ratios — of ns/op or of a work
+// counter — between two rows of the same run.  Absolute ns/op is
+// recorded for reading but never gated.  cmd/mkbench -gate runs a
+// manifest (bench_gate.json at the repo root); EXPERIMENTS.md
+// "Benchmark gate" describes the rows.
 package benchsnap
 
 import (
@@ -136,15 +137,19 @@ type Run struct {
 	Bench string `json:"bench"`
 }
 
-// Ratio is a same-run speed rule: ns/op of row Slow over ns/op of row
-// Fast, both in package Pkg, must be at least Min.  Both rows come
-// from one process on one machine, so the ratio survives a change of
-// hardware that absolute ns/op does not.
+// Ratio is a same-run rule: ns/op of row Slow over ns/op of row Fast,
+// both in package Pkg, must be at least Min.  Both rows come from one
+// process on one machine, so the ratio survives a change of hardware
+// that absolute ns/op does not.  With Metric set, the rule reads that
+// work counter (e.g. "visited/op") of both rows instead of ns/op: a
+// ratio that is deterministic, for a pair whose ns/op ratio is too
+// noisy to gate.
 type Ratio struct {
-	Pkg  string  `json:"pkg"`
-	Slow string  `json:"slow"`
-	Fast string  `json:"fast"`
-	Min  float64 `json:"min"`
+	Pkg    string  `json:"pkg"`
+	Slow   string  `json:"slow"`
+	Fast   string  `json:"fast"`
+	Metric string  `json:"metric,omitempty"`
+	Min    float64 `json:"min"`
 }
 
 // WriteJSON emits the manifest as stable, human-diffable JSON

@@ -43,7 +43,7 @@ func TestIterateSteadyStateZeroAlloc(t *testing.T) {
 		opt := Options{}.withDefaults()
 
 		// Warm up: let every reused slice reach steady-state capacity
-		// (this includes the bucket queue's entry pool).
+		// (this includes the radix heap's entry pool).
 		for i := 0; i < 3; i++ {
 			st, err := iterate(p, aug, sc, x, T, opt.Window, opt)
 			if err != nil {

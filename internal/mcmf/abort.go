@@ -26,9 +26,9 @@
 // next solve — while still correct — could follow a different
 // (equally optimal) trajectory than a never-aborted twin.  To keep
 // cancellation invisible, runEngine snapshots the mutable solve state
-// (residual capacities, potentials, the solved/repairable/flowDirty
-// flags, and the search's heap back-off) before an attempt whenever an
-// abort source is armed, and restores it when the attempt aborts.  A
+// (residual capacities, potentials and the solved/repairable/flowDirty
+// flags) before an attempt whenever an abort source is armed, and
+// restores it when the attempt aborts.  A
 // subsequent solve on the cancelled Solver is therefore bit-identical
 // to one on a twin that was never cancelled
 // (TestConformanceCancelAtPollPoints).  The snapshot buffers are
@@ -42,7 +42,7 @@
 // SetEngineFallback(true) (internal/dcs enables this for the sizing
 // pipeline) a failure-class error — a panic or a hook-injected error —
 // restores the pre-attempt state and re-runs the attempt once with the
-// search permanently pinned to the heap, leaving the bucket queue out.
+// search permanently pinned to the heap, leaving the radix heap out.
 // The rescue runs without the poll hook, so an injected fault fires in
 // the failing attempt only.  Each rescue is recorded
 // (EngineFailures/LastEngineFailure; surfaced per-iteration in
@@ -209,7 +209,6 @@ func isSemanticErr(err error) bool {
 type attemptState struct {
 	caps                          []int64 // residual capacity per residual arc; layoutArcs borrows it
 	pot                           []int64
-	skip, skipLen                 int // the search's heap back-off
 	solved, repairable, flowDirty bool
 	valid                         bool
 }
@@ -232,7 +231,6 @@ func (s *Solver) beginAttempt() {
 	for v := range a.pot {
 		a.pot[v] = s.node[v].pot
 	}
-	a.skip, a.skipLen = s.ss.skip, s.ss.skipLen
 	a.solved, a.repairable, a.flowDirty = s.solved, s.repairable, s.flowDirty
 	a.valid = true
 }
@@ -250,7 +248,6 @@ func (s *Solver) restoreAttempt() {
 	for v, p := range a.pot {
 		s.node[v].pot = p
 	}
-	s.ss.skip, s.ss.skipLen = a.skip, a.skipLen
 	s.solved, s.repairable, s.flowDirty = a.solved, a.repairable, a.flowDirty
 }
 

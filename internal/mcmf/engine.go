@@ -2,8 +2,8 @@
 // residual-network state — forward/backward residual arc pairs stored
 // grouped by tail node, supplies, node potentials and the
 // epoch-stamped search scratch — and Solve/ResolveChanged always drive
-// it with successive shortest paths (ssp.go), each search Dial's
-// bucket queue with a heap fallback (dial.go).
+// it with successive shortest paths (ssp.go), each search on a radix
+// heap (radix.go).
 //
 // Goldberg–Tarjan cost scaling (costscaling.go over scalingcore.go)
 // stays in the package as the independent algorithm the conformance
@@ -40,9 +40,6 @@ type Stats struct {
 	// BellmanFords counts potential (re)builds — zero on a pure
 	// warm-start trajectory.
 	BellmanFords int
-	// HeapFallbacks counts searches the bucket search handed to the
-	// heap because distances outgrew the bucket ring.
-	HeapFallbacks int64
 	// FullFallbacks counts Resolve calls that ran a full Solve instead
 	// (no prior flow, topology changed, or the gate preferred one).
 	FullFallbacks int

@@ -58,15 +58,14 @@ func grownInstance(t *testing.T, seed int64) (*Solver, []int32) {
 
 // builtUpFront returns a solver with s's current configuration — every
 // arc added in ID order with its current cost and capacity, the same
-// supplies — holding s's current potentials and heap back-off, laid
-// out before its first solve.
+// supplies — holding s's current potentials, laid out before its first
+// solve.
 func builtUpFront(s *Solver) *Solver {
 	f := freshTwin(s)
 	f.prepare()
 	for v := range s.node {
 		f.node[v].pot = s.node[v].pot
 	}
-	f.ss.skip, f.ss.skipLen = s.ss.skip, s.ss.skipLen
 	return f
 }
 

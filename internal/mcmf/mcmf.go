@@ -8,8 +8,11 @@
 // The algorithm is successive shortest paths with node potentials:
 // potentials are initialized with Bellman–Ford (arc costs may be
 // negative), after which every augmentation uses Dijkstra on reduced
-// costs — Dial's bucket queue, falling back to a heap when distances
-// outgrow its ring (dial.go).  At optimality the node potentials are
+// costs on a monotone radix heap (radix.go).  Pops come in
+// non-decreasing distance and ties in push order, and each search stops
+// at the first deficit it pops, so that order is part of the answer:
+// it picks among equally short paths, and with them among optimal
+// potentials.  At optimality the node potentials are
 // the dual variables of the flow LP, which is exactly what the D-phase
 // needs (the FSDU displacement r is read off the potentials; see
 // internal/dcs).
@@ -38,9 +41,9 @@
 //     place once per topology, so a search scans each node's arcs
 //     contiguously; public arc IDs reach their arcs through an
 //     ID→position table;
-//   - the Dijkstra priority queue is a ring of FIFO buckets over one
-//     entry pool, with an inline index-based 4-ary heap on int64 keys
-//     (no container/heap interface boxing) as its fallback;
+//   - the Dijkstra priority queue is a radix heap over one entry pool,
+//     with an inline index-based 4-ary heap on int64 keys (no
+//     container/heap interface boxing) as the rescue's search;
 //   - each node's potential and its per-search state (distance, tree
 //     arc, epoch stamp) share one 24-byte record, so a relaxation
 //     touches one place per head node; the search state is
@@ -135,8 +138,8 @@ type Solver struct {
 	topoDirty bool
 	flowDirty bool // residuals carry a previous solve's flow
 
-	// ss is the solver's epoch-stamped Dijkstra scratch with Dial's
-	// bucket queue and the heap fallback (search.go, dial.go).
+	// ss is the solver's epoch-stamped Dijkstra scratch with the radix
+	// heap and the rescue's heap (search.go, radix.go).
 	ss      searchScratch
 	excess  []int64
 	sources []int32
@@ -636,7 +639,12 @@ type heap4 struct {
 	node []int32
 }
 
-func (h *heap4) reset() {
+// reset empties the heap, giving it room for n entries on first use.
+func (h *heap4) reset(n int) {
+	if cap(h.key) < n {
+		h.key = make([]int64, 0, n)
+		h.node = make([]int32, 0, n)
+	}
 	h.key = h.key[:0]
 	h.node = h.node[:0]
 }

@@ -259,7 +259,7 @@ func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, full
 
 // FuzzRoutingMatchesClassic drives the classic-loop oracle with
 // fuzzer-chosen instances and re-pricings: a D-phase tree or a grid
-// (shape), solved cold — on the bucket search, or with both twins'
+// (shape), solved cold — on the radix search, or with both twins'
 // searches pinned to the heap (the rescue mode) — and then
 // re-priced three times by the bytes of deltas — each triple names an
 // arc and a new cost — and re-solved, the first re-pricing in full and

@@ -12,7 +12,7 @@ import (
 // (TestConformanceResolve), which runs them on ssp and the
 // cost-scaling oracle.  This file keeps the resolve tests that pin
 // ssp-specific behaviour: exact fallback/no-fallback gate outcomes and
-// the bucket search's overflow machinery.
+// the radix search at megascale distances.
 
 // TestResolveDisconnectedSupply covers the degenerate network the
 // property test can't hit reliably: supply on a node with no arcs at
@@ -236,24 +236,24 @@ func BenchmarkDPhaseResolveArmed(b *testing.B) {
 }
 
 // heapTwin returns a fresh twin of s whose searches are pinned to the
-// heap: the reference the bucket search is held to.
+// heap: the reference the radix search is held to.
 func heapTwin(s *Solver) *Solver {
 	h := freshTwin(s)
 	h.ss.heapOnly = true
 	return h
 }
 
-// TestDialOverflowHorizon pins the bucket search's overflow discipline
-// (regression: an unsettled node whose tentative distance equals the
-// scan position at a rebase was dropped as settled, making a feasible
-// instance report ErrInfeasible).  Arc costs sit exactly at and just
-// below the bucket-ring horizon so the only route to the deficit goes
-// through an overflow entry.
+// TestDialOverflowHorizon puts a dead end near the source and the only
+// route to the deficit just past it, at distances in the radix heap's
+// high buckets: the search must settle the dead end, move the route's
+// entry down and still reach the deficit (a Dial ring of 4096 buckets
+// once dropped such a route at a rebase and reported ErrInfeasible).
 func TestDialOverflowHorizon(t *testing.T) {
+	const far = 1 << 40
 	build := func() *Solver {
 		s := New(4)
-		s.AddArc(0, 1, 10, dialRing-1) // dead end keeps the ring busy up to the horizon
-		s.AddArc(0, 2, 10, dialRing)   // the real route overflows the ring
+		s.AddArc(0, 1, 10, far-1) // dead end, one below the route
+		s.AddArc(0, 2, 10, far)   // the real route
 		s.AddArc(2, 3, 10, 0)
 		s.SetSupply(0, 1)
 		s.SetSupply(3, -1)
@@ -266,26 +266,26 @@ func TestDialOverflowHorizon(t *testing.T) {
 	}
 	got, err := d.Solve()
 	if err != nil {
-		t.Fatalf("bucket search on feasible horizon instance: %v", err)
+		t.Fatalf("radix search on feasible far-route instance: %v", err)
 	}
 	if got != want {
-		t.Fatalf("bucket search cost %v != heap cost %v", got, want)
+		t.Fatalf("radix search cost %v != heap cost %v", got, want)
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDialHugeCostsMatchSSP drives the overflow/merge machinery hard:
-// random feasible instances with costs scaled far beyond the bucket
-// ring must solve to exactly the optimum of a heap-pinned twin (the
-// D-phase integerizes at 1e6, so megascale reduced costs are the
-// production shape).
+// TestDialHugeCostsMatchSSP drives the radix heap's bucket moves hard:
+// random feasible instances with costs scaled by up to about 10^7, so
+// distances spread over dozens of buckets, must solve to exactly the
+// optimum of a heap-pinned twin (the D-phase integerizes at 1e6, so
+// megascale reduced costs are the production shape).
 func TestDialHugeCostsMatchSSP(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := buildRandomFeasible(rng, false)
-		scale := int64(1 + rng.Intn(5000))
+		scale := int64(1+rng.Intn(5000)) << rng.Intn(12)
 		for id := 0; id < a.NumArcs(); id++ {
 			a.SetCost(id, a.Cost(id)*scale)
 		}
@@ -294,13 +294,13 @@ func TestDialHugeCostsMatchSSP(t *testing.T) {
 		want, err1 := a.Solve()
 		got, err2 := b.Solve()
 		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: heap err %v, bucket err %v", seed, err1, err2)
+			t.Fatalf("seed %d: heap err %v, radix err %v", seed, err1, err2)
 		}
 		if got != want {
-			t.Fatalf("seed %d (scale %d): bucket cost %v != heap cost %v", seed, scale, got, want)
+			t.Fatalf("seed %d (scale %d): radix cost %v != heap cost %v", seed, scale, got, want)
 		}
 		if err := b.Verify(); err != nil {
-			t.Fatalf("seed %d: bucket certificate: %v", seed, err)
+			t.Fatalf("seed %d: radix certificate: %v", seed, err)
 		}
 		// And again through the incremental path after a delta batch.
 		changed := mutateRandom(rng, b, false)
@@ -320,7 +320,7 @@ func TestDialHugeCostsMatchSSP(t *testing.T) {
 			t.Fatalf("seed %d: resolve err %v, fresh err %v", seed, err2, err1)
 		}
 		if err1 == nil && gotR != wantR {
-			t.Fatalf("seed %d: bucket resolve cost %v != heap cost %v", seed, gotR, wantR)
+			t.Fatalf("seed %d: radix resolve cost %v != heap cost %v", seed, gotR, wantR)
 		}
 	}
 }

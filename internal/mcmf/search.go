@@ -1,9 +1,12 @@
 // Per-search Dijkstra state: the residual arcs, potentials and excess
 // vector are read-only during a search, while everything a search
 // writes — each node's tentative distance, shortest-path tree arc and
-// epoch stamp, the bucket queue and the heap — lives in the node
+// epoch stamp, the radix heap and the rescue's heap — lives in the node
 // records (Solver.node) and the Solver's searchScratch (s.ss), which
-// the bucket search (dial.go) and its heap fallback share.
+// the radix search (radix.go) and the heap rescue share.  Both pop in
+// non-decreasing distance; the radix heap breaks ties in push order
+// (radix.go), the rescue's heap in its own order, so the two can end a
+// search at different deficits of equal distance.
 package mcmf
 
 // nodeState is one node's record: its potential, which persists across
@@ -24,23 +27,17 @@ type nodeState struct {
 // searchScratch is the rest of a shortest-path search's state: the
 // epoch that validates the node records' search fields (so per-search
 // reset is O(1) plus the nodes actually visited), the visited list,
-// Dial's bucket queue, the inline 4-ary heap, and the heap back-off
-// that carries over from one search to the next.
+// the radix heap, and the inline 4-ary heap of the rescue.
 type searchScratch struct {
-	epoch   uint32
-	visited []int32
-	q       bucketQueue
-	h       heap4
-
-	// skip/skipLen are the heap back-off (shortestPath).  They decide
-	// heap-vs-bucket searches, and with them tie-breaking, so an
-	// aborted attempt rolls them back (restoreAttempt).
-	skip, skipLen int
-	heapOnly      bool // every search on the heap: ssp's rescue (runEngine)
+	epoch    uint32
+	visited  []int32
+	q        radixHeap
+	h        heap4 // allocated by the first heap search (dijkstraHeap)
+	heapOnly bool  // every search on the heap: ssp's rescue (runEngine)
 }
 
 // ensureSSP sizes the scratch the SSP routing loops fill up to the
-// node count: the visited list, bucket queue and heap of a search (a
+// node count: the visited list and radix-heap pool of a search (a
 // phase's multi-source search can touch every node), the source list,
 // and a phase's DFS path.  Sizing them once per network keeps warm
 // solves allocation-free; the cost-scaling oracle's full solves, which
@@ -51,22 +48,20 @@ func (s *Solver) ensureSSP() {
 		return
 	}
 	s.ss.visited = make([]int32, 0, n)
-	s.ss.q.ensure(n)
-	s.ss.h.key = make([]int64, 0, n)
-	s.ss.h.node = make([]int32, 0, n)
+	s.ss.q.pool = make([]radixEntry, 0, n)
 	s.sources = make([]int32, 0, n)
 	s.path = make([]int32, 0, n)
 }
 
 // SearchScratchBytes estimates the search scratch an n-node network
 // keeps once solved or repaired: per node its 24-byte record (the
-// potential and the search fields), a visited-list entry, a heap slot
-// (8-byte key, 4-byte node), a bucket-pool entry, a source-list entry
-// and a phase's DFS path entry; plus the bucket ring's head/tail
-// arrays.  A search that pushes a node more than once grows the pool
-// past n, so this is a floor, not a bound.
+// potential and the search fields), a visited-list entry, a 16-byte
+// radix-heap pool entry, a source-list entry and a phase's DFS path
+// entry.  A search that pushes a node more than once grows the pool
+// past n, so this is a floor, not a bound; the rescue's heap is not
+// counted, since only a failed attempt allocates it.
 func SearchScratchBytes(n int) int64 {
-	return int64(n)*(24+4+12+8+4+4) + 2*4*dialRing
+	return int64(n) * (24 + 4 + 16 + 4 + 4)
 }
 
 // beginSearch starts a fresh search epoch.
@@ -91,7 +86,8 @@ func (s *Solver) touch(v int32) {
 
 // dijkstraHeap runs one shortest-path search on reduced costs from
 // every node in srcs (each at distance 0) on the inline 4-ary heap —
-// the bucket search's fallback (shortestPath), with the same contract.
+// the rescue's search (shortestPath) and the radix search's test
+// oracle, with the same contract except for the order of ties.
 // It reads (and never writes) the solver's residual arcs, potentials
 // and the excess vector.  It fills the node records' search fields and
 // ss.visited for the settled region and returns the first node with
@@ -100,7 +96,7 @@ func (s *Solver) touch(v int32) {
 func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
 	sc := &s.ss
 	s.beginSearch()
-	sc.h.reset()
+	sc.h.reset(s.n)
 	for _, src := range srcs {
 		s.touch(src)
 		s.node[src].dist = 0

@@ -1,7 +1,11 @@
 // Successive shortest paths: the Solver's one flow algorithm and its
-// routing loops.  Every search is Dial's bucket search with its heap
-// fallback (shortestPath in dial.go); the search state is the
-// Solver's own (search.go).
+// routing loops.  Every search — per-source, phase or resolve — runs on
+// the radix heap (shortestPath in radix.go), or on the 4-ary heap once
+// SetEngineFallback's rescue pinned it there; the search state is the
+// Solver's own (search.go).  A search settles nodes in non-decreasing
+// distance, ties in push order, and stops at the first deficit it
+// pops, so which of several equally near deficits a path reaches, and
+// with it the final potentials, follows from that order.
 //
 // Two loops route supply.  The per-source loop (augmentSome) runs one
 // search per augmentation, from one source to its nearest deficit.
@@ -107,7 +111,7 @@ func (s *Solver) augmentSome(srcs []int32, excess []int64, st *Stats, lim raceLi
 // single source in src to the nearest deficit, then the augmentation
 // along its path.
 func (s *Solver) augmentFrom(src []int32, excess []int64, st *Stats) error {
-	target, dt := s.shortestPath(src, excess, st)
+	target, dt := s.shortestPath(src, excess)
 	if target == -1 {
 		return ErrInfeasible
 	}
@@ -181,7 +185,7 @@ func (s *Solver) routePhases(excess []int64, st *Stats) error {
 			return err
 		}
 		v0, a0 := st.Visited, st.Augmentations
-		target, dt := s.shortestPath(srcs, excess, st)
+		target, dt := s.shortestPath(srcs, excess)
 		if target == -1 {
 			return ErrInfeasible
 		}

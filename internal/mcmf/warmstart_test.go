@@ -2,6 +2,7 @@ package mcmf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -262,5 +263,48 @@ func TestWarmResolveWithCostUpdatesAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm update+re-solve allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestWarmResolveChangedAllocFree: the incremental repair of the warm
+// D-phase path — re-price a batch of arcs, ResolveChanged — allocates
+// nothing once the radix heap's pool has grown to the searches' size.
+// Each run prices the batch up and back, so every run repeats the
+// searches of the one before.
+func TestWarmResolveChangedAllocFree(t *testing.T) {
+	s := NewGridInstance(20, 12, 9)
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	var ids []int32
+	var orig, costs []int64
+	for k := 0; k < 12; k++ {
+		id := int32(rng.Intn(s.NumArcs()))
+		if slices.Contains(ids, id) {
+			continue
+		}
+		ids = append(ids, id)
+		orig = append(orig, s.Cost(int(id)))
+		costs = append(costs, int64(rng.Intn(1000)))
+	}
+	resolve := func(to []int64) {
+		for k, id := range ids {
+			s.SetCost(int(id), to[k])
+		}
+		if _, err := s.ResolveChanged(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolves := s.EngineStats().Resolves
+	allocs := testing.AllocsPerRun(20, func() {
+		resolve(costs)
+		resolve(orig)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ResolveChanged allocates %v objects/op, want 0", allocs)
+	}
+	if got := s.EngineStats().Resolves - resolves; got != 2*21 {
+		t.Fatalf("%d incremental repairs, want %d: the loop measured full solves", got, 2*21)
 	}
 }

@@ -185,7 +185,7 @@ type Config struct {
 	// CostScale integerizes D-phase arc costs (default 1e6).
 	CostScale float64
 	// FlowEngine is ignored: every D-phase runs successive shortest
-	// paths over Dial's bucket queue (see EXPERIMENTS.md "One flow
+	// paths over a radix heap (see EXPERIMENTS.md "One flow
 	// algorithm").
 	//
 	// Deprecated: kept only so cmd/minflobench, its one remaining user,
