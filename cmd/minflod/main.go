@@ -34,12 +34,20 @@
 // the trust-region seed (the next query runs cold) and is counted in
 // /stats as edit_fallbacks_total.
 //
+// With -trust-region δ (default 0.05), a query starts from the
+// session's previous converged sizing instead of a TILOS restart
+// unless an area-weight edit since moved more than δ.  A target within
+// δ of the previous one is a refinement on a short endgame schedule;
+// one beyond δ is a far jump ("far_seed" in the answer) on the cold
+// window schedule (far_seeded_total / far_seed_fallbacks_total in
+// /stats).
+//
 // With -edit-cone-resize, the first query after a value-only edit
-// batch (inside the trust region) is answered from a cone-scoped
-// subproblem against frozen boundary arrivals instead of the full
-// netlist — edit→re-size latency scales with the cone.  The merged
-// answer is re-timed on the whole graph; a reconciliation miss falls
-// back to the full warm path (cone_resizes_total /
+// batch (a refinement of the previous target) is answered from a
+// cone-scoped subproblem against frozen boundary arrivals instead of
+// the full netlist — edit→re-size latency scales with the cone.  The
+// merged answer is re-timed on the whole graph; a reconciliation miss
+// falls back to the full warm path (cone_resizes_total /
 // cone_fallbacks_total in /stats).
 //
 // Overload answers 429 with Retry-After; shutdown (SIGINT/SIGTERM)
@@ -76,7 +84,7 @@ func main() {
 		memHigh     = flag.String("mem-high", "1GiB", "session-cache high watermark (eviction trigger), e.g. 512MiB")
 		memLow      = flag.String("mem-low", "", "eviction target (default 3/4 of -mem-high)")
 		drain       = flag.Duration("drain", 5*time.Second, "shutdown drain deadline; in-flight queries still running at the deadline return best-so-far partial answers")
-		trustRegion = flag.Float64("trust-region", 0.05, "warm-seed queries whose target moved at most this relative amount from the session's previous answer (0 disables; answers become deterministic given session history, see internal/core)")
+		trustRegion = flag.Float64("trust-region", 0.05, "start queries from the session's previous answer unless an area-weight edit since moved more than this relative amount; a target move within it is a refinement, one beyond it a far jump on the cold window schedule (0 disables; answers become deterministic given session history, see internal/core)")
 		editCone    = flag.Float64("edit-cone-budget", 0, "drop a session's warm seed when a netlist edit's timing cone exceeds this fraction of the circuit (0 = default 0.25, negative disables the check)")
 		coneResize  = flag.Bool("edit-cone-resize", false, "answer the first in-trust-region query after a value-only edit batch from a cone-scoped subproblem against frozen boundary arrivals (requires -trust-region > 0)")
 	)

@@ -102,16 +102,20 @@ type Options struct {
 	// default (false) keeps the PR-6 always-fallback behavior.
 	NoEngineFallback bool
 	// TrustRegion, when positive, enables warm seeding on Session
-	// Resize: a query whose target moved at most TrustRegion relative
-	// to the previous clean answer (and whose area weights were edited
-	// by at most TrustRegion relative since) starts the D/W loop from
-	// that answer instead of a TILOS restart.  Result.Seed reports the
-	// start point taken; non-convergence (iteration blowout vs the
-	// session's EWMA) falls back to the cold path transparently.  With
-	// seeding on, answers are deterministic given the session's query
-	// history rather than per-query — see the Session docs.  0 (the
-	// default) keeps the per-query cold contract.  One-shot SizeCtx
-	// runs have no history, so the field only matters for Sessions.
+	// Resize: a query whose area weights were edited by at most
+	// TrustRegion relative since the previous clean answer starts the
+	// D/W loop from that answer instead of a TILOS restart, whatever
+	// its target.  The target's move against TrustRegion picks the
+	// schedule: a refinement (within it) runs the short endgame
+	// schedule, which falls back to the cold path transparently on an
+	// iteration blowout vs the session's EWMA; a far jump (beyond it)
+	// runs the cold window schedule without the regrow, under
+	// MaxIters.  Result.Seed reports the start point taken and
+	// Result.FarSeed the schedule.  With seeding on, answers are
+	// deterministic given the session's query history rather than
+	// per-query — see the Session docs.  0 (the default) keeps the
+	// per-query cold contract.  One-shot SizeCtx runs have no history,
+	// so the field only matters for Sessions.
 	TrustRegion float64
 	// EditConeBudget bounds how much of the circuit an ECO edit batch
 	// (Session.ApplyEdits) may invalidate while keeping the warm start:
@@ -221,6 +225,11 @@ type Result struct {
 	// region seed and abandoned it (repair failure or EWMA iteration
 	// blowout).
 	SeedFallback bool
+	// FarSeed marks a trust-region seed attempt whose target lay beyond
+	// the trust region of the seed's: set on its warm answer (the
+	// far-jump schedule) and, with SeedFallback, on the cold answer it
+	// fell back to.
+	FarSeed bool
 	// ConeGates counts the sizable vertices of the cone subproblem
 	// when Seed == SeedCone (0 otherwise).
 	ConeGates int

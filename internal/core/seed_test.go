@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"minflo/internal/fault"
+	"minflo/internal/sta"
 )
 
 // trOpt is the trust-region configuration the seed tests share: the
@@ -18,9 +19,9 @@ func trOpt() Options {
 // TestSessionTrustRegionReplay is the renegotiated determinism
 // contract: with seeding on, a session's answers are a deterministic
 // function of the query sequence — a serial twin replaying the same
-// small-refinement mix answers bit-identically — while the seeded
-// answers stay feasible and within 2e-2 relative area of a
-// seeding-off session's answers.
+// mix of small refinements and two far jumps (one looser, one tighter)
+// answers bit-identically — while the seeded answers stay feasible and
+// within 2e-2 relative area of a seeding-off session's answers.
 func TestSessionTrustRegionReplay(t *testing.T) {
 	const engine = "ssp"
 	t.Run(engine, func(t *testing.T) {
@@ -42,9 +43,11 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 		defer off.Close()
 
 		tmin := minCP(t, warm.p)
-		// The latency harness's small-refinement mix: a cold anchor
-		// then targets within ±0.7% of it.
-		targets := []float64{0.6, 0.602, 0.598, 0.601, 0.599, 0.6}
+		// The latency harness's small-refinement mix (a cold anchor then
+		// targets within ±0.7% of it) with two far jumps: 0.598 → 0.66
+		// looser and 0.661 → 0.599 tighter, both past δ.
+		targets := []float64{0.6, 0.602, 0.598, 0.66, 0.661, 0.599, 0.601, 0.6}
+		far := map[int]bool{3: true, 5: true}
 		seeded, fallbacks := 0, 0
 		for qi, f := range targets {
 			T := f * tmin
@@ -57,7 +60,7 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 				t.Fatalf("twin query %d: %v", qi, err)
 			}
 			if !bitEqual(rw.X, rt.X) || rw.Area != rt.Area || rw.CP != rt.CP ||
-				rw.Iterations != rt.Iterations || rw.Seed != rt.Seed {
+				rw.Iterations != rt.Iterations || rw.Seed != rt.Seed || rw.FarSeed != rt.FarSeed {
 				t.Fatalf("query %d (T=%g): seeded session diverged from replaying twin\nwarm: area %.17g seed %q iters %d\ntwin: area %.17g seed %q iters %d",
 					qi, T, rw.Area, rw.Seed, rw.Iterations, rt.Area, rt.Seed, rt.Iterations)
 			}
@@ -65,8 +68,8 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 			if qi == 0 {
 				wantSeed = SeedTilos
 			}
-			if rw.Seed != wantSeed {
-				t.Fatalf("query %d: Seed = %q, want %q", qi, rw.Seed, wantSeed)
+			if rw.Seed != wantSeed || rw.FarSeed != far[qi] {
+				t.Fatalf("query %d: Seed = %q FarSeed = %v, want %q %v", qi, rw.Seed, rw.FarSeed, wantSeed, far[qi])
 			}
 			if rw.Seed == SeedWarm {
 				seeded++
@@ -106,9 +109,10 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 	})
 }
 
-// TestSessionTrustRegionFallbackBeyondDelta: a target jump beyond δ
-// re-seeds from TILOS (no fallback counted — the policy never armed),
-// and the session recovers warm seeding around the new anchor.
+// TestSessionTrustRegionFallbackBeyondDelta: a target jump beyond δ no
+// longer re-seeds from TILOS.  It starts from the previous answer on
+// the far-jump schedule (FarSeed, no fallback) and meets the new
+// target; a small move around the new anchor is a refinement again.
 func TestSessionTrustRegionFallbackBeyondDelta(t *testing.T) {
 	sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
 	if err != nil {
@@ -129,20 +133,90 @@ func TestSessionTrustRegionFallbackBeyondDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Seed != SeedTilos || r1.SeedFallback {
-		t.Fatalf("beyond-δ query: Seed = %q SeedFallback = %v, want cold with no fallback",
-			r1.Seed, r1.SeedFallback)
+	if r1.Seed != SeedWarm || !r1.FarSeed || r1.SeedFallback {
+		t.Fatalf("beyond-δ query: Seed = %q FarSeed = %v SeedFallback = %v, want a warm far jump with no fallback",
+			r1.Seed, r1.FarSeed, r1.SeedFallback)
 	}
-	if r0.SeedFallback {
-		t.Fatalf("first query marked SeedFallback")
+	if r1.CP > 0.75*tmin*(1+1e-9) {
+		t.Fatalf("far-jump answer CP %g violates target %g", r1.CP, 0.75*tmin)
 	}
-	// A small move around the NEW anchor seeds warm.
+	if r0.SeedFallback || r0.FarSeed {
+		t.Fatalf("first query marked SeedFallback/FarSeed")
+	}
+	// A small move around the NEW anchor is a refinement.
 	r2, err := sess.Resize(context.Background(), 0.752*tmin, Budgets{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Seed != SeedWarm {
-		t.Fatalf("near-anchor query Seed = %q, want %q", r2.Seed, SeedWarm)
+	if r2.Seed != SeedWarm || r2.FarSeed {
+		t.Fatalf("near-anchor query Seed = %q FarSeed = %v, want a warm refinement", r2.Seed, r2.FarSeed)
+	}
+}
+
+// farJumpAreaTol bounds a far-jump answer's area above a fresh cold
+// Size at the same target, relative: coneAreaTol's precedent for two
+// seeded-vs-cold trajectories of the same problem.
+const farJumpAreaTol = 5e-3
+
+// TestSessionFarJumpArea holds far jumps answered from the session's
+// converged sizing to the quality of the TILOS restart they replace.
+// A refine-style walk (small moves around the target, a jump of at
+// least 8% every other query, tighter and looser alike) runs on mult8
+// and c1908; every jump must be answered warm on the far-jump
+// schedule, meet its target under an independent STA and land within
+// farJumpAreaTol of a fresh cold Size.  The refinement endgame schedule
+// run on far jumps fails this on both circuits.
+func TestSessionFarJumpArea(t *testing.T) {
+	walk := []float64{0.65, 0.648, 0.58, 0.582, 0.70, 0.698, 0.62, 0.621, 0.74}
+	for _, name := range []string{"mult8", "c1908"} {
+		t.Run(name, func(t *testing.T) {
+			p := mustProblem(t, name)
+			tmin := minCP(t, p)
+			sess, err := NewSession(p, trOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			jumps := 0
+			for qi, f := range walk {
+				T := f * tmin
+				prev := sess.seedT
+				r, err := sess.Resize(context.Background(), T, Budgets{})
+				if err != nil {
+					t.Fatalf("query %d (%.3f·Dmin): %v", qi, f, err)
+				}
+				far := qi > 0 && math.Abs(T-prev) > 0.05*prev
+				if qi > 0 && (r.Seed != SeedWarm || r.FarSeed != far || r.SeedFallback) {
+					t.Fatalf("query %d (%.3f·Dmin): Seed = %q FarSeed = %v SeedFallback = %v, want warm FarSeed = %v",
+						qi, f, r.Seed, r.FarSeed, r.SeedFallback, far)
+				}
+				if !far {
+					continue
+				}
+				jumps++
+				tm, err := sta.Analyze(p.G, p.Delays(r.X))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tm.CP > T*(1+1e-9) || tm.CP != r.CP {
+					t.Fatalf("jump to %.3f·Dmin: independent STA CP %.17g (reported %.17g), target %.17g",
+						f, tm.CP, r.CP, T)
+				}
+				cold, err := Size(p, T, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rel := (r.Area - cold.Area) / cold.Area
+				t.Logf("jump to %.3f·Dmin: area %+.2e vs cold, %d iterations (cold %d)", f, rel, r.Iterations, cold.Iterations)
+				if rel > farJumpAreaTol {
+					t.Fatalf("jump to %.3f·Dmin: area %.17g vs cold %.17g (rel %+g) beyond %g",
+						f, r.Area, cold.Area, rel, farJumpAreaTol)
+				}
+			}
+			if jumps != 4 {
+				t.Fatalf("walk made %d far jumps, want 4", jumps)
+			}
+		})
 	}
 }
 

@@ -15,24 +15,32 @@
 // Trust-region warm seeding (Options.TrustRegion): by default every
 // Resize re-seeds from TILOS, so warm state accelerates the solve but
 // never changes the trajectory.  With a trust region δ configured, a
-// Resize whose target moved at most δ relative to the previous clean
-// answer (and whose area weights moved at most δ since it) skips the
-// TILOS restart and starts the D/W loop from the previous converged
-// sizing instead: the resident flow network is already priced near
-// the new optimum, so the first D-phase is a local ResolveChanged
-// repair and the loop converges in a few iterations instead of a few
-// tens.  A seeded run also swaps the window schedule: the budget
-// window opens scaled to the actual target move (not the cold-start
-// Options.Window) and decays monotonically — a run that starts at the
-// optimum is all endgame, and the cold schedule's regrow-on-
-// improvement rule would zigzag around the answer for many iterations
-// before settling.  A seeded attempt that misses the new (tighter) target first
-// repairs the seed with TILOS moves *from the prior sizes*
-// (tilos.SizeWith on the session's resident arrival engine); big
-// jumps, weight edits beyond δ, repair failures and iteration
-// blowouts (vs an EWMA of the session's clean iteration counts) all
-// fall back to the cold TILOS path.  Result.Seed records which path
-// answered.
+// Resize whose area weights moved at most δ relative since the previous
+// clean answer skips the TILOS restart and starts the D/W loop from
+// that converged sizing instead, however far its target moved.  A seed
+// that misses the new (tighter) target is first repaired with TILOS
+// moves *from the prior sizes* (tilos.SizeWith on the session's
+// resident arrival engine).  δ on the target then picks the window
+// schedule:
+//
+//   - A refinement (target within δ of the seed's) is all endgame: the
+//     resident flow network is already priced near the new optimum, so
+//     the budget window opens scaled to the actual move (not the
+//     cold-start Options.Window) and halves on every iteration; the
+//     cold schedule's regrow-on-improvement rule would zigzag around
+//     the answer for many iterations before settling.  An iteration
+//     blowout (vs an EWMA of the session's clean iteration counts)
+//     abandons the seed.
+//   - A far jump (target beyond δ) still has real ground to cover: the
+//     window opens at Options.Window, holds on an improving iteration
+//     and halves on an overshoot — the cold rule without the regrow —
+//     under the cold path's own MaxIters cap.  Starting from the
+//     converged sizing instead of minimum sizes saves the TILOS
+//     restart and most of the walk back to the optimum.
+//
+// Weight edits beyond δ, repair failures and refinement blowouts fall
+// back to the cold TILOS path.  Result.Seed records which path
+// answered, Result.FarSeed whether the seed attempt was a far jump.
 //
 // Determinism contract: a session's answers are a deterministic
 // function of the query sequence served since its last cold build — a
@@ -308,10 +316,11 @@ var errSeedRejected = errors.New("core: trust-region seed rejected")
 //
 // Without Options.TrustRegion the answer is bit-identical to a cold
 // run of the same query on a fresh session.  With a trust region
-// configured, a query close to the previous clean answer starts from
-// that answer instead of a TILOS restart (Result.Seed reports which),
-// and answers are deterministic given the session's query history —
-// a twin session replaying the same sequence answers bit-identically.
+// configured, a query whose area weights stayed within it starts from
+// the previous clean answer instead of a TILOS restart (Result.Seed
+// reports which), and answers are deterministic given the session's
+// query history — a twin session replaying the same sequence answers
+// bit-identically.
 func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, error) {
 	if s.closed {
 		return nil, errors.New("core: Resize on closed Session")
@@ -334,22 +343,24 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 		sc.flowBudget = sc.sys.FlowWorkDone() + bud.FlowWorkBudget
 	}
 
-	// Trust-region policy: seed from the previous clean answer when
-	// the target moved at most δ relative and no weight edit since
-	// exceeded δ.  Every input here is session history — never wall
-	// time — so a twin replaying the sequence makes the same choice.
-	// An armed cone (value-only edits since the last answer,
-	// Options.EditConeResize) is consumed here whatever happens: it
-	// describes exactly the edits between the previous answer and this
-	// query, so it cannot carry over to a later one.
+	// Trust-region policy: seed from the previous clean answer when no
+	// weight edit since exceeded δ; the target's move only picks the
+	// seeded schedule (refinement or far jump, see resizeSeeded).
+	// Every input here is session history — never wall time — so a
+	// twin replaying the sequence makes the same choice.  An armed cone
+	// (value-only edits since the last answer, Options.EditConeResize)
+	// is consumed here whatever happens: it describes exactly the edits
+	// between the previous answer and this query, so it cannot carry
+	// over to a later one.  Only a refinement tries it: the cone
+	// freezes the rest of the circuit at sizes tuned for the old target.
 	coneSeeds := s.pendingCone
 	s.pendingCone = nil
-	fellBack := false
+	fellBack, far := false, false
 	coneFellBack := false
 	if opt.TrustRegion > 0 && s.seedValid && s.seedT > 0 &&
-		math.Abs(T-s.seedT) <= opt.TrustRegion*s.seedT &&
 		s.seedWPerturb <= opt.TrustRegion {
-		if opt.EditConeResize && len(coneSeeds) > 0 {
+		far = s.farJump(T)
+		if opt.EditConeResize && len(coneSeeds) > 0 && !far {
 			res, err := s.resizeCone(coneSeeds, T)
 			if !errors.Is(err, errSeedRejected) {
 				return s.record(T, res, err)
@@ -368,9 +379,16 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 	res, err := s.resizeCold(T)
 	if res != nil {
 		res.SeedFallback = fellBack
+		res.FarSeed = fellBack && far
 		res.ConeFallback = coneFellBack
 	}
 	return s.record(T, res, err)
+}
+
+// farJump reports whether target T lies beyond the trust region of the
+// seed's target: a seeded Resize to it runs the far-jump schedule.
+func (s *Session) farJump(T float64) bool {
+	return math.Abs(T-s.seedT) > s.opt.TrustRegion*s.seedT
 }
 
 // record finishes a Resize: a clean answer becomes the next trust-region
@@ -405,7 +423,7 @@ func (s *Session) record(T float64, res *Result, err error) (*Result, error) {
 // should take over.
 func (s *Session) resizeSeeded(T float64) (*Result, error) {
 	p, sc, opt := s.p, s.sc, s.opt
-	res := &Result{Seed: SeedWarm}
+	res := &Result{Seed: SeedWarm, FarSeed: s.farJump(T)}
 	x := append([]float64(nil), s.seedX...)
 	cp := sc.retime(p, x)
 	if cp > T {
@@ -428,7 +446,12 @@ func (s *Session) resizeSeeded(T float64) (*Result, error) {
 		res.Partial = true
 		return res, aerr
 	}
-	// The seed sits within the trust region of the new optimum, so the
+	if res.FarSeed {
+		// A far jump still has real ground to cover: the cold window and
+		// iteration cap (dwLoop holds the window on success).
+		return s.dwLoop(res, x, T, opt.MaxIters, opt.Window)
+	}
+	// A refinement sits within the trust region of the new optimum, so the
 	// D/W loop's budget window opens at a few times the actual move
 	// instead of the full cold-start Window — starting wide from a
 	// near-optimal point just burns iterations walking the window back
@@ -479,20 +502,22 @@ func (s *Session) resizeCold(T float64) (*Result, error) {
 
 // dwLoop alternates D-phase and W-phase from start point x until the
 // area improvement is negligible or capIters is reached.  The budget
-// window starts at window0 (Options.Window for cold runs; scaled to
-// the target move for seeded ones) and adapts like a trust region:
-// halve after an iteration whose first-order prediction overshot
-// (area got worse), relax back on success.  iterate leaves the
+// window starts at window0 (Options.Window for cold runs and far
+// jumps; scaled to the target move for refinements) and adapts like a
+// trust region: halve after an iteration whose first-order prediction
+// overshot (area got worse); on success a cold run relaxes it back, a
+// far jump holds it and a refinement halves it.  iterate leaves the
 // round's sizes in sc.newX; x and bestX are stable buffers owned by
 // this loop.
 //
-// For seeded runs (res.Seed == SeedWarm) capIters is the EWMA blowout
-// gate: a run still going when it trips returns errSeedRejected so
-// Resize can fall back to the cold path; a non-abort iterate failure
-// does the same.  Cold runs accept both outcomes as-is.
+// For seeded runs (res.Seed == SeedWarm) a non-abort iterate failure
+// returns errSeedRejected so Resize can fall back to the cold path; for
+// refinements capIters is also the EWMA blowout gate, with the same
+// outcome when it trips.  Cold runs accept both outcomes as-is.
 func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, window0 float64) (*Result, error) {
 	p, sc, opt := s.p, s.sc, s.opt
 	seeded := res.Seed == SeedWarm
+	refine := seeded && !res.FarSeed
 	bestX := append([]float64(nil), x...)
 	bestArea := p.Area(x)
 	noImprove := 0
@@ -555,15 +580,15 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 			copy(bestX, sc.newX)
 			copy(x, sc.newX)
 			noImprove = 0
-			if seeded {
-				// Endgame schedule: a seeded run starts near the optimum,
+			if refine {
+				// Endgame schedule: a refinement starts near the optimum,
 				// so the window decays monotonically.  Re-inflating it on
 				// success (the cold rule below) just buys the next
 				// overshoot and a halve-back — a zigzag that stretches a
 				// refinement to cold-run iteration counts for sub-0.1%
 				// area gains.
 				window /= 2
-			} else if window < opt.Window {
+			} else if !seeded && window < opt.Window {
 				window = math.Min(opt.Window, window*1.5)
 			}
 		} else {
@@ -582,15 +607,15 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 				break
 			}
 		}
-		// Seeded runs can also decay past the floor on an improving
-		// iteration (cold runs never shrink the window there).
+		// Refinements can also decay past the floor on an improving
+		// iteration (no other run shrinks the window there).
 		if window < minWindow {
 			converged = true
 			break
 		}
 	}
-	if seeded && !converged && capIters < opt.MaxIters {
-		// Blowout: the seeded attempt burned 3× the session's usual
+	if refine && !converged && capIters < opt.MaxIters {
+		// Blowout: the refinement burned 3× the session's usual
 		// iteration budget without settling — the seed was a bad start
 		// point despite the small target move.  Cold path takes over.
 		return nil, errSeedRejected

@@ -25,6 +25,8 @@ func mustProblem(t testing.TB, name string) *dag.Problem {
 		p, err = dag.GateLevel(gen.C17(), m)
 	case "mult8":
 		p, err = dag.GateLevel(gen.ArrayMultiplier(8), m)
+	case "c1908":
+		p, err = dag.GateLevel(gen.C1908(), m)
 	default:
 		t.Fatalf("unknown problem %q", name)
 	}

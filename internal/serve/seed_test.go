@@ -31,8 +31,9 @@ func waitStats(t *testing.T, c *Client, what string, cond func(*StatsResponse) b
 
 // TestServeTrustRegionSeedField: with the trust region enabled, the
 // per-query seed provenance reaches the wire — cold anchor answers
-// "tilos", a small refinement answers "warm" — and the stats counters
-// record the seeded total.
+// "tilos", a small refinement and a far jump answer "warm", the jump
+// with far_seed — and the stats counters record the seeded and
+// far-seeded totals.
 func TestServeTrustRegionSeedField(t *testing.T) {
 	_, _, c := newTestServer(t, Config{TrustRegion: 0.05})
 	sub := submitCircuit(t, c, "tr", "adder16")
@@ -58,17 +59,29 @@ func TestServeTrustRegionSeedField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Seeded != 1 {
-		t.Fatalf("stats seeded_total = %d, want 1", st.Seeded)
+	if st.Seeded != 1 || q1.FarSeed {
+		t.Fatalf("stats seeded_total = %d, refinement far_seed = %v; want 1, false", st.Seeded, q1.FarSeed)
 	}
-	// A jump far beyond δ goes cold again, without a fallback (the
-	// policy never armed).
+	// A jump far beyond δ also starts from the previous answer, on the
+	// far-jump schedule, without a fallback.
 	q2, err := c.Query(context.Background(), "tr", &QueryRequest{TargetPS: 0.75 * sub.MinDelayPS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q2.Seed != "tilos" || q2.SeedFallback {
-		t.Fatalf("jump query Seed = %q fallback = %v, want cold/no-fallback", q2.Seed, q2.SeedFallback)
+	if q2.Seed != "warm" || !q2.FarSeed || q2.SeedFallback {
+		t.Fatalf("jump query Seed = %q far_seed = %v fallback = %v, want a warm far jump with no fallback",
+			q2.Seed, q2.FarSeed, q2.SeedFallback)
+	}
+	if q2.CPPS > 0.75*sub.MinDelayPS*(1+1e-9) {
+		t.Fatalf("far-jump answer CP %g violates target", q2.CPPS)
+	}
+	st, err = c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Seeded != 2 || st.FarSeeded != 1 || st.FarFallbacks != 0 {
+		t.Fatalf("stats seeded_total = %d far_seeded_total = %d far_seed_fallbacks_total = %d, want 2, 1, 0",
+			st.Seeded, st.FarSeeded, st.FarFallbacks)
 	}
 }
 
@@ -76,7 +89,7 @@ func TestServeTrustRegionSeedField(t *testing.T) {
 // sums over the answers clients received.  One session with trust-region
 // seeding and cone-local re-sizing runs load edits (cone-answered ones,
 // cone fallbacks, and one over the edit cone budget), refinement queries
-// and a jump outside the trust region; every counter must equal the
+// and far jumps outside the trust region; every counter must equal the
 // count over the responses returned.
 func TestServeStatsMatchResponses(t *testing.T) {
 	_, _, c := newTestServer(t, Config{TrustRegion: 0.05, EditConeResize: true})
@@ -93,11 +106,17 @@ func TestServeStatsMatchResponses(t *testing.T) {
 		switch q.Seed {
 		case "warm":
 			want.Seeded++
+			if q.FarSeed {
+				want.FarSeeded++
+			}
 		case "cone":
 			want.ConeResizes++
 		}
 		if q.SeedFallback {
 			want.SeedFallbacks++
+			if q.FarSeed {
+				want.FarFallbacks++
+			}
 		}
 		if q.ConeFallback {
 			want.ConeFallbacks++
@@ -133,9 +152,11 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	}
 	edit(0, 30) // gate 0 drives most of the circuit: over the cone budget
 	query(0.6)
-	query(0.75) // outside the trust region
+	query(0.75) // a far jump: outside the trust region
 	edit(chain, 0)
 	query(0.751)
+	edit(local, 3)
+	query(0.66) // a far jump after a cone-arming edit: no cone attempt
 
 	st, err := c.Stats(ctx)
 	if err != nil {
@@ -143,14 +164,15 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	}
 	got := StatsResponse{
 		Seeded: st.Seeded, SeedFallbacks: st.SeedFallbacks,
+		FarSeeded: st.FarSeeded, FarFallbacks: st.FarFallbacks,
 		ConeResizes: st.ConeResizes, ConeFallbacks: st.ConeFallbacks,
 		Edits: st.Edits, EditFallbacks: st.EditFallbacks,
 	}
 	if got != want {
 		t.Fatalf("stats %+v, want the response sums %+v", got, want)
 	}
-	if want.Seeded == 0 || want.ConeResizes == 0 || want.ConeFallbacks == 0 || want.EditFallbacks == 0 {
-		t.Fatalf("workload did not exercise the warm, cone, cone-fallback and edit-fallback paths: %+v", want)
+	if want.Seeded == 0 || want.FarSeeded != 2 || want.ConeResizes == 0 || want.ConeFallbacks == 0 || want.EditFallbacks == 0 {
+		t.Fatalf("workload did not exercise the warm, far-jump (2 sent), cone, cone-fallback and edit-fallback paths: %+v", want)
 	}
 	t.Logf("response sums: %+v", want)
 }

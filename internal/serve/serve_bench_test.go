@@ -109,3 +109,45 @@ func BenchmarkServeWarmSeededQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeFarJumpQuery measures far target jumps on the
+// trust-region path: alternating 0.60 and 0.68·Dmin, a 13% move past
+// the 5% region every query, each answered warm from the previous
+// converged sizing on the far-jump schedule.  iters/op is the D/W
+// iterations per answer, the work counter the bench gate holds.
+func BenchmarkServeFarJumpQuery(b *testing.B) {
+	srv, err := New(Config{TrustRegion: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	rec := benchPost(b, h, "/v1/sessions", `{"id":"far","circuit":"adder16"}`)
+	var sub SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+		b.Fatal(err)
+	}
+	targets := [2]string{
+		fmt.Sprintf(`{"target_ps": %g}`, 0.60*sub.MinDelayPS),
+		fmt.Sprintf(`{"target_ps": %g}`, 0.68*sub.MinDelayPS),
+	}
+	// The cold anchor plus one jump each way: every timed iteration
+	// jumps from an answer that was itself a far jump.
+	benchPost(b, h, "/v1/sessions/far/query", targets[0])
+	benchPost(b, h, "/v1/sessions/far/query", targets[1])
+	benchPost(b, h, "/v1/sessions/far/query", targets[0])
+	iters := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := benchPost(b, h, "/v1/sessions/far/query", targets[(i+1)%2])
+		var q QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
+			b.Fatal(err)
+		}
+		if q.Seed != "warm" || !q.FarSeed {
+			b.Fatalf("benchmark not exercising the far-jump path: seed=%q far_seed=%v", q.Seed, q.FarSeed)
+		}
+		iters += q.Iterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}

@@ -33,13 +33,17 @@
 // Performance machinery on top of that:
 //
 //   - Trust-region warm seeding (Config.TrustRegion, minflod
-//     -trust-region, default 0.05): a query whose target moved at most
-//     δ relative to the session's previous clean answer starts from
-//     that converged sizing instead of a TILOS re-seed; the response's
-//     "seed" field reports which path answered ("warm", "tilos", or
-//     "cone" for a cone-local re-size after an edit) and SeedFallback
-//     flags an attempted seed that fell back.  Zero keeps the PR-7
-//     cold-seed behavior.
+//     -trust-region, default 0.05): a query whose area weights moved
+//     at most δ relative since the session's previous clean answer
+//     starts from that converged sizing instead of a TILOS re-seed,
+//     however far its target moved.  A target within δ is a refinement
+//     on a short endgame schedule; one beyond δ is a far jump
+//     ("far_seed") on the cold window schedule.  The response's "seed"
+//     field reports which path answered ("warm", "tilos", or "cone" for
+//     a cone-local re-size after an edit) and "seed_fallback" flags an
+//     attempted seed that fell back; /stats counts far jumps answered
+//     warm (far_seeded_total) and fallen back (far_seed_fallbacks_total).
+//     Zero restarts every query from TILOS.
 //   - Singleflight coalescing: identical concurrent queries (same
 //     canonicalized body) against one session are solved once; the
 //     followers receive the same answer marked "coalesced": true and
@@ -118,9 +122,11 @@ type Config struct {
 	// default false).
 	NoEngineFallback bool
 	// TrustRegion enables trust-region warm seeding on every session
-	// (core.Options.TrustRegion): a query whose target moved at most
-	// this relative amount from the session's previous clean answer is
-	// solved from that answer instead of a TILOS restart.  0 (the
+	// (core.Options.TrustRegion): a query whose area weights moved at
+	// most this relative amount since the session's previous clean
+	// answer is solved from that answer instead of a TILOS restart.  A
+	// target within it is a refinement, one beyond it a far jump with
+	// the cold path's window schedule and iteration cap.  0 (the
 	// default) keeps the per-query cold-seed contract; the daemon
 	// enables it with -trust-region.
 	TrustRegion float64
@@ -196,6 +202,8 @@ type Server struct {
 	rebuilds      atomic.Int64
 	seeded        atomic.Int64
 	seedFallbacks atomic.Int64
+	farSeeded     atomic.Int64
+	farFallbacks  atomic.Int64
 	coalesced     atomic.Int64
 	edits         atomic.Int64
 	editFallbacks atomic.Int64
@@ -590,6 +598,8 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rebuilds:      srv.rebuilds.Load(),
 		Seeded:        srv.seeded.Load(),
 		SeedFallbacks: srv.seedFallbacks.Load(),
+		FarSeeded:     srv.farSeeded.Load(),
+		FarFallbacks:  srv.farFallbacks.Load(),
 		Coalesced:     srv.coalesced.Load(),
 		Edits:         srv.edits.Load(),
 		EditFallbacks: srv.editFallbacks.Load(),

@@ -424,16 +424,23 @@ func (s *session) handleQuery(j *job) jobReply {
 		resp.Partial = res.Partial
 		resp.Seed = res.Seed
 		resp.SeedFallback = res.SeedFallback
+		resp.FarSeed = res.FarSeed
 		resp.ConeGates = res.ConeGates
 		resp.ConeFallback = res.ConeFallback
 		switch res.Seed {
 		case core.SeedWarm:
 			s.srv.seeded.Add(1)
+			if res.FarSeed {
+				s.srv.farSeeded.Add(1)
+			}
 		case core.SeedCone:
 			s.srv.coneResizes.Add(1)
 		}
 		if res.SeedFallback {
 			s.srv.seedFallbacks.Add(1)
+			if res.FarSeed {
+				s.srv.farFallbacks.Add(1)
+			}
 		}
 		if res.ConeFallback {
 			s.srv.coneFallbacks.Add(1)

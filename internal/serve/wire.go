@@ -126,6 +126,10 @@ type QueryResponse struct {
 	// SeedFallback marks a cold answer whose trust-region seed was
 	// attempted and abandoned (repair failure or iteration blowout).
 	SeedFallback bool `json:"seed_fallback,omitempty"`
+	// FarSeed marks a trust-region seed attempt whose target moved
+	// beyond the trust region (a far jump): on a "warm" answer it ran
+	// the far-jump schedule, on a seed_fallback answer it fell back.
+	FarSeed bool `json:"far_seed,omitempty"`
 	// Coalesced marks a reply served by another in-flight identical
 	// query against the same session (the singleflight path): this
 	// request consumed no queue slot and ran no solve of its own.
@@ -241,10 +245,14 @@ type StatsResponse struct {
 	Quarantines int64 `json:"quarantines_total"`
 	Rebuilds    int64 `json:"rebuilds_total"`
 	// Seeded / SeedFallbacks count trust-region warm-seeded answers
-	// and abandoned seed attempts across all sessions; Coalesced
-	// counts replies served by another identical in-flight query.
+	// and abandoned seed attempts across all sessions; FarSeeded /
+	// FarFallbacks count the far jumps among them (answers carrying
+	// far_seed).  Coalesced counts replies served by another identical
+	// in-flight query.
 	Seeded        int64 `json:"seeded_total"`
 	SeedFallbacks int64 `json:"seed_fallbacks_total"`
+	FarSeeded     int64 `json:"far_seeded_total"`
+	FarFallbacks  int64 `json:"far_seed_fallbacks_total"`
 	Coalesced     int64 `json:"coalesced_total"`
 	// Edits counts accepted edit batches; EditFallbacks those whose
 	// timing cone exceeded the budget and dropped the warm seed.

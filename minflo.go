@@ -24,10 +24,11 @@
 // keeps solver sessions warm between requests, with admission control
 // (429 + Retry-After), per-request deadline and flow-work budgets,
 // byte-accounted LRU eviction, panic quarantine and graceful drain.
-// Small target refinements are answered from the session's previous
-// converged sizing via a trust-region policy (-trust-region, default
-// 5%), several times faster than a cold solve; the response's "seed"
-// field says which path answered, and identical concurrent queries
+// Target moves are answered from the session's previous converged
+// sizing via a trust-region policy (-trust-region, default 5%): small
+// refinements several times faster than a cold solve, far jumps past
+// the region without the TILOS restart; the response's "seed" field
+// says which path answered, and identical concurrent queries
 // coalesce onto one solve ("coalesced": true).  Netlist edits (ECOs —
 // extra loads, cell swaps, fanout rewires) stream through the same
 // session via POST /v1/sessions/{id}/edit: value edits patch the
