@@ -40,7 +40,11 @@
 // δ of the previous one is a refinement on a short endgame schedule;
 // one beyond δ is a far jump ("far_seed" in the answer) on the cold
 // window schedule (far_seeded_total / far_seed_fallbacks_total in
-// /stats).
+// /stats), unless it lies within δ of an earlier converged answer of
+// the session: each session keeps a small library of those, and a
+// jump back into a solved region is a refinement from it
+// ("library_seed", library_seeded_total).  Any accepted weight or edit
+// batch empties the library.
 //
 // With -edit-cone-resize, the first query after a value-only edit
 // batch (a refinement of the previous target) is answered from a
@@ -84,7 +88,7 @@ func main() {
 		memHigh     = flag.String("mem-high", "1GiB", "session-cache high watermark (eviction trigger), e.g. 512MiB")
 		memLow      = flag.String("mem-low", "", "eviction target (default 3/4 of -mem-high)")
 		drain       = flag.Duration("drain", 5*time.Second, "shutdown drain deadline; in-flight queries still running at the deadline return best-so-far partial answers")
-		trustRegion = flag.Float64("trust-region", 0.05, "start queries from the session's previous answer unless an area-weight edit since moved more than this relative amount; a target move within it is a refinement, one beyond it a far jump on the cold window schedule (0 disables; answers become deterministic given session history, see internal/core)")
+		trustRegion = flag.Float64("trust-region", 0.05, "start queries from the session's previous answer unless an area-weight edit since moved more than this relative amount; a target move within it is a refinement, one beyond it a far jump on the cold window schedule unless it lands within it of an earlier answer the session kept, which it then refines (0 disables; answers become deterministic given session history, see internal/core)")
 		editCone    = flag.Float64("edit-cone-budget", 0, "drop a session's warm seed when a netlist edit's timing cone exceeds this fraction of the circuit (0 = default 0.25, negative disables the check)")
 		coneResize  = flag.Bool("edit-cone-resize", false, "answer the first in-trust-region query after a value-only edit batch from a cone-scoped subproblem against frozen boundary arrivals (requires -trust-region > 0)")
 	)

@@ -110,8 +110,11 @@ type Options struct {
 	// schedule, which falls back to the cold path transparently on an
 	// iteration blowout vs the session's EWMA; a far jump (beyond it)
 	// runs the cold window schedule without the regrow, under
-	// MaxIters.  Result.Seed reports the start point taken and
-	// Result.FarSeed the schedule.  With seeding on, answers are
+	// MaxIters — unless the target lies within TrustRegion of one of
+	// the session's earlier converged answers (its library, emptied by
+	// any accepted weight or edit batch), in which case it is a
+	// refinement from that answer.  Result.Seed reports the start
+	// point taken, Result.FarSeed and Result.LibrarySeed the schedule.  With seeding on, answers are
 	// deterministic given the session's query history rather than
 	// per-query — see the Session docs.  0 (the default) keeps the
 	// per-query cold contract.  One-shot SizeCtx runs have no history,
@@ -230,6 +233,13 @@ type Result struct {
 	// far-jump schedule) and, with SeedFallback, on the cold answer it
 	// fell back to.
 	FarSeed bool
+	// LibrarySeed marks a trust-region seed attempt that started from
+	// the session's library of earlier converged sizings (its target
+	// lay beyond the trust region of the live seed's but within that of
+	// a library entry's): set on its warm answer, which ran the
+	// refinement schedule, and, with SeedFallback, on the cold answer it
+	// fell back to.
+	LibrarySeed bool
 	// ConeGates counts the sizable vertices of the cone subproblem
 	// when Seed == SeedCone (0 otherwise).
 	ConeGates int

@@ -112,6 +112,8 @@ func (s *Session) ApplyEdits(edits []dag.Edit) (*EditReport, error) {
 		return nil, err
 	}
 	s.p = s.eco.P // identical pointer unless the batch was structural
+	// The library's sizings were converged on the pre-batch netlist.
+	s.clearLibrary()
 
 	if delta.GateSetChanged {
 		// Adds/removes remap gate indices: the captured sizes and the

@@ -19,9 +19,10 @@ func trOpt() Options {
 // TestSessionTrustRegionReplay is the renegotiated determinism
 // contract: with seeding on, a session's answers are a deterministic
 // function of the query sequence — a serial twin replaying the same
-// mix of small refinements and two far jumps (one looser, one tighter)
-// answers bit-identically — while the seeded answers stay feasible and
-// within 2e-2 relative area of a seeding-off session's answers.
+// mix of small refinements, two far jumps (one looser, one tighter) and
+// a jump back into a solved region (a library hit) answers
+// bit-identically — while the seeded answers stay feasible and within
+// 2e-2 relative area of a seeding-off session's answers.
 func TestSessionTrustRegionReplay(t *testing.T) {
 	const engine = "ssp"
 	t.Run(engine, func(t *testing.T) {
@@ -44,10 +45,13 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 
 		tmin := minCP(t, warm.p)
 		// The latency harness's small-refinement mix (a cold anchor then
-		// targets within ±0.7% of it) with two far jumps: 0.598 → 0.66
-		// looser and 0.661 → 0.599 tighter, both past δ.
-		targets := []float64{0.6, 0.602, 0.598, 0.66, 0.661, 0.599, 0.601, 0.6}
-		far := map[int]bool{3: true, 5: true}
+		// targets within ±0.7% of it) with three jumps past δ: 0.598 →
+		// 0.66 looser, 0.661 → 0.599 tighter and back within δ of the
+		// 0.598 answer (a library hit, run as a refinement), and 0.6 →
+		// 0.55 tighter into a region not solved before.
+		targets := []float64{0.6, 0.602, 0.598, 0.66, 0.661, 0.599, 0.601, 0.6, 0.55, 0.552}
+		far := map[int]bool{3: true, 8: true}
+		lib := map[int]bool{5: true}
 		seeded, fallbacks := 0, 0
 		for qi, f := range targets {
 			T := f * tmin
@@ -60,7 +64,8 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 				t.Fatalf("twin query %d: %v", qi, err)
 			}
 			if !bitEqual(rw.X, rt.X) || rw.Area != rt.Area || rw.CP != rt.CP ||
-				rw.Iterations != rt.Iterations || rw.Seed != rt.Seed || rw.FarSeed != rt.FarSeed {
+				rw.Iterations != rt.Iterations || rw.Seed != rt.Seed || rw.FarSeed != rt.FarSeed ||
+				rw.LibrarySeed != rt.LibrarySeed {
 				t.Fatalf("query %d (T=%g): seeded session diverged from replaying twin\nwarm: area %.17g seed %q iters %d\ntwin: area %.17g seed %q iters %d",
 					qi, T, rw.Area, rw.Seed, rw.Iterations, rt.Area, rt.Seed, rt.Iterations)
 			}
@@ -68,8 +73,9 @@ func TestSessionTrustRegionReplay(t *testing.T) {
 			if qi == 0 {
 				wantSeed = SeedTilos
 			}
-			if rw.Seed != wantSeed || rw.FarSeed != far[qi] {
-				t.Fatalf("query %d: Seed = %q FarSeed = %v, want %q %v", qi, rw.Seed, rw.FarSeed, wantSeed, far[qi])
+			if rw.Seed != wantSeed || rw.FarSeed != far[qi] || rw.LibrarySeed != lib[qi] {
+				t.Fatalf("query %d: Seed = %q FarSeed = %v LibrarySeed = %v, want %q %v %v",
+					qi, rw.Seed, rw.FarSeed, rw.LibrarySeed, wantSeed, far[qi], lib[qi])
 			}
 			if rw.Seed == SeedWarm {
 				seeded++
@@ -162,12 +168,15 @@ const farJumpAreaTol = 5e-3
 // converged sizing to the quality of the TILOS restart they replace.
 // A refine-style walk (small moves around the target, a jump of at
 // least 8% every other query, tighter and looser alike) runs on mult8
-// and c1908; every jump must be answered warm on the far-jump
-// schedule, meet its target under an independent STA and land within
-// farJumpAreaTol of a fresh cold Size.  The refinement endgame schedule
-// run on far jumps fails this on both circuits.
+// and c1908; every jump must be answered warm, meet its target under
+// an independent STA and land within farJumpAreaTol of a fresh cold
+// Size.  Three jumps run the far-jump schedule; the one to 0.62·Dmin
+// lands within δ of the 0.648 answer and refines it from the library.
+// The refinement endgame schedule run on the far jumps fails this on
+// both circuits.
 func TestSessionFarJumpArea(t *testing.T) {
 	walk := []float64{0.65, 0.648, 0.58, 0.582, 0.70, 0.698, 0.62, 0.621, 0.74}
+	const libHit = 6
 	for _, name := range []string{"mult8", "c1908"} {
 		t.Run(name, func(t *testing.T) {
 			p := mustProblem(t, name)
@@ -185,12 +194,13 @@ func TestSessionFarJumpArea(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d (%.3f·Dmin): %v", qi, f, err)
 				}
-				far := qi > 0 && math.Abs(T-prev) > 0.05*prev
-				if qi > 0 && (r.Seed != SeedWarm || r.FarSeed != far || r.SeedFallback) {
-					t.Fatalf("query %d (%.3f·Dmin): Seed = %q FarSeed = %v SeedFallback = %v, want warm FarSeed = %v",
-						qi, f, r.Seed, r.FarSeed, r.SeedFallback, far)
+				jump := qi > 0 && math.Abs(T-prev) > 0.05*prev
+				far := jump && qi != libHit
+				if qi > 0 && (r.Seed != SeedWarm || r.FarSeed != far || r.LibrarySeed != (qi == libHit) || r.SeedFallback) {
+					t.Fatalf("query %d (%.3f·Dmin): Seed = %q FarSeed = %v LibrarySeed = %v SeedFallback = %v, want warm FarSeed = %v",
+						qi, f, r.Seed, r.FarSeed, r.LibrarySeed, r.SeedFallback, far)
 				}
-				if !far {
+				if !jump {
 					continue
 				}
 				jumps++

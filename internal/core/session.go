@@ -38,9 +38,21 @@
 //     converged sizing instead of minimum sizes saves the TILOS
 //     restart and most of the walk back to the optimum.
 //
+// The third start point is the session's library of earlier clean
+// converged sizings (at most libCap of them): whenever a clean answer's
+// target leaves the trust region of the live seed's, the live seed is
+// filed in the library, in a free slot or else in place of the least
+// recently used entry.  A query beyond δ of the live seed but within δ
+// of a library entry starts from the nearest such entry instead, on
+// the refinement schedule: that entry becomes the live seed and the
+// live seed takes its slot.  Every other query takes the paths above.  Any accepted weight or edit batch
+// empties the library (its sizings were converged for the old costs or
+// netlist), and a rebuilt session starts with an empty one.
+//
 // Weight edits beyond δ, repair failures and refinement blowouts fall
 // back to the cold TILOS path.  Result.Seed records which path
-// answered, Result.FarSeed whether the seed attempt was a far jump.
+// answered, Result.FarSeed whether the seed attempt was a far jump and
+// Result.LibrarySeed whether it started from a library entry.
 //
 // Determinism contract: a session's answers are a deterministic
 // function of the query sequence served since its last cold build — a
@@ -50,13 +62,14 @@
 // deliberately renegotiates the stronger PR-7 property (identical
 // no-matter-the-history warm answers) down to exactly this
 // "deterministic given session history" contract: the seeding
-// decision, the seed point, and the EWMA blowout gate are all pure
-// functions of the served sequence, never of wall time.  Warm answers
-// are NOT bitwise equal to one-shot cold answers of the same query:
-// the incremental re-flow recovers an equally optimal but different
-// dual solution than a fresh solve (the D-phase LP is degenerate), and
-// a seeded resize additionally starts from a different (equally
-// feasible) point, so the trajectory drifts.  Every answer is feasible
+// decision, the seed point, the library's entries, their eviction
+// order (a counter of clean answers, not a clock) and the EWMA blowout
+// gate are all pure functions of the served sequence, never of wall
+// time.  Warm answers are NOT bitwise equal to one-shot cold answers
+// of the same query: the incremental re-flow recovers an equally
+// optimal but different dual solution than a fresh solve (the D-phase
+// LP is degenerate), and a seeded resize additionally starts from a
+// different (equally feasible) point, so the trajectory drifts.  Every answer is feasible
 // and optimal to the same tolerances either way — the tests bound the
 // warm-vs-cold area drift at 1e-3 relative with seeding off and at
 // 2e-2 with seeding on.
@@ -114,6 +127,15 @@ type Session struct {
 	ewmaIters  float64
 	ewmaSeeded bool
 
+	// Library of earlier clean converged sizings (see the package
+	// header): lib holds the live entries, libClock stamps inserts and
+	// hits for least-recently-used eviction, and libStale marks a live
+	// seed converged before the latest accepted weight or edit batch,
+	// which must not be filed.
+	lib      []libEntry
+	libClock uint64
+	libStale bool
+
 	// ECO state (NewEcoSession only): the editable netlist wrapper
 	// (eco.go).
 	eco *dag.Eco
@@ -126,6 +148,19 @@ type Session struct {
 	// it: they move timing or costs outside the cone, voiding the
 	// frozen-boundary premise.
 	pendingCone []int
+}
+
+// libCap bounds the session's library of converged sizings
+// (EXPERIMENTS.md, "A library of converged sizings", measures 8, 16
+// and 32).
+const libCap = 16
+
+// libEntry is one library sizing: a clean converged answer x at
+// target T, stamped with the library clock of its last insert or hit.
+type libEntry struct {
+	x     []float64
+	T     float64
+	stamp uint64
 }
 
 // NewSession builds the warm state for problem p: augmented DAG,
@@ -162,7 +197,8 @@ func (s *Session) AreaWeight(i int) float64 { return s.p.AreaW[i] }
 // wanting a transient what-if restore the old weight afterwards.
 // Weight edits accumulate against the trust region: once the largest
 // relative change since the last clean answer exceeds
-// Options.TrustRegion, the next Resize re-seeds from TILOS.
+// Options.TrustRegion, the next Resize re-seeds from TILOS.  Any
+// accepted edit empties the library of converged sizings.
 func (s *Session) SetAreaWeight(i int, w float64) error {
 	return s.SetAreaWeights([]int{i}, []float64{w})
 }
@@ -175,7 +211,9 @@ func (s *Session) SetAreaWeight(i int, w float64) error {
 // recorded.  Duplicate gates collapse to the last entry (last-wins,
 // matching the server's canonical-query semantics), and the
 // perturbation ledger sees only the surviving per-gate values —
-// intermediate duplicates never widen the trust region.
+// intermediate duplicates never widen the trust region.  An accepted
+// batch, even one that writes the weights already in place, empties
+// the library of converged sizings.
 func (s *Session) SetAreaWeights(gates []int, weights []float64) error {
 	if len(gates) != len(weights) {
 		return fmt.Errorf("core: SetAreaWeights: %d gates but %d weights", len(gates), len(weights))
@@ -213,7 +251,77 @@ func (s *Session) SetAreaWeights(gates []int, weights []float64) error {
 		// forfeits the cone win).
 		s.pendingCone = nil
 	}
+	s.clearLibrary()
 	return nil
+}
+
+// clearLibrary empties the library of converged sizings and marks the
+// live seed unfit to file: both were converged for the costs or
+// netlist an accepted batch just changed.  The entries' buffers go
+// with them, so MemoryBytes (which counts the live entries) stays the
+// resident size.
+func (s *Session) clearLibrary() {
+	for i := range s.lib {
+		s.lib[i].x = nil
+	}
+	s.lib = s.lib[:0]
+	s.libStale = true
+}
+
+// libNearest returns the library entry nearest target T, relative to
+// the entry's target, among those within the trust region of it, and
+// -1 when none is: the same test farJump applies to the live seed.
+// Ties go to the lower index.
+func (s *Session) libNearest(T float64) int {
+	best, bestRel := -1, 0.0
+	for i := range s.lib {
+		e := &s.lib[i]
+		rel := math.Abs(T-e.T) / e.T
+		if rel > s.opt.TrustRegion {
+			continue
+		}
+		if best < 0 || rel < bestRel {
+			best, bestRel = i, rel
+		}
+	}
+	return best
+}
+
+// libFile moves the live seed into the library: into a free slot, or
+// else in place of the least recently used entry.  The seed's buffer is
+// swapped, not copied, so s.seedX comes back holding the evicted
+// entry's sizing (or a fresh buffer for a new slot) for the caller to
+// overwrite; once the library is full, filing allocates nothing.
+func (s *Session) libFile() {
+	k := 0
+	if len(s.lib) < libCap {
+		if s.lib == nil {
+			s.lib = make([]libEntry, 0, libCap)
+		}
+		s.lib = append(s.lib, libEntry{x: make([]float64, len(s.seedX))})
+		k = len(s.lib) - 1
+	} else {
+		for i := range s.lib {
+			if s.lib[i].stamp < s.lib[k].stamp {
+				k = i
+			}
+		}
+	}
+	e := &s.lib[k]
+	e.x, s.seedX = s.seedX, e.x
+	e.T = s.seedT
+	s.libClock++
+	e.stamp = s.libClock
+}
+
+// libTake makes library entry i the live seed for a query near its
+// target and files the live seed in its slot, by swapping buffers.
+func (s *Session) libTake(i int) {
+	e := &s.lib[i]
+	e.x, s.seedX = s.seedX, e.x
+	e.T, s.seedT = s.seedT, e.T
+	s.libClock++
+	e.stamp = s.libClock
 }
 
 // FlowResolves reports how many D-phase solves the session served
@@ -264,6 +372,9 @@ func (s *Session) MemoryBytes() int64 {
 	// plus the target/EWMA bookkeeping (preallocated at build time, so
 	// the estimate is identical before and after the first query).
 	b += int64(len(s.seedX))*word + 8*word
+	// The library's live entries: a sizing vector plus target and stamp
+	// each (the seed's length: every entry is a sizing of this problem).
+	b += int64(len(s.lib)) * (int64(len(s.seedX)) + 5) * word
 	if s.eco != nil {
 		// Editable-netlist state: the retained circuit (name header,
 		// input refs, size per gate) and the extra-load vector.
@@ -317,9 +428,10 @@ var errSeedRejected = errors.New("core: trust-region seed rejected")
 // Without Options.TrustRegion the answer is bit-identical to a cold
 // run of the same query on a fresh session.  With a trust region
 // configured, a query whose area weights stayed within it starts from
-// the previous clean answer instead of a TILOS restart (Result.Seed
-// reports which), and answers are deterministic given the session's
-// query history — a twin session replaying the same sequence answers
+// the previous clean answer, or from a library entry near its target,
+// instead of a TILOS restart (Result.Seed and Result.LibrarySeed report
+// which), and answers are deterministic given the session's query
+// history — a twin session replaying the same sequence answers
 // bit-identically.
 func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, error) {
 	if s.closed {
@@ -355,11 +467,21 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 	// freezes the rest of the circuit at sizes tuned for the old target.
 	coneSeeds := s.pendingCone
 	s.pendingCone = nil
-	fellBack, far := false, false
+	fellBack, far, lib := false, false, false
 	coneFellBack := false
 	if opt.TrustRegion > 0 && s.seedValid && s.seedT > 0 &&
 		s.seedWPerturb <= opt.TrustRegion {
 		far = s.farJump(T)
+		if far {
+			// A far jump back into a region the session has solved starts
+			// from that region's library entry, as a refinement.  No cone
+			// can be armed here: the edit that arms one empties the
+			// library.
+			if i := s.libNearest(T); i >= 0 {
+				s.libTake(i)
+				far, lib = false, true
+			}
+		}
 		if opt.EditConeResize && len(coneSeeds) > 0 && !far {
 			res, err := s.resizeCone(coneSeeds, T)
 			if !errors.Is(err, errSeedRejected) {
@@ -370,6 +492,7 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 		res, err := s.resizeSeeded(T)
 		if !errors.Is(err, errSeedRejected) {
 			if res != nil {
+				res.LibrarySeed = lib
 				res.ConeFallback = coneFellBack
 			}
 			return s.record(T, res, err)
@@ -380,6 +503,7 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 	if res != nil {
 		res.SeedFallback = fellBack
 		res.FarSeed = fellBack && far
+		res.LibrarySeed = fellBack && lib
 		res.ConeFallback = coneFellBack
 	}
 	return s.record(T, res, err)
@@ -395,14 +519,21 @@ func (s *Session) farJump(T float64) bool {
 // seed and, unless a cone subproblem answered it, feeds the
 // iteration-count EWMA — a handful of cone-sized iterations would shrink
 // the blowout gate the next full-circuit seeded run is judged against.
+// When the answer's target leaves the trust region of the seed's, the
+// seed is filed in the library first (unless an accepted batch since
+// made it stale).
 func (s *Session) record(T float64, res *Result, err error) (*Result, error) {
 	if err != nil || res == nil {
 		return res, err
+	}
+	if s.opt.TrustRegion > 0 && s.seedValid && !s.libStale && s.farJump(T) {
+		s.libFile()
 	}
 	copy(s.seedX, res.X)
 	s.seedT = T
 	s.seedValid = true
 	s.seedWPerturb = 0
+	s.libStale = false
 	if res.Seed == SeedCone {
 		return res, nil
 	}

@@ -83,6 +83,24 @@ func TestServeTrustRegionSeedField(t *testing.T) {
 		t.Fatalf("stats seeded_total = %d far_seeded_total = %d far_seed_fallbacks_total = %d, want 2, 1, 0",
 			st.Seeded, st.FarSeeded, st.FarFallbacks)
 	}
+	// Jumping back to the first region starts from its answer, kept in
+	// the session's library, as a refinement.
+	q3, err := c.Query(context.Background(), "tr", &QueryRequest{TargetPS: 0.6 * sub.MinDelayPS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q3.Seed != "warm" || q3.FarSeed || !q3.LibrarySeed || q3.SeedFallback {
+		t.Fatalf("jump back Seed = %q far_seed = %v library_seed = %v fallback = %v, want a warm library refinement",
+			q3.Seed, q3.FarSeed, q3.LibrarySeed, q3.SeedFallback)
+	}
+	st, err = c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Seeded != 3 || st.FarSeeded != 1 || st.LibrarySeeded != 1 {
+		t.Fatalf("stats seeded_total = %d far_seeded_total = %d library_seeded_total = %d, want 3, 1, 1",
+			st.Seeded, st.FarSeeded, st.LibrarySeeded)
+	}
 }
 
 // TestServeStatsMatchResponses: the /stats provenance counters are
@@ -108,6 +126,9 @@ func TestServeStatsMatchResponses(t *testing.T) {
 			want.Seeded++
 			if q.FarSeed {
 				want.FarSeeded++
+			}
+			if q.LibrarySeed {
+				want.LibrarySeeded++
 			}
 		case "cone":
 			want.ConeResizes++
@@ -156,7 +177,9 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	edit(chain, 0)
 	query(0.751)
 	edit(local, 3)
-	query(0.66) // a far jump after a cone-arming edit: no cone attempt
+	query(0.66)  // a far jump after a cone-arming edit: no cone attempt
+	query(0.75)  // a far jump: the edit emptied the library
+	query(0.661) // back within δ of the 0.66 answer: a library hit
 
 	st, err := c.Stats(ctx)
 	if err != nil {
@@ -164,15 +187,15 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	}
 	got := StatsResponse{
 		Seeded: st.Seeded, SeedFallbacks: st.SeedFallbacks,
-		FarSeeded: st.FarSeeded, FarFallbacks: st.FarFallbacks,
+		FarSeeded: st.FarSeeded, FarFallbacks: st.FarFallbacks, LibrarySeeded: st.LibrarySeeded,
 		ConeResizes: st.ConeResizes, ConeFallbacks: st.ConeFallbacks,
 		Edits: st.Edits, EditFallbacks: st.EditFallbacks,
 	}
 	if got != want {
 		t.Fatalf("stats %+v, want the response sums %+v", got, want)
 	}
-	if want.Seeded == 0 || want.FarSeeded != 2 || want.ConeResizes == 0 || want.ConeFallbacks == 0 || want.EditFallbacks == 0 {
-		t.Fatalf("workload did not exercise the warm, far-jump (2 sent), cone, cone-fallback and edit-fallback paths: %+v", want)
+	if want.Seeded == 0 || want.FarSeeded != 3 || want.LibrarySeeded != 1 || want.ConeResizes == 0 || want.ConeFallbacks == 0 || want.EditFallbacks == 0 {
+		t.Fatalf("workload did not exercise the warm, far-jump (3 sent), library (1 sent), cone, cone-fallback and edit-fallback paths: %+v", want)
 	}
 	t.Logf("response sums: %+v", want)
 }

@@ -43,7 +43,12 @@
 //     a cone-local re-size after an edit) and "seed_fallback" flags an
 //     attempted seed that fell back; /stats counts far jumps answered
 //     warm (far_seeded_total) and fallen back (far_seed_fallbacks_total).
-//     Zero restarts every query from TILOS.
+//     Each session also keeps a small library of its earlier converged
+//     answers, one per target region: a jump back within δ of one of
+//     them is a refinement from it ("library_seed", counted in
+//     library_seeded_total) instead of a far jump.  Any accepted weight
+//     or edit batch empties the library, and a rebuilt session starts
+//     with an empty one.  Zero restarts every query from TILOS.
 //   - Singleflight coalescing: identical concurrent queries (same
 //     canonicalized body) against one session are solved once; the
 //     followers receive the same answer marked "coalesced": true and
@@ -126,9 +131,12 @@ type Config struct {
 	// most this relative amount since the session's previous clean
 	// answer is solved from that answer instead of a TILOS restart.  A
 	// target within it is a refinement, one beyond it a far jump with
-	// the cold path's window schedule and iteration cap.  0 (the
-	// default) keeps the per-query cold-seed contract; the daemon
-	// enables it with -trust-region.
+	// the cold path's window schedule and iteration cap, unless it lies
+	// within it of one of the session's earlier converged answers (its
+	// library, emptied by any accepted weight or edit batch): then it is
+	// a refinement from that answer.  0 (the default) keeps the
+	// per-query cold-seed contract; the daemon enables it with
+	// -trust-region.
 	TrustRegion float64
 	// EditConeBudget bounds how much of a circuit an edit batch (POST
 	// /v1/sessions/{id}/edit) may invalidate while keeping the warm
@@ -204,6 +212,7 @@ type Server struct {
 	seedFallbacks atomic.Int64
 	farSeeded     atomic.Int64
 	farFallbacks  atomic.Int64
+	librarySeeded atomic.Int64
 	coalesced     atomic.Int64
 	edits         atomic.Int64
 	editFallbacks atomic.Int64
@@ -600,6 +609,7 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SeedFallbacks: srv.seedFallbacks.Load(),
 		FarSeeded:     srv.farSeeded.Load(),
 		FarFallbacks:  srv.farFallbacks.Load(),
+		LibrarySeeded: srv.librarySeeded.Load(),
 		Coalesced:     srv.coalesced.Load(),
 		Edits:         srv.edits.Load(),
 		EditFallbacks: srv.editFallbacks.Load(),

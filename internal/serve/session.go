@@ -425,6 +425,7 @@ func (s *session) handleQuery(j *job) jobReply {
 		resp.Seed = res.Seed
 		resp.SeedFallback = res.SeedFallback
 		resp.FarSeed = res.FarSeed
+		resp.LibrarySeed = res.LibrarySeed
 		resp.ConeGates = res.ConeGates
 		resp.ConeFallback = res.ConeFallback
 		switch res.Seed {
@@ -432,6 +433,9 @@ func (s *session) handleQuery(j *job) jobReply {
 			s.srv.seeded.Add(1)
 			if res.FarSeed {
 				s.srv.farSeeded.Add(1)
+			}
+			if res.LibrarySeed {
+				s.srv.librarySeeded.Add(1)
 			}
 		case core.SeedCone:
 			s.srv.coneResizes.Add(1)

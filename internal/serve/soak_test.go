@@ -37,6 +37,12 @@ type soakEntry struct {
 // has advanced by a partially-completed query, so later answers are no
 // longer a function of the recorded sequence alone.  A re-submit opens
 // a new epoch and recording resumes.
+//
+// Every epoch submits under a fresh session id.  A query the client
+// abandoned (the 2 ms cancellation) may still reach the server after
+// the client has moved on; under a reused id it would land on the
+// re-submitted session as an unrecorded query and break the contiguous
+// prefix, while under a retired id it answers 404.
 type soakLog struct {
 	mu      sync.Mutex
 	entries map[string][]soakEntry // key: id@epoch
@@ -115,6 +121,7 @@ func TestServeSoak(t *testing.T) {
 			ctx := context.Background()
 
 			type sessState struct {
+				name      string // the session's id is name.e<epoch>
 				id        string
 				circuit   string
 				epoch     int
@@ -124,11 +131,13 @@ func TestServeSoak(t *testing.T) {
 			}
 			sessions := make([]*sessState, perClient)
 			submit := func(s *sessState) bool {
-				sub, err := c.Submit(ctx, &SubmitRequest{ID: s.id, Circuit: s.circuit})
+				id := fmt.Sprintf("%s.e%d", s.name, s.epoch+1)
+				sub, err := c.Submit(ctx, &SubmitRequest{ID: id, Circuit: s.circuit})
 				if err != nil {
-					t.Errorf("client %d submit %s: %v", ci, s.id, err)
+					t.Errorf("client %d submit %s: %v", ci, id, err)
 					return false
 				}
+				s.id = id
 				s.epoch++
 				s.recording = true
 				s.dmin = sub.MinDelayPS
@@ -138,7 +147,7 @@ func TestServeSoak(t *testing.T) {
 			}
 			for si := range sessions {
 				s := &sessState{
-					id:      fmt.Sprintf("c%d-s%d", ci, si),
+					name:    fmt.Sprintf("c%d-s%d", ci, si),
 					circuit: circuits[(ci*perClient+si)%len(circuits)],
 				}
 				if !submit(s) {

@@ -130,6 +130,12 @@ type QueryResponse struct {
 	// beyond the trust region (a far jump): on a "warm" answer it ran
 	// the far-jump schedule, on a seed_fallback answer it fell back.
 	FarSeed bool `json:"far_seed,omitempty"`
+	// LibrarySeed marks a trust-region seed attempt that started from
+	// the session's library of earlier converged answers: the target
+	// moved beyond the trust region of the previous answer's but lay
+	// within that of an earlier one's, so the solve ran as a refinement
+	// from it.  Any accepted weight or edit batch empties the library.
+	LibrarySeed bool `json:"library_seed,omitempty"`
 	// Coalesced marks a reply served by another in-flight identical
 	// query against the same session (the singleflight path): this
 	// request consumed no queue slot and ran no solve of its own.
@@ -247,12 +253,15 @@ type StatsResponse struct {
 	// Seeded / SeedFallbacks count trust-region warm-seeded answers
 	// and abandoned seed attempts across all sessions; FarSeeded /
 	// FarFallbacks count the far jumps among them (answers carrying
-	// far_seed).  Coalesced counts replies served by another identical
-	// in-flight query.
+	// far_seed), LibrarySeeded the seeded answers started from a
+	// session's library of earlier converged answers (library_seed).
+	// Coalesced counts replies served by another identical in-flight
+	// query.
 	Seeded        int64 `json:"seeded_total"`
 	SeedFallbacks int64 `json:"seed_fallbacks_total"`
 	FarSeeded     int64 `json:"far_seeded_total"`
 	FarFallbacks  int64 `json:"far_seed_fallbacks_total"`
+	LibrarySeeded int64 `json:"library_seeded_total"`
 	Coalesced     int64 `json:"coalesced_total"`
 	// Edits counts accepted edit batches; EditFallbacks those whose
 	// timing cone exceeded the budget and dropped the warm seed.
