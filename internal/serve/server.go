@@ -44,8 +44,8 @@
 //     attempted seed that fell back; /stats counts far jumps answered
 //     warm (far_seeded_total) and fallen back (far_seed_fallbacks_total).
 //     Each session also keeps a small library of its earlier converged
-//     answers, one per target region: a jump back within δ of one of
-//     them is a refinement from it ("library_seed", counted in
+//     answers (the least recently used is evicted when it is full): a
+//     jump back within δ of one of them is a refinement from it ("library_seed", counted in
 //     library_seeded_total) instead of a far jump.  Any accepted weight
 //     or edit batch empties the library, and a rebuilt session starts
 //     with an empty one.  Zero restarts every query from TILOS.
