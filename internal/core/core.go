@@ -262,12 +262,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// D/W loop stopping rule.  The adaptive window halves after a
-// non-improving iteration (the first-order model overshot) and relaxes
-// back on success; the loop stops once it shrinks below
-// Window/minWindowDiv, after patience consecutive non-improving
-// iterations, or when an iteration improves the area by less than the
-// relative areaTol (the paper's "negligible improvement").
+// D/W loop stopping rule.  An iteration improves only when it cuts the
+// area by at least the relative areaTol (the paper's "negligible
+// improvement"); a smaller gain is kept but counts as non-improving.
+// The adaptive window halves after every non-improving iteration (the
+// first-order model overshot, or the step bought too little), and the
+// loop stops after patience consecutive non-improving iterations or
+// once the window shrinks below Window/minWindowDiv.  How the window
+// moves on an improving iteration depends on the run (see dwLoop).
 const (
 	minWindowDiv = 32
 	patience     = 5

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"minflo/internal/fault"
@@ -225,6 +226,124 @@ func TestSessionFarJumpArea(t *testing.T) {
 			}
 			if jumps != 4 {
 				t.Fatalf("walk made %d far jumps, want 4", jumps)
+			}
+		})
+	}
+}
+
+// refineWalk is a target walk shaped like minflobench's serve_refine
+// clients: from 0.65·Dmin, relative steps within ±1% reflected into
+// [0.55, 0.75]·Dmin, and every tenth query a jump of at least 8% into
+// the next of ten equal strata of that range.  Targets are fractions
+// of Dmin, the anchor first.
+func refineWalk(seed int64, n int) []float64 {
+	const lo, hi = 0.55, 0.75
+	strata := [...]int{0, 5, 2, 7, 4, 9, 1, 6, 3, 8}
+	rng := rand.New(rand.NewSource(seed))
+	f := (lo + hi) / 2
+	walk := []float64{f}
+	next := 0
+	for k := 1; k < n; k++ {
+		if k%10 == 0 {
+			for {
+				g := lo + (float64(strata[next%len(strata)])+rng.Float64())*(hi-lo)/float64(len(strata))
+				next++
+				if math.Abs(g-f)/f >= 0.08 {
+					f = g
+					break
+				}
+			}
+		} else {
+			f *= 1 + 0.01*(2*rng.Float64()-1)
+			if f < lo {
+				f = 2*lo - f
+			}
+			if f > hi {
+				f = 2*hi - f
+			}
+		}
+		walk = append(walk, f)
+	}
+	return walk
+}
+
+// Refinement answers drift above a cold Size as a walk goes on: each
+// starts from the last answer and only walks a small window.  On
+// 30-query serve_refine-shaped walks (seeds 1–3) c1908's worst answer
+// sat 4.2e-3 to 7.4e-3 above cold under both the current schedule and
+// an opening at 8× the move, so farJumpAreaTol (5e-3) does not bound a
+// refinement; refineAreaTol bounds each answer and refineDriftTol the
+// walk's mean (measured at most 1.7e-3).
+const (
+	refineAreaTol  = 1e-2
+	refineDriftTol = 2.5e-3
+)
+
+// TestSessionRefineSchedule pins the refinement schedule (the window
+// opens at 4× the relative move, floored at 2·Window/32, and holds once
+// after a first-step gain) on a serve_refine-shaped walk: every answer
+// meets T under an independent STA and lands within refineAreaTol of a
+// fresh cold Size, the walk's mean within refineDriftTol, and the
+// refinements' mean iteration count stays below a bound set between
+// the measured walk (3.59 on mult8, 3.19 on c1908) and an opening at
+// 8× the move, floored at 4·Window/32 (3.93 on both).
+func TestSessionRefineSchedule(t *testing.T) {
+	const queries = 30
+	for _, c := range []struct {
+		name     string
+		maxIters float64 // mean refinement iterations
+	}{
+		{"mult8", 3.75},
+		{"c1908", 3.5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := mustProblem(t, c.name)
+			tmin := minCP(t, p)
+			sess, err := NewSession(p, trOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			refines, iters, drift := 0, 0, 0.0
+			for qi, f := range refineWalk(1, queries) {
+				T := f * tmin
+				r, err := sess.Resize(context.Background(), T, Budgets{})
+				if err != nil {
+					t.Fatalf("query %d (%.4f·Dmin): %v", qi, f, err)
+				}
+				if qi > 0 && (r.Seed != SeedWarm || r.SeedFallback) {
+					t.Fatalf("query %d (%.4f·Dmin): Seed = %q SeedFallback = %v, want a warm answer", qi, f, r.Seed, r.SeedFallback)
+				}
+				if r.Seed == SeedWarm && !r.FarSeed && !r.LibrarySeed {
+					refines++
+					iters += r.Iterations
+				}
+				tm, err := sta.Analyze(p.G, p.Delays(r.X))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tm.CP > T*(1+1e-9) || tm.CP != r.CP {
+					t.Fatalf("query %d (%.4f·Dmin): independent STA CP %.17g (reported %.17g), target %.17g",
+						qi, f, tm.CP, r.CP, T)
+				}
+				cold, err := Size(p, T, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rel := (r.Area - cold.Area) / cold.Area
+				if rel > refineAreaTol {
+					t.Fatalf("query %d (%.4f·Dmin): area %.17g vs cold %.17g (rel %+g) beyond %g",
+						qi, f, r.Area, cold.Area, rel, refineAreaTol)
+				}
+				drift += rel / queries
+			}
+			mean := float64(iters) / float64(refines)
+			t.Logf("%d refinements, %.3f iterations on average; area %+.2e above cold on average", refines, mean, drift)
+			if drift > refineDriftTol {
+				t.Fatalf("answers average %+.2e above cold, beyond %g", drift, refineDriftTol)
+			}
+			if mean > c.maxIters {
+				t.Fatalf("refinements average %.3f iterations, want at most %g", mean, c.maxIters)
 			}
 		})
 	}

@@ -25,12 +25,13 @@
 //
 //   - A refinement (target within δ of the seed's) is all endgame: the
 //     resident flow network is already priced near the new optimum, so
-//     the budget window opens scaled to the actual move (not the
-//     cold-start Options.Window) and halves on every iteration; the
-//     cold schedule's regrow-on-improvement rule would zigzag around
-//     the answer for many iterations before settling.  An iteration
-//     blowout (vs an EWMA of the session's clean iteration counts)
-//     abandons the seed.
+//     the budget window opens at 4× the relative move, floored at
+//     2·Window/32 (not the cold-start Options.Window), holds once if
+//     the first iteration improves the area and otherwise halves on
+//     every iteration; the cold schedule's regrow-on-improvement rule
+//     would zigzag around the answer for many iterations before
+//     settling.  An iteration blowout (vs an EWMA of the session's
+//     clean iteration counts) abandons the seed.
 //   - A far jump (target beyond δ) still has real ground to cover: the
 //     window opens at Options.Window, holds on an improving iteration
 //     and halves on an overshoot — the cold rule without the regrow —
@@ -583,19 +584,21 @@ func (s *Session) resizeSeeded(T float64) (*Result, error) {
 		return s.dwLoop(res, x, T, opt.MaxIters, opt.Window)
 	}
 	// A refinement sits within the trust region of the new optimum, so the
-	// D/W loop's budget window opens at a few times the actual move
-	// instead of the full cold-start Window — starting wide from a
-	// near-optimal point just burns iterations walking the window back
-	// down (measured: 13+ iterations at full Window vs ~5 scaled, same
-	// final area to within the drift bound).  Both inputs are session
-	// history, so twin replays compute the same window.
+	// D/W loop's budget window opens at 4× the actual move, floored at
+	// twice the stopping floor, instead of the full cold-start Window —
+	// starting wide from a near-optimal point just burns iterations
+	// walking the window back down.  Twice that opening mostly wasted its
+	// first step: on serve_refine-shaped walks the step failed to improve
+	// the area in 92% of c1908's refinements and 60% of mult8's.  Both
+	// inputs are session history, so twin replays compute the same
+	// window.
 	rel := math.Abs(T-s.seedT) / s.seedT
 	if s.seedWPerturb > rel {
 		rel = s.seedWPerturb
 	}
-	w0 := 8 * rel
-	if minW := opt.Window / minWindowDiv; w0 < 4*minW {
-		w0 = 4 * minW
+	w0 := 4 * rel
+	if minW := opt.Window / minWindowDiv; w0 < 2*minW {
+		w0 = 2 * minW
 	}
 	if w0 > opt.Window {
 		w0 = opt.Window
@@ -637,7 +640,8 @@ func (s *Session) resizeCold(T float64) (*Result, error) {
 // jumps; scaled to the target move for refinements) and adapts like a
 // trust region: halve after an iteration whose first-order prediction
 // overshot (area got worse); on success a cold run relaxes it back, a
-// far jump holds it and a refinement halves it.  iterate leaves the
+// far jump holds it and a refinement halves it, except that a gain on
+// its first iteration holds the window once.  iterate leaves the
 // round's sizes in sc.newX; x and bestX are stable buffers owned by
 // this loop.
 //
@@ -717,8 +721,12 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 				// success (the cold rule below) just buys the next
 				// overshoot and a halve-back — a zigzag that stretches a
 				// refinement to cold-run iteration counts for sub-0.1%
-				// area gains.
-				window /= 2
+				// area gains.  A gain on the first step is the one
+				// exception: the narrow opening fit the move, so the
+				// window holds once before it decays.
+				if it > 1 {
+					window /= 2
+				}
 			} else if !seeded && window < opt.Window {
 				window = math.Min(opt.Window, window*1.5)
 			}

@@ -3,12 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"minflo/internal/core"
+	"minflo/internal/dag"
 	"minflo/internal/fault"
 )
 
@@ -299,5 +303,84 @@ func TestClientHonorsHTTPDateRetryAfter(t *testing.T) {
 	}
 	if !gapOK.Load() {
 		t.Fatal("client retried before the HTTP-date Retry-After elapsed")
+	}
+}
+
+// TestServeQueryCanceledBeforeStart: a query whose client left before
+// the worker picked it up answers without a solve.  It takes no seq
+// and leaves the armed cone in place, so the next live query answers
+// bit-identically to a core.NewEcoSession twin that never saw it.
+func TestServeQueryCanceledBeforeStart(t *testing.T) {
+	cfg := Config{TrustRegion: 0.05, EditConeResize: true}
+	srv, _, c := newTestServer(t, cfg)
+	ctx := context.Background()
+	sub := submitCircuit(t, c, "cx", "adder16")
+
+	tc, err := srv.buildCircuit(SubmitRequest{Circuit: "adder16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	teco, err := dag.NewEco(tc, srv.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := core.NewEcoSession(teco, core.Options{TrustRegion: cfg.TrustRegion, EditConeResize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	T := 0.6 * sub.MinDelayPS
+	q1, err := c.Query(ctx, "cx", &QueryRequest{TargetPS: T})
+	if err != nil || q1.Error != nil {
+		t.Fatalf("first query: %v %+v", err, q1)
+	}
+	if _, err := twin.Resize(ctx, T, core.Budgets{}); err != nil {
+		t.Fatal(err)
+	}
+	// A load on a near-output gate arms the cone on both sides.
+	lg := sub.NumGates - 1
+	if _, err := c.Edit(ctx, "cx", &EditRequest{Edits: []EditOp{{Op: "load", Gate: lg, LoadFF: 25}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.ApplyEdits([]dag.Edit{{Op: dag.EditLoad, Gate: lg, LoadFF: 25}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The abandoned query goes straight to the handler with a request
+	// context that is already done; the handler returns once the job is
+	// queued, and the worker picks it up before the live query below.
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	body := strings.NewReader(fmt.Sprintf(`{"target_ps":%g}`, 0.61*sub.MinDelayPS))
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/cx/query", body).WithContext(dead)
+	srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+
+	q2, err := c.Query(ctx, "cx", &QueryRequest{TargetPS: T, WantSizes: true})
+	if err != nil || q2.Error != nil {
+		t.Fatalf("live query: %v %+v", err, q2)
+	}
+	if q2.Seq != q1.Seq+1 {
+		t.Fatalf("live query seq %d after seq %d: the abandoned query took one", q2.Seq, q1.Seq)
+	}
+	ref, err := twin.Resize(ctx, T, core.Budgets{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The twin tries the armed cone (here the cone grows too wide and
+	// falls back); a server that consumed it on the abandoned query
+	// would report no cone attempt.
+	if ref.Seed != core.SeedCone && !ref.ConeFallback {
+		t.Fatalf("twin answered %s without trying the armed cone", ref.Seed)
+	}
+	if q2.Area != ref.Area || q2.CPPS != ref.CP || q2.Iterations != ref.Iterations ||
+		q2.Seed != ref.Seed || q2.ConeFallback != ref.ConeFallback {
+		t.Fatalf("served (%.17g, %.17g, %d, %s, cone fallback %v) != twin (%.17g, %.17g, %d, %s, cone fallback %v)",
+			q2.Area, q2.CPPS, q2.Iterations, q2.Seed, q2.ConeFallback, ref.Area, ref.CP, ref.Iterations, ref.Seed, ref.ConeFallback)
+	}
+	for i := range ref.X {
+		if q2.Sizes[i] != ref.X[i] {
+			t.Fatalf("size[%d] %.17g != twin %.17g", i, q2.Sizes[i], ref.X[i])
+		}
 	}
 }

@@ -75,8 +75,9 @@ func BenchmarkServeWarmQuery(b *testing.B) {
 // BenchmarkServeWarmSeededQuery measures the trust-region path: small
 // refinement queries (±0.3% target moves) answered from the previous
 // converged sizing instead of a TILOS re-seed.  The bench gate holds
-// its allocs/op and requires it at least 2× faster than
-// BenchmarkServeWarmQuery (unseeded) in the same run.
+// its allocs/op and iters/op (D/W iterations per answer) and requires
+// it at least 2× faster than BenchmarkServeWarmQuery (unseeded) in the
+// same run.
 func BenchmarkServeWarmSeededQuery(b *testing.B) {
 	srv, err := New(Config{TrustRegion: 0.05})
 	if err != nil {
@@ -98,18 +99,21 @@ func BenchmarkServeWarmSeededQuery(b *testing.B) {
 	benchPost(b, h, "/v1/sessions/seed/query", targets[1])
 	b.ReportAllocs()
 	b.ResetTimer()
+	iters := 0
 	for i := 0; i < b.N; i++ {
 		rec := benchPost(b, h, "/v1/sessions/seed/query", targets[i%2])
-		if i == 0 {
-			var q QueryResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
-				b.Fatal(err)
-			}
-			if q.Seed != "warm" {
-				b.Fatalf("benchmark not exercising the seeded path: seed=%q", q.Seed)
-			}
+		b.StopTimer()
+		var q QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
+			b.Fatal(err)
 		}
+		if q.Seed != "warm" || q.FarSeed || q.LibrarySeed {
+			b.Fatalf("benchmark not exercising the refinement path: seed=%q far=%v library=%v", q.Seed, q.FarSeed, q.LibrarySeed)
+		}
+		iters += q.Iterations
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }
 
 // BenchmarkServeFarJumpQuery measures far target jumps on the

@@ -372,6 +372,14 @@ func (s *session) handleBuild() jobReply {
 }
 
 func (s *session) handleQuery(j *job) jobReply {
+	// A client that left before its query started gets no solve: nobody
+	// reads the answer, and running it would still take a seq and
+	// consume the armed cone, so the next live answer would differ from
+	// a history without the abandoned request.  Coalesced followers
+	// still wait on the answer, so a job with any runs as usual.
+	if j.ctx.Err() != nil && len(j.followers) == 0 {
+		return jobReply{http.StatusGatewayTimeout, &ErrorBody{Code: CodeCanceled, Message: "client left before the query started"}}
+	}
 	if rep, ok := s.rebuildIfQuarantined(); !ok {
 		return rep
 	}
