@@ -15,7 +15,7 @@
 //
 // Exit codes (the single source of truth is exitCodeHelp below, also
 // printed by -help): 0 success, 1 internal error, 3 infeasible target,
-// 4 budget exhausted, 130 canceled.
+// 4 budget exhausted, 5 flow solver failed, 130 canceled.
 //
 // For repeated queries against the same circuit — sweeping targets,
 // what-if cost changes — the minflod daemon (cmd/minflod) keeps the
@@ -73,6 +73,7 @@ exit codes:
   1    internal error (bad input, solver failure)
   3    infeasible delay target (below what any sizing can reach)
   4    budget exhausted (-budget); best-so-far sizing was printed
+  5    flow solver failed; best-so-far sizing was printed
   130  canceled by Ctrl-C; best-so-far sizing was printed
 
 serving: for repeated queries against one circuit (target sweeps,
@@ -89,6 +90,8 @@ func exitCode(err error) int {
 		return 130 // conventional SIGINT exit status
 	case errors.Is(err, minflo.ErrBudgetExhausted):
 		return 4
+	case errors.Is(err, minflo.ErrEngineFailed):
+		return 5
 	case errors.Is(err, minflo.ErrInfeasible):
 		return 3
 	default:
@@ -186,13 +189,15 @@ func run(ctx context.Context, circuitName, benchFile string, spec float64, algo 
 	if err != nil {
 		if sizing != nil && sizing.Partial {
 			// Cut short but not empty-handed: report the best feasible
-			// sizing reached before the abort, then surface the abort
-			// through the exit code.
+			// sizing reached before the abort or failure, then surface
+			// it through the exit code.
 			switch {
 			case errors.Is(err, minflo.ErrCanceled):
 				fmt.Println("interrupted — best sizing so far:")
 			case errors.Is(err, minflo.ErrBudgetExhausted):
 				fmt.Println("budget exhausted — best sizing so far:")
+			case errors.Is(err, minflo.ErrEngineFailed):
+				fmt.Println("flow solver failed — best sizing so far:")
 			}
 			printSizing(ckt, sizing, algo, dumpSizes)
 		}

@@ -45,8 +45,9 @@ var (
 	// ErrBudgetExhausted reports that Options.Budget (wall clock) or
 	// Options.FlowWorkBudget (flow work) ran out.
 	ErrBudgetExhausted = mcmf.ErrBudgetExhausted
-	// ErrEngineFailed wraps a flow-solve panic that the heap rescue
-	// did not recover.
+	// ErrEngineFailed wraps a flow-solve panic; it too comes with the
+	// best-so-far partial Result, and a Session that returns it should
+	// be rebuilt.
 	ErrEngineFailed = mcmf.ErrEngineFailed
 )
 
@@ -93,14 +94,6 @@ type Options struct {
 	// Bellman–Ford rounds) across the run; exceeding it returns a
 	// partial Result with ErrBudgetExhausted.
 	FlowWorkBudget int64
-	// NoEngineFallback disables the flow layer's heap rescue
-	// (re-running a failed solve on the heap search): an unrecovered
-	// flow failure then surfaces as ErrEngineFailed
-	// with a best-so-far partial Result instead of being absorbed.
-	// Long-lived session owners (internal/serve) use this in fault
-	// drills to exercise their quarantine-and-rebuild path; the
-	// default (false) keeps the PR-6 always-fallback behavior.
-	NoEngineFallback bool
 	// TrustRegion, when positive, enables warm seeding on Session
 	// Resize: a query whose area weights were edited by at most
 	// TrustRegion relative since the previous clean answer starts the
@@ -174,10 +167,6 @@ type IterStats struct {
 	// calls the flow solver served with a full solve instead
 	// (work-estimate gate or missing prior flow).
 	FlowFallbacks int
-	// FlowEngineFailures is the cumulative number of flow-solve
-	// failures (panics, injected faults) the heap rescue recovered (see
-	// mcmf abort.go); 0 on every healthy run.
-	FlowEngineFailures int
 	// Seed is the start-point provenance of the run this iteration
 	// belongs to: SeedTilos, SeedWarm (trust-region seeded) or SeedCone
 	// (an iteration of a cone subproblem).
@@ -212,10 +201,10 @@ type Result struct {
 	// minimum sizes (0 for warm and cone answers).
 	TilosTime time.Duration
 	Stats     []IterStats
-	// Partial marks a run cut short by cancellation or an exhausted
-	// budget: X/Area/CP describe the best sizing from the last
-	// completed D/W iteration (or the TILOS seed when none completed),
-	// returned alongside the abort error.
+	// Partial marks a run cut short by cancellation, an exhausted
+	// budget or a failed flow solve: X/Area/CP describe the best sizing
+	// from the last completed D/W iteration (or the TILOS seed when
+	// none completed), returned alongside the error.
 	Partial bool
 	// Seed reports the start point the run took: SeedTilos for the
 	// cold path, SeedWarm for a trust-region-seeded Session Resize,
@@ -404,7 +393,8 @@ func Size(p *dag.Problem, T float64, opt Options) (*Result, error) {
 // mcmf abort.go).  A run cut short returns the best sizing reached so
 // far — the last completed D/W iteration, or the TILOS seed when none
 // completed — as a Result with Partial set, together with ErrCanceled
-// or ErrBudgetExhausted; only a run aborted before the TILOS seed
+// or ErrBudgetExhausted; a run whose flow solve failed answers the same
+// way with ErrEngineFailed.  Only a run aborted before the TILOS seed
 // exists returns a nil Result.
 //
 // SizeCtx is the one-shot form of a warm Session (session.go): it
@@ -492,11 +482,6 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 	sol, err := sys.SolveCtx(sc.ctx, dcs.Options{
 		CostScale: opt.CostScale, SupplyScale: opt.SupplyScale,
 		Deadline: sc.deadline, WorkBudget: sc.flowBudget,
-		// A flow-solve failure (panic) is re-run on the heap search
-		// instead of killing the run; IterStats.FlowEngineFailures
-		// counts the rescues.  Session owners may disable the rescue
-		// to surface ErrEngineFailed.
-		EngineFallback: !opt.NoEngineFallback,
 	})
 	if err != nil {
 		return IterStats{}, fmt.Errorf("core: D-phase: %w", err)
@@ -532,7 +517,6 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 		FlowResolves:  sys.FlowEngineStats().Resolves,
 		FlowFallbacks: sys.FlowEngineStats().FullFallbacks,
 	}
-	st.FlowEngineFailures = sys.FlowEngineFailures()
 	cp := sc.retime(p, newX)
 	if cp > T*(1+1e-9) {
 		// Repair on the resident arrival engine (retime just left it at

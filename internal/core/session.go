@@ -46,9 +46,10 @@
 // recently used entry.  A query beyond δ of the live seed but within δ
 // of a library entry starts from the nearest such entry instead, on
 // the refinement schedule: that entry becomes the live seed and the
-// live seed takes its slot.  Every other query takes the paths above.  Any accepted weight or edit batch
-// empties the library (its sizings were converged for the old costs or
-// netlist), and a rebuilt session starts with an empty one.
+// live seed takes its slot.  Every other query takes the paths above.
+// Any accepted weight or edit batch empties the library (its sizings
+// were converged for the old costs or netlist), and a rebuilt session
+// starts with an empty one.
 //
 // Weight edits beyond δ, repair failures and refinement blowouts fall
 // back to the cold TILOS path.  Result.Seed records which path
@@ -420,10 +421,10 @@ var errSeedRejected = errors.New("core: trust-region seed rejected")
 // target T on the session's warm state, under ctx and the per-call
 // budgets.  The contract is SizeCtx's: a run cut short returns the
 // best-so-far sizing as a partial Result together with ErrCanceled /
-// ErrBudgetExhausted; an unrecovered flow-engine failure returns the
-// best-so-far partial Result with ErrEngineFailed (callers holding
-// warm state should treat the session as suspect and rebuild — the
-// server quarantines on it); an abort before any sizing exists
+// ErrBudgetExhausted; a failed flow solve returns the best-so-far
+// partial Result with ErrEngineFailed (callers holding warm state
+// should treat the session as suspect and rebuild — the server
+// quarantines on it); an abort or failure before any sizing exists
 // returns (nil, error).
 //
 // Without Options.TrustRegion the answer is bit-identical to a cold
@@ -684,11 +685,11 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 				return finishPartial(err)
 			}
 			if errors.Is(err, ErrEngineFailed) {
-				// A flow failure the heap rescue did not (or was
-				// configured not to) recover: the warm flow state is
-				// suspect.  Hand back the best-so-far answer with the
-				// typed error so session owners can quarantine and
-				// rebuild instead of trusting this state again.
+				// A flow solve failed (mcmf retries nothing): the warm
+				// flow state is suspect.  Hand back the best-so-far
+				// answer with the typed error so session owners can
+				// quarantine and rebuild instead of trusting this state
+				// again.
 				return finishPartial(err)
 			}
 			if seeded {

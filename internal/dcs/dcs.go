@@ -193,8 +193,8 @@ func (s *System) Pin(v int) {
 	s.topoVersion++
 }
 
-// Options controls integerization, abort sources and the flow
-// solver's rescue. Zero values select the defaults.
+// Options controls integerization and abort sources. Zero values
+// select the defaults.
 type Options struct {
 	// CostScale multiplies constraint weights before rounding to int64.
 	// Default 1e6 (the paper: "by choosing appropriate powers of 10
@@ -221,11 +221,11 @@ type Options struct {
 	// mcmf poll operations) across every solve on the cached network;
 	// exceeding it returns mcmf.ErrBudgetExhausted.
 	WorkBudget int64
-	// EngineFallback enables the flow solver's heap rescue: a failed
-	// attempt (panic, injected fault) is rolled back and re-run once
-	// on the heap search, recording the failure (FlowEngineFailures).
-	// internal/core enables this for the sizing pipeline; direct users
-	// opt in.
+	// EngineFallback is ignored: a failed flow solve surfaces as
+	// mcmf.ErrEngineFailed, with no second attempt.
+	//
+	// Deprecated: kept only so cmd/minflobench, its one remaining user,
+	// still compiles; it goes with that benchmark's replica.
 	EngineFallback bool
 }
 
@@ -328,16 +328,6 @@ func (s *System) FlowWorkDone() int64 {
 	return s.flow.WorkDone()
 }
 
-// FlowEngineFailures reports how many times a flow solve failed and
-// the solver re-ran it on the heap search (0 without
-// Options.EngineFallback).
-func (s *System) FlowEngineFailures() int {
-	if s.flow == nil {
-		return 0
-	}
-	return s.flow.EngineFailures()
-}
-
 // Solve maps the system to its min-cost-flow dual, solves it, verifies
 // optimality certificates, and returns the optimal r.  Repeated calls
 // reuse the cached network (updating costs, capacities and supplies in
@@ -377,7 +367,6 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 	f.SetContext(ctx)
 	f.SetDeadline(opt.Deadline)
 	f.SetWorkBudget(opt.WorkBudget)
-	f.SetEngineFallback(opt.EngineFallback)
 
 	// Supplies: zero, then accumulate the integerized objective terms
 	// (mcmf diffs them against the last routed configuration itself).

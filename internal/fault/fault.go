@@ -1,7 +1,7 @@
 // Package fault injects deterministic faults into mcmf solves, for
-// driving the solver's robustness guarantees — panic recovery, the
-// heap rescue, abort rollback, budget enforcement — from tests without
-// touching production code paths.
+// driving the solver's robustness guarantees — panic recovery, typed
+// failures, abort and failure rollback, budget enforcement — from
+// tests without touching production code paths.
 //
 // Context attaches a Plan to a context.Context as the solver's poll
 // hook (mcmf.WithPollHook).  Every Solver the context reaches through
@@ -13,8 +13,8 @@
 // returned error, a panic, an injected wall-clock delay, or a caller
 // callback (typically canceling the context governing the solve).
 // Operation counting is deterministic, so a failure "at operation 17"
-// reproduces exactly.  The heap rescue re-runs a failed attempt
-// without the hook.
+// reproduces exactly.  A failed attempt is never re-run: its error
+// surfaces, and the attempt's snapshot restores the solver.
 //
 // Only test binaries import this package; CI fails the build when a
 // non-test package does.

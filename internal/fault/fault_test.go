@@ -1,14 +1,16 @@
 // The robustness gate: every guarantee the hardened pipeline makes —
-// the heap rescue bit-identical to an undisturbed solve, panics
-// surfacing as typed errors, abort rollback, budget enforcement —
-// exercised by deterministic fault injection at points sampled across
-// whole runs.  CI runs this
-// package under -race.
+// failures and panics surfacing as typed errors, abort and failure
+// rollback to a state whose next solve is bit-identical to an
+// undisturbed twin's, budget enforcement — exercised by deterministic
+// fault injection at points sampled across whole runs, and by
+// FuzzFaultRollback at fuzzer-chosen points of full solves and
+// resolves.  CI runs this package under -race.
 package fault
 
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -87,44 +89,42 @@ func sspReference(t *testing.T) state {
 	return capture(ref, cost)
 }
 
-// TestInjectedFailureFallsBackToSSP is the rescue gate: a solve
-// failing — by error or by panic — at ANY point of its run must be
-// rescued by the heap re-run with the final state bit-identical to an
-// undisturbed twin, the failure recorded, never a crash.
-func TestInjectedFailureFallsBackToSSP(t *testing.T) {
+// TestInjectedFailureRollsBack: a solve failing — by error or by
+// panic — at any sampled point of its run surfaces its typed error,
+// never a crash, and the armed snapshot rolls the solver back, so the
+// next clean solve is bit-identical to an undisturbed twin.
+func TestInjectedFailureRollsBack(t *testing.T) {
 	want := sspReference(t)
 	ops := probeOps(t)
 	for _, mode := range []Mode{Error, Panic} {
+		tag := map[Mode]string{Error: "error", Panic: "panic"}[mode]
 		for _, op := range samplePoints(ops) {
 			s := grid()
-			s.SetEngineFallback(true)
 			under(s, Plan{Mode: mode, Op: op})
+			_, err := s.Solve()
+			if mode == Error && !errors.Is(err, ErrInjected) {
+				t.Fatalf("%s op %d/%d: Solve = %v, want ErrInjected", tag, op, ops, err)
+			}
+			if mode == Panic && !errors.Is(err, mcmf.ErrEngineFailed) {
+				t.Fatalf("%s op %d/%d: Solve = %v, want ErrEngineFailed", tag, op, ops, err)
+			}
+			under(s, Plan{})
 			cost, err := s.Solve()
-			tag := map[Mode]string{Error: "error", Panic: "panic"}[mode]
 			if err != nil {
-				t.Fatalf("%s op %d/%d: fallback did not rescue: %v", tag, op, ops, err)
+				t.Fatalf("%s op %d: re-solve after the failure: %v", tag, op, err)
 			}
-			if got := s.EngineFailures(); got != 1 {
-				t.Fatalf("%s op %d: EngineFailures = %d, want 1", tag, op, got)
-			}
-			lf := s.LastEngineFailure()
-			if mode == Error && !errors.Is(lf, ErrInjected) {
-				t.Fatalf("%s op %d: LastEngineFailure = %v, want ErrInjected", tag, op, lf)
-			}
-			if mode == Panic && !errors.Is(lf, mcmf.ErrEngineFailed) {
-				t.Fatalf("%s op %d: LastEngineFailure = %v, want ErrEngineFailed", tag, op, lf)
-			}
-			diff(t, tag, want, capture(s, cost))
+			diff(t, tag+" re-solve", want, capture(s, cost))
 			if err := s.Verify(); err != nil {
-				t.Fatalf("%s op %d: Verify after fallback: %v", tag, op, err)
+				t.Fatalf("%s op %d: Verify after the failure: %v", tag, op, err)
 			}
 		}
 	}
 }
 
-// TestInjectedPanicWithoutFallback: with the rescue off, a panicking
-// solve surfaces as a typed ErrEngineFailed — never a crash — and the
-// solver remains usable: the next clean solve reaches the optimum.
+// TestInjectedPanicWithoutFallback: a panicking solve has no fallback
+// to re-run on; it surfaces as a typed ErrEngineFailed — never a crash
+// — and the solver remains usable: the next clean solve reaches the
+// optimum.
 func TestInjectedPanicWithoutFallback(t *testing.T) {
 	want := sspReference(t)
 	s := grid()
@@ -209,42 +209,111 @@ func TestWorkBudgetExhaustion(t *testing.T) {
 	diff(t, "re-solve after work budget", want, capture(s, cost))
 }
 
-// TestInjectedErrorDuringResolve: failure injected into the
-// incremental path is rescued on the heap and still reaches the
-// optimum of the mutated instance (certified by Verify and a
-// fresh-twin cost).
+// TestInjectedErrorDuringResolve: a failure injected into the
+// incremental path surfaces its typed error, the snapshot restores the
+// previous flow, and the next resolve is bit-identical to a twin's
+// undisturbed one (and certified by Verify).
 func TestInjectedErrorDuringResolve(t *testing.T) {
-	s := grid()
-	s.SetEngineFallback(true)
-	if _, err := s.Solve(); err != nil {
-		t.Fatal(err)
+	s, twin := grid(), grid()
+	for _, x := range []*mcmf.Solver{s, twin} {
+		if _, err := x.Solve(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	changed := []int32{0, 7, 31}
-	for _, id := range changed {
-		s.SetCost(int(id), s.Cost(int(id))+250)
+	for _, x := range []*mcmf.Solver{s, twin} {
+		for _, id := range changed {
+			x.SetCost(int(id), x.Cost(int(id))+250)
+		}
 	}
 	under(s, Plan{Mode: Error, Op: 2})
+	if _, err := s.ResolveChanged(changed); !errors.Is(err, ErrInjected) {
+		t.Fatalf("resolve under injection = %v, want ErrInjected", err)
+	}
+	under(s, Plan{})
 	cost, err := s.ResolveChanged(changed)
 	if err != nil {
-		t.Fatalf("resolve under injection: %v", err)
-	}
-	if got := s.EngineFailures(); got != 1 {
-		t.Fatalf("EngineFailures = %d, want 1", got)
+		t.Fatalf("resolve after the failure: %v", err)
 	}
 	if err := s.Verify(); err != nil {
-		t.Fatalf("Verify after rescued resolve: %v", err)
+		t.Fatalf("Verify after the failed resolve: %v", err)
 	}
-	// The optimum is unique even when optimal flows are not: a fresh
-	// twin with the same mutations must agree on cost.
-	twin := grid()
-	for _, id := range changed {
-		twin.SetCost(int(id), twin.Cost(int(id))+250)
-	}
-	wantCost, err := twin.Solve()
+	wantCost, err := twin.ResolveChanged(changed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != wantCost {
-		t.Fatalf("rescued resolve cost %v != fresh optimum %v", cost, wantCost)
-	}
+	diff(t, "resolve after the failure", capture(twin, wantCost), capture(s, cost))
+}
+
+// FuzzFaultRollback fires an error, a panic or a cancellation at a
+// fuzzer-chosen poll of a full solve — cold, or warm after random cost
+// edits — or of a resolve after such edits, on a grid instance.  The
+// attempt must return its typed error, the armed snapshot must restore
+// the solver's pre-attempt flows and potentials, and the next clean
+// solve or resolve must be bit-identical to an undisturbed twin's.
+func FuzzFaultRollback(f *testing.F) {
+	f.Add(int64(7), uint8(0), uint16(1), false, uint8(0))
+	f.Add(int64(1), uint8(1), uint16(40), false, uint8(5))
+	f.Add(int64(2), uint8(2), uint16(9), true, uint8(12))
+	f.Add(int64(3), uint8(1), uint16(500), true, uint8(40))
+	f.Add(int64(4), uint8(2), uint16(77), false, uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8, op uint16, resolve bool, edits uint8) {
+		m := []Mode{Error, Panic, Cancel}[int(mode)%3]
+		s, twin := mcmf.NewGridInstance(8, 12, seed), mcmf.NewGridInstance(8, 12, seed)
+		// A cold solve rolls back to the unsolved state: no flow and
+		// the zero potentials the first solve starts from.
+		before := state{flows: make([]int64, s.NumArcs()), pots: make([]int64, s.N())}
+		var changed []int32
+		if k := int(edits) % 25; resolve || k > 0 {
+			for _, x := range []*mcmf.Solver{s, twin} {
+				if _, err := x.Solve(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for range max(k, 1) {
+				id := rng.Intn(s.NumArcs())
+				c := max(0, s.Cost(id)+int64(rng.Intn(400))-100)
+				s.SetCost(id, c)
+				twin.SetCost(id, c)
+				changed = append(changed, int32(id))
+			}
+			before = capture(s, 0)
+		}
+		run := func(x *mcmf.Solver) (float64, error) {
+			if resolve {
+				return x.ResolveChanged(changed)
+			}
+			return x.Solve()
+		}
+
+		var ops int64 // the twin's own count: Ops may hold an earlier input's
+		twin.SetContext(mcmf.WithPollHook(context.Background(), func(op int64) error { ops = op; return nil }))
+		wantCost, err := run(twin)
+		if err != nil {
+			t.Fatalf("undisturbed twin: %v", err)
+		}
+		if ops == 0 {
+			return // no poll to fire at
+		}
+		want := capture(twin, wantCost)
+
+		at := 1 + int64(op)%ops
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s.SetContext(Context(ctx, Plan{Mode: m, Op: at, OnCancel: cancel}))
+		_, err = run(s)
+		wantErr := map[Mode]error{Error: ErrInjected, Panic: mcmf.ErrEngineFailed, Cancel: mcmf.ErrCanceled}[m]
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("fault at op %d/%d: %v, want %v", at, ops, err, wantErr)
+		}
+		diff(t, "state after the rolled-back attempt", before, capture(s, 0))
+
+		s.SetContext(nil)
+		cost, err := run(s)
+		if err != nil {
+			t.Fatalf("clean run after the fault: %v", err)
+		}
+		diff(t, "clean run after the fault", want, capture(s, cost))
+	})
 }

@@ -1,4 +1,4 @@
-// Cancellation, budgets, fault hooks and the heap rescue.
+// Cancellation, budgets, fault hooks and failed attempts.
 //
 // Every inner loop polls Solver.pollAbort at its natural operation
 // granularity — one shortest-path augmentation of the per-source loop,
@@ -28,28 +28,35 @@
 // cancellation invisible, runEngine snapshots the mutable solve state
 // (residual capacities, potentials and the solved/repairable/flowDirty
 // flags) before an attempt whenever an abort source is armed, and
-// restores it when the attempt aborts.  A
+// restores it when the attempt aborts or fails.  A
 // subsequent solve on the cancelled Solver is therefore bit-identical
 // to one on a twin that was never cancelled
 // (TestConformanceCancelAtPollPoints).  The snapshot buffers are
 // reused across attempts, so the armed warm path stays allocation-free
 // after the first solve.
 //
-// # Heap rescue
+// # Failed attempts
 //
-// Attempts additionally run under panic recovery: a panic yields a
-// typed ErrEngineFailed instead of crashing the process.  With
-// SetEngineFallback(true) (internal/dcs enables this for the sizing
-// pipeline) a failure-class error — a panic or a hook-injected error —
-// restores the pre-attempt state and re-runs the attempt once with the
-// search permanently pinned to the heap, leaving the radix heap out.
-// The rescue runs without the poll hook, so an injected fault fires in
-// the failing attempt only.  Each rescue is recorded
-// (EngineFailures/LastEngineFailure; surfaced per-iteration in
-// core.IterStats.FlowEngineFailures).  Abort-class errors (canceled,
-// budget exhausted) and semantic errors (infeasible, unbalanced,
-// negative cycle) never trigger the rescue: retrying cannot change
-// them.
+// Attempts run under panic recovery: a panic yields a typed
+// ErrEngineFailed instead of crashing the process, and it is returned
+// as is — there is no second attempt.  Callers own the recovery
+// (internal/core answers with its best-so-far sizing; minflod
+// quarantines the session and rebuilds it from its ledger).  With an
+// abort source armed, a failure-class error — a panic or a
+// hook-injected error — restores the snapshot like an abort, so the
+// next solve is bit-identical to one on an undisturbed twin.
+//
+// An attempt that fails unarmed has no snapshot to restore: its
+// residuals may hold part of a routing and its potentials part of a
+// search's update.  runEngine then marks the Solver flowDirty and
+// neither solved nor repairable, so the next Solve resets the
+// residuals and re-validates the potentials (Bellman–Ford when they no
+// longer certify non-negative reduced costs), and the next
+// ResolveChanged falls back to that full solve.  Either reaches an
+// optimum that Verify certifies, though not necessarily the
+// undisturbed twin's potentials (TestUnarmedFailureResolvesClean).
+// Semantic errors (infeasible, unbalanced, negative cycle) describe
+// the instance, not the attempt: they are neither restored nor marked.
 package mcmf
 
 import (
@@ -103,7 +110,7 @@ type pollHookKey struct{}
 // each poll point with the 1-based poll count of the current Solve or
 // ResolveChanged attempt; a non-nil return aborts that attempt with
 // the error.  It exists for deterministic mid-solve injection in tests
-// (internal/fault); the heap rescue runs without it.
+// (internal/fault).
 func WithPollHook(ctx context.Context, h func(op int64) error) context.Context {
 	return context.WithValue(ctx, pollHookKey{}, h)
 }
@@ -133,21 +140,6 @@ func (s *Solver) SetWorkBudget(n int64) {
 // WorkDone returns the cumulative poll operations counted while an
 // abort source was armed (the currency SetWorkBudget is spent in).
 func (s *Solver) WorkDone() int64 { return s.workDone }
-
-// SetEngineFallback enables the heap rescue: when an attempt fails
-// (panic, injected fault), the pre-attempt state is restored and the
-// attempt re-runs once with the search pinned to the heap for the rest
-// of the Solver's life.  Disabled by default so direct tests observe
-// raw failures; internal/dcs enables it for the sizing pipeline.
-func (s *Solver) SetEngineFallback(on bool) { s.fallbackOn = on }
-
-// EngineFailures returns how many times an attempt failed and the
-// Solver rescued it (see SetEngineFallback).
-func (s *Solver) EngineFailures() int { return s.engineFailures }
-
-// LastEngineFailure returns the wrapped error of the most recent
-// failure that triggered the rescue, or nil.
-func (s *Solver) LastEngineFailure() error { return s.lastFailure }
 
 // reArm recaches the armed flag after any abort-source change, keeping
 // pollAbort's hot path a single branch.
@@ -188,15 +180,8 @@ func (s *Solver) pollAbortArmed() error {
 	return nil
 }
 
-// isAbortErr classifies the errors that abort a solve on behalf of the
-// caller: restoring state is required, retrying is pointless.
-func isAbortErr(err error) bool {
-	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted)
-}
-
 // isSemanticErr classifies the errors that describe the instance, not
-// the attempt: a retry would return the same verdict, so the rescue
-// never helps and the post-error state keeps its legacy semantics.
+// the attempt: the post-error state keeps its legacy semantics.
 func isSemanticErr(err error) bool {
 	return errors.Is(err, ErrInfeasible) || errors.Is(err, ErrUnbalanced) ||
 		errors.Is(err, ErrNegativeCycle)
@@ -210,7 +195,6 @@ type attemptState struct {
 	caps                          []int64 // residual capacity per residual arc; layoutArcs borrows it
 	pot                           []int64
 	solved, repairable, flowDirty bool
-	valid                         bool
 }
 
 // beginAttempt snapshots the pre-attempt state into reused buffers
@@ -232,16 +216,11 @@ func (s *Solver) beginAttempt() {
 		a.pot[v] = s.node[v].pot
 	}
 	a.solved, a.repairable, a.flowDirty = s.solved, s.repairable, s.flowDirty
-	a.valid = true
 }
 
-// restoreAttempt rolls the Solver back to the last beginAttempt
-// snapshot.
+// restoreAttempt rolls the Solver back to the beginAttempt snapshot.
 func (s *Solver) restoreAttempt() {
 	a := &s.att
-	if !a.valid {
-		return
-	}
 	for i := range a.caps {
 		s.arcs[i].cap = a.caps[i]
 	}
@@ -252,48 +231,28 @@ func (s *Solver) restoreAttempt() {
 }
 
 // runEngine is the guarded dispatch behind Solver.Solve and
-// Solver.ResolveChanged: snapshot when an abort source or the rescue
-// is in play, run the attempt under panic recovery, classify the
-// error, and rescue a failure when enabled by re-running the attempt
-// on the heap search.
+// Solver.ResolveChanged: snapshot when an abort source is armed, run
+// the attempt under panic recovery, and on an abort or failure restore
+// the snapshot — or, unarmed, mark the state for a clean next solve
+// (see the file comment).
 func (s *Solver) runEngine(changed []int32, resolve bool) (float64, error) {
 	// Lay out a changed topology before the snapshot, which records
 	// residual capacities by arc position.
 	s.prepare()
-	guard := s.armed || s.fallbackOn
-	if guard {
+	if s.armed {
 		s.beginAttempt()
 		s.hookOps = 0
 	}
 	cost, err := s.attempt(changed, resolve)
-	if err == nil || !guard {
+	if err == nil || isSemanticErr(err) {
 		return cost, err
 	}
-	if isAbortErr(err) {
+	if s.armed {
 		s.restoreAttempt()
-		return 0, err
+	} else {
+		s.flowDirty, s.solved, s.repairable = true, false, false
 	}
-	if isSemanticErr(err) {
-		return 0, err
-	}
-	// Failure class: a panic (ErrEngineFailed) or an injected fault.
-	s.restoreAttempt()
-	if !s.fallbackOn || s.ss.heapOnly {
-		return 0, err // off, or already on the heap: nothing to re-run on
-	}
-	s.ss.heapOnly = true
-	s.lastFailure = fmt.Errorf("mcmf: solve failed, re-ran on the heap search: %w", err)
-	s.engineFailures++
-	hook := s.pollHook
-	s.pollHook = nil
-	s.reArm()
-	cost, err = s.attempt(changed, resolve)
-	s.pollHook = hook
-	s.reArm()
-	if err != nil && isAbortErr(err) {
-		s.restoreAttempt() // snapshot still holds the pre-attempt state
-	}
-	return cost, err
+	return 0, err
 }
 
 // attempt runs one solve under panic recovery, converting a panic into

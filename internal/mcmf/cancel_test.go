@@ -259,61 +259,85 @@ func TestConformanceCancelInsidePhase(t *testing.T) {
 	}
 }
 
-// TestSSPFailureReRunsOnHeap is the rescue: with fallback enabled, a
-// failing attempt rolls back and re-runs once, without the poll hook,
-// with its search pinned to the heap, counted in EngineFailures and
-// bit-identical to a heap-pinned twin — for a full solve and a
-// resolve.  A failure of the pinned search is not rescued again.
-func TestSSPFailureReRunsOnHeap(t *testing.T) {
-	errInjected := errors.New("injected")
-	failAt := func(s *Solver, n int) {
-		s.SetContext(WithPollHook(context.Background(), func(op int64) error {
-			if op == int64(n) {
-				return errInjected
-			}
-			return nil
-		}))
-	}
+// TestUnarmedFailureResolvesClean holds the unarmed half of the
+// failure contract (abort.go): an attempt that fails with no abort
+// source armed has no snapshot to restore, so it surfaces
+// ErrEngineFailed and leaves the Solver flowDirty and neither solved
+// nor repairable, and the next solve — or resolve, which falls back to
+// a full solve — reaches an optimum that Verify certifies.  Each
+// failure comes from one residual arc corrupted for that attempt: the
+// backward arc of the arc the optimum loads most, its head moved out
+// of range, so the attempt panics once it has routed flow onto that
+// arc (or, in a resolve, drains it).  The failures hit a cold solve, a
+// re-solve of the solved instance and a resolve after cost edits.
+func TestUnarmedFailureResolvesClean(t *testing.T) {
 	s, twin := NewGridInstance(12, 10, 3), NewGridInstance(12, 10, 3)
-	twin.ss.heapOnly = true
-	s.SetEngineFallback(true)
-	failAt(s, 5)
-	cost, err := s.Solve()
-	if err != nil {
-		t.Fatalf("rescued solve: %v", err)
-	}
-	if s.EngineFailures() != 1 || !errors.Is(s.LastEngineFailure(), errInjected) || !s.ss.heapOnly {
-		t.Fatalf("after rescue: %d failures (%v), heapOnly %v", s.EngineFailures(), s.LastEngineFailure(), s.ss.heapOnly)
-	}
 	want, err := twin.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffState(t, "rescued solve", captureState(twin, want), captureState(s, cost))
+	id := 0
+	for a := range twin.NumArcs() {
+		if twin.Flow(a) > twin.Flow(id) {
+			id = a
+		}
+	}
+	s.prepare() // the corruption must not meet the arc layout
+	failOnce := func(tag string, run func() (float64, error)) {
+		t.Helper()
+		b := &s.arcs[s.arcs[s.fwd[id]].rev]
+		head := b.to
+		b.to = int32(s.N() + 1000)
+		_, err := run()
+		b.to = head
+		if !errors.Is(err, ErrEngineFailed) {
+			t.Fatalf("%s: %v, want ErrEngineFailed", tag, err)
+		}
+		if !s.flowDirty || s.solved || s.repairable {
+			t.Fatalf("%s: flowDirty %v solved %v repairable %v after an unarmed failure, want true false false",
+				tag, s.flowDirty, s.solved, s.repairable)
+		}
+	}
+	check := func(tag string, cost, want float64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if err := s.Verify(); err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if cost != want {
+			t.Fatalf("%s: cost %v != twin optimum %v", tag, cost, want)
+		}
+	}
+
+	failOnce("cold solve", s.Solve)
+	cost, err := s.Solve()
+	check("solve after a failed cold solve", cost, want, err)
+	failOnce("re-solve", s.Solve)
+	cost, err = s.Solve()
+	check("solve after a failed re-solve", cost, want, err)
 
 	rng := rand.New(rand.NewSource(3))
 	var changed []int32
-	for id := 0; id < s.NumArcs(); id += 1 + rng.Intn(8) {
-		c := s.Cost(id) + int64(rng.Intn(30))
-		s.SetCost(id, c)
-		twin.SetCost(id, c)
-		changed = append(changed, int32(id))
+	for a := 0; a < s.NumArcs(); a += 1 + rng.Intn(8) {
+		if a == id {
+			continue
+		}
+		c := s.Cost(a) + int64(rng.Intn(30))
+		s.SetCost(a, c)
+		twin.SetCost(a, c)
+		changed = append(changed, int32(a))
 	}
-	failAt(s, 2)
-	if _, err := s.ResolveChanged(changed); !errors.Is(err, errInjected) {
-		t.Fatalf("failure of the pinned search: %v, want the injected error", err)
+	changed = append(changed, int32(id)) // drained last: the others already are
+	failOnce("resolve", func() (float64, error) { return s.ResolveChanged(changed) })
+	if want, err = twin.Solve(); err != nil {
+		t.Fatal(err)
 	}
-	s.SetContext(nil)
-	if s.EngineFailures() != 1 {
-		t.Fatalf("%d failures after an unrescued one, want 1", s.EngineFailures())
-	}
+	fallbacks := s.EngineStats().FullFallbacks
 	cost, err = s.ResolveChanged(changed)
-	if err != nil {
-		t.Fatal(err)
+	check("resolve after a failed resolve", cost, want, err)
+	if s.EngineStats().FullFallbacks != fallbacks+1 {
+		t.Fatal("resolve after a failed resolve did not fall back to a full solve")
 	}
-	want, err = twin.ResolveChanged(changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffState(t, "resolve after the rescue", captureState(twin, want), captureState(s, cost))
 }

@@ -41,9 +41,7 @@
 //     place once per topology, so a search scans each node's arcs
 //     contiguously; public arc IDs reach their arcs through an
 //     ID→position table;
-//   - the Dijkstra priority queue is a radix heap over one entry pool,
-//     with an inline index-based 4-ary heap on int64 keys (no
-//     container/heap interface boxing) as the rescue's search;
+//   - the Dijkstra priority queue is a radix heap over one entry pool;
 //   - each node's potential and its per-search state (distance, tree
 //     arc, epoch stamp) share one 24-byte record, so a relaxation
 //     touches one place per head node; the search state is
@@ -139,7 +137,7 @@ type Solver struct {
 	flowDirty bool // residuals carry a previous solve's flow
 
 	// ss is the solver's epoch-stamped Dijkstra scratch with the radix
-	// heap and the rescue's heap (search.go, radix.go).
+	// heap (search.go, radix.go).
 	ss      searchScratch
 	excess  []int64
 	sources []int32
@@ -154,11 +152,11 @@ type Solver struct {
 	ewmaFullVisits    float64
 	ewmaResolveVisits float64
 
-	// Abort sources and rescue state (abort.go).  armed caches whether
-	// any abort source is installed so the per-operation pollAbort
-	// stays a single branch on the warm path; pollTick paces the
-	// deadline's clock sampling; hookOps counts the current attempt's
-	// polls for the context's poll hook.
+	// Abort sources and the attempt snapshot (abort.go).  armed caches
+	// whether any abort source is installed so the per-operation
+	// pollAbort stays a single branch on the warm path; pollTick paces
+	// the deadline's clock sampling; hookOps counts the current
+	// attempt's polls for the context's poll hook.
 	ctx        context.Context
 	deadline   time.Time
 	pollTick   uint32
@@ -167,11 +165,7 @@ type Solver struct {
 	pollHook   func(op int64) error
 	hookOps    int64
 	armed      bool
-	fallbackOn bool
 	att        attemptState
-
-	engineFailures int
-	lastFailure    error
 }
 
 // New returns a solver over n nodes with no arcs and zero supplies.
@@ -400,9 +394,10 @@ func (s *Solver) prepare() {
 //
 // The position table borrows the attempt snapshot's buffer, which
 // holds one value per residual arc and is only read after a snapshot
-// (beginAttempt) has refilled it.  Every solver of the sizing pipeline
-// keeps that buffer (internal/dcs enables the heap rescue), so there a
-// re-layout allocates no arc-sized scratch of its own.
+// (beginAttempt) has refilled it.  A Solver that runs armed (a
+// cancelable context, a deadline or a work budget) keeps that buffer
+// for its snapshots, so there a re-layout allocates no arc-sized
+// scratch of its own; an unarmed one keeps it for the next re-layout.
 func (s *Solver) layoutArcs() {
 	n := s.n
 	if cap(s.csrStart) >= n+1 {
@@ -522,8 +517,8 @@ func (s *Solver) bellmanFord() error {
 // or a poll hook carried by the context) the solve can additionally
 // return ErrCanceled or ErrBudgetExhausted; the pre-solve state is
 // restored, so a subsequent solve is bit-identical to one on a
-// never-aborted twin.  Panics surface as ErrEngineFailed (or are
-// rescued with SetEngineFallback).  See abort.go.
+// never-aborted twin.  Panics surface as ErrEngineFailed, after which
+// the next solve starts from clean residuals.  See abort.go.
 func (s *Solver) Solve() (float64, error) {
 	return s.runEngine(nil, false)
 }
@@ -539,7 +534,7 @@ func (s *Solver) Solve() (float64, error) {
 // wastefully).  Without a reusable previous flow — first solve or
 // topology change — it falls back to a full Solve.
 //
-// ResolveChanged honors the same abort sources and rescue contract as
+// ResolveChanged honors the same abort sources and failure contract as
 // Solve (see abort.go): an aborted repair restores the pre-call state,
 // including repairability of the previous flow.
 func (s *Solver) ResolveChanged(changed []int32) (float64, error) {
@@ -626,76 +621,4 @@ func (s *Solver) Verify() error {
 		}
 	}
 	return nil
-}
-
-// heap4 is an inline 4-ary min-heap on int64 keys with int32 payloads
-// — parallel arrays, no interface boxing, no container/heap.  A 4-ary
-// layout halves the tree depth of a binary heap, trading slightly more
-// sibling comparisons (all in one cache line) for fewer levels touched
-// per sift, which wins on the pop-heavy Dijkstra workload.  Stale
-// entries are handled by the caller via lazy deletion.
-type heap4 struct {
-	key  []int64
-	node []int32
-}
-
-// reset empties the heap, giving it room for n entries on first use.
-func (h *heap4) reset(n int) {
-	if cap(h.key) < n {
-		h.key = make([]int64, 0, n)
-		h.node = make([]int32, 0, n)
-	}
-	h.key = h.key[:0]
-	h.node = h.node[:0]
-}
-
-func (h *heap4) empty() bool { return len(h.key) == 0 }
-
-func (h *heap4) push(k int64, v int32) {
-	h.key = append(h.key, k)
-	h.node = append(h.node, v)
-	i := len(h.key) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if h.key[p] <= k {
-			break
-		}
-		h.key[i], h.node[i] = h.key[p], h.node[p]
-		i = p
-	}
-	h.key[i], h.node[i] = k, v
-}
-
-func (h *heap4) pop() (int64, int32) {
-	k0, v0 := h.key[0], h.node[0]
-	last := len(h.key) - 1
-	k, v := h.key[last], h.node[last]
-	h.key = h.key[:last]
-	h.node = h.node[:last]
-	if last > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= last {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > last {
-				end = last
-			}
-			for j := c + 1; j < end; j++ {
-				if h.key[j] < h.key[m] {
-					m = j
-				}
-			}
-			if h.key[m] >= k {
-				break
-			}
-			h.key[i], h.node[i] = h.key[m], h.node[m]
-			i = m
-		}
-		h.key[i], h.node[i] = k, v
-	}
-	return k0, v0
 }

@@ -259,11 +259,10 @@ func matchClassicRounds(t testing.TB, name string, phased, classic *Solver, full
 
 // FuzzRoutingMatchesClassic drives the classic-loop oracle with
 // fuzzer-chosen instances and re-pricings: a D-phase tree or a grid
-// (shape), solved cold — on the radix search, or with both twins'
-// searches pinned to the heap (the rescue mode) — and then
-// re-priced three times by the bytes of deltas — each triple names an
-// arc and a new cost — and re-solved, the first re-pricing in full and
-// the next two by ResolveChanged.  Every round must match the
+// (shape's bit 1 picks it, its high bits size it), solved cold and
+// then re-priced three times by the bytes of deltas — each triple
+// names an arc and a new cost — and re-solved, the first re-pricing in
+// full and the next two by ResolveChanged.  Every round must match the
 // per-source loop bit for bit in cost and in potentials.
 func FuzzRoutingMatchesClassic(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0x01, 0x20, 0x13, 0x40, 0x07, 0x00})
@@ -276,8 +275,6 @@ func FuzzRoutingMatchesClassic(f *testing.F) {
 			build = func() *Solver { return NewGridInstance(4+int(shape>>2)%12, 4+int(shape>>4)%12, seed) }
 		}
 		phased, classic := build(), build()
-		heapOnly := shape&1 != 0
-		phased.ss.heapOnly, classic.ss.heapOnly = heapOnly, heapOnly
 		const rounds = 3
 		round := 0
 		perturb := func() []int32 {

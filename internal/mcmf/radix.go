@@ -115,24 +115,14 @@ func (q *radixHeap) advance() bool {
 	return true
 }
 
-// shortestPath runs one shortest-path search on reduced costs from
+// shortestPath runs one radix-heap Dijkstra on reduced costs from
 // every node in srcs (one source per augmentation in the per-source
 // loop, all current sources in a phase), filling the node records'
 // search fields and s.ss.visited for the settled region, and returns
 // the first node with negative excess together with its distance, or
-// target −1 when no deficit node is reachable.  It runs the radix
-// search, or the heap when the search is pinned there
-// (SetEngineFallback's rescue).
+// target −1 when no deficit node is reachable.  It reads (and never
+// writes) the residual arcs, potentials and the excess vector.
 func (s *Solver) shortestPath(srcs []int32, excess []int64) (int32, int64) {
-	if s.ss.heapOnly {
-		return s.dijkstraHeap(srcs, excess)
-	}
-	return s.radixSearch(srcs, excess)
-}
-
-// radixSearch is the radix-heap Dijkstra from every node in srcs, with
-// shortestPath's contract.
-func (s *Solver) radixSearch(srcs []int32, excess []int64) (int32, int64) {
 	sc := &s.ss
 	q := &sc.q
 	s.beginSearch()
@@ -173,7 +163,9 @@ func (s *Solver) radixSearch(srcs []int32, excess []int64) (int32, int64) {
 				nv := &s.node[v]
 				rc := a.cost + pu - nv.pot
 				if rc < 0 {
-					rc = 0 // see dijkstraHeap: tie artifacts after early exit
+					// Should not happen with valid potentials; clamp
+					// defensively (can arise from ties after early exit).
+					rc = 0
 				}
 				if nv.stamp != sc.epoch {
 					s.touch(v)

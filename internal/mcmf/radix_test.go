@@ -92,7 +92,7 @@ func FuzzSearchMatchesHeap(f *testing.F) {
 			if len(srcs) == 0 {
 				continue
 			}
-			target, dt := s.radixSearch(srcs, excess)
+			target, dt := s.shortestPath(srcs, excess)
 			limit := dt
 			if target < 0 {
 				limit = inf
@@ -130,7 +130,7 @@ func FuzzSearchMatchesHeap(f *testing.F) {
 // entries at its own distance, a little farther, or at far distances
 // up to 2^41 that many pops share, and some pushes improve a node
 // already queued, which leaves its earlier entry stale.  Drained the
-// way radixSearch drains it, the heap must pop exactly each node's
+// way shortestPath drains it, the heap must pop exactly each node's
 // last entry, in non-decreasing distance and, among equal distances,
 // in push order (the pool index) — also for entries that were pushed
 // far and moved down — and never a stale entry.  The heap is reused

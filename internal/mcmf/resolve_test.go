@@ -235,14 +235,6 @@ func BenchmarkDPhaseResolveArmed(b *testing.B) {
 	})
 }
 
-// heapTwin returns a fresh twin of s whose searches are pinned to the
-// heap: the reference the radix search is held to.
-func heapTwin(s *Solver) *Solver {
-	h := freshTwin(s)
-	h.ss.heapOnly = true
-	return h
-}
-
 // TestDialOverflowHorizon puts a dead end near the source and the only
 // route to the deficit just past it, at distances in the radix heap's
 // high buckets: the search must settle the dead end, move the route's
@@ -260,16 +252,12 @@ func TestDialOverflowHorizon(t *testing.T) {
 		return s
 	}
 	d := build()
-	want, err := heapTwin(d).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := d.Solve()
 	if err != nil {
 		t.Fatalf("radix search on feasible far-route instance: %v", err)
 	}
-	if got != want {
-		t.Fatalf("radix search cost %v != heap cost %v", got, want)
+	if got != far {
+		t.Fatalf("radix search cost %v != the route's cost %d", got, int64(far))
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatal(err)
@@ -279,7 +267,7 @@ func TestDialOverflowHorizon(t *testing.T) {
 // TestDialHugeCostsMatchSSP drives the radix heap's bucket moves hard:
 // random feasible instances with costs scaled by up to about 10^7, so
 // distances spread over dozens of buckets, must solve to exactly the
-// optimum of a heap-pinned twin (the D-phase integerizes at 1e6, so
+// optimum of a cost-scaling twin (the D-phase integerizes at 1e6, so
 // megascale reduced costs are the production shape).
 func TestDialHugeCostsMatchSSP(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
@@ -290,14 +278,14 @@ func TestDialHugeCostsMatchSSP(t *testing.T) {
 			a.SetCost(id, a.Cost(id)*scale)
 		}
 		b := freshTwin(a)
-		a.ss.heapOnly = true
+		a.useCostScaling()
 		want, err1 := a.Solve()
 		got, err2 := b.Solve()
 		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: heap err %v, radix err %v", seed, err1, err2)
+			t.Fatalf("seed %d: oracle err %v, radix err %v", seed, err1, err2)
 		}
 		if got != want {
-			t.Fatalf("seed %d (scale %d): radix cost %v != heap cost %v", seed, scale, got, want)
+			t.Fatalf("seed %d (scale %d): radix cost %v != oracle cost %v", seed, scale, got, want)
 		}
 		if err := b.Verify(); err != nil {
 			t.Fatalf("seed %d: radix certificate: %v", seed, err)
@@ -320,7 +308,7 @@ func TestDialHugeCostsMatchSSP(t *testing.T) {
 			t.Fatalf("seed %d: resolve err %v, fresh err %v", seed, err2, err1)
 		}
 		if err1 == nil && gotR != wantR {
-			t.Fatalf("seed %d: radix resolve cost %v != heap cost %v", seed, gotR, wantR)
+			t.Fatalf("seed %d: radix resolve cost %v != oracle cost %v", seed, gotR, wantR)
 		}
 	}
 }

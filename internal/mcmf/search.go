@@ -1,12 +1,9 @@
 // Per-search Dijkstra state: the residual arcs, potentials and excess
 // vector are read-only during a search, while everything a search
 // writes — each node's tentative distance, shortest-path tree arc and
-// epoch stamp, the radix heap and the rescue's heap — lives in the node
-// records (Solver.node) and the Solver's searchScratch (s.ss), which
-// the radix search (radix.go) and the heap rescue share.  Both pop in
-// non-decreasing distance; the radix heap breaks ties in push order
-// (radix.go), the rescue's heap in its own order, so the two can end a
-// search at different deficits of equal distance.
+// epoch stamp, and the radix heap — lives in the node records
+// (Solver.node) and the Solver's searchScratch (s.ss), which the radix
+// search (radix.go) fills.
 package mcmf
 
 // nodeState is one node's record: its potential, which persists across
@@ -26,14 +23,12 @@ type nodeState struct {
 
 // searchScratch is the rest of a shortest-path search's state: the
 // epoch that validates the node records' search fields (so per-search
-// reset is O(1) plus the nodes actually visited), the visited list,
-// the radix heap, and the inline 4-ary heap of the rescue.
+// reset is O(1) plus the nodes actually visited), the visited list and
+// the radix heap.
 type searchScratch struct {
-	epoch    uint32
-	visited  []int32
-	q        radixHeap
-	h        heap4 // allocated by the first heap search (dijkstraHeap)
-	heapOnly bool  // every search on the heap: ssp's rescue (runEngine)
+	epoch   uint32
+	visited []int32
+	q       radixHeap
 }
 
 // ensureSSP sizes the scratch the SSP routing loops fill up to the
@@ -58,8 +53,7 @@ func (s *Solver) ensureSSP() {
 // potential and the search fields), a visited-list entry, a 16-byte
 // radix-heap pool entry, a source-list entry and a phase's DFS path
 // entry.  A search that pushes a node more than once grows the pool
-// past n, so this is a floor, not a bound; the rescue's heap is not
-// counted, since only a failed attempt allocates it.
+// past n, so this is a floor, not a bound.
 func SearchScratchBytes(n int) int64 {
 	return int64(n) * (24 + 4 + 16 + 4 + 4)
 }
@@ -82,63 +76,6 @@ func (s *Solver) touch(v int32) {
 	nv := &s.node[v]
 	nv.dist, nv.prev, nv.stamp = inf, -1, s.ss.epoch
 	s.ss.visited = append(s.ss.visited, v)
-}
-
-// dijkstraHeap runs one shortest-path search on reduced costs from
-// every node in srcs (each at distance 0) on the inline 4-ary heap —
-// the rescue's search (shortestPath) and the radix search's test
-// oracle, with the same contract except for the order of ties.
-// It reads (and never writes) the solver's residual arcs, potentials
-// and the excess vector.  It fills the node records' search fields and
-// ss.visited for the settled region and returns the first node with
-// negative excess together with its distance, or target −1 when no
-// deficit node is reachable.
-func (s *Solver) dijkstraHeap(srcs []int32, excess []int64) (int32, int64) {
-	sc := &s.ss
-	s.beginSearch()
-	sc.h.reset(s.n)
-	for _, src := range srcs {
-		s.touch(src)
-		s.node[src].dist = 0
-		sc.h.push(0, src)
-	}
-	for !sc.h.empty() {
-		d, u := sc.h.pop()
-		if d > s.node[u].dist {
-			continue // stale heap entry (lazy deletion)
-		}
-		if excess[u] < 0 {
-			// Settling nodes at equal distance is unnecessary;
-			// stop at the first deficit node for speed.
-			return u, d
-		}
-		pu := s.node[u].pot
-		base := s.csrStart[u]
-		out := s.arcsOf(int(u))
-		for k := range out {
-			a := &out[k]
-			if a.cap <= 0 {
-				continue
-			}
-			v := a.to
-			nv := &s.node[v]
-			rc := a.cost + pu - nv.pot
-			if rc < 0 {
-				// Should not happen with valid potentials; clamp
-				// defensively (can arise from ties after early exit).
-				rc = 0
-			}
-			if nv.stamp != sc.epoch {
-				s.touch(v)
-			}
-			if nd := d + rc; nd < nv.dist {
-				nv.dist = nd
-				nv.prev = base + int32(k)
-				sc.h.push(nd, v)
-			}
-		}
-	}
-	return -1, 0
 }
 
 // updatePotentials applies the completed search, truncated at

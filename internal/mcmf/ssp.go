@@ -1,7 +1,6 @@
 // Successive shortest paths: the Solver's one flow algorithm and its
 // routing loops.  Every search — per-source, phase or resolve — runs on
-// the radix heap (shortestPath in radix.go), or on the 4-ary heap once
-// SetEngineFallback's rescue pinned it there; the search state is the
+// the radix heap (shortestPath in radix.go); the search state is the
 // Solver's own (search.go).  A search settles nodes in non-decreasing
 // distance, ties in push order, and stops at the first deficit it
 // pops, so which of several equally near deficits a path reaches, and

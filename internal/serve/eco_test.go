@@ -119,7 +119,7 @@ func TestServeEditLifecycle(t *testing.T) {
 // and a crash, the rebuilt generation answers the post-edit query
 // bit-identically — and differently from a never-edited control.
 func TestServeEditQuarantineReplay(t *testing.T) {
-	srv, _, c, faults := newFaultServer(t, Config{NoEngineFallback: true}, "eq")
+	srv, _, c, faults := newFaultServer(t, Config{}, "eq")
 	ctx := context.Background()
 
 	sub, err := c.Submit(ctx, &SubmitRequest{ID: "eq", Circuit: "adder16"})

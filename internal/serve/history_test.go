@@ -23,7 +23,7 @@ import (
 // with no intervening solves, then queried at the same target.  The
 // rebuilt generation's first answer must be bit-identical to it.
 func TestServeQuarantineReplayMixedHistory(t *testing.T) {
-	srv, _, c, faults := newFaultServer(t, Config{NoEngineFallback: true}, "mx")
+	srv, _, c, faults := newFaultServer(t, Config{}, "mx")
 	ctx := context.Background()
 
 	sub, err := c.Submit(ctx, &SubmitRequest{ID: "mx", Circuit: "adder16"})
@@ -92,7 +92,7 @@ func TestServeQuarantineReplayMixedHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := core.NewEcoSession(teco, core.Options{NoEngineFallback: true})
+		twin, err := core.NewEcoSession(teco, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

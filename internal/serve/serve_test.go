@@ -337,12 +337,11 @@ func TestServeOverload(t *testing.T) {
 	}
 }
 
-// TestServeQuarantineRebuild injects a solve panic (rescue off),
-// checks the session is quarantined — process stays up — and that the
+// TestServeQuarantineRebuild injects a solve panic, checks the session is quarantined — process stays up — and that the
 // next query transparently rebuilds a fresh generation that answers
 // like a cold session.
 func TestServeQuarantineRebuild(t *testing.T) {
-	srv, _, c, faults := newFaultServer(t, Config{NoEngineFallback: true}, "f")
+	srv, _, c, faults := newFaultServer(t, Config{}, "f")
 	ctx := context.Background()
 
 	sub, err := c.Submit(ctx, &SubmitRequest{ID: "f", Circuit: "adder16"})

@@ -122,10 +122,6 @@ type Config struct {
 	DrainTimeout time.Duration
 	// RetryAfter is the hint returned with 429/503 (default 1s).
 	RetryAfter time.Duration
-	// NoEngineFallback disables the flow layer's heap rescue so flow
-	// failures surface and exercise the quarantine path (fault drills;
-	// default false).
-	NoEngineFallback bool
 	// TrustRegion enables trust-region warm seeding on every session
 	// (core.Options.TrustRegion): a query whose area weights moved at
 	// most this relative amount since the session's previous clean

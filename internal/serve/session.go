@@ -154,10 +154,9 @@ func (s *session) buildCore() error {
 		return err
 	}
 	cs, err := core.NewEcoSession(eco, core.Options{
-		NoEngineFallback: s.srv.cfg.NoEngineFallback,
-		TrustRegion:      s.srv.cfg.TrustRegion,
-		EditConeBudget:   s.srv.cfg.EditConeBudget,
-		EditConeResize:   s.srv.cfg.EditConeResize,
+		TrustRegion:    s.srv.cfg.TrustRegion,
+		EditConeBudget: s.srv.cfg.EditConeBudget,
+		EditConeResize: s.srv.cfg.EditConeResize,
 	})
 	if err != nil {
 		return err
@@ -467,9 +466,9 @@ func (s *session) handleQuery(j *job) jobReply {
 
 	code, status := codeForSolveErr(err)
 	if code == CodeEngineFailed {
-		// The flow solve died and the rescue was off (or failed): the warm
-		// state is no longer trustworthy.  Quarantine; the next query
-		// rebuilds cold.
+		// The flow solve died (mcmf retries nothing): the warm state is
+		// no longer trustworthy.  Quarantine; the next query rebuilds
+		// cold from the session's ledger.
 		s.setQuarantined(true)
 		s.srv.quarantines.Add(1)
 	}

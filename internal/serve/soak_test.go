@@ -85,12 +85,11 @@ func TestServeSoak(t *testing.T) {
 	cs.Close()
 
 	srv, err := New(Config{
-		NoEngineFallback: true, // surface the injected panic to the quarantine path
-		MaxPending:       16,
-		QueueDepth:       2,
-		MemHighBytes:     4 * oneSession,
-		MemLowBytes:      3 * oneSession,
-		DrainTimeout:     2 * time.Second,
+		MaxPending:   16,
+		QueueDepth:   2,
+		MemHighBytes: 4 * oneSession,
+		MemLowBytes:  3 * oneSession,
+		DrainTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +375,7 @@ func TestServeSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := core.NewEcoSession(teco, core.Options{NoEngineFallback: true})
+		twin, err := core.NewEcoSession(teco, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

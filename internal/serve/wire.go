@@ -31,9 +31,9 @@ const (
 	// CodeBudgetExhausted: the per-request wall-clock or flow-work
 	// budget ran out.  200 when a partial sizing exists, 504 otherwise.
 	CodeBudgetExhausted = "budget_exhausted"
-	// CodeEngineFailed: a flow solve crashed and the failure was not
-	// recovered; the session is quarantined and will be rebuilt
-	// cold on its next query.  500.
+	// CodeEngineFailed: a flow solve crashed; the session is
+	// quarantined and will be rebuilt cold on its next query.  200
+	// with the best-so-far sizing when one exists, 500 otherwise.
 	CodeEngineFailed = "engine_failed"
 	// CodeInternal: any other server-side failure.  500.
 	CodeInternal = "internal"

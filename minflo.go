@@ -153,17 +153,17 @@ var (
 var ErrInfeasible = errors.New("minflo: delay target unreachable")
 
 // Abort taxonomy for MinflotransitCtx (aliased from the optimizer so
-// errors.Is works at every layer): runs cut short by cancellation or
-// an exhausted budget return these alongside a best-so-far Sizing
-// marked Partial.
+// errors.Is works at every layer): runs cut short by cancellation, an
+// exhausted budget or a failed flow solve return these alongside a
+// best-so-far Sizing marked Partial.
 var (
 	// ErrCanceled reports a canceled context.
 	ErrCanceled = core.ErrCanceled
 	// ErrBudgetExhausted reports an exhausted Config.Budget or
 	// Config.FlowWorkBudget.
 	ErrBudgetExhausted = core.ErrBudgetExhausted
-	// ErrEngineFailed wraps a D-phase flow failure the heap rescue
-	// could not recover.
+	// ErrEngineFailed wraps a D-phase flow-solve failure (a recovered
+	// panic); the solver does not retry it.
 	ErrEngineFailed = core.ErrEngineFailed
 )
 
@@ -261,9 +261,9 @@ type Sizing struct {
 	// (MINFLOTRANSIT only).
 	TilosArea float64
 	TilosCP   float64
-	// Partial marks a run cut short by cancellation or an exhausted
-	// budget: Sizes/Area/CP hold the best feasible sizing reached
-	// before the abort (see MinflotransitCtx).
+	// Partial marks a run cut short by cancellation, an exhausted
+	// budget or a failed flow solve: Sizes/Area/CP hold the best
+	// feasible sizing reached before it (see MinflotransitCtx).
 	Partial bool
 }
 
@@ -339,8 +339,10 @@ func (s *Sizer) Minflotransit(c *Circuit, T float64) (*Sizing, error) {
 // TILOS seed if no D/W iteration completed), is marked Partial, is
 // applied to the circuit, and comes WITH the non-nil ErrCanceled /
 // ErrBudgetExhausted error — callers must treat (sz != nil, err !=
-// nil) as "partial answer", not success.  An abort before any sizing
-// exists returns (nil, error) and leaves the circuit untouched.
+// nil) as "partial answer", not success.  A failed D-phase flow solve
+// answers the same way with ErrEngineFailed.  An abort or failure
+// before any sizing exists returns (nil, error) and leaves the circuit
+// untouched.
 func (s *Sizer) MinflotransitCtx(ctx context.Context, c *Circuit, T float64) (*Sizing, error) {
 	p, err := s.problem(c)
 	if err != nil {
