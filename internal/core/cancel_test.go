@@ -170,3 +170,23 @@ func TestSizeHealthyRunReportsNoFailures(t *testing.T) {
 		t.Fatalf("healthy run: %d iterations, %d stats rows", res.Iterations, len(res.Stats))
 	}
 }
+
+// TestIterateCancelInTimingPass: a cancel that lands in the iteration's
+// timing pass surfaces as ErrCanceled, the abort taxonomy every caller
+// maps to a partial answer, not as the timing layer's bare context
+// error.
+func TestIterateCancelInTimingPass(t *testing.T) {
+	p, T := cancelProblem(t)
+	sess, err := NewSession(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sess.sc.ctx = ctx
+	_, err = iterate(p, sess.aug, sess.sc, p.InitialSizes(), T, sess.opt.Window, sess.opt)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("iterate under a canceled context = %v, want ErrCanceled", err)
+	}
+}

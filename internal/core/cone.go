@@ -93,7 +93,7 @@ func (s *Session) resizeCone(seeds []int, T float64) (*Result, error) {
 		case err2 == nil && res2 != nil && res2.Area < res.Area:
 			res2.Iterations += res.Iterations
 			res = res2
-		case err2 != nil && (isAbortErr(err2) || errors.Is(err2, ErrEngineFailed)):
+		case err2 != nil && answersPartial(err2):
 			res.Partial = true
 			return res, err2
 		}
@@ -134,7 +134,7 @@ func (s *Session) coneAttempt(members []int, xFull, finish []float64, T float64)
 	case serr == nil && shaved.CP <= T*(1+1e-9):
 		shaved.Iterations += out.Iterations
 		return shaved, nil
-	case serr != nil && (isAbortErr(serr) || errors.Is(serr, ErrEngineFailed)):
+	case serr != nil && answersPartial(serr):
 		// Cut short: the re-solve's merged best-so-far, or the first
 		// pass's answer when the re-solve had none yet, is the partial.
 		if shaved == nil {
@@ -185,8 +185,7 @@ func (s *Session) coneSolve(members []int, xFull, finish []float64, Tc float64) 
 		return nil, errSeedRejected
 	}
 	// Inject the warm seed — the cone's slice of the resident sizing at
-	// the same target — and the parent's EWMA so the blowout gate
-	// judges the cone against the session's usual iteration counts.
+	// the same target.
 	copy(sub.seedX, cone.SeedSizes(xFull))
 	sub.seedT = Tc
 	sub.seedValid = true
@@ -196,14 +195,13 @@ func (s *Session) coneSolve(members []int, xFull, finish []float64, Tc float64) 
 	// repair of the violated seed is never walked back — measured ~1%
 	// area above the cone's own restricted optimum.
 	sub.seedWPerturb = s.seedWPerturb
-	sub.ewmaIters, sub.ewmaSeeded = s.ewmaIters, s.ewmaSeeded
 	// Thread the parent's abort sources.  The flow-work budget stays
 	// disarmed: its cumulative counter belongs to the parent's system.
 	sub.sc.ctx = s.sc.ctx
 	sub.sc.deadline = s.sc.deadline
 
 	subRes, serr := sub.resizeSeeded(Tc)
-	if serr != nil && !isAbortErr(serr) && !errors.Is(serr, ErrEngineFailed) {
+	if serr != nil && !answersPartial(serr) {
 		// errSeedRejected or a numerical corner: the cone could not
 		// refine from the resident sizing.
 		return nil, errSeedRejected

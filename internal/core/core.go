@@ -51,12 +51,14 @@ var (
 	ErrEngineFailed = mcmf.ErrEngineFailed
 )
 
-// isAbortErr reports whether err cut the run short on behalf of the
-// caller (cancellation or an exhausted budget, at any layer) — the
-// errors Size answers with a partial best-so-far Result.
-func isAbortErr(err error) bool {
+// answersPartial reports whether err comes with a best-so-far partial
+// Result: a run cut short (ErrCanceled, ErrBudgetExhausted) or a
+// failed flow solve (ErrEngineFailed), at any layer.  Every layer
+// below maps its aborts onto this taxonomy, so a bare context error
+// never reaches here.
+func answersPartial(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted) ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		errors.Is(err, ErrEngineFailed)
 }
 
 // Options tune the optimizer. Zero values select defaults.
@@ -100,18 +102,18 @@ type Options struct {
 	// D/W loop from that answer instead of a TILOS restart, whatever
 	// its target.  The target's move against TrustRegion picks the
 	// schedule: a refinement (within it) runs the short endgame
-	// schedule, which falls back to the cold path transparently on an
-	// iteration blowout vs the session's EWMA; a far jump (beyond it)
-	// runs the cold window schedule without the regrow, under
-	// MaxIters — unless the target lies within TrustRegion of one of
-	// the session's earlier converged answers (its library, emptied by
-	// any accepted weight or edit batch), in which case it is a
-	// refinement from that answer.  Result.Seed reports the start
-	// point taken, Result.FarSeed and Result.LibrarySeed the schedule.  With seeding on, answers are
-	// deterministic given the session's query history rather than
-	// per-query — see the Session docs.  0 (the default) keeps the
-	// per-query cold contract.  One-shot SizeCtx runs have no history,
-	// so the field only matters for Sessions.
+	// schedule; a far jump (beyond it) runs the cold window schedule
+	// without the regrow, under MaxIters — unless the target lies
+	// within TrustRegion of one of the session's earlier converged
+	// answers (its library, emptied by any accepted weight or edit
+	// batch), in which case it is a refinement from that answer.  A
+	// seed whose repair or iteration fails falls back to the cold path
+	// transparently.  Result.Seed reports the start point taken,
+	// Result.FarSeed and Result.LibrarySeed the schedule.  With seeding
+	// on, answers are deterministic given the session's query history
+	// rather than per-query — see the Session docs.  0 (the default)
+	// keeps the per-query cold contract.  One-shot SizeCtx runs have no
+	// history, so the field only matters for Sessions.
 	TrustRegion float64
 	// EditConeBudget bounds how much of the circuit an ECO edit batch
 	// (Session.ApplyEdits) may invalidate while keeping the warm start:
@@ -214,8 +216,8 @@ type Result struct {
 	// TILOS solution.
 	Seed string
 	// SeedFallback marks a cold run that first attempted a trust-
-	// region seed and abandoned it (repair failure or EWMA iteration
-	// blowout).
+	// region seed and abandoned it (a failed seed repair or a failed
+	// seeded iteration).
 	SeedFallback bool
 	// FarSeed marks a trust-region seed attempt whose target lay beyond
 	// the trust region of the seed's: set on its warm answer (the
@@ -418,6 +420,11 @@ func iterate(p *dag.Problem, aug *dag.Augmented, sc *iterScratch, x []float64, T
 	d := aug.DelaysInto(sc.dAug, x)
 	tm, err := sc.analyzer.AnalyzeCtx(sc.ctx, d)
 	if err != nil {
+		// A cancel landing in the timing pass surfaces as a bare context
+		// error; map it onto the abort taxonomy.
+		if aerr := sc.abortErr(); aerr != nil {
+			return IterStats{}, aerr
+		}
 		return IterStats{}, err
 	}
 	if tm.CP > T*(1+1e-9) {

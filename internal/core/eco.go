@@ -142,7 +142,7 @@ func (s *Session) ApplyEdits(edits []dag.Edit) (*EditReport, error) {
 		Structural:     delta.Structural,
 		GateSetChanged: delta.GateSetChanged,
 		ConeGates:      cone,
-		ConeFrac:       float64(cone) / float64(maxInt(1, s.p.NumSizable)),
+		ConeFrac:       float64(cone) / float64(max(1, s.p.NumSizable)),
 		ChangedRows:    len(delta.ChangedRows),
 	}
 	rep.Fallback = s.opt.EditConeBudget > 0 && rep.ConeFrac > s.opt.EditConeBudget
@@ -225,11 +225,4 @@ func mergeSortedInts(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"minflo/internal/fault"
+	"minflo/internal/gen"
 	"minflo/internal/sta"
 )
 
@@ -389,47 +391,140 @@ func TestSessionTrustRegionFallbackOnWeightEdit(t *testing.T) {
 	}
 }
 
-// TestSessionTrustRegionBlowoutFallback drives the EWMA gate
-// white-box: with the session's EWMA forced tiny (and the floor
-// lowered), a seeded attempt trips the 3×-EWMA iteration cap, is
-// abandoned, and the cold path answers with SeedFallback set.
-func TestSessionTrustRegionBlowoutFallback(t *testing.T) {
-	oldFloor := seedIterFloor
-	seedIterFloor = 1
-	defer func() { seedIterFloor = oldFloor }()
+// TestSessionTrustRegionSeedFallback drives the cold fallback of a
+// seeded attempt: a fault-injected error at the first flow poll of
+// every attempt fails the first seeded iteration of a refinement and of
+// a far jump, so each abandons its seed and the cold path answers
+// (SeedFallback set, FarSeed on the far jump only) within the target.
+// The cold path's own iterations fail the same way, so it answers with
+// its TILOS sizing.  That clean answer becomes the seed, and the next
+// clean query near it seeds warm again.
+func TestSessionTrustRegionSeedFallback(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    float64 // target of the failed query, fraction of Dmin
+		far  bool
+	}{
+		{"refine", 0.601, false},
+		{"far", 0.7, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			tmin := minCP(t, sess.p)
 
-	sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
-	if err != nil {
-		t.Fatal(err)
+			if _, err := sess.Resize(context.Background(), 0.6*tmin, Budgets{}); err != nil {
+				t.Fatal(err)
+			}
+			T := c.f * tmin
+			ctx := fault.Context(context.Background(), fault.Plan{Mode: fault.Error, Op: 1})
+			r, err := sess.Resize(ctx, T, Budgets{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Seed != SeedTilos || !r.SeedFallback || r.FarSeed != c.far {
+				t.Fatalf("failed seeded query: Seed = %q SeedFallback = %v FarSeed = %v, want a TILOS fallback with FarSeed %v",
+					r.Seed, r.SeedFallback, r.FarSeed, c.far)
+			}
+			if r.CP > T*(1+1e-9) {
+				t.Fatalf("fallback answer CP %g violates target %g", r.CP, T)
+			}
+			r2, err := sess.Resize(context.Background(), 1.001*T, Budgets{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r2.Seed != SeedWarm || r2.SeedFallback || r2.FarSeed {
+				t.Fatalf("next clean query: Seed = %q SeedFallback = %v FarSeed = %v, want a warm refinement",
+					r2.Seed, r2.SeedFallback, r2.FarSeed)
+			}
+		})
 	}
-	defer sess.Close()
-	tmin := minCP(t, sess.p)
+}
 
-	if _, err := sess.Resize(context.Background(), 0.6*tmin, Budgets{}); err != nil {
-		t.Fatal(err)
+// TestRefinementIterationBound holds the invariant that lets a
+// refinement run under MaxIters alone: its window opens at most at
+// Options.Window, holds at most once (after a gain on iteration 1) and
+// otherwise halves, so it drops below Window/minWindowDiv — the stop —
+// by iteration 2 + log2(minWindowDiv).  Every iteration of a
+// refinement, a library hit and a cone sub-solve must respect it, on
+// serve_refine-shaped target walks (mult8, c1908) and on
+// serve_eco-shaped walks of one load edit before each query at
+// 0.6·Dmin (c7552 with cone re-sizing).
+func TestRefinementIterationBound(t *testing.T) {
+	bound := 2 + bits.Len(uint(minWindowDiv)) - 1
+	var iters []IterStats
+	opt := trOpt()
+	opt.OnIteration = func(st IterStats) { iters = append(iters, st) }
+	paths, worst := map[string]int{}, 0
+	// check runs one query and holds every seeded iteration of a
+	// non-far attempt to the bound.  A far jump's iterations (its
+	// own or those of the cold answer it fell back to) are exempt.
+	check := func(t *testing.T, sess *Session, T float64) {
+		t.Helper()
+		iters = iters[:0]
+		r, err := sess.Resize(context.Background(), T, Budgets{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case r.Seed == SeedCone:
+			paths["cone"]++
+		case r.Seed == SeedWarm && r.LibrarySeed:
+			paths["lib"]++
+		case r.Seed == SeedWarm && !r.FarSeed:
+			paths["refine"]++
+		}
+		for _, st := range iters {
+			if st.Seed == SeedTilos || r.FarSeed {
+				continue
+			}
+			if st.Iter > bound {
+				t.Fatalf("target %g: %s answer ran a seeded iteration %d, beyond %d", T, r.Seed, st.Iter, bound)
+			}
+			worst = max(worst, st.Iter)
+		}
 	}
-	// Pretend the session's runs converge in a fraction of an
-	// iteration: cap = max(floor, ceil(3·0.1)) = 1, which no real D/W
-	// run satisfies, so the seeded attempt must blow out.
-	sess.ewmaIters = 0.1
-	r, err := sess.Resize(context.Background(), 0.601*tmin, Budgets{})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"mult8", "c1908"} {
+		t.Run("refine/"+name, func(t *testing.T) {
+			p := mustProblem(t, name)
+			tmin := minCP(t, p)
+			sess, err := NewSession(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			for _, f := range refineWalk(1, 60) {
+				check(t, sess, f*tmin)
+			}
+		})
 	}
-	if r.Seed != SeedTilos || !r.SeedFallback {
-		t.Fatalf("blowout query: Seed = %q SeedFallback = %v, want TILOS fallback", r.Seed, r.SeedFallback)
-	}
-	if r.CP > 0.601*tmin*(1+1e-9) {
-		t.Fatalf("fallback answer CP %g violates target", r.CP)
-	}
-	// The fallback's clean answer re-anchors the EWMA; the next small
-	// move seeds warm again (real iteration counts pass their own gate).
-	r2, err := sess.Resize(context.Background(), 0.602*tmin, Budgets{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Seed != SeedWarm || r2.SeedFallback {
-		t.Fatalf("post-blowout query: Seed = %q SeedFallback = %v, want clean warm seed", r2.Seed, r2.SeedFallback)
+	t.Run("eco/c7552", func(t *testing.T) {
+		c := gen.C7552()
+		eopt := opt
+		eopt.EditConeResize = true
+		sess, err := NewEcoSession(mustEco(t, c), eopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		T := 0.6 * minCP(t, sess.p)
+		check(t, sess, T)
+		rng := rand.New(rand.NewSource(1))
+		for q := 0; q < 30; q++ {
+			if _, err := sess.ApplyEdits(valueOnlyBatch(c, rng)[:1]); err != nil {
+				t.Fatal(err)
+			}
+			check(t, sess, T)
+		}
+	})
+	t.Logf("answers checked per path: %v; deepest iteration %d of %d", paths, worst, bound)
+	for _, path := range []string{"refine", "lib", "cone"} {
+		if paths[path] == 0 {
+			t.Fatalf("no %s answer on the walks (%v): the bound went unchecked there", path, paths)
+		}
 	}
 }
 

@@ -30,8 +30,9 @@
 //     the first iteration improves the area and otherwise halves on
 //     every iteration; the cold schedule's regrow-on-improvement rule
 //     would zigzag around the answer for many iterations before
-//     settling.  An iteration blowout (vs an EWMA of the session's
-//     clean iteration counts) abandons the seed.
+//     settling.  The window halves below the stopping floor by
+//     iteration 2 + log2(minWindowDiv), so a refinement needs no
+//     iteration cap of its own (TestRefinementIterationBound).
 //   - A far jump (target beyond δ) still has real ground to cover: the
 //     window opens at Options.Window, holds on an improving iteration
 //     and halves on an overshoot — the cold rule without the regrow —
@@ -51,10 +52,11 @@
 // were converged for the old costs or netlist), and a rebuilt session
 // starts with an empty one.
 //
-// Weight edits beyond δ, repair failures and refinement blowouts fall
-// back to the cold TILOS path.  Result.Seed records which path
-// answered, Result.FarSeed whether the seed attempt was a far jump and
-// Result.LibrarySeed whether it started from a library entry.
+// Weight edits beyond δ, repair failures and numerical corners of a
+// seeded iteration fall back to the cold TILOS path.  Result.Seed
+// records which path answered, Result.FarSeed whether the seed attempt
+// was a far jump and Result.LibrarySeed whether it started from a
+// library entry.
 //
 // Determinism contract: a session's answers are a deterministic
 // function of the query sequence served since its last cold build — a
@@ -64,14 +66,14 @@
 // deliberately renegotiates the stronger PR-7 property (identical
 // no-matter-the-history warm answers) down to exactly this
 // "deterministic given session history" contract: the seeding
-// decision, the seed point, the library's entries, their eviction
-// order (a counter of clean answers, not a clock) and the EWMA blowout
-// gate are all pure functions of the served sequence, never of wall
-// time.  Warm answers are NOT bitwise equal to one-shot cold answers
-// of the same query: the incremental re-flow recovers an equally
-// optimal but different dual solution than a fresh solve (the D-phase
-// LP is degenerate), and a seeded resize additionally starts from a
-// different (equally feasible) point, so the trajectory drifts.  Every answer is feasible
+// decision, the seed point, the library's entries and their eviction
+// order (a counter of clean answers, not a clock) are all pure
+// functions of the served sequence, never of wall time.  Warm answers
+// are NOT bitwise equal to one-shot cold answers of the same query:
+// the incremental re-flow recovers an equally optimal but different
+// dual solution than a fresh solve (the D-phase LP is degenerate), and
+// a seeded resize additionally starts from a different (equally
+// feasible) point, so the trajectory drifts.  Every answer is feasible
 // and optimal to the same tolerances either way — the tests bound the
 // warm-vs-cold area drift at 1e-3 relative with seeding off and at
 // 2e-2 with seeding on.
@@ -122,12 +124,6 @@ type Session struct {
 	seedT        float64
 	seedValid    bool
 	seedWPerturb float64 // max relative area-weight change since seedX
-
-	// ewmaIters tracks the session's clean Resize iteration counts
-	// (α=0.25) — the blowout gate abandons a seeded attempt running
-	// past 3× this (floored at seedIterFloor) and falls back to TILOS.
-	ewmaIters  float64
-	ewmaSeeded bool
 
 	// Library of earlier clean converged sizings (see the package
 	// header): lib holds the live entries, libClock stamps inserts and
@@ -371,8 +367,9 @@ func (s *Session) MemoryBytes() int64 {
 	// ground).
 	b += mcmf.SearchScratchBytes(s.sc.sys.NumVars() + 1)
 	// Trust-region warm-seed state: the retained previous sizing vector
-	// plus the target/EWMA bookkeeping (preallocated at build time, so
-	// the estimate is identical before and after the first query).
+	// plus the target/perturbation bookkeeping (preallocated at build
+	// time, so the estimate is identical before and after the first
+	// query).
 	b += int64(len(s.seedX))*word + 8*word
 	// The library's live entries: a sizing vector plus target and stamp
 	// each (the seed's length: every entry is a sizing of this problem).
@@ -391,30 +388,9 @@ func (s *Session) MemoryBytes() int64 {
 	return b
 }
 
-// seedIterFloor is the minimum iteration allowance of a trust-region-
-// seeded attempt before the EWMA blowout gate may abandon it.  A
-// package variable so the fallback path is testable without crafting
-// a pathological circuit; production code never changes it.
-var seedIterFloor = 8
-
-// seedIterCap bounds a seeded attempt's iterations: 3× the session's
-// EWMA of clean iteration counts, floored at seedIterFloor, capped at
-// the configured MaxIters (at which point the gate is moot — the cold
-// path would stop there too).
-func seedIterCap(ewma float64, maxIters int) int {
-	c := int(math.Ceil(3 * ewma))
-	if c < seedIterFloor {
-		c = seedIterFloor
-	}
-	if ewma <= 0 || c > maxIters {
-		c = maxIters
-	}
-	return c
-}
-
 // errSeedRejected reports (internally) that a trust-region-seeded
-// attempt was abandoned — seed repair failure, a numerical corner, or
-// the EWMA blowout gate — and the caller should run the cold path.
+// attempt was abandoned — seed repair failure or a numerical corner —
+// and the caller should run the cold path.
 var errSeedRejected = errors.New("core: trust-region seed rejected")
 
 // Resize runs the full MINFLOTRANSIT optimization to critical-path
@@ -518,12 +494,9 @@ func (s *Session) farJump(T float64) bool {
 }
 
 // record finishes a Resize: a clean answer becomes the next trust-region
-// seed and, unless a cone subproblem answered it, feeds the
-// iteration-count EWMA — a handful of cone-sized iterations would shrink
-// the blowout gate the next full-circuit seeded run is judged against.
-// When the answer's target leaves the trust region of the seed's, the
-// seed is filed in the library first (unless an accepted batch since
-// made it stale).
+// seed.  When the answer's target leaves the trust region of the
+// seed's, the seed is filed in the library first (unless an accepted
+// batch since made it stale).
 func (s *Session) record(T float64, res *Result, err error) (*Result, error) {
 	if err != nil || res == nil {
 		return res, err
@@ -536,15 +509,6 @@ func (s *Session) record(T float64, res *Result, err error) (*Result, error) {
 	s.seedValid = true
 	s.seedWPerturb = 0
 	s.libStale = false
-	if res.Seed == SeedCone {
-		return res, nil
-	}
-	it := float64(res.Iterations)
-	if !s.ewmaSeeded {
-		s.ewmaIters, s.ewmaSeeded = it, true
-	} else {
-		s.ewmaIters += 0.25 * (it - s.ewmaIters)
-	}
 	return res, nil
 }
 
@@ -582,7 +546,7 @@ func (s *Session) resizeSeeded(T float64) (*Result, error) {
 	if res.FarSeed {
 		// A far jump still has real ground to cover: the cold window and
 		// iteration cap (dwLoop holds the window on success).
-		return s.dwLoop(res, x, T, opt.MaxIters, opt.Window)
+		return s.dwLoop(res, x, T, opt.Window)
 	}
 	// A refinement sits within the trust region of the new optimum, so the
 	// D/W loop's budget window opens at 4× the actual move, floored at
@@ -604,7 +568,7 @@ func (s *Session) resizeSeeded(T float64) (*Result, error) {
 	if w0 > opt.Window {
 		w0 = opt.Window
 	}
-	return s.dwLoop(res, x, T, seedIterCap(s.ewmaIters, opt.MaxIters), w0)
+	return s.dwLoop(res, x, T, w0)
 }
 
 // resizeCold is the PR-7 path: TILOS from minimum sizes, then the D/W
@@ -632,25 +596,25 @@ func (s *Session) resizeCold(T float64) (*Result, error) {
 		res.Partial = true
 		return res, aerr
 	}
-	return s.dwLoop(res, x, T, opt.MaxIters, opt.Window)
+	return s.dwLoop(res, x, T, opt.Window)
 }
 
 // dwLoop alternates D-phase and W-phase from start point x until the
-// area improvement is negligible or capIters is reached.  The budget
+// area improvement is negligible or MaxIters is reached.  The budget
 // window starts at window0 (Options.Window for cold runs and far
 // jumps; scaled to the target move for refinements) and adapts like a
 // trust region: halve after an iteration whose first-order prediction
 // overshot (area got worse); on success a cold run relaxes it back, a
 // far jump holds it and a refinement halves it, except that a gain on
-// its first iteration holds the window once.  iterate leaves the
-// round's sizes in sc.newX; x and bestX are stable buffers owned by
-// this loop.
+// its first iteration holds the window once, so a refinement's window
+// falls below the stopping floor by iteration 2 + log2(minWindowDiv).
+// iterate leaves the round's sizes in sc.newX; x and bestX are stable
+// buffers owned by this loop.
 //
-// For seeded runs (res.Seed == SeedWarm) a non-abort iterate failure
-// returns errSeedRejected so Resize can fall back to the cold path; for
-// refinements capIters is also the EWMA blowout gate, with the same
-// outcome when it trips.  Cold runs accept both outcomes as-is.
-func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, window0 float64) (*Result, error) {
+// For seeded runs (res.Seed == SeedWarm) an iterate failure that comes
+// without a partial answer returns errSeedRejected so Resize can fall
+// back to the cold path; cold runs keep their best-so-far sizing.
+func (s *Session) dwLoop(res *Result, x []float64, T float64, window0 float64) (*Result, error) {
 	p, sc, opt := s.p, s.sc, s.opt
 	seeded := res.Seed == SeedWarm
 	refine := seeded && !res.FarSeed
@@ -658,7 +622,6 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 	bestArea := p.Area(x)
 	noImprove := 0
 	window := window0
-	converged := false
 	minWindow := opt.Window / minWindowDiv
 
 	// finishPartial answers an abort with the best-so-far sizing.
@@ -671,25 +634,20 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 	}
 
 	x = append([]float64(nil), x...)
-	for it := 1; it <= capIters; it++ {
+	for it := 1; it <= opt.MaxIters; it++ {
 		if aerr := sc.abortErr(); aerr != nil {
 			return finishPartial(aerr)
 		}
 		st, err := iterate(p, s.aug, sc, x, T, window, opt)
 		if err != nil {
-			if isAbortErr(err) {
+			if answersPartial(err) {
 				// Cut short mid-iteration (canceled context or an
 				// exhausted wall-clock/flow-work budget surfacing from
-				// the timing or flow layers): answer with the last
-				// completed iteration's best and the typed error.
-				return finishPartial(err)
-			}
-			if errors.Is(err, ErrEngineFailed) {
-				// A flow solve failed (mcmf retries nothing): the warm
-				// flow state is suspect.  Hand back the best-so-far
-				// answer with the typed error so session owners can
-				// quarantine and rebuild instead of trusting this state
-				// again.
+				// the timing or flow layers), or a failed flow solve
+				// (mcmf retries nothing, so the warm flow state is
+				// suspect and session owners quarantine and rebuild):
+				// answer with the last completed iteration's best and
+				// the typed error.
 				return finishPartial(err)
 			}
 			if seeded {
@@ -699,7 +657,6 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 			}
 			// A failed iteration is not fatal: the current best solution
 			// stands (this triggers only on numerical corner cases).
-			converged = true
 			break
 		}
 		st.Iter = it
@@ -742,23 +699,12 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, capIters int, wind
 			}
 			window /= 2
 			noImprove++
-			if noImprove >= patience || window < minWindow {
-				converged = true
-				break
-			}
 		}
-		// Refinements can also decay past the floor on an improving
-		// iteration (no other run shrinks the window there).
-		if window < minWindow {
-			converged = true
+		// Refinements also decay the window on an improving iteration
+		// (no other run shrinks it there), so every run checks the floor.
+		if noImprove >= patience || window < minWindow {
 			break
 		}
-	}
-	if refine && !converged && capIters < opt.MaxIters {
-		// Blowout: the refinement burned 3× the session's usual
-		// iteration budget without settling — the seed was a bad start
-		// point despite the small target move.  Cold path takes over.
-		return nil, errSeedRejected
 	}
 
 	res.X = bestX

@@ -100,11 +100,6 @@ type System struct {
 	// certificate fails.  pendingIn dedups arcs across retries.
 	pending   []int32
 	pendingIn []bool
-	// lastChanged records how many arcs the most recent Solve handed
-	// to the incremental re-flow — the observable locality of a
-	// re-solve (an externally-seeded warm start whose costs barely
-	// moved shows up as a small changed set here).
-	lastChanged int
 
 	// sol is the reused Solution storage: Solve rewrites it in place so
 	// steady-state re-solves allocate nothing.
@@ -309,13 +304,6 @@ func (s *System) FlowEngineStats() mcmf.Stats {
 	return s.flow.EngineStats()
 }
 
-// LastChangedArcs reports how many arc costs the most recent Solve
-// actually re-priced into the flow network — the locality measure of
-// a warm re-solve.  A resize seeded from a nearby previous optimum
-// perturbs few constraint weights, so its first D-phase shows a small
-// changed set here where a cold-seeded resize re-prices broadly.
-func (s *System) LastChangedArcs() int { return s.lastChanged }
-
 // FlowWorkDone reports the cached network's cumulative armed flow
 // work (mcmf poll operations).  Long-lived callers running many
 // solves with per-call work budgets add this base to their per-call
@@ -426,7 +414,6 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 			s.pending = append(s.pending, a)
 		}
 	}
-	s.lastChanged = len(s.pending)
 	clearPending := func() {
 		for _, a := range s.pending {
 			s.pendingIn[a] = false

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"minflo/internal/mcmf"
@@ -34,9 +33,9 @@ import (
 type Mode int
 
 const (
-	// None injects nothing: the hook only counts operations (see Ops)
-	// — the probe mode tests use to measure a run's length before
-	// choosing injection points.
+	// None injects nothing — a clean attempt under a Context.  Tests
+	// that measure a run's length before choosing injection points
+	// count its polls with their own mcmf.WithPollHook.
 	None Mode = iota
 	// Error makes the poll hook return Plan.Err (ErrInjected when nil),
 	// surfacing from the solve like any mid-solve failure.
@@ -72,21 +71,13 @@ type Plan struct {
 	OnCancel func()
 }
 
-var lastOps atomic.Int64
-
 // Context returns a copy of ctx that carries p's poll hook.
 func Context(ctx context.Context, p Plan) context.Context {
 	return mcmf.WithPollHook(ctx, p.poll)
 }
 
-// Ops reports how many abort-funnel operations the most recent attempt
-// under a Context observed — the probe measurement tests use to place
-// injection points inside a run deterministically.
-func Ops() int64 { return lastOps.Load() }
-
 // poll is the hook: op is the attempt's 1-based operation count.
 func (p Plan) poll(op int64) error {
-	lastOps.Store(op)
 	if p.Mode == None || op < p.Op || (op > p.Op && !p.Repeat) {
 		return nil
 	}

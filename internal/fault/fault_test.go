@@ -57,16 +57,16 @@ func diff(t *testing.T, tag string, want, got state) {
 // under installs plan p on s, over a background context.
 func under(s *mcmf.Solver, p Plan) { s.SetContext(Context(context.Background(), p)) }
 
-// probeOps measures the abort-funnel operation count of one full solve
-// (probe mode: nothing injected).
+// probeOps measures the abort-funnel operation count of one full solve:
+// nothing injected, its own hook counts the polls.
 func probeOps(t *testing.T) int64 {
 	t.Helper()
 	s := grid()
-	under(s, Plan{})
+	var ops int64
+	s.SetContext(mcmf.WithPollHook(context.Background(), func(op int64) error { ops = op; return nil }))
 	if _, err := s.Solve(); err != nil {
 		t.Fatalf("probe solve: %v", err)
 	}
-	ops := Ops()
 	if ops == 0 {
 		t.Fatal("probe solve observed no operations")
 	}
@@ -287,7 +287,7 @@ func FuzzFaultRollback(f *testing.F) {
 			return x.Solve()
 		}
 
-		var ops int64 // the twin's own count: Ops may hold an earlier input's
+		var ops int64
 		twin.SetContext(mcmf.WithPollHook(context.Background(), func(op int64) error { ops = op; return nil }))
 		wantCost, err := run(twin)
 		if err != nil {

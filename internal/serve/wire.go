@@ -124,7 +124,8 @@ type QueryResponse struct {
 	// after an edit (the -edit-cone-resize flag).
 	Seed string `json:"seed,omitempty"`
 	// SeedFallback marks a cold answer whose trust-region seed was
-	// attempted and abandoned (repair failure or iteration blowout).
+	// attempted and abandoned (a failed seed repair or a failed seeded
+	// iteration).
 	SeedFallback bool `json:"seed_fallback,omitempty"`
 	// FarSeed marks a trust-region seed attempt whose target moved
 	// beyond the trust region (a far jump): on a "warm" answer it ran
