@@ -9,7 +9,7 @@
 //
 //	minflod -addr :7317
 //	minflod -addr :7317 -mem-high 512MiB -max-pending 64
-//	minflod -addr :7317 -edit-cone-budget 0.5 -edit-cone-resize
+//	minflod -addr :7317 -edit-cone-budget 0.5
 //
 // Endpoints:
 //
@@ -44,15 +44,8 @@
 // the session: each session keeps a small library of those, and a
 // jump back into a solved region is a refinement from it
 // ("library_seed", library_seeded_total).  Any accepted weight or edit
-// batch empties the library.
-//
-// With -edit-cone-resize, the first query after a value-only edit
-// batch (a refinement of the previous target) is answered from a
-// cone-scoped subproblem against frozen boundary arrivals instead of
-// the full netlist — edit→re-size latency scales with the cone.  The
-// merged answer is re-timed on the whole graph; a reconciliation miss
-// falls back to the full warm path (cone_resizes_total /
-// cone_fallbacks_total in /stats).
+// batch empties the library.  A query after a value-only edit batch
+// that kept the seed is a warm refinement of the whole circuit.
 //
 // Overload answers 429 with Retry-After; shutdown (SIGINT/SIGTERM)
 // drains in-flight work, returning best-so-far partial answers at the
@@ -90,16 +83,15 @@ func main() {
 		drain       = flag.Duration("drain", 5*time.Second, "shutdown drain deadline; in-flight queries still running at the deadline return best-so-far partial answers")
 		trustRegion = flag.Float64("trust-region", 0.05, "start queries from the session's previous answer unless an area-weight edit since moved more than this relative amount; a target move within it is a refinement, one beyond it a far jump on the cold window schedule unless it lands within it of an earlier answer the session kept, which it then refines (0 disables; answers become deterministic given session history, see internal/core)")
 		editCone    = flag.Float64("edit-cone-budget", 0, "drop a session's warm seed when a netlist edit's timing cone exceeds this fraction of the circuit (0 = default 0.25, negative disables the check)")
-		coneResize  = flag.Bool("edit-cone-resize", false, "answer the first in-trust-region query after a value-only edit batch from a cone-scoped subproblem against frozen boundary arrivals (requires -trust-region > 0)")
 	)
 	flag.Parse()
-	if err := run(*addr, *maxInflight, *maxPending, *queueDepth, *memHigh, *memLow, *drain, *trustRegion, *editCone, *coneResize); err != nil {
+	if err := run(*addr, *maxInflight, *maxPending, *queueDepth, *memHigh, *memLow, *drain, *trustRegion, *editCone); err != nil {
 		fmt.Fprintln(os.Stderr, "minflod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, maxInflight, maxPending, queueDepth int, memHigh, memLow string, drain time.Duration, trustRegion, editCone float64, coneResize bool) error {
+func run(addr string, maxInflight, maxPending, queueDepth int, memHigh, memLow string, drain time.Duration, trustRegion, editCone float64) error {
 	high, err := parseBytes(memHigh)
 	if err != nil {
 		return fmt.Errorf("-mem-high: %w", err)
@@ -119,7 +111,6 @@ func run(addr string, maxInflight, maxPending, queueDepth int, memHigh, memLow s
 		DrainTimeout:   drain,
 		TrustRegion:    trustRegion,
 		EditConeBudget: editCone,
-		EditConeResize: coneResize,
 	})
 	if err != nil {
 		return err

@@ -45,9 +45,10 @@ var (
 	// ErrBudgetExhausted reports that Options.Budget (wall clock) or
 	// Options.FlowWorkBudget (flow work) ran out.
 	ErrBudgetExhausted = mcmf.ErrBudgetExhausted
-	// ErrEngineFailed wraps a flow-solve panic; it too comes with the
-	// best-so-far partial Result, and a Session that returns it should
-	// be rebuilt.
+	// ErrEngineFailed wraps a flow-solve panic or a D-phase solution
+	// that failed its flow certificate or strong-duality check; it too
+	// comes with the best-so-far partial Result, and a Session that
+	// returns it should be rebuilt.
 	ErrEngineFailed = mcmf.ErrEngineFailed
 )
 
@@ -125,20 +126,10 @@ type Options struct {
 	// disables the fallback (edits never drop the seed).  Only consulted
 	// on sessions with an editable netlist (NewEcoSession).
 	EditConeBudget float64
-	// EditConeResize, when set on a session with an editable netlist,
-	// answers the Resize after a value-only edit batch from a
-	// cone-scoped subproblem instead of the full circuit: the edit's
-	// forward cone (closed under the coupling transpose) is extracted
-	// against frozen boundary arrivals (dag.ExtractCone), solved with
-	// the full D/W loop warm-seeded from the resident sizing, and
-	// merged back.  A deterministic reconciliation re-times the full
-	// graph at the merged sizes; a missed target widens the cone once
-	// and then falls back to the full warm re-size.  Requires
-	// TrustRegion > 0 (the cone solve is a refinement of the resident
-	// answer; without a seed there is nothing to freeze against).
-	// Result.Seed reports SeedCone when the cone answered.  All
-	// decisions are pure functions of session history, preserving the
-	// replay-determinism contract.
+	// Deprecated: EditConeResize is ignored.  The cone-local re-size it
+	// selected is gone; a query after a value-only edit batch takes the
+	// warm refinement.  The field stays only because cmd/minflobench
+	// sets it.
 	EditConeResize bool
 	// Tilos configures the initial-guess run.
 	Tilos tilos.Options
@@ -170,8 +161,7 @@ type IterStats struct {
 	// (work-estimate gate or missing prior flow).
 	FlowFallbacks int
 	// Seed is the start-point provenance of the run this iteration
-	// belongs to: SeedTilos, SeedWarm (trust-region seeded) or SeedCone
-	// (an iteration of a cone subproblem).
+	// belongs to: SeedTilos or SeedWarm (trust-region seeded).
 	Seed string
 }
 
@@ -183,8 +173,9 @@ const (
 	// SeedWarm marks a run started from the session's previous
 	// converged sizing under the trust-region policy.
 	SeedWarm = "warm"
-	// SeedCone marks a Resize answered by a cone-scoped subproblem
-	// solve against frozen boundary arrivals (Options.EditConeResize).
+	// Deprecated: SeedCone is never returned; the cone-local re-size
+	// that answered with it is gone.  The constant stays only because
+	// cmd/minflobench reads it.
 	SeedCone = "cone"
 )
 
@@ -200,7 +191,7 @@ type Result struct {
 	TilosArea float64
 	TilosCP   float64
 	// TilosTime is the wall time of the cold path's TILOS seed from
-	// minimum sizes (0 for warm and cone answers).
+	// minimum sizes (0 for warm answers).
 	TilosTime time.Duration
 	Stats     []IterStats
 	// Partial marks a run cut short by cancellation, an exhausted
@@ -209,8 +200,7 @@ type Result struct {
 	// none completed), returned alongside the error.
 	Partial bool
 	// Seed reports the start point the run took: SeedTilos for the
-	// cold path, SeedWarm for a trust-region-seeded Session Resize,
-	// SeedCone for a Resize answered by a cone subproblem.
+	// cold path, SeedWarm for a trust-region-seeded Session Resize.
 	// For warm runs TilosX/TilosArea/TilosCP describe the (possibly
 	// TILOS-repaired) seed start point rather than a minimum-size
 	// TILOS solution.
@@ -231,13 +221,10 @@ type Result struct {
 	// refinement schedule, and, with SeedFallback, on the cold answer it
 	// fell back to.
 	LibrarySeed bool
-	// ConeGates counts the sizable vertices of the cone subproblem
-	// when Seed == SeedCone (0 otherwise).
+	// Deprecated: ConeGates is always 0; the cone-local re-size that
+	// set it is gone.  The field stays only because cmd/minflobench
+	// reads it.
 	ConeGates int
-	// ConeFallback marks a run that attempted a cone-scoped re-size
-	// and fell back to a full-circuit path (cone too wide, extraction
-	// failure, or reconciliation missing the target after widening).
-	ConeFallback bool
 }
 
 func (o Options) withDefaults() Options {

@@ -9,15 +9,16 @@
 // load) leave the DAG alone, so the flow network, constraint topology
 // and solvers stay warm and only the arrival engine is repaired
 // cone-locally (sta.SetDelays repropagates exactly the forward cone of
-// the changed rows; arrivals outside it are untouched — the "frozen
-// boundary" this machinery realizes).  Structural edits (rewire)
-// change the DAG, which the dcs constraint system cannot re-topologize
-// in place, so the D-phase scratch is rebuilt; the trust-region seed
-// (the previous converged sizing) survives either way, with the edit's
-// critical-path and area-weight perturbation folded into the same
-// ledger that gates seeding — unless the edit's timing cone exceeds
-// Options.EditConeBudget, in which case the seed is dropped and the
-// next Resize runs cold (EditReport.Fallback).
+// the changed rows; arrivals outside it are untouched).  Structural
+// edits (rewire) change the DAG, which the dcs constraint system cannot
+// re-topologize in place, so the D-phase scratch is rebuilt; the
+// trust-region seed (the previous converged sizing) survives either
+// way, with the edit's critical-path and area-weight perturbation
+// folded into the same ledger that gates seeding — unless the edit's
+// timing cone exceeds Options.EditConeBudget, in which case the seed is
+// dropped and the next Resize runs cold (EditReport.Fallback).
+// Otherwise the next Resize is a warm refinement of the full circuit
+// from the kept seed.
 //
 // Determinism: every decision here — cone size, budget comparison,
 // perturbation folding — is a pure function of the session's served
@@ -76,10 +77,11 @@ type EditReport struct {
 	ConeFrac  float64
 	// ChangedRows counts the delay-coefficient rows the batch touched.
 	ChangedRows int
-	// ConeResizePending reports that the batch armed a cone-local
-	// re-size (Options.EditConeResize): the next in-trust-region Resize
-	// will be answered from the cone subproblem around the accumulated
-	// edit seeds.
+	// Deprecated: ConeResizePending no longer arms anything; the
+	// cone-local re-size is gone.  It reads !Structural && SeedKept —
+	// a value-only batch that kept the seed, whose next query answers
+	// warm — because cmd/minflobench picks serve_eco's fast-path
+	// samples by it.
 	ConeResizePending bool
 	// CP is the post-edit critical path at the session's current sizes
 	// (the previous converged sizing, or minimum sizes before any).
@@ -189,40 +191,8 @@ func (s *Session) ApplyEdits(edits []dag.Edit) (*EditReport, error) {
 			s.seedWPerturb = rel
 		}
 	}
-	// Arm (or disarm) the cone-local re-size.  Only a value-only batch
-	// that kept the seed leaves the frozen-boundary premise intact:
-	// structural rebuilds and fallbacks moved timing globally, and a
-	// gate-set change voided the index space.  Seeds accumulate across
-	// batches (sorted union) so several small edits before one query
-	// still resolve to a single cone.
-	if s.opt.EditConeResize && !delta.Structural && !rep.Fallback && s.seedValid {
-		s.pendingCone = mergeSortedInts(s.pendingCone, delta.Seeds)
-		rep.ConeResizePending = true
-	} else {
-		s.pendingCone = nil
-	}
 	rep.SeedKept = s.seedValid
+	rep.ConeResizePending = !rep.Structural && rep.SeedKept
 	rep.CP = s.sc.arr.CP()
 	return rep, nil
-}
-
-// mergeSortedInts returns the sorted union of two ascending slices.
-func mergeSortedInts(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default: // equal
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -251,8 +251,17 @@ func retypeTarget(t testing.TB, e *dag.Eco, gi int) cell.Kind {
 
 // TestEcoConeBudget drives the fallback policy: a tiny budget forces
 // any edit over it (seed dropped, scratch rebuilt, reported), a
-// negative budget disables the check entirely.
+// negative budget disables the check entirely, and under the default
+// budget an in-budget edit keeps the seed, so the next query answers
+// warm, while an over-budget one makes it answer cold.  Every report's
+// deprecated ConeResizePending reads !Structural && SeedKept.
 func TestEcoConeBudget(t *testing.T) {
+	pending := func(t *testing.T, what string, rep *EditReport) {
+		t.Helper()
+		if rep.ConeResizePending != (!rep.Structural && rep.SeedKept) {
+			t.Fatalf("%s: ConeResizePending %v, want !Structural && SeedKept (%+v)", what, rep.ConeResizePending, rep)
+		}
+	}
 	e := mustEco(t, gen.RippleAdder(16, gen.FABuffered))
 	sess, err := NewEcoSession(e, Options{TrustRegion: 0.5, EditConeBudget: 1e-6})
 	if err != nil {
@@ -271,6 +280,7 @@ func TestEcoConeBudget(t *testing.T) {
 	if !rep.Fallback || !rep.Rebuilt || rep.SeedKept {
 		t.Fatalf("expected cone-budget fallback, got %+v", rep)
 	}
+	pending(t, "tiny budget", rep)
 	// The seed was dropped: the next in-region query runs cold.
 	r, err := sess.Resize(context.Background(), 0.6*tmin, Budgets{})
 	if err != nil {
@@ -297,6 +307,56 @@ func TestEcoConeBudget(t *testing.T) {
 	if rep2.Fallback || rep2.Rebuilt || !rep2.SeedKept {
 		t.Fatalf("disabled budget still fell back: %+v", rep2)
 	}
+	pending(t, "disabled budget", rep2)
+
+	// Default budget (0.25) at the daemon's trust region: an in-budget
+	// edit, an over-budget one and a rewire, each followed by a query.
+	e3 := mustEco(t, gen.RippleAdder(16, gen.FABuffered))
+	s3, err := NewEcoSession(e3, Options{TrustRegion: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	T := 0.6 * tmin
+	if _, err := s3.Resize(context.Background(), T, Budgets{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		edit     dag.Edit
+		fallback bool
+		seed     string
+	}{
+		// The bit-0 sum output drives nothing but its PO.
+		{"in-budget load", dag.Edit{Op: dag.EditLoad, Gate: e3.C.POs[0].Index, LoadFF: 2}, false, SeedWarm},
+		{"over-budget load", dag.Edit{Op: dag.EditLoad, Gate: 0, LoadFF: 1}, true, SeedTilos},
+	} {
+		rep, err := s3.ApplyEdits([]dag.Edit{c.edit})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.Fallback != c.fallback || rep.SeedKept == c.fallback {
+			t.Fatalf("%s: Fallback %v SeedKept %v, want fallback %v", c.name, rep.Fallback, rep.SeedKept, c.fallback)
+		}
+		pending(t, c.name, rep)
+		r, err := s3.Resize(context.Background(), T, Budgets{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Seed != c.seed {
+			t.Fatalf("%s: next query answered %q, want %q", c.name, r.Seed, c.seed)
+		}
+	}
+	// A rewire keeps the seed under the disabled budget, so only its
+	// Structural flag clears ConeResizePending.
+	rep3, err := s2.ApplyEdits([]dag.Edit{validRewire(t, e2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep3.Structural || !rep3.SeedKept {
+		t.Fatalf("rewire under a disabled budget: want structural with the seed kept, got %+v", rep3)
+	}
+	pending(t, "rewire", rep3)
 }
 
 // TestSessionAtomicWeights is the ISSUE's acceptance check for the

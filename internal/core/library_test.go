@@ -241,7 +241,7 @@ func FuzzSessionHistoryReplay(f *testing.F) {
 			program = program[:16]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		opt := Options{TrustRegion: 0.05, EditConeResize: seed%2 == 0}
+		opt := Options{TrustRegion: 0.05}
 		c := gen.RandomLogic(4, 24, seed)
 		sess, err := NewEcoSession(mustEco(t, c), opt)
 		if err != nil {

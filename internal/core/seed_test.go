@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"minflo/internal/circuit"
+	"minflo/internal/dag"
 	"minflo/internal/fault"
 	"minflo/internal/gen"
 	"minflo/internal/sta"
@@ -449,10 +451,10 @@ func TestSessionTrustRegionSeedFallback(t *testing.T) {
 // Options.Window, holds at most once (after a gain on iteration 1) and
 // otherwise halves, so it drops below Window/minWindowDiv — the stop —
 // by iteration 2 + log2(minWindowDiv).  Every iteration of a
-// refinement, a library hit and a cone sub-solve must respect it, on
-// serve_refine-shaped target walks (mult8, c1908) and on
-// serve_eco-shaped walks of one load edit before each query at
-// 0.6·Dmin (c7552 with cone re-sizing).
+// refinement and a library hit must respect it, on serve_refine-shaped
+// target walks (mult8, c1908) and on a serve_eco-shaped walk of one
+// load edit before each query at 0.6·Dmin (c7552), whose post-edit
+// queries are warm refinements.
 func TestRefinementIterationBound(t *testing.T) {
 	bound := 2 + bits.Len(uint(minWindowDiv)) - 1
 	var iters []IterStats
@@ -470,8 +472,6 @@ func TestRefinementIterationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch {
-		case r.Seed == SeedCone:
-			paths["cone"]++
 		case r.Seed == SeedWarm && r.LibrarySeed:
 			paths["lib"]++
 		case r.Seed == SeedWarm && !r.FarSeed:
@@ -503,9 +503,7 @@ func TestRefinementIterationBound(t *testing.T) {
 	}
 	t.Run("eco/c7552", func(t *testing.T) {
 		c := gen.C7552()
-		eopt := opt
-		eopt.EditConeResize = true
-		sess, err := NewEcoSession(mustEco(t, c), eopt)
+		sess, err := NewEcoSession(mustEco(t, c), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,11 +519,25 @@ func TestRefinementIterationBound(t *testing.T) {
 		}
 	})
 	t.Logf("answers checked per path: %v; deepest iteration %d of %d", paths, worst, bound)
-	for _, path := range []string{"refine", "lib", "cone"} {
+	for _, path := range []string{"refine", "lib"} {
 		if paths[path] == 0 {
 			t.Fatalf("no %s answer on the walks (%v): the bound went unchecked there", path, paths)
 		}
 	}
+}
+
+// valueOnlyBatch generates 1–2 load edits biased toward high-indexed
+// (near-output) gates, whose forward cones are small.
+func valueOnlyBatch(c *circuit.Circuit, rng *rand.Rand) []dag.Edit {
+	n := 1 + rng.Intn(2)
+	batch := make([]dag.Edit, 0, n)
+	for len(batch) < n {
+		// Bias toward the last quarter of the index space.
+		span := c.NumGates()/4 + 1
+		gi := c.NumGates() - 1 - rng.Intn(span)
+		batch = append(batch, dag.Edit{Op: dag.EditLoad, Gate: gi, LoadFF: 0.3 + 1.2*rng.Float64()})
+	}
+	return batch
 }
 
 // TestSessionTrustRegionAbortedSeedReusable: a seeded resize canceled

@@ -137,15 +137,6 @@ type Session struct {
 	// ECO state (NewEcoSession only): the editable netlist wrapper
 	// (eco.go).
 	eco *dag.Eco
-
-	// Cone-local re-size state (Options.EditConeResize): pendingCone
-	// holds the union of edit seeds armed by value-only ApplyEdits
-	// batches since the last Resize — the next Resize inside the trust
-	// region answers from a cone-scoped subproblem around them
-	// (cone.go).  Weight edits, structural batches and fallbacks clear
-	// it: they move timing or costs outside the cone, voiding the
-	// frozen-boundary premise.
-	pendingCone []int
 }
 
 // libCap bounds the session's library of converged sizings
@@ -242,12 +233,6 @@ func (s *Session) SetAreaWeights(gates []int, weights []float64) error {
 		if rel := math.Abs(w-old) / old; rel > s.seedWPerturb {
 			s.seedWPerturb = rel
 		}
-		// A cost change re-prices gates the pending cone froze out, so a
-		// cone-scoped solve could no longer match the full problem's
-		// optimum: disarm it (an honest negative recorded in
-		// EXPERIMENTS.md — interleaving what-if weights with edits
-		// forfeits the cone win).
-		s.pendingCone = nil
 	}
 	s.clearLibrary()
 	return nil
@@ -384,7 +369,6 @@ func (s *Session) MemoryBytes() int64 {
 		b += int64(len(s.eco.C.Gates))*6*word + pins*2*word
 		b += int64(len(s.eco.Extra)) * word
 	}
-	b += int64(cap(s.pendingCone)) * word // armed cone seeds
 	return b
 }
 
@@ -437,41 +421,23 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 	// weight edit since exceeded δ; the target's move only picks the
 	// seeded schedule (refinement or far jump, see resizeSeeded).
 	// Every input here is session history — never wall time — so a
-	// twin replaying the sequence makes the same choice.  An armed cone
-	// (value-only edits since the last answer, Options.EditConeResize)
-	// is consumed here whatever happens: it describes exactly the edits
-	// between the previous answer and this query, so it cannot carry
-	// over to a later one.  Only a refinement tries it: the cone
-	// freezes the rest of the circuit at sizes tuned for the old target.
-	coneSeeds := s.pendingCone
-	s.pendingCone = nil
+	// twin replaying the sequence makes the same choice.
 	fellBack, far, lib := false, false, false
-	coneFellBack := false
 	if opt.TrustRegion > 0 && s.seedValid && s.seedT > 0 &&
 		s.seedWPerturb <= opt.TrustRegion {
 		far = s.farJump(T)
 		if far {
 			// A far jump back into a region the session has solved starts
-			// from that region's library entry, as a refinement.  No cone
-			// can be armed here: the edit that arms one empties the
-			// library.
+			// from that region's library entry, as a refinement.
 			if i := s.libNearest(T); i >= 0 {
 				s.libTake(i)
 				far, lib = false, true
 			}
 		}
-		if opt.EditConeResize && len(coneSeeds) > 0 && !far {
-			res, err := s.resizeCone(coneSeeds, T)
-			if !errors.Is(err, errSeedRejected) {
-				return s.record(T, res, err)
-			}
-			coneFellBack = true
-		}
 		res, err := s.resizeSeeded(T)
 		if !errors.Is(err, errSeedRejected) {
 			if res != nil {
 				res.LibrarySeed = lib
-				res.ConeFallback = coneFellBack
 			}
 			return s.record(T, res, err)
 		}
@@ -482,7 +448,6 @@ func (s *Session) Resize(ctx context.Context, T float64, bud Budgets) (*Result, 
 		res.SeedFallback = fellBack
 		res.FarSeed = fellBack && far
 		res.LibrarySeed = fellBack && lib
-		res.ConeFallback = coneFellBack
 	}
 	return s.record(T, res, err)
 }

@@ -48,14 +48,6 @@ type Problem struct {
 	MinSize, MaxSize float64
 	Labels           []string
 
-	// FixedDelay, when non-nil (length G.N()), assigns a constant delay
-	// to non-sizable vertices instead of the usual zero.  Cone-scoped
-	// subproblems use it to encode frozen boundary timing: a virtual PI
-	// carries the frozen finish time of an out-of-cone fanin, and a pad
-	// vertex carries the slack to an out-of-cone fanout's required
-	// arrival (see ExtractCone).  Entries below NumSizable are ignored.
-	FixedDelay []float64
-
 	topo []int      // cached topological order of G
 	csr  *delay.CSR // build-once flattened coupling structure
 }
@@ -224,14 +216,9 @@ func (p *Problem) Delays(x []float64) []float64 {
 
 // DelaysInto fills d (length G.N()) with the per-vertex delays at sizes
 // x and returns it — the allocation-free variant for iteration loops.
+// A longer d (the augmented graph's) gets zeros past G.N() as well.
 func (p *Problem) DelaysInto(d, x []float64) []float64 {
 	p.csr.DelaysInto(d, x)
-	if p.FixedDelay != nil {
-		for i := p.NumSizable; i < len(d); i++ {
-			d[i] = p.FixedDelay[i]
-		}
-		return d
-	}
 	for i := p.NumSizable; i < len(d); i++ {
 		d[i] = 0
 	}
@@ -290,9 +277,6 @@ func (p *Problem) Validate() error {
 	}
 	if p.Kind[p.Sink] != KindSink {
 		return fmt.Errorf("dag: sink kind wrong")
-	}
-	if p.FixedDelay != nil && len(p.FixedDelay) != p.G.N() {
-		return fmt.Errorf("dag: FixedDelay length %d != %d vertices", len(p.FixedDelay), p.G.N())
 	}
 	return nil
 }
@@ -365,21 +349,5 @@ func (a *Augmented) Delays(x []float64) []float64 {
 // sizes x and returns it — the allocation-free variant for iteration
 // loops.
 func (a *Augmented) DelaysInto(d, x []float64) []float64 {
-	a.Base.csr.DelaysInto(d, x)
-	if fd := a.Base.FixedDelay; fd != nil {
-		// Base vertices beyond NumSizable keep their fixed delay; the
-		// appended dummy vertices (indices ≥ len(fd)) stay zero.
-		for i := a.Base.NumSizable; i < len(d); i++ {
-			if i < len(fd) {
-				d[i] = fd[i]
-			} else {
-				d[i] = 0
-			}
-		}
-		return d
-	}
-	for i := a.Base.NumSizable; i < len(d); i++ {
-		d[i] = 0
-	}
-	return d
+	return a.Base.DelaysInto(d, x)
 }

@@ -434,8 +434,10 @@ func (s *System) SolveCtx(ctx context.Context, opt Options) (*Solution, error) {
 	}
 	if !errors.Is(err, errRecoveredInfeasible) {
 		// Certificate or strong-duality failures are genuine solver
-		// defects — propagate them rather than masking them behind a
-		// silent (and permanently slower) full re-solve.
+		// defects, typed mcmf.ErrEngineFailed like a failed flow solve:
+		// propagate them rather than masking them behind a silent (and
+		// permanently slower) full re-solve, so the caller answers
+		// best-so-far as partial and the session owner rebuilds.
 		return nil, err
 	}
 	// An infeasible recovered r means the constraint system itself is
@@ -472,10 +474,13 @@ func mapFlowErr(err error) error {
 
 // recover extracts and certifies the solution from a solved flow
 // network: optimality certificate, r from the potentials, primal
-// feasibility, and strong duality.
+// feasibility, and strong duality.  A failed certificate or strong
+// duality check wraps mcmf.ErrEngineFailed: the flow solver returned a
+// network that is not an optimum, a defect of the same class as a
+// failed solve.
 func (s *System) recover(f *mcmf.Solver, opt Options, ground int) (*Solution, error) {
 	if err := f.Verify(); err != nil {
-		return nil, fmt.Errorf("dcs: flow certificate failed: %w", err)
+		return nil, fmt.Errorf("dcs: flow certificate failed: %w: %w", mcmf.ErrEngineFailed, err)
 	}
 
 	// r(v) = −(pot(v) − pot(ground)) / CostScale.
@@ -511,7 +516,7 @@ func (s *System) recover(f *mcmf.Solver, opt Options, ground int) (*Solution, er
 		primal += c * (-(float64(f.Potential(t.plus) - f.Potential(t.minus))))
 	}
 	if !closeRel(primal, sol.FlowCost, 1e-6) {
-		return nil, fmt.Errorf("dcs: strong duality violated: primal %g vs dual %g", primal, sol.FlowCost)
+		return nil, fmt.Errorf("dcs: strong duality violated: primal %g vs dual %g: %w", primal, sol.FlowCost, mcmf.ErrEngineFailed)
 	}
 	return sol, nil
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"minflo/internal/mcmf"
 )
 
 func TestSingleTermSimple(t *testing.T) {
@@ -484,5 +486,30 @@ func TestInfeasibleAfterWarmResolve(t *testing.T) {
 	s.SetWeight(w01, 5)
 	if _, err := s.Solve(Options{}); err != nil {
 		t.Fatalf("repaired system: %v", err)
+	}
+}
+
+// TestRecoverCertificateFailureIsEngineFailure: a solved network whose
+// strong-duality certificate no longer holds (one objective coefficient
+// moved after the solve) fails recover with mcmf.ErrEngineFailed, the
+// error class callers answer as a partial result and quarantine on.
+func TestRecoverCertificateFailureIsEngineFailure(t *testing.T) {
+	s := NewSystem(3)
+	s.AddConstraint(1, 0, 5)
+	s.AddConstraint(2, 1, 2)
+	s.AddObjective(1, 0, 1)
+	s.AddObjective(2, 0, 1)
+	s.Pin(0)
+	opt := Options{}.withDefaults()
+	if _, err := s.Solve(opt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.recover(s.flow, opt, s.n); err != nil {
+		t.Fatalf("recover on the solved network: %v", err)
+	}
+	s.obj[0].coeff *= 2
+	_, err := s.recover(s.flow, opt, s.n)
+	if !errors.Is(err, mcmf.ErrEngineFailed) {
+		t.Fatalf("recover after perturbing an objective coefficient: err = %v, want mcmf.ErrEngineFailed", err)
 	}
 }

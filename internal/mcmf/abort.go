@@ -68,7 +68,9 @@ import (
 
 // Abort and failure errors.  ErrCanceled and ErrBudgetExhausted leave
 // the Solver reusable with its pre-solve state restored;
-// ErrEngineFailed wraps the panic value of a failed attempt.
+// ErrEngineFailed wraps the panic value of a failed attempt, and
+// internal/dcs wraps it around a solved network that fails its
+// optimality or strong-duality certificate.
 var (
 	// ErrCanceled reports that the context installed with SetContext
 	// was canceled at a poll point.
@@ -78,7 +80,8 @@ var (
 	// expired at a poll point.
 	ErrBudgetExhausted = errors.New("mcmf: solve budget exhausted")
 	// ErrEngineFailed wraps a panic recovered from a Solve or
-	// ResolveChanged attempt.
+	// ResolveChanged attempt.  internal/dcs also wraps it around a
+	// flow certificate or strong-duality failure.
 	ErrEngineFailed = errors.New("mcmf: engine failed")
 )
 

@@ -307,11 +307,11 @@ func TestClientHonorsHTTPDateRetryAfter(t *testing.T) {
 }
 
 // TestServeQueryCanceledBeforeStart: a query whose client left before
-// the worker picked it up answers without a solve.  It takes no seq
-// and leaves the armed cone in place, so the next live query answers
+// the worker picked it up answers without a solve.  It takes no seq,
+// so the next live query, the first after an edit, answers
 // bit-identically to a core.NewEcoSession twin that never saw it.
 func TestServeQueryCanceledBeforeStart(t *testing.T) {
-	cfg := Config{TrustRegion: 0.05, EditConeResize: true}
+	cfg := Config{TrustRegion: 0.05}
 	srv, _, c := newTestServer(t, cfg)
 	ctx := context.Background()
 	sub := submitCircuit(t, c, "cx", "adder16")
@@ -324,7 +324,7 @@ func TestServeQueryCanceledBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := core.NewEcoSession(teco, core.Options{TrustRegion: cfg.TrustRegion, EditConeResize: true})
+	twin, err := core.NewEcoSession(teco, core.Options{TrustRegion: cfg.TrustRegion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestServeQueryCanceledBeforeStart(t *testing.T) {
 	if _, err := twin.Resize(ctx, T, core.Budgets{}); err != nil {
 		t.Fatal(err)
 	}
-	// A load on a near-output gate arms the cone on both sides.
+	// The same load edit on a near-output gate on both sides.
 	lg := sub.NumGates - 1
 	if _, err := c.Edit(ctx, "cx", &EditRequest{Edits: []EditOp{{Op: "load", Gate: lg, LoadFF: 25}}}); err != nil {
 		t.Fatal(err)
@@ -367,16 +367,9 @@ func TestServeQueryCanceledBeforeStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The twin tries the armed cone (here the cone grows too wide and
-	// falls back); a server that consumed it on the abandoned query
-	// would report no cone attempt.
-	if ref.Seed != core.SeedCone && !ref.ConeFallback {
-		t.Fatalf("twin answered %s without trying the armed cone", ref.Seed)
-	}
-	if q2.Area != ref.Area || q2.CPPS != ref.CP || q2.Iterations != ref.Iterations ||
-		q2.Seed != ref.Seed || q2.ConeFallback != ref.ConeFallback {
-		t.Fatalf("served (%.17g, %.17g, %d, %s, cone fallback %v) != twin (%.17g, %.17g, %d, %s, cone fallback %v)",
-			q2.Area, q2.CPPS, q2.Iterations, q2.Seed, q2.ConeFallback, ref.Area, ref.CP, ref.Iterations, ref.Seed, ref.ConeFallback)
+	if q2.Area != ref.Area || q2.CPPS != ref.CP || q2.Iterations != ref.Iterations || q2.Seed != ref.Seed {
+		t.Fatalf("served (%.17g, %.17g, %d, %s) != twin (%.17g, %.17g, %d, %s)",
+			q2.Area, q2.CPPS, q2.Iterations, q2.Seed, ref.Area, ref.CP, ref.Iterations, ref.Seed)
 	}
 	for i := range ref.X {
 		if q2.Sizes[i] != ref.X[i] {

@@ -105,12 +105,11 @@ func TestServeTrustRegionSeedField(t *testing.T) {
 
 // TestServeStatsMatchResponses: the /stats provenance counters are
 // sums over the answers clients received.  One session with trust-region
-// seeding and cone-local re-sizing runs load edits (cone-answered ones,
-// cone fallbacks, and one over the edit cone budget), refinement queries
-// and far jumps outside the trust region; every counter must equal the
-// count over the responses returned.
+// seeding runs load edits (in-budget ones and one over the edit cone
+// budget), refinement queries and far jumps outside the trust region;
+// every counter must equal the count over the responses returned.
 func TestServeStatsMatchResponses(t *testing.T) {
-	_, _, c := newTestServer(t, Config{TrustRegion: 0.05, EditConeResize: true})
+	_, _, c := newTestServer(t, Config{TrustRegion: 0.05})
 	ctx := context.Background()
 	sub := submitCircuit(t, c, "st", "adder16")
 
@@ -121,8 +120,7 @@ func TestServeStatsMatchResponses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %g: %v", f, err)
 		}
-		switch q.Seed {
-		case "warm":
+		if q.Seed == "warm" {
 			want.Seeded++
 			if q.FarSeed {
 				want.FarSeeded++
@@ -130,17 +128,12 @@ func TestServeStatsMatchResponses(t *testing.T) {
 			if q.LibrarySeed {
 				want.LibrarySeeded++
 			}
-		case "cone":
-			want.ConeResizes++
 		}
 		if q.SeedFallback {
 			want.SeedFallbacks++
 			if q.FarSeed {
 				want.FarFallbacks++
 			}
-		}
-		if q.ConeFallback {
-			want.ConeFallbacks++
 		}
 	}
 	edit := func(gate int, load float64) {
@@ -159,8 +152,8 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A load on the bit-0 sum output stays cone-local; one on the last
-	// gate recruits the carry chain, and the cone falls back.
+	// A load on the bit-0 sum output has a small forward cone; one on
+	// the last gate sits at the end of the carry chain.
 	local, chain := ckt.POs[0].Index, sub.NumGates-1
 
 	query(0.6)
@@ -177,7 +170,7 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	edit(chain, 0)
 	query(0.751)
 	edit(local, 3)
-	query(0.66)  // a far jump after a cone-arming edit: no cone attempt
+	query(0.66)  // a far jump after an in-budget edit
 	query(0.75)  // a far jump: the edit emptied the library
 	query(0.661) // back within δ of the 0.66 answer: a library hit
 
@@ -188,14 +181,13 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	got := StatsResponse{
 		Seeded: st.Seeded, SeedFallbacks: st.SeedFallbacks,
 		FarSeeded: st.FarSeeded, FarFallbacks: st.FarFallbacks, LibrarySeeded: st.LibrarySeeded,
-		ConeResizes: st.ConeResizes, ConeFallbacks: st.ConeFallbacks,
 		Edits: st.Edits, EditFallbacks: st.EditFallbacks,
 	}
 	if got != want {
 		t.Fatalf("stats %+v, want the response sums %+v", got, want)
 	}
-	if want.Seeded == 0 || want.FarSeeded != 3 || want.LibrarySeeded != 1 || want.ConeResizes == 0 || want.ConeFallbacks == 0 || want.EditFallbacks == 0 {
-		t.Fatalf("workload did not exercise the warm, far-jump (3 sent), library (1 sent), cone, cone-fallback and edit-fallback paths: %+v", want)
+	if want.Seeded == 0 || want.FarSeeded != 3 || want.LibrarySeeded != 1 || want.EditFallbacks == 0 {
+		t.Fatalf("workload did not exercise the warm, far-jump (3 sent), library (1 sent) and edit-fallback paths: %+v", want)
 	}
 	t.Logf("response sums: %+v", want)
 }

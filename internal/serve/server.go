@@ -39,8 +39,8 @@
 //     however far its target moved.  A target within δ is a refinement
 //     on a short endgame schedule; one beyond δ is a far jump
 //     ("far_seed") on the cold window schedule.  The response's "seed"
-//     field reports which path answered ("warm", "tilos", or "cone" for
-//     a cone-local re-size after an edit) and "seed_fallback" flags an
+//     field reports which path answered ("warm" or "tilos") and
+//     "seed_fallback" flags an
 //     attempted seed that fell back; /stats counts far jumps answered
 //     warm (far_seeded_total) and fallen back (far_seed_fallbacks_total).
 //     Each session also keeps a small library of its earlier converged
@@ -142,14 +142,10 @@ type Config struct {
 	// edit_fallbacks_total).  0 uses the core default (0.25); negative
 	// disables the fallback.
 	EditConeBudget float64
-	// EditConeResize enables cone-local re-sizing on every session
-	// (core.Options.EditConeResize, minflod -edit-cone-resize): a query
-	// inside the trust region that follows a value-only edit batch is
-	// answered from a cone-scoped subproblem against frozen boundary
-	// arrivals instead of the full netlist; reconciliation re-times the
-	// whole graph and falls back to the full warm path when the frozen
-	// boundary lied (cone_fallbacks_total).  Requires TrustRegion > 0 to
-	// have any effect.
+	// Deprecated: EditConeResize is ignored, like
+	// core.Options.EditConeResize.  A query after a value-only edit
+	// batch takes the warm refinement.  The field stays only because
+	// cmd/minflobench sets it.
 	EditConeResize bool
 }
 
@@ -212,8 +208,6 @@ type Server struct {
 	coalesced     atomic.Int64
 	edits         atomic.Int64
 	editFallbacks atomic.Int64
-	coneResizes   atomic.Int64
-	coneFallbacks atomic.Int64
 }
 
 // New builds a Server.
@@ -609,8 +603,6 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Coalesced:     srv.coalesced.Load(),
 		Edits:         srv.edits.Load(),
 		EditFallbacks: srv.editFallbacks.Load(),
-		ConeResizes:   srv.coneResizes.Load(),
-		ConeFallbacks: srv.coneFallbacks.Load(),
 		Draining:      srv.draining,
 	}
 	srv.mu.Unlock()

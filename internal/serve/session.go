@@ -156,7 +156,6 @@ func (s *session) buildCore() error {
 	cs, err := core.NewEcoSession(eco, core.Options{
 		TrustRegion:    s.srv.cfg.TrustRegion,
 		EditConeBudget: s.srv.cfg.EditConeBudget,
-		EditConeResize: s.srv.cfg.EditConeResize,
 	})
 	if err != nil {
 		return err
@@ -372,9 +371,9 @@ func (s *session) handleBuild() jobReply {
 
 func (s *session) handleQuery(j *job) jobReply {
 	// A client that left before its query started gets no solve: nobody
-	// reads the answer, and running it would still take a seq and
-	// consume the armed cone, so the next live answer would differ from
-	// a history without the abandoned request.  Coalesced followers
+	// reads the answer, and running it would still take a seq, so the
+	// next live answer would differ from a history without the
+	// abandoned request.  Coalesced followers
 	// still wait on the answer, so a job with any runs as usual.
 	if j.ctx.Err() != nil && len(j.followers) == 0 {
 		return jobReply{http.StatusGatewayTimeout, &ErrorBody{Code: CodeCanceled, Message: "client left before the query started"}}
@@ -433,10 +432,7 @@ func (s *session) handleQuery(j *job) jobReply {
 		resp.SeedFallback = res.SeedFallback
 		resp.FarSeed = res.FarSeed
 		resp.LibrarySeed = res.LibrarySeed
-		resp.ConeGates = res.ConeGates
-		resp.ConeFallback = res.ConeFallback
-		switch res.Seed {
-		case core.SeedWarm:
+		if res.Seed == core.SeedWarm {
 			s.srv.seeded.Add(1)
 			if res.FarSeed {
 				s.srv.farSeeded.Add(1)
@@ -444,17 +440,12 @@ func (s *session) handleQuery(j *job) jobReply {
 			if res.LibrarySeed {
 				s.srv.librarySeeded.Add(1)
 			}
-		case core.SeedCone:
-			s.srv.coneResizes.Add(1)
 		}
 		if res.SeedFallback {
 			s.srv.seedFallbacks.Add(1)
 			if res.FarSeed {
 				s.srv.farFallbacks.Add(1)
 			}
-		}
-		if res.ConeFallback {
-			s.srv.coneFallbacks.Add(1)
 		}
 		if req.WantSizes {
 			resp.Sizes = res.X

@@ -120,8 +120,7 @@ type QueryResponse struct {
 	// Seed is the solve's start-point provenance: "tilos" for the cold
 	// path, "warm" for a trust-region-seeded resize answered from the
 	// session's previous converged sizing (see the -trust-region flag
-	// and core.Options.TrustRegion), "cone" for a cone-local re-size
-	// after an edit (the -edit-cone-resize flag).
+	// and core.Options.TrustRegion).
 	Seed string `json:"seed,omitempty"`
 	// SeedFallback marks a cold answer whose trust-region seed was
 	// attempted and abandoned (a failed seed repair or a failed seeded
@@ -140,15 +139,8 @@ type QueryResponse struct {
 	// Coalesced marks a reply served by another in-flight identical
 	// query against the same session (the singleflight path): this
 	// request consumed no queue slot and ran no solve of its own.
-	Coalesced bool `json:"coalesced,omitempty"`
-	// ConeGates reports, for a cone-answered query (seed "cone"), how
-	// many sizable gates the cone subproblem covered; ConeFallback marks
-	// a query that attempted the cone path but fell back to the full
-	// warm re-size (boundary reconciliation failed twice, or the cone
-	// grew past half the circuit).  See the -edit-cone-resize flag.
-	ConeGates    int        `json:"cone_gates,omitempty"`
-	ConeFallback bool       `json:"cone_fallback,omitempty"`
-	Error        *ErrorBody `json:"error,omitempty"`
+	Coalesced bool       `json:"coalesced,omitempty"`
+	Error     *ErrorBody `json:"error,omitempty"`
 }
 
 // EditOp is one typed netlist edit of an edit batch.
@@ -217,9 +209,10 @@ type EditResponse struct {
 	ConeGates   int     `json:"cone_gates"`
 	ConeFrac    float64 `json:"cone_frac"`
 	ChangedRows int     `json:"changed_rows"`
-	// ConeResizePending reports that the batch armed a cone-local
-	// re-size (the -edit-cone-resize flag): the next in-trust-region
-	// query will be answered from the cone subproblem around the edit.
+	// Deprecated: ConeResizePending no longer arms anything; the
+	// cone-local re-size is gone.  It reads !structural && seed_kept
+	// (core.EditReport.ConeResizePending) because cmd/minflobench picks
+	// serve_eco's fast-path samples by it.
 	ConeResizePending bool `json:"cone_resize_pending,omitempty"`
 	// CPPS is the post-edit critical path at the session's current
 	// sizes (previous converged answer, or minimum sizes).
@@ -268,10 +261,5 @@ type StatsResponse struct {
 	// timing cone exceeded the budget and dropped the warm seed.
 	Edits         int64 `json:"edits_total"`
 	EditFallbacks int64 `json:"edit_fallbacks_total"`
-	// ConeResizes counts queries answered from a cone-scoped subproblem
-	// (-edit-cone-resize); ConeFallbacks those that attempted the cone
-	// path and fell back to the full warm re-size.
-	ConeResizes   int64 `json:"cone_resizes_total"`
-	ConeFallbacks int64 `json:"cone_fallbacks_total"`
 	Draining      bool  `json:"draining"`
 }

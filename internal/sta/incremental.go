@@ -12,17 +12,16 @@
 // over positions swept upward, so a move costs no heap operations and
 // marks fanouts straight into the bitset.  Vertex ids appear only at
 // the API edge: SetDelays' and Reseed's inputs, AppendCriticalPath's
-// and AppendFinish's outputs, and criticalEnd's lowest-numbered-vertex
-// rule.  While no delay is negative, finish never drops along an edge:
-// CP scans only the fanout-free vertices, and the critical path's end
-// is found by a backward search from them.  Cone subproblems carry
-// negative pad delays and take full scans.
+// output, and criticalEnd's lowest-numbered-vertex rule.  While no
+// delay is negative, finish never drops along an edge: CP scans only
+// the fanout-free vertices, and the critical path's end is found by a
+// backward search from them.  A negative or NaN delay falls back to
+// full scans.
 package sta
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"minflo/internal/graph"
 )
@@ -120,17 +119,6 @@ func (a *Arrivals) Reseed(d []float64) error {
 		a.recompute(i)
 	}
 	return nil
-}
-
-// AppendFinish appends the finish times AT+delay, in vertex order, to
-// dst and returns it — the arrival a fanout of each vertex sees.  Cone
-// extraction freezes these as boundary arrivals.
-func (a *Arrivals) AppendFinish(dst []float64) []float64 {
-	dst = slices.Grow(dst, len(a.pos))
-	for _, i := range a.pos {
-		dst = append(dst, a.finish[i])
-	}
-	return dst
 }
 
 // CP returns the critical-path delay max(AT+delay), or 0 when every
