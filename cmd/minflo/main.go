@@ -74,6 +74,7 @@ exit codes:
   3    infeasible delay target (below what any sizing can reach)
   4    budget exhausted (-budget); best-so-far sizing was printed
   5    flow solver failed; best-so-far sizing was printed
+  6    a D/W iteration failed; best-so-far sizing was printed
   130  canceled by Ctrl-C; best-so-far sizing was printed
 
 serving: for repeated queries against one circuit (target sweeps,
@@ -92,6 +93,8 @@ func exitCode(err error) int {
 		return 4
 	case errors.Is(err, minflo.ErrEngineFailed):
 		return 5
+	case errors.Is(err, minflo.ErrIterationFailed):
+		return 6
 	case errors.Is(err, minflo.ErrInfeasible):
 		return 3
 	default:
@@ -198,6 +201,8 @@ func run(ctx context.Context, circuitName, benchFile string, spec float64, algo 
 				fmt.Println("budget exhausted — best sizing so far:")
 			case errors.Is(err, minflo.ErrEngineFailed):
 				fmt.Println("flow solver failed — best sizing so far:")
+			case errors.Is(err, minflo.ErrIterationFailed):
+				fmt.Println("iteration failed — best sizing so far:")
 			}
 			printSizing(ckt, sizing, algo, dumpSizes)
 		}

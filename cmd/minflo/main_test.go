@@ -24,6 +24,7 @@ func TestExitCode(t *testing.T) {
 		{"infeasible", minflo.ErrInfeasible, 3},
 		{"budget", fmt.Errorf("core: D-phase: %w", minflo.ErrBudgetExhausted), 4},
 		{"engine failed", fmt.Errorf("core: D-phase: %w", fmt.Errorf("%w: solve panicked: boom", minflo.ErrEngineFailed)), 5},
+		{"iteration failed", fmt.Errorf("%w: core: W-phase: boom", minflo.ErrIterationFailed), 6},
 		{"canceled", fmt.Errorf("core: D-phase: %w", minflo.ErrCanceled), 130},
 	} {
 		got := exitCode(tc.err)

@@ -50,16 +50,22 @@ var (
 	// comes with the best-so-far partial Result, and a Session that
 	// returns it should be rebuilt.
 	ErrEngineFailed = mcmf.ErrEngineFailed
+	// ErrIterationFailed wraps any other failure of a D/W iteration
+	// (a timing, balance, sensitivity or W-phase step, or a flow error
+	// outside the abort taxonomy).  It too comes with the best-so-far
+	// partial Result, and a Session that returns it should be rebuilt.
+	ErrIterationFailed = errors.New("core: D/W iteration failed")
 )
 
 // answersPartial reports whether err comes with a best-so-far partial
-// Result: a run cut short (ErrCanceled, ErrBudgetExhausted) or a
-// failed flow solve (ErrEngineFailed), at any layer.  Every layer
-// below maps its aborts onto this taxonomy, so a bare context error
-// never reaches here.
+// Result: a run cut short (ErrCanceled, ErrBudgetExhausted), a failed
+// flow solve (ErrEngineFailed) or a failed iteration
+// (ErrIterationFailed), at any layer.  Every layer below maps its
+// aborts onto this taxonomy, so a bare context error never reaches
+// here.
 func answersPartial(err error) bool {
 	return errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted) ||
-		errors.Is(err, ErrEngineFailed)
+		errors.Is(err, ErrEngineFailed) || errors.Is(err, ErrIterationFailed)
 }
 
 // Options tune the optimizer. Zero values select defaults.
@@ -103,12 +109,14 @@ type Options struct {
 	// D/W loop from that answer instead of a TILOS restart, whatever
 	// its target.  The target's move against TrustRegion picks the
 	// schedule: a refinement (within it) runs the short endgame
-	// schedule; a far jump (beyond it) runs the cold window schedule
-	// without the regrow, under MaxIters — unless the target lies
-	// within TrustRegion of one of the session's earlier converged
-	// answers (its library, emptied by any accepted weight or edit
-	// batch), in which case it is a refinement from that answer.  A
-	// seed whose repair or iteration fails falls back to the cold path
+	// schedule, whose window opens no lower than Window/16 and stops
+	// once below it, so it ends priced for the next refinement; a far
+	// jump (beyond it) runs the cold window schedule without the
+	// regrow, under MaxIters — unless the target lies within
+	// TrustRegion of one of the session's earlier converged answers
+	// (its library, emptied by any accepted weight or edit batch), in
+	// which case it is a refinement from that answer.  A seed whose
+	// TILOS repair cannot reach the target falls back to the cold path
 	// transparently.  Result.Seed reports the start point taken,
 	// Result.FarSeed and Result.LibrarySeed the schedule.  With seeding
 	// on, answers are deterministic given the session's query history
@@ -206,8 +214,8 @@ type Result struct {
 	// TILOS solution.
 	Seed string
 	// SeedFallback marks a cold run that first attempted a trust-
-	// region seed and abandoned it (a failed seed repair or a failed
-	// seeded iteration).
+	// region seed and abandoned it (its TILOS repair could not reach
+	// the target).
 	SeedFallback bool
 	// FarSeed marks a trust-region seed attempt whose target lay beyond
 	// the trust region of the seed's: set on its warm answer (the
@@ -246,12 +254,17 @@ func (o Options) withDefaults() Options {
 // The adaptive window halves after every non-improving iteration (the
 // first-order model overshot, or the step bought too little), and the
 // loop stops after patience consecutive non-improving iterations or
-// once the window shrinks below Window/minWindowDiv.  How the window
-// moves on an improving iteration depends on the run (see dwLoop).
+// once the window shrinks below its floor: Window/minWindowDiv for
+// cold runs and far jumps, Window/refineFloorDiv for refinements.  A
+// refinement's window also opens no lower than that floor, so its
+// last D-phase runs at the window the next refinement opens at and
+// leaves the flow network priced for it.  How the window moves on an
+// improving iteration depends on the run (see dwLoop).
 const (
-	minWindowDiv = 32
-	patience     = 5
-	areaTol      = 1e-4
+	minWindowDiv   = 32
+	refineFloorDiv = minWindowDiv / 2
+	patience       = 5
+	areaTol        = 1e-4
 )
 
 // iterScratch holds everything the D/W iteration reuses across rounds:

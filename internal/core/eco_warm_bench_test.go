@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"minflo/internal/circuit"
@@ -12,17 +11,19 @@ import (
 	"minflo/internal/tech"
 )
 
-// BenchmarkEcoConeResize measures the warm re-size after a value-only
+// BenchmarkEcoWarmQuery measures the warm query after a value-only
 // edit batch: each iteration decreases the extra load on a sink gate
 // and answers the next in-trust-region query with the full warm D/W
 // refinement.  The decrement is scaled by b.N so the load stays in
-// [18, 20) fF however long the loop runs.  The bench gate holds each
-// row's allocs and iters/op under the rows' recorded names
-// (BenchmarkEcoConeResize/<circuit>/full), so the names stay.
+// [18, 20) fF however long the loop runs.  Besides allocs the bench
+// gate holds each row's iters/op and visited/op, the flow nodes the
+// query's D-phase searches visit: a refinement that ends at the window
+// the next one opens at leaves that query's first flow repair only its
+// own edit to re-price.
 //
 // mesh10k runs at a loose 0.9·tmin spec so the seed solve stays
 // sub-second.
-func BenchmarkEcoConeResize(b *testing.B) {
+func BenchmarkEcoWarmQuery(b *testing.B) {
 	cases := []struct {
 		name  string
 		build func() *circuit.Circuit
@@ -36,7 +37,7 @@ func BenchmarkEcoConeResize(b *testing.B) {
 	m := delay.NewModel(tech.Default013())
 
 	for _, tc := range cases {
-		b.Run(fmt.Sprintf("%s/full", tc.name), func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			c := tc.build()
 			e, err := dag.NewEco(c, m)
 			if err != nil {
@@ -61,6 +62,7 @@ func BenchmarkEcoConeResize(b *testing.B) {
 			}
 			step := 2.0 / float64(b.N)
 			iters := 0
+			var visited int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -68,14 +70,17 @@ func BenchmarkEcoConeResize(b *testing.B) {
 				if _, err := sess.ApplyEdits([]dag.Edit{{Op: dag.EditLoad, Gate: gate, LoadFF: load}}); err != nil {
 					b.Fatal(err)
 				}
+				before := sess.sc.sys.FlowEngineStats().Visited
 				r, err := sess.Resize(ctx, T, Budgets{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				iters += r.Iterations
+				visited += sess.sc.sys.FlowEngineStats().Visited - before
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+			b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
 		})
 	}
 }

@@ -289,8 +289,9 @@ const (
 // meets T under an independent STA and lands within refineAreaTol of a
 // fresh cold Size, the walk's mean within refineDriftTol, and the
 // refinements' mean iteration count stays below a bound set between
-// the measured walk (3.59 on mult8, 3.19 on c1908) and an opening at
-// 8× the move, floored at 4·Window/32 (3.93 on both).
+// the walk as measured with a stop at Window/32 (3.59 on mult8, 3.19
+// on c1908; 2.74 and 2.22 with today's stop at the opening floor) and
+// an opening at 8× the move, floored at 4·Window/32 (3.93 on both).
 func TestSessionRefineSchedule(t *testing.T) {
 	const queries = 30
 	for _, c := range []struct {
@@ -394,21 +395,23 @@ func TestSessionTrustRegionFallbackOnWeightEdit(t *testing.T) {
 }
 
 // TestSessionTrustRegionSeedFallback drives the cold fallback of a
-// seeded attempt: a fault-injected error at the first flow poll of
-// every attempt fails the first seeded iteration of a refinement and of
-// a far jump, so each abandons its seed and the cold path answers
-// (SeedFallback set, FarSeed on the far jump only) within the target.
-// The cold path's own iterations fail the same way, so it answers with
-// its TILOS sizing.  That clean answer becomes the seed, and the next
-// clean query near it seeds warm again.
+// seeded attempt.  Just above adder16's reach (about 0.15·Dmin), the
+// TILOS repair of a seed converged at a looser target finds no
+// improving move, while TILOS from minimum sizes still meets the
+// target: a refinement and a far jump there each abandon their seed
+// and the cold path answers (SeedFallback set, FarSeed on the far jump
+// only) within the target.  Its first W-phase clamps at MaxSize and
+// that iteration's repair fails too, so the cold answer is the TILOS
+// sizing, partial with ErrIterationFailed; it does not become the
+// seed, and the next clean query near the old seed still seeds warm.
 func TestSessionTrustRegionSeedFallback(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		f    float64 // target of the failed query, fraction of Dmin
+		k    float64 // the seed's target, a multiple of the failed query's
 		far  bool
 	}{
-		{"refine", 0.601, false},
-		{"far", 0.7, true},
+		{"refine", 1.04, false},
+		{"far", 1.3, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sess, err := NewSession(mustProblem(t, "adder16"), trOpt())
@@ -416,25 +419,25 @@ func TestSessionTrustRegionSeedFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sess.Close()
-			tmin := minCP(t, sess.p)
+			T := 0.1575 * minCP(t, sess.p)
 
-			if _, err := sess.Resize(context.Background(), 0.6*tmin, Budgets{}); err != nil {
+			if _, err := sess.Resize(context.Background(), c.k*T, Budgets{}); err != nil {
 				t.Fatal(err)
 			}
-			T := c.f * tmin
-			ctx := fault.Context(context.Background(), fault.Plan{Mode: fault.Error, Op: 1})
-			r, err := sess.Resize(ctx, T, Budgets{})
-			if err != nil {
-				t.Fatal(err)
+			r, err := sess.Resize(context.Background(), T, Budgets{})
+			if !errors.Is(err, ErrIterationFailed) || r == nil || !r.Partial {
+				t.Fatalf("query past the seed's repair: err = %v, partial answer %v; want a partial answer with ErrIterationFailed",
+					err, r != nil && r.Partial)
 			}
 			if r.Seed != SeedTilos || !r.SeedFallback || r.FarSeed != c.far {
 				t.Fatalf("failed seeded query: Seed = %q SeedFallback = %v FarSeed = %v, want a TILOS fallback with FarSeed %v",
 					r.Seed, r.SeedFallback, r.FarSeed, c.far)
 			}
-			if r.CP > T*(1+1e-9) {
-				t.Fatalf("fallback answer CP %g violates target %g", r.CP, T)
+			if r.Area != r.TilosArea || r.CP > T*(1+1e-9) {
+				t.Fatalf("fallback answer: area %g (TILOS %g), CP %g (target %g); want the TILOS sizing within the target",
+					r.Area, r.TilosArea, r.CP, T)
 			}
-			r2, err := sess.Resize(context.Background(), 1.001*T, Budgets{})
+			r2, err := sess.Resize(context.Background(), 1.001*c.k*T, Budgets{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -446,17 +449,76 @@ func TestSessionTrustRegionSeedFallback(t *testing.T) {
 	}
 }
 
+// TestFailedIterationAnswersPartial: a D/W iteration failing with an
+// error outside the abort taxonomy (here a fault-injected error at the
+// first flow poll of every solve) answers the best-so-far sizing as a
+// partial Result with ErrIterationFailed — never as a clean answer —
+// from a one-shot SizeCtx, a session's cold query and a seeded
+// refinement alike.  No partial answer becomes the trust-region seed.
+func TestFailedIterationAnswersPartial(t *testing.T) {
+	p := mustProblem(t, "adder16")
+	T := 0.6 * minCP(t, p)
+	failing := func() context.Context {
+		return fault.Context(context.Background(), fault.Plan{Mode: fault.Error, Op: 1})
+	}
+	check := func(t *testing.T, what string, r *Result, err error, seed string) {
+		t.Helper()
+		if !errors.Is(err, ErrIterationFailed) {
+			t.Fatalf("%s: err = %v, want ErrIterationFailed", what, err)
+		}
+		if r == nil {
+			t.Fatalf("%s: no best-so-far answer", what)
+		}
+		if !r.Partial || r.Seed != seed || r.SeedFallback {
+			t.Fatalf("%s: Partial = %v Seed = %q SeedFallback = %v, want a partial %q answer without SeedFallback",
+				what, r.Partial, r.Seed, r.SeedFallback, seed)
+		}
+		if r.Iterations != 0 || r.Area != r.TilosArea || r.CP > T*(1+1e-9) {
+			t.Fatalf("%s: want the start point within the target, got %d iterations, area %g (start %g), CP %g (target %g)",
+				what, r.Iterations, r.Area, r.TilosArea, r.CP, T)
+		}
+	}
+
+	r, err := SizeCtx(failing(), p, T, Options{})
+	check(t, "SizeCtx", r, err, SeedTilos)
+
+	sess, err := NewSession(p, trOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	r, err = sess.Resize(failing(), T, Budgets{})
+	check(t, "cold Resize", r, err, SeedTilos)
+	if sess.seedValid {
+		t.Fatal("a partial cold answer became the trust-region seed")
+	}
+	if _, err := sess.Resize(context.Background(), T, Budgets{}); err != nil {
+		t.Fatal(err)
+	}
+	r, err = sess.Resize(failing(), 1.001*T, Budgets{})
+	check(t, "seeded Resize", r, err, SeedWarm)
+	if sess.seedT != T {
+		t.Fatalf("a partial seeded answer moved the seed's target to %g", sess.seedT)
+	}
+	r, err = sess.Resize(context.Background(), 1.001*T, Budgets{})
+	if err != nil || r.Seed != SeedWarm {
+		t.Fatalf("next clean query: Seed = %q, err = %v; want a warm refinement", r.Seed, err)
+	}
+}
+
 // TestRefinementIterationBound holds the invariant that lets a
 // refinement run under MaxIters alone: its window opens at most at
 // Options.Window, holds at most once (after a gain on iteration 1) and
-// otherwise halves, so it drops below Window/minWindowDiv — the stop —
-// by iteration 2 + log2(minWindowDiv).  Every iteration of a
-// refinement and a library hit must respect it, on serve_refine-shaped
-// target walks (mult8, c1908) and on a serve_eco-shaped walk of one
-// load edit before each query at 0.6·Dmin (c7552), whose post-edit
-// queries are warm refinements.
+// otherwise halves, so it drops below Window/refineFloorDiv — the
+// refinement stop — by iteration 2 + log2(refineFloorDiv) = 6.  Every
+// iteration of a refinement and a library hit must respect it, on
+// serve_refine-shaped target walks (mult8, c1908) and on a
+// serve_eco-shaped walk of one load edit before each query at 0.6·Dmin
+// (c7552), whose post-edit queries are warm refinements.  A
+// refinement stopping at Window/minWindowDiv instead reaches
+// iteration 7 on these walks.
 func TestRefinementIterationBound(t *testing.T) {
-	bound := 2 + bits.Len(uint(minWindowDiv)) - 1
+	bound := 2 + bits.Len(uint(refineFloorDiv)) - 1
 	var iters []IterStats
 	opt := trOpt()
 	opt.OnIteration = func(st IterStats) { iters = append(iters, st) }

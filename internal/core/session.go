@@ -25,13 +25,16 @@
 //
 //   - A refinement (target within δ of the seed's) is all endgame: the
 //     resident flow network is already priced near the new optimum, so
-//     the budget window opens at 4× the relative move, floored at
-//     2·Window/32 (not the cold-start Options.Window), holds once if
-//     the first iteration improves the area and otherwise halves on
-//     every iteration; the cold schedule's regrow-on-improvement rule
-//     would zigzag around the answer for many iterations before
-//     settling.  The window halves below the stopping floor by
-//     iteration 2 + log2(minWindowDiv), so a refinement needs no
+//     the budget window opens at 4× the relative move, floored at the
+//     refinement floor 2·Window/32 (not the cold-start Options.Window),
+//     holds once if the first iteration improves the area and otherwise
+//     halves on every iteration; the cold schedule's regrow-on-
+//     improvement rule would zigzag around the answer for many
+//     iterations before settling.  It stops once the window falls below
+//     that same floor, so its last D-phase ran at the window the next
+//     refinement opens at, and that query's first flow repair re-prices
+//     only its own change.  The window halves below the floor by
+//     iteration 2 + log2(refineFloorDiv) = 6, so a refinement needs no
 //     iteration cap of its own (TestRefinementIterationBound).
 //   - A far jump (target beyond δ) still has real ground to cover: the
 //     window opens at Options.Window, holds on an improving iteration
@@ -52,11 +55,12 @@
 // were converged for the old costs or netlist), and a rebuilt session
 // starts with an empty one.
 //
-// Weight edits beyond δ, repair failures and numerical corners of a
-// seeded iteration fall back to the cold TILOS path.  Result.Seed
-// records which path answered, Result.FarSeed whether the seed attempt
-// was a far jump and Result.LibrarySeed whether it started from a
-// library entry.
+// Weight edits beyond δ and a seed whose TILOS repair cannot reach the
+// target fall back to the cold TILOS path; a seeded iteration that
+// fails answers partial like a cold one (ErrIterationFailed).
+// Result.Seed records which path answered, Result.FarSeed whether the
+// seed attempt was a far jump and Result.LibrarySeed whether it started
+// from a library entry.
 //
 // Determinism contract: a session's answers are a deterministic
 // function of the query sequence served since its last cold build — a
@@ -373,7 +377,7 @@ func (s *Session) MemoryBytes() int64 {
 }
 
 // errSeedRejected reports (internally) that a trust-region-seeded
-// attempt was abandoned — seed repair failure or a numerical corner —
+// attempt was abandoned — its TILOS repair could not reach the target —
 // and the caller should run the cold path.
 var errSeedRejected = errors.New("core: trust-region seed rejected")
 
@@ -515,20 +519,20 @@ func (s *Session) resizeSeeded(T float64) (*Result, error) {
 	}
 	// A refinement sits within the trust region of the new optimum, so the
 	// D/W loop's budget window opens at 4× the actual move, floored at
-	// twice the stopping floor, instead of the full cold-start Window —
-	// starting wide from a near-optimal point just burns iterations
-	// walking the window back down.  Twice that opening mostly wasted its
-	// first step: on serve_refine-shaped walks the step failed to improve
-	// the area in 92% of c1908's refinements and 60% of mult8's.  Both
-	// inputs are session history, so twin replays compute the same
-	// window.
+	// the refinement floor Window/refineFloorDiv, instead of the full
+	// cold-start Window — starting wide from a near-optimal point just
+	// burns iterations walking the window back down.  Twice that opening
+	// mostly wasted its first step: on serve_refine-shaped walks the step
+	// failed to improve the area in 92% of c1908's refinements and 60% of
+	// mult8's.  Both inputs are session history, so twin replays compute
+	// the same window.
 	rel := math.Abs(T-s.seedT) / s.seedT
 	if s.seedWPerturb > rel {
 		rel = s.seedWPerturb
 	}
 	w0 := 4 * rel
-	if minW := opt.Window / minWindowDiv; w0 < 2*minW {
-		w0 = 2 * minW
+	if floor := opt.Window / refineFloorDiv; w0 < floor {
+		w0 = floor
 	}
 	if w0 > opt.Window {
 		w0 = opt.Window
@@ -571,14 +575,15 @@ func (s *Session) resizeCold(T float64) (*Result, error) {
 // trust region: halve after an iteration whose first-order prediction
 // overshot (area got worse); on success a cold run relaxes it back, a
 // far jump holds it and a refinement halves it, except that a gain on
-// its first iteration holds the window once, so a refinement's window
-// falls below the stopping floor by iteration 2 + log2(minWindowDiv).
+// its first iteration holds the window once.  Cold runs and far jumps
+// stop below Window/minWindowDiv; a refinement stops below the floor
+// it opens at, Window/refineFloorDiv, which its window falls under by
+// iteration 2 + log2(refineFloorDiv).
 // iterate leaves the round's sizes in sc.newX; x and bestX are stable
 // buffers owned by this loop.
 //
-// For seeded runs (res.Seed == SeedWarm) an iterate failure that comes
-// without a partial answer returns errSeedRejected so Resize can fall
-// back to the cold path; cold runs keep their best-so-far sizing.
+// A failed iteration, seeded or cold, answers the best-so-far sizing
+// as a partial Result with a typed error (see answersPartial).
 func (s *Session) dwLoop(res *Result, x []float64, T float64, window0 float64) (*Result, error) {
 	p, sc, opt := s.p, s.sc, s.opt
 	seeded := res.Seed == SeedWarm
@@ -588,8 +593,14 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, window0 float64) (
 	noImprove := 0
 	window := window0
 	minWindow := opt.Window / minWindowDiv
+	if refine {
+		// A refinement stops below the floor it opens at: the step under
+		// it is the one the next refinement repeats at the floor.
+		minWindow = opt.Window / refineFloorDiv
+	}
 
-	// finishPartial answers an abort with the best-so-far sizing.
+	// finishPartial answers an abort or failure with the best-so-far
+	// sizing.
 	finishPartial := func(aerr error) (*Result, error) {
 		res.X = bestX
 		res.Area = bestArea
@@ -605,24 +616,17 @@ func (s *Session) dwLoop(res *Result, x []float64, T float64, window0 float64) (
 		}
 		st, err := iterate(p, s.aug, sc, x, T, window, opt)
 		if err != nil {
-			if answersPartial(err) {
-				// Cut short mid-iteration (canceled context or an
-				// exhausted wall-clock/flow-work budget surfacing from
-				// the timing or flow layers), or a failed flow solve
-				// (mcmf retries nothing, so the warm flow state is
-				// suspect and session owners quarantine and rebuild):
-				// answer with the last completed iteration's best and
-				// the typed error.
-				return finishPartial(err)
+			// Cut short mid-iteration (canceled context or an exhausted
+			// wall-clock/flow-work budget surfacing from the timing or
+			// flow layers), a failed flow solve (mcmf retries nothing),
+			// or any other failed step, typed ErrIterationFailed: answer
+			// with the last completed iteration's best and the typed
+			// error.  After either failure the warm state is suspect,
+			// so session owners quarantine and rebuild.
+			if !answersPartial(err) {
+				err = fmt.Errorf("%w: %w", ErrIterationFailed, err)
 			}
-			if seeded {
-				// A numerical corner starting from the warm seed: let
-				// the cold path answer from its own trajectory.
-				return nil, errSeedRejected
-			}
-			// A failed iteration is not fatal: the current best solution
-			// stands (this triggers only on numerical corner cases).
-			break
+			return finishPartial(err)
 		}
 		st.Iter = it
 		st.Window = window

@@ -405,6 +405,55 @@ func TestServeQuarantineRebuild(t *testing.T) {
 	}
 }
 
+// TestServeIterationFailedQuarantines: a D/W iteration that fails
+// outside the abort taxonomy (a fault-injected error at the first flow
+// poll of every solve) answers its best-so-far sizing as a partial
+// with code iteration_failed — never as a clean answer — and
+// quarantines the session, so the next query rebuilds a fresh
+// generation that answers like a cold session.
+func TestServeIterationFailedQuarantines(t *testing.T) {
+	srv, _, c, faults := newFaultServer(t, Config{}, "f")
+	ctx := context.Background()
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "f", Circuit: "adder16"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := submitCircuit(t, c, "ref", "adder16")
+	T := 0.6 * sub.MinDelayPS
+
+	faults.set(fault.Plan{Mode: fault.Error, Op: 1})
+	q, err := c.Query(ctx, "f", &QueryRequest{TargetPS: T})
+	faults.set(fault.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Error == nil || q.Error.Code != CodeIterationFailed || !q.Partial || q.Iterations != 0 || q.CPPS > T*(1+1e-9) {
+		t.Fatalf("failed iteration answered: partial %v, error %+v, %d iterations, CP %g (target %g); want the TILOS sizing as a partial with code %s",
+			q.Partial, q.Error, q.Iterations, q.CPPS, T, CodeIterationFailed)
+	}
+	if info, err := c.Info(ctx, "f"); err != nil || !info.Quarantined {
+		t.Fatalf("session not quarantined after a failed iteration (err %v)", err)
+	}
+	if srv.quarantines.Load() == 0 {
+		t.Fatal("quarantine counter did not move")
+	}
+
+	want, err := c.Query(ctx, "ref", &QueryRequest{TargetPS: ref.MinDelayPS * 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := c.Query(ctx, "f", &QueryRequest{TargetPS: T})
+	if err != nil || q2.Error != nil {
+		t.Fatalf("post-quarantine query: %v %+v", err, q2)
+	}
+	if q2.Generation != q.Generation+1 || q2.Seq != 1 || q2.Warm {
+		t.Fatalf("rebuild generation bookkeeping: %+v", q2)
+	}
+	if q2.Area != want.Area || q2.CPPS != want.CPPS || q2.Iterations != want.Iterations {
+		t.Fatalf("rebuilt session diverged from a cold session: %+v vs %+v", q2, want)
+	}
+}
+
 // TestServeDrainReturnsPartial starts a long query, then shuts the
 // server down with a short drain deadline: the in-flight query must
 // come back with a best-so-far partial answer, and post-drain requests

@@ -24,7 +24,9 @@
 //   - Panic barrier: a crash inside a solve quarantines that session
 //     and answers 500; the next query rebuilds it cold (a fresh
 //     generation).  The process stays up and other sessions are
-//     untouched.
+//     untouched.  A failed flow solve (engine_failed) or D/W iteration
+//     (iteration_failed) quarantines it the same way, answering its
+//     best-so-far sizing as a partial when it has one.
 //   - Graceful shutdown: Shutdown stops admitting (readyz → 503),
 //     lets in-flight and queued work finish, and cancels the base
 //     context at the drain deadline so stragglers come back fast with

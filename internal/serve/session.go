@@ -456,10 +456,11 @@ func (s *session) handleQuery(j *job) jobReply {
 	}
 
 	code, status := codeForSolveErr(err)
-	if code == CodeEngineFailed {
-		// The flow solve died (mcmf retries nothing): the warm state is
-		// no longer trustworthy.  Quarantine; the next query rebuilds
-		// cold from the session's ledger.
+	if code == CodeEngineFailed || code == CodeIterationFailed {
+		// The flow solve died (mcmf retries nothing) or another step of
+		// an iteration failed: the warm state is no longer trustworthy.
+		// Quarantine; the next query rebuilds cold from the session's
+		// ledger.
 		s.setQuarantined(true)
 		s.srv.quarantines.Add(1)
 	}
@@ -661,6 +662,8 @@ func codeForSolveErr(err error) (code string, status int) {
 		return CodeBudgetExhausted, http.StatusGatewayTimeout
 	case errors.Is(err, core.ErrEngineFailed):
 		return CodeEngineFailed, http.StatusInternalServerError
+	case errors.Is(err, core.ErrIterationFailed):
+		return CodeIterationFailed, http.StatusInternalServerError
 	case errors.Is(err, core.ErrInfeasible):
 		return CodeInfeasible, http.StatusUnprocessableEntity
 	default:

@@ -35,6 +35,12 @@ const (
 	// quarantined and will be rebuilt cold on its next query.  200
 	// with the best-so-far sizing when one exists, 500 otherwise.
 	CodeEngineFailed = "engine_failed"
+	// CodeIterationFailed: a D/W iteration failed outside the flow
+	// solver (a timing, sensitivity or W-phase step, or a flow error
+	// outside the abort taxonomy); the session is quarantined like on
+	// engine_failed.  200 with the best-so-far sizing when one exists,
+	// 500 otherwise.
+	CodeIterationFailed = "iteration_failed"
 	// CodeInternal: any other server-side failure.  500.
 	CodeInternal = "internal"
 )
@@ -123,8 +129,8 @@ type QueryResponse struct {
 	// and core.Options.TrustRegion).
 	Seed string `json:"seed,omitempty"`
 	// SeedFallback marks a cold answer whose trust-region seed was
-	// attempted and abandoned (a failed seed repair or a failed seeded
-	// iteration).
+	// attempted and abandoned (its TILOS repair could not reach the
+	// target).
 	SeedFallback bool `json:"seed_fallback,omitempty"`
 	// FarSeed marks a trust-region seed attempt whose target moved
 	// beyond the trust region (a far jump): on a "warm" answer it ran

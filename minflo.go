@@ -154,8 +154,8 @@ var ErrInfeasible = errors.New("minflo: delay target unreachable")
 
 // Abort taxonomy for MinflotransitCtx (aliased from the optimizer so
 // errors.Is works at every layer): runs cut short by cancellation, an
-// exhausted budget or a failed flow solve return these alongside a
-// best-so-far Sizing marked Partial.
+// exhausted budget, a failed flow solve or a failed iteration return
+// these alongside a best-so-far Sizing marked Partial.
 var (
 	// ErrCanceled reports a canceled context.
 	ErrCanceled = core.ErrCanceled
@@ -165,6 +165,8 @@ var (
 	// ErrEngineFailed wraps a D-phase flow-solve failure (a recovered
 	// panic); the solver does not retry it.
 	ErrEngineFailed = core.ErrEngineFailed
+	// ErrIterationFailed wraps any other failed D/W iteration step.
+	ErrIterationFailed = core.ErrIterationFailed
 )
 
 // Config parameterizes a Sizer. The zero value (or nil pointer) uses
@@ -340,7 +342,8 @@ func (s *Sizer) Minflotransit(c *Circuit, T float64) (*Sizing, error) {
 // applied to the circuit, and comes WITH the non-nil ErrCanceled /
 // ErrBudgetExhausted error — callers must treat (sz != nil, err !=
 // nil) as "partial answer", not success.  A failed D-phase flow solve
-// answers the same way with ErrEngineFailed.  An abort or failure
+// answers the same way with ErrEngineFailed, and any other failed D/W
+// iteration with ErrIterationFailed.  An abort or failure
 // before any sizing exists returns (nil, error) and leaves the circuit
 // untouched.
 func (s *Sizer) MinflotransitCtx(ctx context.Context, c *Circuit, T float64) (*Sizing, error) {
