@@ -47,7 +47,7 @@
 //     touches one place per head node; the search state is
 //     epoch-stamped instead of O(n)-reset, and the potential update
 //     touches only settled nodes;
-//   - Reset, SetCost, SetCapacity and SetSupply mutate an instance in
+//   - Reset, SetCost, UpdateCapacity and SetSupply mutate an instance in
 //     place, and a warm re-solve skips Bellman–Ford entirely when the
 //     previous potentials still certify non-negative reduced costs
 //     (falling back to a potential-seeded Bellman–Ford otherwise).
@@ -95,7 +95,7 @@ type arc struct {
 
 // Solver holds a min-cost flow instance.  Build with New, AddArc and
 // SetSupply, then call Solve.  For repeated solves on the same
-// topology, mutate with Reset/SetCost/SetCapacity/SetSupply and call
+// topology, mutate with Reset/SetCost/UpdateCapacity/SetSupply and call
 // Solve again: arc arrays, the adjacency index and all scratch are
 // reused, and prior potentials warm-start the next solve.
 type Solver struct {
@@ -120,9 +120,8 @@ type Solver struct {
 	// of the last successful solve (routing the supplies snapshotted in
 	// routed) — the precondition of the incremental ResolveChanged
 	// repair.  Unlike solved it survives cost/capacity/supply
-	// mutations; it is cleared by Reset, by legacy SetCapacity (which
-	// discards an arc's flow), by a topology change (topoChanged) and
-	// while a solve is mutating residuals.
+	// mutations; it is cleared by Reset, by a topology change
+	// (topoChanged) and while a solve is mutating residuals.
 	repairable bool
 	st         Stats // cumulative work counters (EngineStats)
 	// scaling, when set, makes full solves run the cost-scaling
@@ -266,21 +265,6 @@ func (s *Solver) SetCost(arcID int, cost int64) {
 // Cost returns the per-unit cost of the arc with the given ID.
 func (s *Solver) Cost(arcID int) int64 { return s.arcs[s.fwd[arcID]].cost }
 
-// SetCapacity changes the capacity of an existing arc in place and
-// clears any flow routed on it (the residual state is restored to the
-// unsolved configuration for that arc).
-func (s *Solver) SetCapacity(arcID int, capacity int64) {
-	if capacity < 0 {
-		panic("mcmf: negative capacity")
-	}
-	s.orig[arcID] = capacity
-	fwd, rev := s.pair(arcID)
-	fwd.cap = capacity
-	rev.cap = 0
-	s.solved = false
-	s.repairable = false // the arc's routed flow was just discarded
-}
-
 // UpdateCapacity changes the configured capacity of an existing arc
 // without touching its residual state — the mutation path for the
 // incremental ResolveChanged re-flow, which must receive the arc in
@@ -306,7 +290,7 @@ func (s *Solver) Capacity(arcID int) int64 { return s.orig[arcID] }
 // Reset restores every arc to its unsolved residual state (full forward
 // capacity, no flow) so the instance can be solved again.  The
 // topology, adjacency index, scratch arrays and node potentials are all
-// kept: combined with SetCost/SetCapacity/SetSupply this is the
+// kept: combined with SetCost/UpdateCapacity/SetSupply this is the
 // warm-start path for repeated solves on one network.
 //
 // Calling Reset is optional: Solve clears a previous solve's flow by

@@ -98,14 +98,14 @@ func TestWarmStartMatchesFresh(t *testing.T) {
 				warm.SetCost(id, int64(rng.Intn(80)))
 			}
 			if rng.Intn(7) == 0 {
-				warm.SetCapacity(id, int64(1+rng.Intn(300)))
+				warm.UpdateCapacity(id, int64(1+rng.Intn(300)))
 			}
 		}
 		// Backbone arcs (the first 2(n−1) IDs: forward then reverse
 		// chain) keep feasibility; restore their capacity in case the
 		// loop above shrank one.
 		for id := 0; id < 2*(n-1); id++ {
-			warm.SetCapacity(id, 1_000_000)
+			warm.UpdateCapacity(id, 1_000_000)
 		}
 		for k := 0; k < 3; k++ {
 			a, b := rng.Intn(n), rng.Intn(n)

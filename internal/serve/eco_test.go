@@ -197,50 +197,6 @@ func TestServeEditStructural(t *testing.T) {
 	}
 }
 
-// TestServeEditEpochScopesCoalescing: admitting an edit bumps the
-// session's epoch so identical queries before and after it use
-// different singleflight keys.
-func TestServeEditEpochScopesCoalescing(t *testing.T) {
-	srv, _, c := newTestServer(t, Config{})
-	ctx := context.Background()
-	submitCircuit(t, c, "ep", "c17")
-
-	srv.mu.Lock()
-	e0 := srv.sessions["ep"].epoch
-	srv.mu.Unlock()
-	if _, err := c.Edit(ctx, "ep", &EditRequest{Edits: []EditOp{{Op: "load", Gate: 0, LoadFF: 3}}}); err != nil {
-		t.Fatal(err)
-	}
-	srv.mu.Lock()
-	e1 := srv.sessions["ep"].epoch
-	srv.mu.Unlock()
-	if e1 != e0+1 {
-		t.Fatalf("epoch %d -> %d, want +1", e0, e1)
-	}
-}
-
-// TestCanonicalQueryLastWins is the regression for the coalescing-key
-// bug: duplicate gate entries must collapse to their final (applied)
-// value, so bodies that end in the same state share a key and bodies
-// that end differently never do.
-func TestCanonicalQueryLastWins(t *testing.T) {
-	a := canonicalQuery(&QueryRequest{TargetPS: 100, AreaWeights: []AreaWeight{{Gate: 1, Weight: 5}, {Gate: 1, Weight: 2}}})
-	b := canonicalQuery(&QueryRequest{TargetPS: 100, AreaWeights: []AreaWeight{{Gate: 1, Weight: 2}}})
-	if a != b {
-		t.Fatalf("last-wins collapse: %q != %q", a, b)
-	}
-	cq := canonicalQuery(&QueryRequest{TargetPS: 100, AreaWeights: []AreaWeight{{Gate: 1, Weight: 5}}})
-	if a == cq {
-		t.Fatalf("distinct final weights share a key: %q", a)
-	}
-	// Order independence across distinct gates.
-	d1 := canonicalQuery(&QueryRequest{TargetPS: 100, AreaWeights: []AreaWeight{{Gate: 2, Weight: 3}, {Gate: 1, Weight: 4}}})
-	d2 := canonicalQuery(&QueryRequest{TargetPS: 100, AreaWeights: []AreaWeight{{Gate: 1, Weight: 4}, {Gate: 2, Weight: 3}}})
-	if d1 != d2 {
-		t.Fatalf("gate order changed the key: %q vs %q", d1, d2)
-	}
-}
-
 // TestParseRetryAfter is the regression for the client's Retry-After
 // parsing: both RFC 9110 forms must be understood.
 func TestParseRetryAfter(t *testing.T) {

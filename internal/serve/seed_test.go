@@ -5,9 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,87 +191,84 @@ func TestServeStatsMatchResponses(t *testing.T) {
 	t.Logf("response sums: %+v", want)
 }
 
-// TestServeCoalescing: identical queries arriving while their twin is
-// still queued are answered by one solve — the singleflight path.  A
-// blocked solve holds the worker so the burst deterministically lands
-// behind one queued job.
-func TestServeCoalescing(t *testing.T) {
-	_, hs, c, faults := newFaultServer(t, Config{MaxInFlight: 1}, "a")
-	sub, err := c.Submit(context.Background(), &SubmitRequest{ID: "a", Circuit: "adder16"})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestServeIdenticalQueryAfterAbandonedTwin: every admitted query is
+// its own job.  Query A is admitted behind a parked worker and its
+// client then leaves; a byte-identical query B admitted after it must
+// not share A's fate.  B runs its own solve and answers clean with the
+// seq after the blocker's: A, answered canceled without a solve, takes
+// none.
+func TestServeIdenticalQueryAfterAbandonedTwin(t *testing.T) {
+	srv, hs, c, faults := newFaultServer(t, Config{MaxInFlight: 1}, "a")
+	ctx := context.Background()
+	sub := submitCircuit(t, c, "a", "adder16")
 
 	// Park the worker inside a first, distinct query.
 	release := make(chan struct{})
 	faults.set(fault.Plan{Mode: fault.Cancel, Op: 1, OnCancel: func() { <-release }})
-	var blocker sync.WaitGroup
-	blocker.Add(1)
+	blocked := make(chan *QueryResponse, 1)
 	go func() {
-		defer blocker.Done()
-		_, _ = c.Query(context.Background(), "a", &QueryRequest{TargetPS: 0.55 * sub.MinDelayPS})
-	}()
-
-	// Wait until the blocker is executing (busy worker, empty queue).
-	waitStats(t, c, "blocker to start executing", func(st *StatsResponse) bool { return st.InFlight >= 1 })
-
-	// Three byte-identical queries: the first enqueues, the other two
-	// must attach to it instead of consuming queue slots.
-	const n = 3
-	body := fmt.Sprintf(`{"target_ps": %g}`, 0.6*sub.MinDelayPS)
-	var wg sync.WaitGroup
-	var coalesced, solved atomic.Int64
-	seqs := make([]int, n)
-	areas := make([]float64, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(hs.URL+"/v1/sessions/a/query", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			var qr QueryResponse
-			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-				t.Error(err)
-				return
-			}
-			seqs[i] = qr.Seq
-			areas[i] = qr.Area
-			if qr.Coalesced {
-				coalesced.Add(1)
-			} else {
-				solved.Add(1)
-			}
-		}(i)
-	}
-	// All four queries admitted (1 blocker + 1 queued + 2 attached) —
-	// only then release, so the attach window is deterministic.
-	waitStats(t, c, "burst admission", func(st *StatsResponse) bool { return st.Queries >= 4 })
-	close(release)
-	wg.Wait()
-	blocker.Wait()
-
-	if solved.Load() != 1 || coalesced.Load() != n-1 {
-		t.Fatalf("solved=%d coalesced=%d, want 1/%d", solved.Load(), coalesced.Load(), n-1)
-	}
-	for i := 1; i < n; i++ {
-		if seqs[i] != seqs[0] || areas[i] != areas[0] {
-			t.Fatalf("coalesced replies diverged: seq %v area %v", seqs, areas)
+		q, err := c.Query(ctx, "a", &QueryRequest{TargetPS: 0.55 * sub.MinDelayPS})
+		if err != nil {
+			t.Error(err)
 		}
+		blocked <- q
+	}()
+	waitStats(t, c, "blocker to start executing", func(st *StatsResponse) bool { return st.InFlight >= 1 })
+	faults.set(fault.Plan{})
+
+	// A: admitted, then its client disconnects.  The handler returns
+	// once it sees its request context done.
+	body := fmt.Sprintf(`{"target_ps": %g}`, 0.6*sub.MinDelayPS)
+	actx, leave := context.WithCancel(ctx)
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions/a/query", strings.NewReader(body)).WithContext(actx)
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	waitStats(t, c, "query A admission", func(st *StatsResponse) bool { return st.Queries >= 2 })
+	leave()
+	<-aDone
+
+	// B: byte-identical to A, admitted while A still waits in the queue.
+	bReply := make(chan *QueryResponse, 1)
+	go func() {
+		resp, err := http.Post(hs.URL+"/v1/sessions/a/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			bReply <- nil
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("query B status %d, want 200", resp.StatusCode)
+		}
+		var qr QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Error(err)
+		}
+		bReply <- &qr
+	}()
+	waitStats(t, c, "query B admission", func(st *StatsResponse) bool { return st.Queries >= 3 })
+	close(release)
+
+	first, b := <-blocked, <-bReply
+	if first == nil || b == nil {
+		t.FailNow()
 	}
-	st, err := c.Stats(context.Background())
+	if b.Error != nil || b.Partial || b.Iterations == 0 {
+		t.Fatalf("query B shared its abandoned twin's fate: error %+v, partial %v, %d iterations, area %g",
+			b.Error, b.Partial, b.Iterations, b.Area)
+	}
+	if b.Seq != first.Seq+1 {
+		t.Fatalf("query B seq %d after the blocker's seq %d, want its own next seq", b.Seq, first.Seq)
+	}
+	st, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Coalesced != n-1 {
-		t.Fatalf("stats coalesced_total = %d, want %d", st.Coalesced, n-1)
+	if st.Coalesced != 0 {
+		t.Fatalf("coalesced_total = %d, want 0", st.Coalesced)
 	}
 }
 

@@ -231,10 +231,8 @@ func TestServeInfeasibleAndBadRequests(t *testing.T) {
 	}
 }
 
-func TestServeBenchSubmission(t *testing.T) {
-	_, _, c := newTestServer(t, Config{})
-	ctx := context.Background()
-	const benchText = `# c17
+// c17Bench is ISCAS85 c17 as inline .bench text.
+const c17Bench = `# c17
 INPUT(1)
 INPUT(2)
 INPUT(3)
@@ -249,7 +247,11 @@ OUTPUT(23)
 22 = NAND(10, 16)
 23 = NAND(16, 19)
 `
-	sub, err := c.Submit(ctx, &SubmitRequest{ID: "inline", Bench: benchText, Name: "c17"})
+
+func TestServeBenchSubmission(t *testing.T) {
+	_, _, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	sub, err := c.Submit(ctx, &SubmitRequest{ID: "inline", Bench: c17Bench, Name: "c17"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +261,64 @@ OUTPUT(23)
 	}
 	if q.Error != nil || q.CPPS > 0.7*sub.MinDelayPS*(1+1e-9) {
 		t.Fatalf("inline bench query: %+v", q)
+	}
+}
+
+// TestServeBodyCap: a request body of maxBodyBytes is read, one byte
+// more is refused with 413 bad_request before any session exists.
+func TestServeBodyCap(t *testing.T) {
+	_, hs, c := newTestServer(t, Config{})
+	// submitOfSize is an inline c17 submit padded with .bench comment
+	// lines to exactly n bytes of JSON (each "\n" escapes to 2 bytes).
+	submitOfSize := func(id string, n int) string {
+		base, err := json.Marshal(&SubmitRequest{ID: id, Bench: c17Bench + "#"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := "#" + strings.Repeat("x", 63) + "\n"
+		extra := n - len(base)
+		pad := strings.Repeat(line, extra/(len(line)+1))
+		last := "#" + strings.Repeat("x", extra%(len(line)+1))
+		body, err := json.Marshal(&SubmitRequest{ID: id, Bench: c17Bench + pad + last})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) != n {
+			t.Fatalf("padded submit is %d bytes, want %d", len(body), n)
+		}
+		return string(body)
+	}
+	post := func(body string) (int, ErrorBody) {
+		t.Helper()
+		resp, err := http.Post(hs.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		return resp.StatusCode, eb
+	}
+	sessions := func() int {
+		t.Helper()
+		st, err := c.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Sessions
+	}
+
+	if status, eb := post(submitOfSize("over", maxBodyBytes+1)); status != http.StatusRequestEntityTooLarge || eb.Code != CodeBadRequest {
+		t.Fatalf("submit one byte over the cap: %d %+v, want 413 %s", status, eb, CodeBadRequest)
+	}
+	if n := sessions(); n != 0 {
+		t.Fatalf("%d sessions after the refused submit, want 0", n)
+	}
+	if status, eb := post(submitOfSize("at", maxBodyBytes)); status != http.StatusOK {
+		t.Fatalf("submit of exactly the cap: %d %+v, want 200", status, eb)
+	}
+	if n := sessions(); n != 1 {
+		t.Fatalf("%d sessions after the accepted submit, want 1", n)
 	}
 }
 
@@ -291,8 +351,6 @@ func TestServeOverload(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct targets per request: identical bodies would ride
-			// the singleflight path instead of pressuring admission.
 			body := fmt.Sprintf(`{"target_ps": %g}`, (0.5+float64(i)*1e-6)*sub.MinDelayPS)
 			resp, err := http.Post(hs.URL+"/v1/sessions/a/query", "application/json", strings.NewReader(body))
 			if err != nil {

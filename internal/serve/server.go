@@ -9,8 +9,11 @@
 // Robustness machinery, in the order a request meets it:
 //
 //   - Admission control: a global pending-work cap and bounded
-//     per-session queues.  Either full → 429 with Retry-After; the
-//     server never grows an unbounded backlog.
+//     per-session queues.  Every admitted submit, query and edit is one
+//     job: it counts against the pending cap and, for queries and
+//     edits, takes a slot in its session's queue.  Either full → 429
+//     with Retry-After; the server never grows an unbounded backlog.
+//     Request bodies are capped at maxBodyBytes (413 beyond it).
 //   - Serialization: each session has one worker goroutine owning its
 //     solver state; same-session requests serialize, distinct sessions
 //     run concurrently under a global in-flight cap.
@@ -51,10 +54,6 @@
 //     library_seeded_total) instead of a far jump.  Any accepted weight
 //     or edit batch empties the library, and a rebuilt session starts
 //     with an empty one.  Zero restarts every query from TILOS.
-//   - Singleflight coalescing: identical concurrent queries (same
-//     canonicalized body) against one session are solved once; the
-//     followers receive the same answer marked "coalesced": true and
-//     bypass the pending cap.
 //
 // Every solve is serial and runs the one D-phase flow algorithm:
 // throughput comes from distinct sessions running concurrently.  A
@@ -81,11 +80,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,7 +205,6 @@ type Server struct {
 	farSeeded     atomic.Int64
 	farFallbacks  atomic.Int64
 	librarySeeded atomic.Int64
-	coalesced     atomic.Int64
 	edits         atomic.Int64
 	editFallbacks atomic.Int64
 }
@@ -278,17 +275,35 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	bufPool.Put(buf)
 }
 
-// readJSON slurps the request body through a pooled buffer and
-// unmarshals it (a streaming Decoder would allocate its read buffer
-// per request).
-func readJSON(r *http.Request, dst any) error {
+// maxBodyBytes caps every request body (413 beyond it).  The largest
+// netlist cmd/mkbench writes, adder256.bench, is 96,872 bytes of .bench
+// text, so 8 MiB leaves over 80× headroom for an inline submit while
+// one huge POST can no longer slip past admission control and the
+// memory watermarks, or grow a pooled buffer without bound.
+const maxBodyBytes = 8 << 20
+
+// readJSON slurps the request body (at most maxBodyBytes) through a
+// pooled buffer and unmarshals it into dst (a streaming Decoder would
+// allocate its read buffer per request).  On failure it writes the
+// refusal — 413 for an oversized body, 400 otherwise — and reports
+// false.
+func (srv *Server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bufPool.Put(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		return err
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), dst)
 	}
-	return json.Unmarshal(buf.Bytes(), dst)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	srv.writeError(w, status, CodeBadRequest, "bad JSON: "+err.Error())
+	return false
 }
 
 func (srv *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -303,8 +318,7 @@ func (srv *Server) writeError(w http.ResponseWriter, status int, code, msg strin
 // burst of submits cannot stampede the CPU past admission control.
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := readJSON(r, &req); err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	if !srv.readJSON(w, r, &req) {
 		return
 	}
 	j := &job{kind: jobBuild, ctx: r.Context(), resp: make(chan jobReply, 1)}
@@ -334,13 +348,12 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	req.ID = id
 	s := &session{
-		id:       id,
-		srv:      srv,
-		src:      req,
-		queue:    make(chan *job, srv.cfg.QueueDepth),
-		inflight: make(map[string]*job),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		id:    id,
+		srv:   srv,
+		src:   req,
+		queue: make(chan *job, srv.cfg.QueueDepth),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	s.elem = srv.lru.PushFront(s)
 	srv.sessions[id] = s
@@ -354,131 +367,38 @@ func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	srv.await(w, r, j.resp)
 }
 
-// handleQuery admits a query into the session's queue.  An identical
-// query already queued (same canonical body) is not enqueued again:
-// the request attaches to the in-flight job (singleflight) and shares
-// its answer, consuming no queue slot and running no solve of its own.
+// handleQuery admits a query into the session's queue.
 func (srv *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	var req QueryRequest
-	if err := readJSON(r, &req); err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	if !srv.readJSON(w, r, &req) {
 		return
 	}
 	if !(req.TargetPS > 0) {
 		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "target_ps must be positive")
 		return
 	}
-
-	base := canonicalQuery(&req)
-	j := &job{kind: jobQuery, req: req, ctx: r.Context(), resp: make(chan jobReply, 1)}
-
-	srv.mu.Lock()
-	if srv.draining {
-		srv.mu.Unlock()
-		srv.rejected.Add(1)
-		srv.writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-		return
-	}
-	s, ok := srv.sessions[id]
-	if !ok {
-		srv.mu.Unlock()
-		srv.writeError(w, http.StatusNotFound, CodeNotFound, "no such session (evicted or never created — re-submit)")
-		return
-	}
-	// The coalescing key is scoped to the session's edit epoch: a query
-	// admitted after an edit must not ride a twin queued before it —
-	// they answer against different netlists.
-	key := fmt.Sprintf("e%d;%s", s.epoch, base)
-	j.key = key
-	if prev, ok := s.inflight[key]; ok && !prev.started {
-		// Coalesce: ride the queued twin.  Attach is only legal while
-		// the job has not started (the worker freezes the follower list
-		// under srv.mu when it picks the job up).
-		ch := make(chan jobReply, 1)
-		prev.followers = append(prev.followers, ch)
-		srv.lru.MoveToFront(s.elem)
-		srv.mu.Unlock()
-		srv.queries.Add(1)
-		srv.coalesced.Add(1)
-		srv.await(w, r, ch)
-		return
-	}
-	if srv.pending >= srv.cfg.MaxPending {
-		srv.mu.Unlock()
-		srv.rejected.Add(1)
-		srv.writeError(w, http.StatusTooManyRequests, CodeOverloaded, "global pending cap reached")
-		return
-	}
-	select {
-	case s.queue <- j:
-		srv.pending++
-		s.queued++
-		s.queries++
-		s.inflight[key] = j
-		srv.lru.MoveToFront(s.elem)
-		srv.mu.Unlock()
-	default:
-		srv.mu.Unlock()
-		srv.rejected.Add(1)
-		srv.writeError(w, http.StatusTooManyRequests, CodeOverloaded, "session queue full")
-		return
-	}
-	srv.queries.Add(1)
-	srv.await(w, r, j.resp)
-}
-
-// canonicalQuery maps a query body to its coalescing key: bit-exact
-// target and budgets, want_sizes, and the area-weight edits with
-// duplicate gates collapsed to their last occurrence (last-wins — the
-// semantics the session applies) and then sorted by gate, so two
-// requests that set the same final weights get the same key no matter
-// how their duplicate entries were ordered.
-func canonicalQuery(q *QueryRequest) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%x;b=%d;f=%d;s=%t", math.Float64bits(q.TargetPS), q.BudgetMS, q.FlowWorkBudget, q.WantSizes)
-	if len(q.AreaWeights) > 0 {
-		aw := make([]AreaWeight, 0, len(q.AreaWeights))
-		for i := len(q.AreaWeights) - 1; i >= 0; i-- {
-			a := q.AreaWeights[i]
-			dup := false
-			for _, kept := range aw {
-				if kept.Gate == a.Gate {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				aw = append(aw, a)
-			}
-		}
-		sort.Slice(aw, func(i, j int) bool { return aw[i].Gate < aw[j].Gate })
-		for _, a := range aw {
-			fmt.Fprintf(&b, ";%d=%x", a.Gate, math.Float64bits(a.Weight))
-		}
-	}
-	return b.String()
+	srv.enqueue(w, r, &job{kind: jobQuery, req: req, ctx: r.Context(), resp: make(chan jobReply, 1)})
 }
 
 // handleEdit admits a netlist edit batch into the session's queue.
-// Edits never coalesce (each one mutates state) and they bump the
-// session's edit epoch at admission time, so queries admitted after
-// the edit cannot share an answer with identical queries queued before
-// it.
 func (srv *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	var req EditRequest
-	if err := readJSON(r, &req); err != nil {
-		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad JSON: "+err.Error())
+	if !srv.readJSON(w, r, &req) {
 		return
 	}
 	if len(req.Edits) == 0 {
 		srv.writeError(w, http.StatusBadRequest, CodeBadRequest, "empty edit batch")
 		return
 	}
+	srv.enqueue(w, r, &job{kind: jobEdit, edit: req, ctx: r.Context(), resp: make(chan jobReply, 1)})
+}
 
-	j := &job{kind: jobEdit, edit: req, ctx: r.Context(), resp: make(chan jobReply, 1)}
-
+// enqueue is the admission protocol of queries and edits: a draining
+// server answers 503, an unknown session 404, and a full pending cap or
+// session queue 429.  An admitted job takes its own queue slot and
+// pending count, and the handler then relays the worker's reply.
+// srv.mu is released before any refusal is written.
+func (srv *Server) enqueue(w http.ResponseWriter, r *http.Request, j *job) {
 	srv.mu.Lock()
 	if srv.draining {
 		srv.mu.Unlock()
@@ -486,31 +406,36 @@ func (srv *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		srv.writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 		return
 	}
-	s, ok := srv.sessions[id]
+	s, ok := srv.sessions[r.PathValue("id")]
 	if !ok {
 		srv.mu.Unlock()
 		srv.writeError(w, http.StatusNotFound, CodeNotFound, "no such session (evicted or never created — re-submit)")
 		return
 	}
+	var full string
 	if srv.pending >= srv.cfg.MaxPending {
+		full = "global pending cap reached"
+	} else {
+		select {
+		case s.queue <- j:
+		default:
+			full = "session queue full"
+		}
+	}
+	if full != "" {
 		srv.mu.Unlock()
 		srv.rejected.Add(1)
-		srv.writeError(w, http.StatusTooManyRequests, CodeOverloaded, "global pending cap reached")
+		srv.writeError(w, http.StatusTooManyRequests, CodeOverloaded, full)
 		return
 	}
-	select {
-	case s.queue <- j:
-		srv.pending++
-		s.queued++
-		s.epoch++
-		srv.lru.MoveToFront(s.elem)
-		srv.mu.Unlock()
-	default:
-		srv.mu.Unlock()
-		srv.rejected.Add(1)
-		srv.writeError(w, http.StatusTooManyRequests, CodeOverloaded, "session queue full")
-		return
+	srv.pending++
+	s.queued++
+	if j.kind == jobQuery {
+		s.queries++
+		srv.queries.Add(1)
 	}
+	srv.lru.MoveToFront(s.elem)
+	srv.mu.Unlock()
 	srv.await(w, r, j.resp)
 }
 
@@ -602,7 +527,6 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		FarSeeded:     srv.farSeeded.Load(),
 		FarFallbacks:  srv.farFallbacks.Load(),
 		LibrarySeeded: srv.librarySeeded.Load(),
-		Coalesced:     srv.coalesced.Load(),
 		Edits:         srv.edits.Load(),
 		EditFallbacks: srv.editFallbacks.Load(),
 		Draining:      srv.draining,

@@ -33,13 +33,6 @@ type job struct {
 	edit EditRequest     // jobEdit payload
 	ctx  context.Context // request context (client disconnect)
 	resp chan jobReply
-
-	// Singleflight state, guarded by srv.mu until started is set (the
-	// worker freezes the follower list when it picks the job up; after
-	// that no attach is legal and the worker reads without the lock).
-	key       string // canonical query body ("" for build jobs)
-	started   bool
-	followers []chan jobReply // coalesced identical requests
 }
 
 type jobReply struct {
@@ -59,11 +52,6 @@ type session struct {
 	queue chan *job
 	quit  chan struct{} // closed on delete/evict/replace
 	done  chan struct{} // closed when the worker exits
-
-	// inflight indexes queued (not yet started) query jobs by their
-	// canonical body, guarded by srv.mu — the singleflight map an
-	// identical concurrent query coalesces through.
-	inflight map[string]*job
 
 	// Worker-owned (no locking needed).
 	core *core.Session
@@ -90,17 +78,13 @@ type session struct {
 	// Shared with the server, guarded by srv.mu.  The worker writes
 	// gen and numGates under the lock (GET /v1/sessions/{id} reads them
 	// concurrently) and reads them without it.
-	gen       int
-	numGates  int
-	elem      *list.Element // LRU position
-	memBytes  int64
-	queries   int64
-	editsDone int64
-	queued    int
-	// epoch counts admitted edit batches; it scopes the query
-	// coalescing keys so a query admitted after an edit never rides a
-	// twin queued before it (see Server.handleEdit).
-	epoch       int
+	gen         int
+	numGates    int
+	elem        *list.Element // LRU position
+	memBytes    int64
+	queries     int64
+	editsDone   int64
+	queued      int
 	busy        bool
 	deleted     bool
 	quarantined bool
@@ -269,35 +253,17 @@ func (s *session) shutdown() {
 	}
 }
 
-// drainQueue answers every queued job (and its coalesced followers)
-// with a terminal error.
+// drainQueue answers every queued job with a terminal error.
 func (s *session) drainQueue(status int, code, msg string) {
 	for {
 		select {
 		case j := <-s.queue:
-			s.claim(j)
-			rep := jobReply{status, &ErrorBody{Code: code, Message: msg}}
-			j.resp <- rep
-			for _, ch := range j.followers {
-				ch <- rep
-			}
+			j.resp <- jobReply{status, &ErrorBody{Code: code, Message: msg}}
 			s.srv.jobDone(s, false)
 		default:
 			return
 		}
 	}
-}
-
-// claim marks a dequeued job started under srv.mu, freezing its
-// follower list (no further coalesced attach) and dropping it from the
-// singleflight index.
-func (s *session) claim(j *job) {
-	s.srv.mu.Lock()
-	j.started = true
-	if j.key != "" && s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	s.srv.mu.Unlock()
 }
 
 // serve runs one job under the global in-flight cap and the panic
@@ -309,23 +275,8 @@ func (s *session) serve(j *job) {
 	s.busy = true
 	s.queued--
 	s.srv.mu.Unlock()
-	s.claim(j)
 
-	rep := s.handle(j)
-	j.resp <- rep
-	// Fan the answer out to coalesced identical requests (list frozen
-	// when started was set above).  Each follower gets its own struct
-	// so the Coalesced mark never mutates the primary's body.
-	for _, ch := range j.followers {
-		if qr, ok := rep.body.(*QueryResponse); ok {
-			cp := *qr
-			cp.Coalesced = true
-			ch <- jobReply{rep.status, &cp}
-		} else {
-			ch <- rep
-		}
-	}
-
+	j.resp <- s.handle(j)
 	<-s.srv.runSem
 	s.srv.jobDone(s, true)
 }
@@ -373,9 +324,8 @@ func (s *session) handleQuery(j *job) jobReply {
 	// A client that left before its query started gets no solve: nobody
 	// reads the answer, and running it would still take a seq, so the
 	// next live answer would differ from a history without the
-	// abandoned request.  Coalesced followers
-	// still wait on the answer, so a job with any runs as usual.
-	if j.ctx.Err() != nil && len(j.followers) == 0 {
+	// abandoned request.
+	if j.ctx.Err() != nil {
 		return jobReply{http.StatusGatewayTimeout, &ErrorBody{Code: CodeCanceled, Message: "client left before the query started"}}
 	}
 	if rep, ok := s.rebuildIfQuarantined(); !ok {

@@ -141,12 +141,8 @@ type QueryResponse struct {
 	// moved beyond the trust region of the previous answer's but lay
 	// within that of an earlier one's, so the solve ran as a refinement
 	// from it.  Any accepted weight or edit batch empties the library.
-	LibrarySeed bool `json:"library_seed,omitempty"`
-	// Coalesced marks a reply served by another in-flight identical
-	// query against the same session (the singleflight path): this
-	// request consumed no queue slot and ran no solve of its own.
-	Coalesced bool       `json:"coalesced,omitempty"`
-	Error     *ErrorBody `json:"error,omitempty"`
+	LibrarySeed bool       `json:"library_seed,omitempty"`
+	Error       *ErrorBody `json:"error,omitempty"`
 }
 
 // EditOp is one typed netlist edit of an edit batch.
@@ -255,14 +251,15 @@ type StatsResponse struct {
 	// FarFallbacks count the far jumps among them (answers carrying
 	// far_seed), LibrarySeeded the seeded answers started from a
 	// session's library of earlier converged answers (library_seed).
-	// Coalesced counts replies served by another identical in-flight
-	// query.
 	Seeded        int64 `json:"seeded_total"`
 	SeedFallbacks int64 `json:"seed_fallbacks_total"`
 	FarSeeded     int64 `json:"far_seeded_total"`
 	FarFallbacks  int64 `json:"far_seed_fallbacks_total"`
 	LibrarySeeded int64 `json:"library_seeded_total"`
-	Coalesced     int64 `json:"coalesced_total"`
+	// Deprecated: Coalesced always reads 0: every admitted query runs
+	// as its own job.  The field stays only because cmd/minflobench
+	// reads it.
+	Coalesced int64 `json:"coalesced_total"`
 	// Edits counts accepted edit batches; EditFallbacks those whose
 	// timing cone exceeded the budget and dropped the warm seed.
 	Edits         int64 `json:"edits_total"`

@@ -28,8 +28,7 @@
 // sizing via a trust-region policy (-trust-region, default 5%): small
 // refinements several times faster than a cold solve, far jumps past
 // the region without the TILOS restart; the response's "seed" field
-// says which path answered, and identical concurrent queries
-// coalesce onto one solve ("coalesced": true).  Netlist edits (ECOs —
+// says which path answered.  Netlist edits (ECOs —
 // extra loads, cell swaps, fanout rewires) stream through the same
 // session via POST /v1/sessions/{id}/edit: value edits patch the
 // resident coupling rows in place and repair arrivals over the edit's
